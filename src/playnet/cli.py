@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import __version__
@@ -121,7 +122,8 @@ def _sim_config(cfg: AppConfig, style: LinearStyle, seed: int) -> SimulationConf
 
 
 def _state_inputs(path: str) -> dict:
-    return {"state": {"path": path, "sha256": sha256_of_file(path)}}
+    """The input record of a manifest; the path is absolute so regenerate works from any cwd."""
+    return {"state": {"path": os.path.abspath(path), "sha256": sha256_of_file(path)}}
 
 
 def _log_text(results) -> str:
@@ -147,8 +149,7 @@ def _load_log(path: str) -> list[PossessionSequence]:
     return _sequences_from_log_obj(obj)
 
 
-def _cmd_decide(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:
     style = LinearStyle.parse(args.style)
     state = load_match_state(args.state)
     network = estimate_network(state, default_suite(cfg.estimators))
@@ -188,8 +189,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
     style = LinearStyle.parse(args.style)
     state = load_match_state(args.state)
     sim = _sim_config(cfg, style, args.seed)
@@ -246,7 +246,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: argparse.Namespace, cfg: AppConfig) -> int:
     sequences = _load_log(args.log)
     rows = [
         {
@@ -269,8 +269,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
     styles = [LinearStyle.parse(text) for text in args.styles.split(",") if text != ""]
     if not styles:
         raise ValueError("--styles must name at least one style")
@@ -310,7 +309,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_frontier(args: argparse.Namespace) -> int:
+def _cmd_frontier(args: argparse.Namespace, cfg: AppConfig) -> int:
     sequences = _load_log(args.log)
     frontier = pareto_frontier(sequences)
     if args.json:
@@ -345,7 +344,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, _resolve_config(args))
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

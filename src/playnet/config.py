@@ -14,7 +14,9 @@ import json
 import os
 from dataclasses import dataclass
 
+from .decision import check_threshold, check_tie_break
 from .estimators import EstimatorParams
+from .simulate import check_drift, check_max_steps
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
 
@@ -26,6 +28,14 @@ class AppConfig:
     drift_m: float = 2.0
     threshold: float = 0.5  # tool convention for the shoot threshold
     tie_break: str = "lowest_id"
+
+    def __post_init__(self) -> None:
+        # Checked here, not where a subcommand first uses the value, so a
+        # bad file or flag fails at load whichever subcommand runs.
+        check_max_steps(self.max_steps)
+        check_drift(self.drift_m)
+        check_threshold(self.threshold)
+        check_tie_break(self.tie_break)
 
     def to_dict(self) -> dict:
         return {

@@ -24,6 +24,19 @@ TIE_BREAK_RULES: dict[str, Callable[[int], int]] = {
 }
 
 
+def check_threshold(value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"threshold={value!r} must be a number in [0, 1]")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"threshold={value} outside [0, 1]")
+
+
+def check_tie_break(value: object) -> None:
+    if not isinstance(value, str) or value not in TIE_BREAK_RULES:
+        known = ", ".join(sorted(TIE_BREAK_RULES))
+        raise ValueError(f"unknown tie_break {value!r} (known: {known})")
+
+
 @dataclass(frozen=True)
 class DecisionPolicy:
     """A style function, a shoot threshold, and an argmax tie-break rule."""
@@ -35,13 +48,8 @@ class DecisionPolicy:
     def __post_init__(self) -> None:
         if not callable(self.style):
             raise ValueError("policy style must be callable as style(p, r)")
-        if not isinstance(self.threshold, (int, float)) or isinstance(self.threshold, bool):
-            raise ValueError(f"threshold={self.threshold!r} must be a number in [0, 1]")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold={self.threshold} outside [0, 1]")
-        if self.tie_break not in TIE_BREAK_RULES:
-            known = ", ".join(sorted(TIE_BREAK_RULES))
-            raise ValueError(f"unknown tie_break {self.tie_break!r} (known: {known})")
+        check_threshold(self.threshold)
+        check_tie_break(self.tie_break)
 
 
 @dataclass(frozen=True)

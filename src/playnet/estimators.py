@@ -52,13 +52,13 @@ class EstimatorParams:
             "lane_half_width_m", "pass_time_scale_s", "openness_radius_m", "goal_width_m",
         ):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-                raise ValueError(f"estimator constant {name}={v!r} must be > 0")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ValueError(f"estimator constant {name}={v!r} must be a finite number > 0")
             object.__setattr__(self, name, float(v))
         for name in ("risk_score_weight", "risk_openness_weight"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or v < 0:
-                raise ValueError(f"estimator constant {name}={v!r} must be >= 0")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
+                raise ValueError(f"estimator constant {name}={v!r} must be a finite number >= 0")
             object.__setattr__(self, name, float(v))
         if self.risk_score_weight + self.risk_openness_weight > 1.0 + 1e-9:
             raise ValueError("risk weights must sum to at most 1 so r stays in 0..10")
@@ -69,7 +69,11 @@ DEFAULT_PARAMS = EstimatorParams()
 
 @dataclass(frozen=True)
 class EstimatorSuite:
-    """Four pure functions producing (s, tau, p, r) for a match snapshot."""
+    """Four pure functions producing (s, tau, p, r) for a match snapshot.
+
+    Pure means equal snapshots give equal values: the simulator computes
+    each step of a possession path once and shares it across trials.
+    """
 
     score_prob: Callable[[MatchState], float]
     decision_time: Callable[[MatchState], float]

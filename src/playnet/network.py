@@ -91,8 +91,8 @@ class EdgeVector4:
         object.__setattr__(self, "s", _check_probability(self.s, "s"))
         if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
             raise ValueError(f"tau={self.tau!r} must be a number >= 0")
-        if math.isnan(self.tau) or self.tau < 0:
-            raise ValueError(f"tau={self.tau} must be >= 0")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau={self.tau} must be >= 0 and finite")
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "p", _check_probability(self.p, "p"))
         if isinstance(self.r, bool) or not isinstance(self.r, int):

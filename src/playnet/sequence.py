@@ -62,6 +62,8 @@ class StepOutcome:
 
     @classmethod
     def from_label(cls, label: str) -> StepOutcome:
+        if not isinstance(label, str):
+            raise ValueError(f"outcome label {label!r} must be a string")
         if label == "shot_scored":
             return cls("shot_taken", scored=True)
         if label == "shot_missed":

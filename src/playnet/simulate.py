@@ -9,11 +9,25 @@ differ without any physics engine. Interceptions end the possession;
 degenerate passes (nothing worth passing to) and the step cap end it as
 a forced loss.
 
+Path compilation: the policy is deterministic and the snapshot after a
+completed pass depends only on the receiver, so every possession from
+one (state, config) follows the same path of (network, decision) steps;
+trials differ only in where their draws cut it short. run_trials builds
+that path once per call and walks it once per trial. The path is
+extended lazily, one step when a trial first reaches it, so a single
+rollout costs what it always did. Sharing the path rests on the
+estimator suite's contract that its four functions are pure: equal
+snapshots give equal networks. estimate_network, decide and
+advance_state are looked up in this module at call time.
+
 Reproducibility contract: every random draw comes from one generator
-seeded by the config, at most one draw per step (the shot or the pass),
-and per-trial seeds are derived with SHA-256 from (base seed, style
-index, trial index), so any single trial can be replayed in isolation
-and results never depend on execution order or thread count.
+seeded per trial, at most one draw per step (the shot or the pass), and
+per-trial seeds are derived with SHA-256 from (base seed, style index,
+trial index), so any single trial can be replayed in isolation with
+rollout and results never depend on execution order. Trials run in the
+calling thread; the threads argument is still validated, and accepted
+so that recorded runs replay, but a thread pool only slowed the
+pure-Python rollouts down under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -21,13 +35,23 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .decision import DecisionPolicy, decide
+from .decision import Decision, DecisionPolicy, decide
 from .estimators import EstimatorSuite, estimate_network
+from .network import DecisionNetwork
 from .sequence import PossessionSequence, PossessionStep, StepOutcome
 from .state import MatchState
+
+
+def check_max_steps(value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"max_steps={value!r} must be an integer >= 1")
+
+
+def check_drift(value: object) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+        raise ValueError(f"drift_m={value!r} must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -41,12 +65,10 @@ class SimulationConfig:
     drift_m: float = 2.0  # per-pass movement of non-receiving players
 
     def __post_init__(self) -> None:
-        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, int) or self.max_steps < 1:
-            raise ValueError(f"max_steps={self.max_steps!r} must be an integer >= 1")
+        check_max_steps(self.max_steps)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed={self.seed!r} must be an integer")
-        if isinstance(self.drift_m, bool) or not isinstance(self.drift_m, (int, float)) or self.drift_m < 0:
-            raise ValueError(f"drift_m={self.drift_m!r} must be >= 0")
+        check_drift(self.drift_m)
 
 
 @dataclass(frozen=True)
@@ -100,16 +122,36 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     return MatchState(state.pitch, team, tuple(opponents), receiver, state.outside)
 
 
-def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
-    """Play out one possession; deterministic given (state, cfg)."""
-    rng = random.Random(cfg.seed)
+class _PossessionPath:
+    """The (network, decision) at each step of a possession from one snapshot.
+
+    Built lazily: step k is estimated and decided only when some trial
+    first reaches it, so a path costs as many estimate_network calls as
+    its deepest trial has steps.
+    """
+
+    def __init__(self, state: MatchState, cfg: SimulationConfig) -> None:
+        self._cfg = cfg
+        self._state = state  # snapshot of the last step built, or the start
+        self._steps: list[tuple[DecisionNetwork, Decision]] = []
+
+    def step(self, k: int) -> tuple[DecisionNetwork, Decision]:
+        steps = self._steps
+        while len(steps) <= k:
+            if steps:  # only a completed pass leads on, and only to its target
+                self._state = advance_state(self._state, steps[-1][1].target, self._cfg.drift_m)
+            network = estimate_network(self._state, self._cfg.estimators)
+            steps.append((network, decide(network, self._cfg.policy)))
+        return steps[k]
+
+
+def _walk(path: _PossessionPath, max_steps: int, rng: random.Random) -> RolloutResult:
+    """One trial along the path: its draws decide where the possession stops."""
     steps: list[PossessionStep] = []
     eff = 0.0
     sec = 1.0
-    current = state
-    for k in range(cfg.max_steps):
-        network = estimate_network(current, cfg.estimators)
-        decision = decide(network, cfg.policy)
+    for k in range(max_steps):
+        network, decision = path.step(k)
         if network.s > eff:
             eff = network.s
         if decision.is_shoot:
@@ -119,17 +161,21 @@ def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
         p = network.edge(decision.target).p
         if p < sec:
             sec = p
-        if decision.degenerate or k == cfg.max_steps - 1:
+        if decision.degenerate or k == max_steps - 1:
             steps.append(PossessionStep(network, decision, StepOutcome("forced_loss")))
             break
         if rng.random() < p:
             steps.append(PossessionStep(network, decision, StepOutcome("pass_completed")))
-            current = advance_state(current, decision.target, cfg.drift_m)
         else:
             steps.append(PossessionStep(network, decision, StepOutcome("pass_intercepted")))
             break
     sequence = PossessionSequence(tuple(steps))
     return RolloutResult(sequence, eff, sec, sequence.scored)
+
+
+def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
+    """Play out one possession; deterministic given (state, cfg)."""
+    return _walk(_PossessionPath(state, cfg), cfg.max_steps, random.Random(cfg.seed))
 
 
 def simulate_possession(state: MatchState, cfg: SimulationConfig) -> PossessionSequence:
@@ -144,20 +190,20 @@ def run_trials(
     trials: int,
     threads: int = 1,
 ) -> list[RolloutResult]:
-    """Independent seeded rollouts; output order is always trial order."""
+    """Independent seeded rollouts, in trial order, sharing one possession path.
+
+    threads is validated and otherwise ignored: trials run in this
+    thread, and the result never depended on it.
+    """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials={trials!r} must be an integer >= 1")
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads={threads!r} must be an integer >= 1")
-
-    def one(trial_index: int) -> RolloutResult:
-        trial_cfg = replace(cfg, seed=derive_seed(cfg.seed, style_index, trial_index))
-        return rollout(state, trial_cfg)
-
-    if threads == 1:
-        return [one(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(trials)))
+    path = _PossessionPath(state, cfg)
+    return [
+        _walk(path, cfg.max_steps, random.Random(derive_seed(cfg.seed, style_index, i)))
+        for i in range(trials)
+    ]
 
 
 @dataclass(frozen=True)

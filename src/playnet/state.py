@@ -30,8 +30,8 @@ class Pitch:
     def __post_init__(self) -> None:
         for name in ("length", "width"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-                raise ValueError(f"pitch {name}={v!r} must be > 0")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+                raise ValueError(f"pitch.{name}: {v!r} must be a finite number > 0")
             object.__setattr__(self, name, float(v))
 
     @property
@@ -145,10 +145,6 @@ def parse_match_state(data: bytes | str) -> MatchState:
             raise ValueError(f"pitch: unexpected key {key!r}")
     length = _require_number(pitch_obj, "length", "pitch")
     width = _require_number(pitch_obj, "width", "pitch")
-    if not length > 0:
-        raise ValueError(f"pitch.length: {length} must be > 0")
-    if not width > 0:
-        raise ValueError(f"pitch.width: {width} must be > 0")
     pitch = Pitch(length, width)
 
     team_arr = obj["team"]

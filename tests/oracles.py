@@ -9,6 +9,8 @@ these functions and frozen.
 
 import math
 
+from playnet.state import MatchState
+
 
 def best_pass_exhaustive(network, style, tie_break="lowest_id"):
     """(target, score) by scanning all ten teammates one by one."""
@@ -165,3 +167,83 @@ def oracle_network_dict(state):
         else:
             edges.append({"to": j, "p": oracle_pass_prob(state, j, tau), "r": oracle_risk(state, j)})
     return {"holder": state.holder, "s": s, "tau": tau, "edges": edges}
+
+
+# --- exact expectations of a possession, as an absorbing Markov chain ---
+
+
+def _drift_toward(x, y, tx, ty, dist):
+    d = math.hypot(tx - x, ty - y)
+    if d <= dist:
+        return (tx, ty)
+    return (x + dist / d * (tx - x), y + dist / d * (ty - y))
+
+
+def oracle_advance(state, receiver, drift_m):
+    """The snapshot after a completed pass, transcribed from the rollout's drift rule."""
+    length, width = state.pitch.length, state.pitch.width
+    gx, gy = length, width / 2.0
+    bx, by = state.team[receiver]
+    team = {}
+    for j, (x, y) in state.team.items():
+        if j == receiver or j in state.outside:
+            team[j] = (x, y)
+        else:
+            nx, ny = _drift_toward(x, y, gx, gy, drift_m)
+            team[j] = (min(length, max(0.0, nx)), min(width, max(0.0, ny)))
+    opponents = []
+    for x, y in state.opponents:
+        nx, ny = _drift_toward(x, y, bx, by, drift_m)
+        opponents.append((min(length, max(0.0, nx)), min(width, max(0.0, ny))))
+    return MatchState(state.pitch, team, tuple(opponents), receiver, state.outside)
+
+
+def exact_possession_moments(state, style, threshold=0.5, max_steps=30, drift_m=2.0):
+    """Exact per-possession (mean, variance) of efficiency, security, goal and length.
+
+    Keys are the StyleReport field names the means are compared with.
+
+    Default estimators and lowest-id tie-break. The policy is
+    deterministic and the next snapshot depends only on the receiver, so
+    a possession follows one fixed path; chance decides only where it
+    stops. Walking that path once, with the probability of reaching each
+    step, gives every outcome's probability: a shot scores with
+    probability s, a pass completes with probability p, and degenerate
+    passes and the step cap end the possession. O(max_steps) networks.
+    """
+    first = {"mean_efficiency": 0.0, "mean_security": 0.0, "goal_rate": 0.0, "mean_length": 0.0}
+    second = dict(first)
+
+    def absorb(prob, eff, sec, goal, length):
+        for key, value in (("mean_efficiency", eff), ("mean_security", sec),
+                           ("goal_rate", goal), ("mean_length", length)):
+            first[key] += prob * value
+            second[key] += prob * value * value
+
+    reach = 1.0
+    eff = 0.0
+    sec = 1.0
+    for k in range(max_steps):
+        net = oracle_network_dict(state)
+        s = net["s"]
+        eff = max(eff, s)
+        if s >= threshold:
+            absorb(reach * s, eff, sec, 1.0, k + 1)
+            absorb(reach * (1.0 - s), eff, sec, 0.0, k + 1)
+            break
+        best = None
+        for edge in net["edges"]:  # ascending id: strict > keeps the lowest id on ties
+            score = style(edge["p"], edge["r"])
+            if best is None or score > best[0]:
+                best = (score, edge["to"], edge["p"])
+        score, target, p = best
+        sec = min(sec, p)
+        if score == 0.0 or k == max_steps - 1:
+            absorb(reach, eff, sec, 0.0, k + 1)
+            break
+        absorb(reach * (1.0 - p), eff, sec, 0.0, k + 1)
+        reach *= p
+        if reach == 0.0:
+            break
+        state = oracle_advance(state, target, drift_m)
+    return {key: (first[key], max(0.0, second[key] - first[key] ** 2)) for key in first}

@@ -118,6 +118,20 @@ def test_simulate_manifest_and_regeneration(capsys, tmp_path):
     assert regenerate(manifest) == out_file.read_text()
 
 
+def test_regenerate_from_another_working_directory(capsys, tmp_path, monkeypatch):
+    (tmp_path / "state.json").write_text((DATA_DIR / "midfield_state.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(
+        capsys, "simulate", "--state", "state.json", "--style", "3:1",
+        "--trials", "2", "--seed", "5", "--out", "log.json",
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "log.json.manifest.json").read_text())
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert regenerate(manifest) == (tmp_path / "log.json").read_text()
+
+
 def test_regenerate_detects_changed_input(capsys, tmp_path):
     state_copy = tmp_path / "state.json"
     state_copy.write_text((DATA_DIR / "midfield_state.json").read_text())
@@ -218,3 +232,49 @@ def test_threshold_flag_overrides_config(capsys, tmp_path):
     )
     assert code == 0
     assert "decision: pass" in out
+
+
+def test_unhashable_outcome_label_is_validation_error(capsys, tmp_path):
+    log = json.loads((GOLDEN_DIR / "simulate_seed42.json").read_text())
+    log[0][-1]["outcome"] = [1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(log))
+    for command in ("analyze", "frontier"):
+        code, out, err = run(capsys, command, "--log", str(bad))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"simulation": {"max_steps": 0}},
+        {"simulation": {"max_steps": "x"}},
+        {"policy": {"threshold": 2}},
+    ],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--state", MIDFIELD, "--style", "3:1"],
+        ["analyze", "--log", str(GOLDEN_DIR / "simulate_seed42.json")],
+        ["frontier", "--log", str(GOLDEN_DIR / "simulate_seed42.json")],
+    ],
+)
+def test_bad_config_fails_at_load_for_every_command(capsys, tmp_path, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_out_of_range_flags_are_validation_errors(capsys):
+    code, _, err = run(capsys, "decide", "--state", MIDFIELD, "--style", "3:1", "--threshold", "nan")
+    assert code == 1 and err.startswith("error:")
+    code, _, err = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--max-steps", "0")
+    assert code == 1 and err.startswith("error:")
+    code, _, err = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--threads", "0")
+    assert code == 1 and err.startswith("error:")

@@ -263,6 +263,12 @@ def test_params_validated():
         EstimatorParams(score_decay_m=0.0)
     with pytest.raises(ValueError, match="risk weights"):
         EstimatorParams(risk_score_weight=0.9, risk_openness_weight=0.4)
+    with pytest.raises(ValueError, match="pass_decay_m"):
+        EstimatorParams(pass_decay_m=math.inf)
+    with pytest.raises(ValueError, match="goal_width_m"):
+        EstimatorParams(goal_width_m=math.nan)
+    with pytest.raises(ValueError, match="risk_openness_weight"):
+        EstimatorParams(risk_openness_weight=math.nan)
 
 
 def test_params_flow_through_suite():

@@ -77,6 +77,7 @@ def test_build_rejects_holder_edge():
         (dict(r=11), "r=11 outside"),
         (dict(r=-1), "r=-1 outside"),
         (dict(r=2.0), "must be an integer"),
+        (dict(tau=math.inf), "tau=inf must be >= 0"),  # e.g. 1e400 in a log
     ],
 )
 def test_edge_vector_bounds(kwargs, message):

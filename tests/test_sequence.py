@@ -269,6 +269,8 @@ def test_outcome_labels_round_trip():
         assert StepOutcome.from_label(outcome.label()) == outcome
     with pytest.raises(ValueError):
         StepOutcome.from_label("own_goal")
+    with pytest.raises(ValueError, match="outcome label"):
+        StepOutcome.from_label([1])  # unhashable: must not escape as TypeError
     with pytest.raises(ValueError):
         StepOutcome("pass_completed", scored=True)
 

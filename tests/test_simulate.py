@@ -1,8 +1,12 @@
 import dataclasses
+import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import playnet.simulate
 
 from playnet import (
     DecisionPolicy,
@@ -19,9 +23,11 @@ from playnet import (
     security,
     simulate_possession,
 )
+from playnet.sequence import sequence_to_obj
 from playnet.simulate import advance_state
 
 from conftest import random_match_state
+from oracles import exact_possession_moments
 
 
 def base_config(style=LinearStyle(3, 1), threshold=0.5, seed=0, **kwargs):
@@ -195,3 +201,60 @@ def test_config_validation():
         base_config(max_steps=0)
     with pytest.raises(ValueError, match="trials"):
         run_trials(corner_kick_state((50.0, 34.0)), base_config(), 0, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    weights=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda w: w != (0, 0)),
+    threshold=st.floats(0.0, 1.0),
+    max_steps=st.integers(1, 30),
+    base_seed=st.integers(0, 2**63),
+    style_index=st.integers(0, 3),
+    trials=st.integers(1, 40),
+)
+def test_run_trials_equals_independent_rollouts_on_one_lazy_path(
+    state_seed, weights, threshold, max_steps, base_seed, style_index, trials
+):
+    state = random_match_state(random.Random(state_seed))
+    cfg = base_config(style=LinearStyle(*weights), threshold=threshold, seed=base_seed,
+                      max_steps=max_steps)
+    real = playnet.simulate.estimate_network
+    calls = []
+
+    def counting(current, suite):
+        calls.append(current.holder)
+        return real(current, suite)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(playnet.simulate, "estimate_network", counting)
+        results = run_trials(state, cfg, style_index, trials)
+    reference = [
+        rollout(state, dataclasses.replace(cfg, seed=derive_seed(base_seed, style_index, i)))
+        for i in range(trials)
+    ]
+    assert json.dumps([sequence_to_obj(r.sequence) for r in results]) == json.dumps(
+        [sequence_to_obj(r.sequence) for r in reference]
+    )
+    assert [(r.efficiency, r.security, r.scored) for r in results] == [
+        (r.efficiency, r.security, r.scored) for r in reference
+    ]
+    # one network per step of the deepest trial, shared by every shallower one
+    assert len(calls) == max(len(r.sequence) for r in results)
+
+
+EXACT_TRIALS = 5000
+
+
+@pytest.mark.parametrize("state_name", ["midfield_state", "box_state"])
+def test_monte_carlo_means_within_clt_bound_of_exact_chain(state_name, request):
+    """Monte Carlo means vs the absorbing-chain oracle, within 4 sigma of the exact variance."""
+    state = request.getfixturevalue(state_name)
+    styles = [LinearStyle(3, 1), LinearStyle(2, 2), LinearStyle(1, 3)]
+    reports = monte_carlo_compare(state, styles, EXACT_TRIALS, base_config(seed=2019))
+    for style, report in zip(styles, reports):
+        exact = exact_possession_moments(state, style)
+        for key, (mean, var) in exact.items():
+            bound = 4.0 * math.sqrt(var / EXACT_TRIALS) + 1e-12
+            got = getattr(report, key)
+            assert abs(got - mean) <= bound, (str(style), key, got, mean, bound)

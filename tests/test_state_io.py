@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,6 +132,19 @@ def test_pitch_validation():
         Pitch(length=0.0)
     with pytest.raises(ValueError, match="width"):
         Pitch(width=-5.0)
+    with pytest.raises(ValueError, match="length"):
+        Pitch(length=math.inf)
+    with pytest.raises(ValueError, match="width"):
+        Pitch(width=math.nan)
+
+
+def test_overflowing_pitch_length_rejected():
+    # 1e400 is valid JSON that overflows to inf; it must not become an endless pitch
+    text = (DATA_DIR / "midfield_state.json").read_text()
+    text = text.replace('"length": 105', '"length": 1e400', 1)
+    assert "1e400" in text
+    with pytest.raises(ValueError, match="length"):
+        parse_match_state(text)
 
 
 def test_match_state_requires_full_teams():
@@ -241,3 +255,24 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_shipped_default_config_matches_builtins():
     cfg = load_config(DATA_DIR / "default_config.json")
     assert cfg == AppConfig()
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"simulation": {"max_steps": 0}}, "max_steps"),
+        ({"simulation": {"max_steps": "x"}}, "max_steps"),
+        ({"simulation": {"max_steps": True}}, "max_steps"),
+        ({"simulation": {"drift_m": -1}}, "drift_m"),
+        ({"simulation": {"drift_m": math.inf}}, "drift_m"),
+        ({"policy": {"threshold": 2}}, "threshold"),
+        ({"policy": {"threshold": math.nan}}, "threshold"),
+        ({"policy": {"tie_break": "random"}}, "tie_break"),
+        ({"policy": {"tie_break": [1]}}, "tie_break"),
+        ({"estimators": {"pass_decay_m": math.inf}}, "pass_decay_m"),
+        ({"estimators": {"risk_score_weight": math.nan}}, "risk_score_weight"),
+    ],
+)
+def test_config_rejects_out_of_range_values_at_load(obj, field):
+    with pytest.raises(ValueError, match=field):
+        AppConfig.from_dict(obj)
