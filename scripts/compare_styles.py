@@ -22,6 +22,7 @@ from playnet import (
     default_suite,
     monte_carlo_compare,
 )
+from playnet.sequence import pareto_points
 from playnet.state import load_match_state
 
 DEFAULT_GRID = "5:0,4:1,3:1,3:2,2:2,2:3,1:3,1:4,0:5"
@@ -46,14 +47,7 @@ def main() -> int:
     reports = monte_carlo_compare(state, styles, args.trials, cfg)
 
     points = [(r.mean_efficiency, r.mean_security) for r in reports]
-    undominated = set()
-    for i, (eff_i, sec_i) in enumerate(points):
-        if not any(
-            eff_k >= eff_i and sec_k >= sec_i and (eff_k > eff_i or sec_k > sec_i)
-            for k, (eff_k, sec_k) in enumerate(points)
-            if k != i
-        ):
-            undominated.add(i)
+    undominated = {i for _, _, i in pareto_points(points)}
 
     print(f"{args.trials} trials per style on {args.state} (seed {args.seed})\n")
     print(f"{'style':<8}{'class':<12}{'mean_eff':>10}{'mean_sec':>10}{'goal%':>8}{'len':>7}  frontier")

@@ -11,7 +11,7 @@ from .estimators import (
     default_suite,
     estimate_network,
 )
-from .network import DecisionNetwork, EdgeVector4, VectorEdge, VectorNetwork, build_network
+from .network import DecisionNetwork, EdgeVector4, build_network
 from .sequence import (
     PossessionSequence,
     PossessionStep,
@@ -20,7 +20,6 @@ from .sequence import (
     is_p_secure,
     is_s_efficient,
     pareto_frontier,
-    rank_by_tradeoff,
     security,
 )
 from .simulate import (
@@ -55,8 +54,6 @@ __all__ = [
     "StepOutcome",
     "StyleClass",
     "StyleReport",
-    "VectorEdge",
-    "VectorNetwork",
     "build_network",
     "decide",
     "default_decision_time",
@@ -73,7 +70,6 @@ __all__ = [
     "monte_carlo_compare",
     "pareto_frontier",
     "parse_match_state",
-    "rank_by_tradeoff",
     "ranked_options",
     "rollout",
     "run_trials",

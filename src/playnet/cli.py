@@ -36,7 +36,7 @@ from .sequence import (
     sequence_from_obj,
     sequence_to_obj,
 )
-from .simulate import SimulationConfig, monte_carlo_compare, run_trials
+from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
 from .state import load_match_state
 from .style import LinearStyle
 
@@ -131,6 +131,16 @@ def _log_text(results) -> str:
     return canonical_dumps(logs[0] if len(logs) == 1 else logs)
 
 
+def _csv_text(reports) -> str:
+    lines = ["style,trials,mean_efficiency,mean_security,goal_rate,mean_length"]
+    for rep in reports:
+        lines.append(
+            f"{rep.style},{rep.trials},{_fmt(rep.mean_efficiency)},"
+            f"{_fmt(rep.mean_security)},{_fmt(rep.goal_rate)},{_fmt(rep.mean_length)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _sequences_from_log_obj(obj) -> list[PossessionSequence]:
     """A log file holds one sequence (array of steps) or an array of sequences."""
     if not isinstance(obj, list) or not obj:
@@ -208,12 +218,10 @@ def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
             __version__,
         )
         write_artifact(args.out, _log_text(results), manifest)
+    report = StyleReport.from_results(str(style), results)
     summary = {
-        "trials": args.trials,
-        "goal_rate": sum(1 for r in results if r.scored) / args.trials,
-        "mean_efficiency": sum(r.efficiency for r in results) / args.trials,
-        "mean_security": sum(r.security for r in results) / args.trials,
-        "mean_length": sum(len(r.sequence) for r in results) / args.trials,
+        key: getattr(report, key)
+        for key in ("trials", "goal_rate", "mean_efficiency", "mean_security", "mean_length")
     }
     if args.json:
         out = {
@@ -277,12 +285,6 @@ def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
     sim = _sim_config(cfg, styles[0], args.seed)
     reports = monte_carlo_compare(state, styles, args.trials, sim, threads=args.threads)
     if args.csv:
-        lines = ["style,trials,mean_efficiency,mean_security,goal_rate,mean_length"]
-        for rep in reports:
-            lines.append(
-                f"{rep.style},{rep.trials},{_fmt(rep.mean_efficiency)},"
-                f"{_fmt(rep.mean_security)},{_fmt(rep.goal_rate)},{_fmt(rep.mean_length)}"
-            )
         manifest = RunManifest.build(
             "compare",
             cfg.to_dict(),
@@ -295,7 +297,7 @@ def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
             _state_inputs(args.state),
             __version__,
         )
-        write_artifact(args.csv, "\n".join(lines) + "\n", manifest)
+        write_artifact(args.csv, _csv_text(reports), manifest)
     if args.json:
         sys.stdout.write(canonical_dumps({"reports": [dataclasses.asdict(r) for r in reports]}))
         return 0
@@ -379,14 +381,7 @@ def regenerate(manifest: dict) -> str:
     if command == "compare":
         styles = [LinearStyle.parse(text) for text in run["styles"]]
         sim = _sim_config(cfg, styles[0], run["seed"])
-        reports = monte_carlo_compare(state, styles, run["trials"], sim, threads=1)
-        lines = ["style,trials,mean_efficiency,mean_security,goal_rate,mean_length"]
-        for rep in reports:
-            lines.append(
-                f"{rep.style},{rep.trials},{_fmt(rep.mean_efficiency)},"
-                f"{_fmt(rep.mean_security)},{_fmt(rep.goal_rate)},{_fmt(rep.mean_length)}"
-            )
-        return "\n".join(lines) + "\n"
+        return _csv_text(monte_carlo_compare(state, styles, run["trials"], sim, threads=1))
     raise ValueError(f"manifest: cannot regenerate command {command!r}")
 
 

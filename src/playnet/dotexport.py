@@ -23,7 +23,7 @@ def export_network_dot(network: DecisionNetwork) -> str:
             lines.append(f"  t{j};")
     for j in network.teammates():
         e = network.edges[j]
-        label = f"({e.s:.3f}, {e.tau:.3f}, {e.p:.3f}, {e.r})"
+        label = f"({network.s:.3f}, {network.tau:.3f}, {e.p:.3f}, {e.r})"
         lines.append(f'  t{network.holder} -- t{j} [label="{label}", fontsize=9];')
     lines.append("}")
     return "\n".join(lines) + "\n"

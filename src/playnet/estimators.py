@@ -17,8 +17,7 @@ smooth, cheap, and monotone in the directions a coach would expect:
 
 Every constant lives in EstimatorParams and can be overridden from the
 config file without touching code. Teammates who are offside or outside
-the pitch are not estimated at all: their edge is zeroed through
-mark_unavailable, the single choke point for unavailability.
+the pitch are not estimated at all: their edge is (p, r) = (0, 0).
 """
 
 from __future__ import annotations
@@ -235,7 +234,7 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     Each output is bounds-checked here so a misbehaving estimator fails
     loudly by name instead of corrupting a network. Unavailable
     teammates (offside or outside) are never passed to the estimators;
-    their edges are zeroed via mark_unavailable after assembly.
+    their edges are (p, r) = (0, 0).
     """
     s = est.score_prob(state)
     if isinstance(s, bool) or not isinstance(s, (int, float)) or math.isnan(s) or not 0.0 <= s <= 1.0:
@@ -243,8 +242,7 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     tau = est.decision_time(state)
     if isinstance(tau, bool) or not isinstance(tau, (int, float)) or math.isnan(tau) or tau < 0.0:
         raise ValueError(f"decision_time returned {tau!r}, expected a number >= 0")
-    unavailable = unavailable_teammates(state)
-    blocked = set(unavailable)
+    blocked = set(unavailable_teammates(state))
     per_teammate: dict[int, tuple[float, int]] = {}
     for j in state.teammates():
         if j in blocked:
@@ -257,7 +255,4 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
         if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= RISK_MAX:
             raise ValueError(f"risk returned {r!r} for teammate {j}, outside 0..{RISK_MAX}")
         per_teammate[j] = (p, r)
-    network = build_network(state.holder, s, tau, per_teammate)
-    for j in unavailable:
-        network = network.mark_unavailable(j)
-    return network
+    return build_network(state.holder, s, tau, per_teammate)

@@ -5,6 +5,10 @@ digits, shortest form, integers bare: the same input always produces
 the same bytes on every platform, which is what makes golden files and
 the determinism checks possible. (In-memory JSON round-trips of core
 types stay lossless; the trimming applies to file artifacts only.)
+Manifests are the exception: they record every number exactly, in the
+shortest form that reads back to the same float, because regenerate()
+re-runs the command from them and a config value trimmed to six digits
+(29.99999949 read back as 30) can change the rebuilt artifact.
 
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact behind.
@@ -120,4 +124,4 @@ def manifest_path(artifact_path) -> str:
 def write_artifact(path, text: str, manifest: RunManifest) -> None:
     """Write an artifact and its sibling manifest atomically."""
     atomic_write_text(path, text)
-    atomic_write_text(manifest_path(path), canonical_dumps(manifest.to_dict()))
+    atomic_write_text(manifest_path(path), json.dumps(manifest.to_dict(), indent=2) + "\n")

@@ -7,14 +7,11 @@ time ``tau`` (seconds), the pass-completion probability ``p`` to that
 teammate, and the receiver risk ``r`` (integer 0..10, how much the
 receiver would threaten the opposing goal).
 
-``s`` and ``tau`` belong to the holder, so they repeat on every edge and
-must agree across the whole network; this redundancy is enforced, never
-assumed. All values are validated at construction; out-of-range inputs
-raise instead of being clamped, so estimator bugs surface immediately.
-
-A generic fixed-arity variant (``VectorNetwork``) is also provided for
-edge vectors of any length n >= 1; only the 4-component specialization
-has domain operations.
+``s`` and ``tau`` belong to the holder, so the network stores them once
+and each edge stores only its (p, r); ``edge(j)`` gives the full
+(s, tau, p, r) vector. All values are validated at construction;
+out-of-range inputs raise instead of being clamped, so estimator bugs
+surface immediately.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 TEAM_SIZE = 11
 PLAYER_IDS = frozenset(range(1, TEAM_SIZE + 1))
@@ -47,38 +44,27 @@ def _check_probability(value: object, name: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class VectorEdge:
-    """Undirected edge between two nodes, carrying a real vector."""
+def _check_tau(value: object) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"tau={value!r} must be a number >= 0")
+    if not 0 <= value < math.inf:
+        raise ValueError(f"tau={value} must be >= 0 and finite")
+    return float(value)
 
-    a: object
-    b: object
-    vector: tuple[float, ...]
 
-
-@dataclass(frozen=True)
-class VectorNetwork:
-    """A graph whose every edge carries a vector of a fixed declared arity."""
-
-    arity: int
-    edges: tuple[VectorEdge, ...]
-
-    def __post_init__(self) -> None:
-        if isinstance(self.arity, bool) or not isinstance(self.arity, int) or self.arity < 1:
-            raise ValueError(f"arity={self.arity!r} must be an integer >= 1")
-        for e in self.edges:
-            if len(e.vector) != self.arity:
-                raise ValueError(
-                    f"edge ({e.a!r}, {e.b!r}): vector has {len(e.vector)} "
-                    f"components, expected {self.arity}"
-                )
+def _check_risk(value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"r={value!r} must be an integer in 0..{RISK_MAX}")
+    if not 0 <= value <= RISK_MAX:
+        raise ValueError(f"r={value} outside 0..{RISK_MAX}")
+    return value
 
 
 @dataclass(frozen=True)
 class EdgeVector4:
     """The four decision parameters attached to one holder-teammate edge.
 
-    s, tau describe the holder (identical on every edge of one network);
+    s, tau describe the holder (the same on every edge of one network);
     p, r describe the pass to this particular teammate.
     """
 
@@ -89,36 +75,40 @@ class EdgeVector4:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s", _check_probability(self.s, "s"))
-        if isinstance(self.tau, bool) or not isinstance(self.tau, (int, float)):
-            raise ValueError(f"tau={self.tau!r} must be a number >= 0")
-        if not 0 <= self.tau < math.inf:
-            raise ValueError(f"tau={self.tau} must be >= 0 and finite")
-        object.__setattr__(self, "tau", float(self.tau))
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         object.__setattr__(self, "p", _check_probability(self.p, "p"))
-        if isinstance(self.r, bool) or not isinstance(self.r, int):
-            raise ValueError(f"r={self.r!r} must be an integer in 0..{RISK_MAX}")
-        if not 0 <= self.r <= RISK_MAX:
-            raise ValueError(f"r={self.r} outside 0..{RISK_MAX}")
+        _check_risk(self.r)
 
     def as_tuple(self) -> tuple[float, float, float, int]:
         return (self.s, self.tau, self.p, self.r)
 
 
+class PassEdge(NamedTuple):
+    """The teammate-specific half of an edge: the pass's (p, r)."""
+
+    p: float  # pass-completion probability, in [0, 1]
+    r: int    # receiver risk, integer in 0..10
+
+
 @dataclass(frozen=True)
 class DecisionNetwork:
-    """The holder's decision situation: one 4-component edge per teammate.
+    """The holder's decision situation: (s, tau) plus one (p, r) per teammate.
 
     Invariants (enforced): exactly ten edges, one per teammate id other
-    than the holder; no self-edge; the same (s, tau) on every edge.
-    Reduced teams (red cards, players off the pitch) are represented by
-    marking players unavailable, never by removing edges.
+    than the holder; no self-edge; every value in range. Reduced teams
+    (red cards, players off the pitch) are represented by marking
+    players unavailable, never by removing edges.
     """
 
     holder: int
-    edges: dict[int, EdgeVector4]  # teammate id -> edge vector
+    s: float    # holder's scoring probability, in [0, 1]
+    tau: float  # holder's decision time, seconds, >= 0
+    edges: dict[int, PassEdge]  # teammate id -> (p, r)
 
     def __post_init__(self) -> None:
         check_player_id(self.holder, "holder")
+        object.__setattr__(self, "s", _check_probability(self.s, "s"))
+        object.__setattr__(self, "tau", _check_tau(self.tau))
         expected = PLAYER_IDS - {self.holder}
         got = set(self.edges)
         for j in sorted(got - expected):
@@ -128,33 +118,29 @@ class DecisionNetwork:
         missing = sorted(expected - got)
         if missing:
             raise ValueError(f"incomplete edge set: missing teammate {missing[0]}")
-        ref = self.edges[min(got)]
+        edges: dict[int, PassEdge] = {}
         for j in sorted(got):
-            e = self.edges[j]
-            if e.s != ref.s:
-                raise ValueError(f"edge {j}: s={e.s} differs from shared s={ref.s}")
-            if e.tau != ref.tau:
-                raise ValueError(f"edge {j}: tau={e.tau} differs from shared tau={ref.tau}")
-
-    @property
-    def s(self) -> float:
-        """The holder's scoring probability (shared by all edges)."""
-        return next(iter(self.edges.values())).s
-
-    @property
-    def tau(self) -> float:
-        """The holder's decision time in seconds (shared by all edges)."""
-        return next(iter(self.edges.values())).tau
+            p, r = self.edges[j]
+            try:
+                edges[j] = PassEdge(_check_probability(p, "p"), _check_risk(r))
+            except ValueError as err:
+                raise ValueError(f"teammate {j}: {err}") from None
+        object.__setattr__(self, "edges", edges)
 
     def teammates(self) -> list[int]:
         return sorted(self.edges)
 
-    def edge(self, j: int) -> EdgeVector4:
-        """The stored 4-vector for the edge between the holder and teammate j."""
+    def check_teammate(self, j: object) -> int:
+        """Validate j as one of the holder's teammates."""
         check_player_id(j, "teammate id")
         if j == self.holder:
             raise ValueError(f"holder {self.holder} has no self-edge")
-        return self.edges[j]
+        return j
+
+    def edge(self, j: int) -> EdgeVector4:
+        """The 4-vector (s, tau, p, r) of the edge between the holder and teammate j."""
+        p, r = self.edges[self.check_teammate(j)]
+        return EdgeVector4(self.s, self.tau, p, r)
 
     def mark_unavailable(self, j: int) -> DecisionNetwork:
         """Zero out teammate j's pass edge (offside, outside the pitch, sent off).
@@ -165,18 +151,7 @@ class DecisionNetwork:
         check_player_id(j, "teammate id")
         if j == self.holder:
             raise ValueError("holder cannot be marked")
-        old = self.edges[j]
-        new_edges = dict(self.edges)
-        new_edges[j] = EdgeVector4(old.s, old.tau, 0.0, 0)
-        return DecisionNetwork(self.holder, new_edges)
-
-    def as_vector_network(self) -> VectorNetwork:
-        """View as a generic arity-4 edge-vector network."""
-        edges = tuple(
-            VectorEdge(self.holder, j, (e.s, e.tau, e.p, float(e.r)))
-            for j, e in sorted(self.edges.items())
-        )
-        return VectorNetwork(4, edges)
+        return DecisionNetwork(self.holder, self.s, self.tau, {**self.edges, j: PassEdge(0.0, 0)})
 
     def to_json_dict(self) -> dict:
         return {
@@ -230,21 +205,4 @@ def build_network(
     missing or extra id, or any out-of-range value, raises a ValueError
     naming the offending id and field.
     """
-    check_player_id(holder, "holder")
-    expected = PLAYER_IDS - {holder}
-    got = set(per_teammate)
-    if holder in got:
-        raise ValueError(f"per_teammate must not contain the holder (id {holder})")
-    for j in sorted(got - expected):
-        raise ValueError(f"unexpected teammate id {j!r}")
-    missing = sorted(expected - got)
-    if missing:
-        raise ValueError(f"incomplete edge set: missing teammate {missing[0]}")
-    edges: dict[int, EdgeVector4] = {}
-    for j in sorted(got):
-        p, r = per_teammate[j]
-        try:
-            edges[j] = EdgeVector4(s, tau, p, r)
-        except ValueError as err:
-            raise ValueError(f"teammate {j}: {err}") from None
-    return DecisionNetwork(holder, edges)
+    return DecisionNetwork(holder, s, tau, per_teammate)

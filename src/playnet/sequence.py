@@ -17,8 +17,8 @@ Two aggregates summarize a sequence:
 
 The "optimal pair" question (high efficiency AND high security) has no
 single objective, so it is exposed as the Pareto frontier over the
-(efficiency, security) plane, plus a scalarized ranking helper for
-callers who want one number (a tool convention, not a modeling claim).
+(efficiency, security) plane: of sequences (pareto_frontier), or of any
+(efficiency, security) points such as per-style means (pareto_points).
 """
 
 from __future__ import annotations
@@ -87,13 +87,13 @@ class PossessionStep:
         if self.decision.is_pass:
             if self.outcome.kind == "shot_taken":
                 raise ValueError("pass decision cannot end in a shot")
-            self.network.edge(self.decision.target)  # target must be a teammate
+            self.network.check_teammate(self.decision.target)
 
     @property
     def attempted_pass_p(self) -> float | None:
         """Completion probability of the pass this step attempted, if any."""
         if self.decision.is_pass:
-            return self.network.edge(self.decision.target).p
+            return self.network.edges[self.decision.target].p
         return None
 
 
@@ -172,7 +172,12 @@ def is_p_secure(seq: PossessionSequence, p: float) -> bool:
 
 
 def pareto_frontier(seqs) -> list[tuple[float, float, int]]:
-    """Non-dominated (efficiency, security, index) points of a collection.
+    """Non-dominated (efficiency, security, index) points of a collection of sequences."""
+    return pareto_points([(efficiency(q), security(q)) for q in seqs])
+
+
+def pareto_points(points) -> list[tuple[float, float, int]]:
+    """Non-dominated (efficiency, security, index) entries of (efficiency, security) points.
 
     A point survives iff no other point is >= in both coordinates and
     strictly greater in at least one; duplicates of a surviving point all
@@ -181,11 +186,10 @@ def pareto_frontier(seqs) -> list[tuple[float, float, int]]:
     Implemented as a sorted sweep; the O(n^2) pairwise check lives in the
     test suite as its oracle.
     """
-    seqs = list(seqs)
-    if not seqs:
-        raise ValueError("pareto_frontier requires a nonempty collection")
-    points = [(efficiency(q), security(q), i) for i, q in enumerate(seqs)]
-    order = sorted(points, key=lambda t: (-t[0], -t[1], t[2]))
+    indexed = [(eff, sec, i) for i, (eff, sec) in enumerate(points)]
+    if not indexed:
+        raise ValueError("the Pareto frontier requires a nonempty collection")
+    order = sorted(indexed, key=lambda t: (-t[0], -t[1], t[2]))
     frontier: list[tuple[float, float, int]] = []
     best_sec_above = -1.0  # max security among strictly higher efficiency
     i = 0
@@ -202,28 +206,6 @@ def pareto_frontier(seqs) -> list[tuple[float, float, int]]:
             best_sec_above = block_best_sec
         i = j
     return frontier
-
-
-def rank_by_tradeoff(seqs, s_target: float, p_target: float) -> list[tuple[float, int]]:
-    """Scalarized ranking: maximize min(efficiency/s_target, security/p_target).
-
-    A tool convention for picking one sequence off the frontier, not a
-    claim about the right trade-off. Targets must be positive. Returns
-    (score, index) pairs, best first, ties by index.
-    """
-    if not 0.0 < s_target <= 1.0:
-        raise ValueError(f"s_target={s_target} must be in (0, 1]")
-    if not 0.0 < p_target <= 1.0:
-        raise ValueError(f"p_target={p_target} must be in (0, 1]")
-    seqs = list(seqs)
-    if not seqs:
-        raise ValueError("rank_by_tradeoff requires a nonempty collection")
-    ranked = [
-        (min(efficiency(q) / s_target, security(q) / p_target), i)
-        for i, q in enumerate(seqs)
-    ]
-    ranked.sort(key=lambda t: (-t[0], t[1]))
-    return ranked
 
 
 def sequence_to_obj(seq: PossessionSequence) -> list[dict]:

@@ -158,7 +158,7 @@ def _walk(path: _PossessionPath, max_steps: int, rng: random.Random) -> RolloutR
             scored = rng.random() < network.s
             steps.append(PossessionStep(network, decision, StepOutcome("shot_taken", scored=scored)))
             break
-        p = network.edge(decision.target).p
+        p = network.edges[decision.target].p
         if p < sec:
             sec = p
         if decision.degenerate or k == max_steps - 1:
@@ -217,6 +217,19 @@ class StyleReport:
     goal_rate: float
     mean_length: float
 
+    @classmethod
+    def from_results(cls, style: str, results: list[RolloutResult]) -> StyleReport:
+        trials = len(results)
+        n = float(trials)
+        return cls(
+            style=style,
+            trials=trials,
+            mean_efficiency=sum(r.efficiency for r in results) / n,
+            mean_security=sum(r.security for r in results) / n,
+            goal_rate=sum(1 for r in results if r.scored) / n,
+            mean_length=sum(len(r.sequence) for r in results) / n,
+        )
+
 
 def monte_carlo_compare(
     state: MatchState,
@@ -238,15 +251,5 @@ def monte_carlo_compare(
     for style_index, style in enumerate(styles):
         style_cfg = replace(cfg, policy=replace(cfg.policy, style=style))
         results = run_trials(state, style_cfg, style_index, trials, threads=threads)
-        n = float(trials)
-        reports.append(
-            StyleReport(
-                style=str(style),
-                trials=trials,
-                mean_efficiency=sum(r.efficiency for r in results) / n,
-                mean_security=sum(r.security for r in results) / n,
-                goal_rate=sum(1 for r in results if r.scored) / n,
-                mean_length=sum(len(r.sequence) for r in results) / n,
-            )
-        )
+        reports.append(StyleReport.from_results(str(style), results))
     return reports

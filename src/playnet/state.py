@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .network import PLAYER_IDS, TEAM_SIZE, check_player_id
 
@@ -93,10 +93,6 @@ class MatchState:
     @property
     def holder_position(self) -> XY:
         return self.team[self.holder]
-
-    def with_holder(self, j: int) -> MatchState:
-        """Same snapshot with the ball at teammate j's feet."""
-        return replace(self, holder=j)
 
     def teammates(self) -> list[int]:
         return [j for j in sorted(self.team) if j != self.holder]

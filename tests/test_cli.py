@@ -132,6 +132,25 @@ def test_regenerate_from_another_working_directory(capsys, tmp_path, monkeypatch
     assert regenerate(manifest) == (tmp_path / "log.json").read_text()
 
 
+def test_manifest_records_config_exactly(capsys, tmp_path):
+    # trimmed to six significant digits these read back as 30 and 0.5,
+    # and the rebuilt log differs from the one written
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"estimators": {"pass_decay_m": 29.99999949}, "policy": {"threshold": 0.49999999}}
+    ))
+    out_file = tmp_path / "log.json"
+    code, _, _ = run(
+        capsys, "--config", str(config), "simulate", "--state", MIDFIELD, "--style", "3:1",
+        "--trials", "50", "--seed", "13", "--out", str(out_file),
+    )
+    assert code == 0
+    manifest = json.loads(open(manifest_path(out_file)).read())
+    assert manifest["config"]["estimators"]["pass_decay_m"] == 29.99999949
+    assert manifest["config"]["policy"]["threshold"] == 0.49999999
+    assert regenerate(manifest) == out_file.read_text()
+
+
 def test_regenerate_detects_changed_input(capsys, tmp_path):
     state_copy = tmp_path / "state.json"
     state_copy.write_text((DATA_DIR / "midfield_state.json").read_text())

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from playnet import DecisionNetwork, EdgeVector4, VectorEdge, VectorNetwork, build_network
+from playnet import DecisionNetwork, EdgeVector4, build_network
 
 from conftest import random_network
 
@@ -85,6 +85,10 @@ def test_edge_vector_bounds(kwargs, message):
     values.update(kwargs)
     with pytest.raises(ValueError, match=message):
         EdgeVector4(**values)
+    per = zero_per_teammate(8)
+    per[9] = (values["p"], values["r"])
+    with pytest.raises(ValueError, match=message):  # the network runs the same checks
+        build_network(8, values["s"], values["tau"], per)
 
 
 def test_build_names_offending_teammate():
@@ -92,13 +96,6 @@ def test_build_names_offending_teammate():
     per[9] = (1.2, 0)
     with pytest.raises(ValueError, match="teammate 9"):
         build_network(8, 0.0, 0.0, per)
-
-
-def test_shared_s_tau_enforced():
-    edges = {j: EdgeVector4(0.5, 1.0, 0.0, 0) for j in range(1, 11)}
-    edges[10] = EdgeVector4(0.6, 1.0, 0.0, 0)
-    with pytest.raises(ValueError, match="differs from shared s"):
-        DecisionNetwork(11, edges)
 
 
 def test_mark_unavailable_zeroes_edge():
@@ -174,23 +171,3 @@ def test_random_network_helper_is_valid():
         net = random_network(rng)
         assert len(net.edges) == 10
         assert math.isfinite(net.s)
-
-
-def test_vector_network_arity_check():
-    good = VectorNetwork(3, (VectorEdge("a", "b", (1.0, 2.0, 3.0)),))
-    assert good.arity == 3
-    with pytest.raises(ValueError, match="expected 3"):
-        VectorNetwork(3, (VectorEdge("a", "b", (1.0, 2.0)),))
-    with pytest.raises(ValueError, match="arity"):
-        VectorNetwork(0, ())
-
-
-def test_as_vector_network():
-    per = zero_per_teammate(8)
-    per[9] = (0.9, 7)
-    net = build_network(8, 0.8, 2.0, per)
-    view = net.as_vector_network()
-    assert view.arity == 4
-    assert len(view.edges) == 10
-    nine = [e for e in view.edges if e.b == 9][0]
-    assert nine.vector == (0.8, 2.0, 0.9, 7.0)

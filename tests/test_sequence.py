@@ -13,7 +13,6 @@ from playnet import (
     is_p_secure,
     is_s_efficient,
     pareto_frontier,
-    rank_by_tradeoff,
     security,
 )
 from playnet.sequence import sequence_from_obj, sequence_to_obj
@@ -224,17 +223,6 @@ def test_pareto_output_covers_inputs():
 def test_pareto_rejects_empty():
     with pytest.raises(ValueError):
         pareto_frontier([])
-
-
-def test_rank_by_tradeoff():
-    seqs = [
-        make_sequence_with_metrics(0.9, 0.2),
-        make_sequence_with_metrics(0.4, 0.9),
-    ]
-    ranked = rank_by_tradeoff(seqs, s_target=0.5, p_target=0.5)
-    assert ranked[0][1] == 1  # min(0.8, 1.8) beats min(1.8, 0.4)
-    with pytest.raises(ValueError):
-        rank_by_tradeoff(seqs, 0.0, 0.5)
 
 
 def test_sequence_invariants_enforced():
