@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ from .jsonio import (
     RunManifest,
     canonical_dumps,
     canonical_number,
+    parse_json,
     sha256_of_file,
     write_artifact,
 )
@@ -127,8 +129,24 @@ def _state_inputs(path: str) -> dict:
 
 
 def _log_text(results) -> str:
-    logs = [sequence_to_obj(r.sequence) for r in results]
-    return canonical_dumps(logs[0] if len(logs) == 1 else logs)
+    """The sequence log of a run: the lone sequence for one trial, else the array of all.
+
+    The bytes are canonical_dumps of that value. Trials that ended the
+    same way share one sequence object (see run_trials), so each
+    distinct sequence is converted and encoded once, then indented one
+    level and joined as canonical_dumps would lay out the whole array.
+    """
+    if len(results) == 1:
+        return canonical_dumps(sequence_to_obj(results[0].sequence))
+    encoded: dict[int, str] = {}  # id of a sequence that results keeps alive -> its text
+    parts = []
+    for r in results:
+        text = encoded.get(id(r.sequence))
+        if text is None:
+            text = canonical_dumps(sequence_to_obj(r.sequence))[:-1].replace("\n", "\n  ")
+            encoded[id(r.sequence)] = text
+        parts.append(text)
+    return "[\n  " + ",\n  ".join(parts) + "\n]\n"
 
 
 def _csv_text(reports) -> str:
@@ -152,10 +170,7 @@ def _sequences_from_log_obj(obj) -> list[PossessionSequence]:
 
 def _load_log(path: str) -> list[PossessionSequence]:
     with open(path, "rb") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"log {path}: invalid JSON: {err}") from None
+        obj = parse_json(fh.read(), f"log {path}: ")
     return _sequences_from_log_obj(obj)
 
 
@@ -338,11 +353,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves a parser as it found it."""
+    return build_parser()
+
+
 def run_cli(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:
@@ -350,6 +370,16 @@ def run_cli(argv) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+
+
+def _manifest_field(manifest: dict, dotted: str):
+    """The manifest's value at a dotted path such as inputs.state.path."""
+    value = manifest
+    for key in dotted.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"manifest: missing field {dotted}")
+        value = value[key]
+    return value
 
 
 def regenerate(manifest: dict) -> str:
@@ -360,28 +390,27 @@ def regenerate(manifest: dict) -> str:
     """
     if not isinstance(manifest, dict) or "command" not in manifest:
         raise ValueError("manifest: expected an object with a command")
-    cfg = AppConfig.from_dict(manifest["config"])
-    run = manifest["run"]
-    state_input = manifest["inputs"]["state"]
-    digest = sha256_of_file(state_input["path"])
-    if digest != state_input["sha256"]:
-        raise ValueError(
-            f"input {state_input['path']}: digest {digest} does not match "
-            f"the manifest ({state_input['sha256']})"
-        )
-    state = load_match_state(state_input["path"])
+    cfg = AppConfig.from_dict(_manifest_field(manifest, "config"))
+    path = _manifest_field(manifest, "inputs.state.path")
+    recorded = _manifest_field(manifest, "inputs.state.sha256")
+    digest = sha256_of_file(path)
+    if digest != recorded:
+        raise ValueError(f"input {path}: digest {digest} does not match the manifest ({recorded})")
+    state = load_match_state(path)
     command = manifest["command"]
     if command == "decide":
         network = estimate_network(state, default_suite(cfg.estimators))
         return export_network_dot(network)
     if command == "simulate":
-        sim = _sim_config(cfg, LinearStyle.parse(run["style"]), run["seed"])
-        results = run_trials(state, sim, 0, run["trials"], threads=1)
+        style = LinearStyle.parse(_manifest_field(manifest, "run.style"))
+        sim = _sim_config(cfg, style, _manifest_field(manifest, "run.seed"))
+        results = run_trials(state, sim, 0, _manifest_field(manifest, "run.trials"), threads=1)
         return _log_text(results)
     if command == "compare":
-        styles = [LinearStyle.parse(text) for text in run["styles"]]
-        sim = _sim_config(cfg, styles[0], run["seed"])
-        return _csv_text(monte_carlo_compare(state, styles, run["trials"], sim, threads=1))
+        styles = [LinearStyle.parse(text) for text in _manifest_field(manifest, "run.styles")]
+        sim = _sim_config(cfg, styles[0], _manifest_field(manifest, "run.seed"))
+        trials = _manifest_field(manifest, "run.trials")
+        return _csv_text(monte_carlo_compare(state, styles, trials, sim, threads=1))
     raise ValueError(f"manifest: cannot regenerate command {command!r}")
 
 

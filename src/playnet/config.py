@@ -10,12 +10,12 @@ PLAYNET_CONFIG environment variable.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 from dataclasses import dataclass
 
 from .decision import check_threshold, check_tie_break
 from .estimators import EstimatorParams
+from .jsonio import parse_json
 from .simulate import check_drift, check_max_steps
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
@@ -91,8 +91,5 @@ def load_config(path: str | None = None) -> AppConfig:
     if path is None:
         return AppConfig()
     with open(path, "rb") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"config {path}: invalid JSON: {err}") from None
+        obj = parse_json(fh.read(), f"config {path}: ")
     return AppConfig.from_dict(obj)

@@ -11,7 +11,9 @@ re-runs the command from them and a config value trimmed to six digits
 (29.99999949 read back as 30) can change the rebuilt artifact.
 
 Files are written to a temporary sibling and renamed into place, so a
-failed run never leaves a partial artifact behind.
+failed run never leaves a partial artifact behind. JSON read from
+outside (state, config and log files) goes through parse_json, so
+malformed or too deeply nested input is a ValueError, never a crash.
 """
 
 from __future__ import annotations
@@ -24,6 +26,20 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 TOOL_NAME = "playnet"
+
+
+def parse_json(data: bytes | str, where: str = "", parse_constant=None):
+    """json.loads for input from outside: bad or too deeply nested JSON raises ValueError.
+
+    where prefixes the message (e.g. "log run.json: "); parse_constant
+    is json.loads' hook for NaN and Infinity.
+    """
+    try:
+        return json.loads(data, parse_constant=parse_constant)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{where}invalid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError(f"{where}invalid JSON: nested too deeply") from None
 
 
 def canonical_number(value: float):

@@ -15,10 +15,18 @@ one (state, config) follows the same path of (network, decision) steps;
 trials differ only in where their draws cut it short. run_trials builds
 that path once per call and walks it once per trial. The path is
 extended lazily, one step when a trial first reaches it, so a single
-rollout costs what it always did. Sharing the path rests on the
-estimator suite's contract that its four functions are pure: equal
-snapshots give equal networks. estimate_network, decide and
-advance_state are looked up in this module at call time.
+rollout costs what it always did. A path has at most two ends per
+step: a shot scored or missed, or, after a pass, an interception or a
+forced loss (degenerate pass or step cap). Each end's RolloutResult is
+built, with the usual sequence validation, the first time a trial
+stops there; trials that stop at the same end share that one frozen
+result, and a walk only makes the draws. monte_carlo_compare also
+shares the estimated networks between its styles, since a style
+changes the decisions but not the snapshot a receiver chain leads to.
+Sharing rests on the estimator suite's contract that its four
+functions are pure: equal snapshots give equal networks.
+estimate_network, decide and advance_state are looked up in this
+module at call time.
 
 Reproducibility contract: every random draw comes from one generator
 seeded per trial, at most one draw per step (the shot or the pass), and
@@ -37,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
-from .decision import Decision, DecisionPolicy, decide
+from .decision import DecisionPolicy, decide
 from .estimators import EstimatorSuite, estimate_network
 from .network import DecisionNetwork
 from .sequence import PossessionSequence, PossessionStep, StepOutcome
@@ -122,60 +130,108 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     return MatchState(state.pitch, team, tuple(opponents), receiver, state.outside)
 
 
+class _PathStep:
+    """Step k of a compiled path: the network seen, the decision, and the possessions ending here.
+
+    efficiency and security are the running metrics of every possession
+    that ends at this step: the best s up to and including it, and the
+    worst attempted-pass p, including this step's pass if it is one.
+    """
+
+    __slots__ = ("chain", "prefix", "network", "decision", "p", "final", "efficiency", "security", "_ends")
+
+    def __init__(self, chain, prefix, network, decision, prev, max_steps) -> None:
+        self.chain = chain  # receivers of the completed passes before this step
+        self.prefix = prefix  # those passes as PossessionSteps
+        self.network = network
+        self.decision = decision
+        eff, sec = (0.0, 1.0) if prev is None else (prev.efficiency, prev.security)
+        self.efficiency = network.s if network.s > eff else eff
+        if decision.is_shoot:
+            self.p = None
+            self.final = True
+        else:
+            self.p = p = network.edges[decision.target].p
+            if p < sec:
+                sec = p
+            self.final = decision.degenerate or len(chain) == max_steps - 1
+        self.security = sec
+        self._ends: list[RolloutResult | None] = [None, None]  # by scored
+
+    def end(self, scored: bool) -> RolloutResult:
+        """The possession that stops here; built the first time a trial stops here."""
+        result = self._ends[scored]
+        if result is None:
+            if self.decision.is_shoot:
+                outcome = StepOutcome("shot_taken", scored=scored)
+            else:
+                outcome = StepOutcome("forced_loss" if self.final else "pass_intercepted")
+            sequence = PossessionSequence(
+                self.prefix + (PossessionStep(self.network, self.decision, outcome),)
+            )
+            result = RolloutResult(sequence, self.efficiency, self.security, sequence.scored)
+            self._ends[scored] = result
+        return result
+
+
 class _PossessionPath:
-    """The (network, decision) at each step of a possession from one snapshot.
+    """The steps of every possession from one snapshot under one config.
 
     Built lazily: step k is estimated and decided only when some trial
     first reaches it, so a path costs as many estimate_network calls as
-    its deepest trial has steps.
+    its deepest trial has steps. networks maps a chain of receivers to
+    the (snapshot, network) it leads to; it depends only on the start
+    snapshot, the estimators and drift_m, so paths that differ only in
+    their policy may share one.
     """
 
-    def __init__(self, state: MatchState, cfg: SimulationConfig) -> None:
+    def __init__(self, state: MatchState, cfg: SimulationConfig, networks: dict | None = None) -> None:
         self._cfg = cfg
-        self._state = state  # snapshot of the last step built, or the start
-        self._steps: list[tuple[DecisionNetwork, Decision]] = []
+        self._state = state
+        self._networks = {} if networks is None else networks
+        self._steps: list[_PathStep] = []
 
-    def step(self, k: int) -> tuple[DecisionNetwork, Decision]:
+    def _network(self, chain: tuple[int, ...]) -> DecisionNetwork:
+        entry = self._networks.get(chain)
+        if entry is None:
+            if chain:  # only a completed pass leads on, and only to its target
+                state = advance_state(self._networks[chain[:-1]][0], chain[-1], self._cfg.drift_m)
+            else:
+                state = self._state
+            entry = self._networks[chain] = (state, estimate_network(state, self._cfg.estimators))
+        return entry[1]
+
+    def step(self, k: int) -> _PathStep:
         steps = self._steps
         while len(steps) <= k:
-            if steps:  # only a completed pass leads on, and only to its target
-                self._state = advance_state(self._state, steps[-1][1].target, self._cfg.drift_m)
-            network = estimate_network(self._state, self._cfg.estimators)
-            steps.append((network, decide(network, self._cfg.policy)))
+            prev = steps[-1] if steps else None
+            if prev is None:
+                chain, prefix = (), ()
+            else:
+                chain = prev.chain + (prev.decision.target,)
+                completed = PossessionStep(prev.network, prev.decision, StepOutcome("pass_completed"))
+                prefix = prev.prefix + (completed,)
+            network = self._network(chain)
+            decision = decide(network, self._cfg.policy)
+            steps.append(_PathStep(chain, prefix, network, decision, prev, self._cfg.max_steps))
         return steps[k]
 
 
-def _walk(path: _PossessionPath, max_steps: int, rng: random.Random) -> RolloutResult:
+def _walk(path: _PossessionPath, rng: random.Random) -> RolloutResult:
     """One trial along the path: its draws decide where the possession stops."""
-    steps: list[PossessionStep] = []
-    eff = 0.0
-    sec = 1.0
-    for k in range(max_steps):
-        network, decision = path.step(k)
-        if network.s > eff:
-            eff = network.s
-        if decision.is_shoot:
-            scored = rng.random() < network.s
-            steps.append(PossessionStep(network, decision, StepOutcome("shot_taken", scored=scored)))
-            break
-        p = network.edges[decision.target].p
-        if p < sec:
-            sec = p
-        if decision.degenerate or k == max_steps - 1:
-            steps.append(PossessionStep(network, decision, StepOutcome("forced_loss")))
-            break
-        if rng.random() < p:
-            steps.append(PossessionStep(network, decision, StepOutcome("pass_completed")))
-        else:
-            steps.append(PossessionStep(network, decision, StepOutcome("pass_intercepted")))
-            break
-    sequence = PossessionSequence(tuple(steps))
-    return RolloutResult(sequence, eff, sec, sequence.scored)
+    k = 0
+    while True:
+        step = path.step(k)
+        if step.p is None:  # a shot
+            return step.end(rng.random() < step.network.s)
+        if step.final or rng.random() >= step.p:
+            return step.end(False)
+        k += 1
 
 
 def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
     """Play out one possession; deterministic given (state, cfg)."""
-    return _walk(_PossessionPath(state, cfg), cfg.max_steps, random.Random(cfg.seed))
+    return _walk(_PossessionPath(state, cfg), random.Random(cfg.seed))
 
 
 def simulate_possession(state: MatchState, cfg: SimulationConfig) -> PossessionSequence:
@@ -189,21 +245,24 @@ def run_trials(
     style_index: int,
     trials: int,
     threads: int = 1,
+    *,
+    _networks: dict | None = None,
 ) -> list[RolloutResult]:
     """Independent seeded rollouts, in trial order, sharing one possession path.
 
+    Each end of the path (a shot scored or missed, an interception or a
+    forced loss at step k) is built once, the first time a trial reaches
+    it, so trials that end the same way share one frozen RolloutResult.
     threads is validated and otherwise ignored: trials run in this
-    thread, and the result never depended on it.
+    thread, and the result never depended on it. _networks is
+    monte_carlo_compare's map of estimated networks, shared by its styles.
     """
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError(f"trials={trials!r} must be an integer >= 1")
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads={threads!r} must be an integer >= 1")
-    path = _PossessionPath(state, cfg)
-    return [
-        _walk(path, cfg.max_steps, random.Random(derive_seed(cfg.seed, style_index, i)))
-        for i in range(trials)
-    ]
+    path = _PossessionPath(state, cfg, _networks)
+    return [_walk(path, random.Random(derive_seed(cfg.seed, style_index, i))) for i in range(trials)]
 
 
 @dataclass(frozen=True)
@@ -248,8 +307,9 @@ def monte_carlo_compare(
     if not styles:
         raise ValueError("monte_carlo_compare requires at least one style")
     reports = []
+    networks: dict = {}  # a style changes only the policy, so every style may share the networks
     for style_index, style in enumerate(styles):
         style_cfg = replace(cfg, policy=replace(cfg.policy, style=style))
-        results = run_trials(state, style_cfg, style_index, trials, threads=threads)
+        results = run_trials(state, style_cfg, style_index, trials, threads=threads, _networks=networks)
         reports.append(StyleReport.from_results(str(style), results))
     return reports

@@ -11,10 +11,10 @@ numbers never matter to the model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
+from .jsonio import parse_json
 from .network import PLAYER_IDS, TEAM_SIZE, check_player_id
 
 XY = tuple[float, float]
@@ -120,10 +120,7 @@ def parse_match_state(data: bytes | str) -> MatchState:
     def _reject_constant(name: str) -> None:
         raise ValueError(f"non-finite number {name} is not allowed")
 
-    try:
-        obj = json.loads(data, parse_constant=_reject_constant)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"invalid JSON: {err}") from None
+    obj = parse_json(data, parse_constant=_reject_constant)
     if not isinstance(obj, dict):
         raise ValueError("root: expected a JSON object")
     for key in _REQUIRED_KEYS:

@@ -9,6 +9,8 @@ these functions and frozen.
 
 import math
 
+from playnet.jsonio import canonical_dumps
+from playnet.sequence import sequence_to_obj
 from playnet.state import MatchState
 
 
@@ -247,3 +249,14 @@ def exact_possession_moments(state, style, threshold=0.5, max_steps=30, drift_m=
             break
         state = oracle_advance(state, target, drift_m)
     return {key: (first[key], max(0.0, second[key] - first[key] ** 2)) for key in first}
+
+
+def reference_log_text(results):
+    """The sequence log written the obvious way: every trial's sequence, encoded as one value.
+
+    It shares canonical_dumps and sequence_to_obj with the library; what
+    it checks is the CLI's writer, which encodes each distinct sequence
+    once and joins the pieces itself.
+    """
+    logs = [sequence_to_obj(r.sequence) for r in results]
+    return canonical_dumps(logs[0] if len(logs) == 1 else logs)

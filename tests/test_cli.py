@@ -1,11 +1,16 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from playnet.cli import regenerate, run_cli
+import playnet.cli
+from playnet import DecisionPolicy, LinearStyle, SimulationConfig, default_suite, run_trials
+from playnet.cli import _log_text, regenerate, run_cli
 from playnet.jsonio import manifest_path
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, random_match_state
+from oracles import reference_log_text
 
 MIDFIELD = str(DATA_DIR / "midfield_state.json")
 BOX = str(DATA_DIR / "box_state.json")
@@ -297,3 +302,102 @@ def test_out_of_range_flags_are_validation_errors(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--threads", "0")
     assert code == 1 and err.startswith("error:")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    weights=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda w: w != (0, 0)),
+    threshold=st.floats(0.0, 1.0),
+    max_steps=st.integers(1, 30),
+    seed=st.integers(0, 2**63),
+    trials=st.integers(1, 40),
+)
+def test_log_text_equals_reference_writer(state_seed, weights, threshold, max_steps, seed, trials):
+    state = random_match_state(random.Random(state_seed))
+    cfg = SimulationConfig(
+        policy=DecisionPolicy(style=LinearStyle(*weights), threshold=threshold),
+        estimators=default_suite(), max_steps=max_steps, seed=seed,
+    )
+    results = run_trials(state, cfg, 0, trials)
+    assert _log_text(results) == reference_log_text(results)
+
+
+@pytest.mark.parametrize(
+    "manifest, field",
+    [
+        ({"command": "simulate"}, "config"),
+        ({"command": "simulate", "config": {}, "run": {}, "inputs": {}}, "inputs.state.path"),
+        ({"command": "simulate", "config": {}, "run": {}, "inputs": {"state": {}}}, "inputs.state.path"),
+        ({"command": "simulate", "config": {}, "run": {},
+          "inputs": {"state": {"path": MIDFIELD}}}, "inputs.state.sha256"),
+    ],
+)
+def test_regenerate_names_a_missing_manifest_field(manifest, field):
+    with pytest.raises(ValueError, match=f"missing field {field}$"):
+        regenerate(manifest)
+
+
+def test_regenerate_names_a_missing_run_field(capsys, tmp_path):
+    out_file = tmp_path / "log.json"
+    code, _, _ = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file))
+    assert code == 0
+    manifest = json.loads(open(manifest_path(out_file)).read())
+    del manifest["run"]
+    with pytest.raises(ValueError, match="missing field run.style"):
+        regenerate(manifest)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--state", "{deep}", "--style", "3:1"],
+        ["--config", "{deep}", "decide", "--state", MIDFIELD, "--style", "3:1"],
+        ["analyze", "--log", "{deep}"],
+    ],
+    ids=["state", "config", "log"],
+)
+def test_deeply_nested_json_is_validation_error(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, *[str(deep) if a == "{deep}" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "invalid JSON" in err and err.count("\n") == 1
+
+
+def test_reused_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
+    calls = [
+        ["decide", "--state", BOX, "--style", "3:1", "--threshold", "0.1"],
+        ["decide", "--state", BOX, "--style", "3:1"],
+        ["--help"],
+        ["decide", "--style", "3:1"],
+        ["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "5", "--out", "{out}"],
+        ["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "5"],
+    ]
+
+    def session(fresh: bool, name: str):
+        outcomes = []
+        for argv in calls:
+            if fresh:
+                playnet.cli._parser.cache_clear()
+            out_file = tmp_path / name
+            code, out, err = run(capsys, *[str(out_file) if a == "{out}" else a for a in argv])
+            outcomes.append((code, out, err))
+        return outcomes, (tmp_path / name).read_bytes()
+
+    real = playnet.cli.build_parser
+    built = []
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(playnet.cli, "build_parser", counting)
+    playnet.cli._parser.cache_clear()
+    reused = session(False, "reused.json")
+    assert len(built) == 1
+    assert session(True, "fresh.json") == reused
+    codes = [code for code, _, _ in reused[0]]
+    assert codes == [0, 0, 0, 2, 0, 0]
+    assert "threshold 0.1)" in reused[0][0][1] and "threshold 0.5)" in reused[0][1][1]

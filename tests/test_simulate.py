@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import playnet.sequence
 import playnet.simulate
 
 from playnet import (
@@ -24,7 +25,7 @@ from playnet import (
     simulate_possession,
 )
 from playnet.sequence import sequence_to_obj
-from playnet.simulate import advance_state
+from playnet.simulate import StyleReport, advance_state
 
 from conftest import random_match_state
 from oracles import exact_possession_moments
@@ -241,6 +242,50 @@ def test_run_trials_equals_independent_rollouts_on_one_lazy_path(
     ]
     # one network per step of the deepest trial, shared by every shallower one
     assert len(calls) == max(len(r.sequence) for r in results)
+
+
+def test_run_trials_builds_each_end_of_the_path_once(midfield_state, monkeypatch):
+    built = []
+    real = playnet.sequence.PossessionSequence.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(playnet.sequence.PossessionSequence, "__post_init__", counting)
+    results = run_trials(midfield_state, base_config(seed=31), 0, 500)
+    ends = {(len(r.sequence), r.sequence.terminal_outcome.label()) for r in results}
+    assert len(built) == len(ends)
+    assert len({id(r) for r in results}) == len(ends)  # equal trials share one result
+
+
+def test_compare_estimates_a_shared_network_once(box_state, monkeypatch):
+    real = playnet.simulate.estimate_network
+    calls = []
+
+    def counting(current, suite):
+        calls.append(current.holder)
+        return real(current, suite)
+
+    monkeypatch.setattr(playnet.simulate, "estimate_network", counting)
+    styles = [LinearStyle(3, 1), LinearStyle(2, 2), LinearStyle(1, 3)]
+    reports = monte_carlo_compare(box_state, styles, 200, base_config(seed=5))
+    assert len(calls) == 1  # box shoots at once under every style
+    assert [r.mean_length for r in reports] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("state_name", ["midfield_state", "box_state"])
+def test_compare_reports_equal_lone_run_trials(state_name, request):
+    state = request.getfixturevalue(state_name)
+    styles = [LinearStyle(3, 1), LinearStyle(2, 2), LinearStyle(1, 3)]
+    cfg = base_config(seed=77)
+    reports = monte_carlo_compare(state, styles, 300, cfg)
+    for style_index, (style, report) in enumerate(zip(styles, reports)):
+        alone = run_trials(
+            state, dataclasses.replace(cfg, policy=dataclasses.replace(cfg.policy, style=style)),
+            style_index, 300,
+        )
+        assert report == StyleReport.from_results(str(style), alone)
 
 
 EXACT_TRIALS = 5000
