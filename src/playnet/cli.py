@@ -407,7 +407,10 @@ def regenerate(manifest: dict) -> str:
         results = run_trials(state, sim, 0, _manifest_field(manifest, "run.trials"), threads=1)
         return _log_text(results)
     if command == "compare":
-        styles = [LinearStyle.parse(text) for text in _manifest_field(manifest, "run.styles")]
+        styles = _manifest_field(manifest, "run.styles")
+        if not isinstance(styles, list) or not styles:
+            raise ValueError(f"manifest: run.styles={styles!r} must be a nonempty array")
+        styles = [LinearStyle.parse(text) for text in styles]
         sim = _sim_config(cfg, styles[0], _manifest_field(manifest, "run.seed"))
         trials = _manifest_field(manifest, "run.trials")
         return _csv_text(monte_carlo_compare(state, styles, trials, sim, threads=1))

@@ -18,6 +18,11 @@ smooth, cheap, and monotone in the directions a coach would expect:
 Every constant lives in EstimatorParams and can be overridden from the
 config file without touching code. Teammates who are offside or outside
 the pitch are not estimated at all: their edge is (p, r) = (0, 0).
+
+estimate_network is the validation boundary for estimator outputs: it
+checks each value and names the estimator that returned a bad one,
+then builds the network without checking the values again. The
+snapshot it reads was checked where it entered (see state.py).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .network import DecisionNetwork, RISK_MAX, build_network
+from .network import DecisionNetwork, PassEdge, RISK_MAX
 from .state import MatchState
 
 
@@ -78,21 +83,6 @@ class EstimatorSuite:
     decision_time: Callable[[MatchState], float]
     pass_prob: Callable[[MatchState, int, float], float]
     risk: Callable[[MatchState, int], int]
-
-
-def _segment_distance(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> float:
-    """Distance from point (px, py) to the segment (ax, ay)-(bx, by)."""
-    dx = bx - ax
-    dy = by - ay
-    norm2 = dx * dx + dy * dy
-    if norm2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / norm2
-    if t < 0.0:
-        t = 0.0
-    elif t > 1.0:
-        t = 1.0
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
 def _nearest_opponent_distance(state: MatchState, x: float, y: float) -> float:
@@ -160,12 +150,25 @@ def default_pass_prob(
         raise ValueError("pass target cannot be the holder")
     hx, hy = state.holder_position
     tx, ty = state.team[target]
-    d = math.hypot(tx - hx, ty - hy)
-    lane_clearance = math.inf
-    for ox, oy in state.opponents:
-        c = _segment_distance(ox, oy, hx, hy, tx, ty)
-        if c < lane_clearance:
-            lane_clearance = c
+    dx = tx - hx
+    dy = ty - hy
+    d = math.hypot(dx, dy)
+    # each opponent's distance to the lane, the segment holder -> target,
+    # from the lane's vector and squared length computed once per lane
+    norm2 = dx * dx + dy * dy
+    if norm2 == 0.0:  # the lane is a point: the holder's spot
+        lane_clearance = _nearest_opponent_distance(state, hx, hy)
+    else:
+        lane_clearance = math.inf
+        for ox, oy in state.opponents:
+            t = ((ox - hx) * dx + (oy - hy) * dy) / norm2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            c = math.hypot(ox - (hx + t * dx), oy - (hy + t * dy))
+            if c < lane_clearance:
+                lane_clearance = c
     lane_openness = 1.0 / (1.0 + math.exp(-lane_clearance / params.lane_half_width_m))
     p = (
         math.exp(-d / params.pass_decay_m)
@@ -228,31 +231,35 @@ def unavailable_teammates(state: MatchState) -> list[int]:
     return out
 
 
+_NO_PASS = PassEdge(0.0, 0)  # the edge of a teammate who cannot receive
+
+
 def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     """Build the holder's decision network from estimator outputs.
 
-    Each output is bounds-checked here so a misbehaving estimator fails
-    loudly by name instead of corrupting a network. Unavailable
-    teammates (offside or outside) are never passed to the estimators;
-    their edges are (p, r) = (0, 0).
+    Each output is bounds-checked here, once, so a misbehaving estimator
+    fails loudly by name instead of corrupting a network; the checked
+    values, as floats (p, s, tau) and ints (r), build the network
+    directly. Unavailable teammates (offside or outside) are never
+    passed to the estimators; their edges are (p, r) = (0, 0).
     """
     s = est.score_prob(state)
-    if isinstance(s, bool) or not isinstance(s, (int, float)) or math.isnan(s) or not 0.0 <= s <= 1.0:
+    if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0.0 <= s <= 1.0:
         raise ValueError(f"score_prob returned {s!r}, outside [0, 1]")
     tau = est.decision_time(state)
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or math.isnan(tau) or tau < 0.0:
-        raise ValueError(f"decision_time returned {tau!r}, expected a number >= 0")
-    blocked = set(unavailable_teammates(state))
-    per_teammate: dict[int, tuple[float, int]] = {}
+    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0.0 <= tau < math.inf:
+        raise ValueError(f"decision_time returned {tau!r}, expected a finite number >= 0")
+    blocked = unavailable_teammates(state)
+    edges: dict[int, PassEdge] = {}
     for j in state.teammates():
         if j in blocked:
-            per_teammate[j] = (0.0, 0)
+            edges[j] = _NO_PASS
             continue
         p = est.pass_prob(state, j, tau)
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or math.isnan(p) or not 0.0 <= p <= 1.0:
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise ValueError(f"pass_prob returned {p!r} for teammate {j}, outside [0, 1]")
         r = est.risk(state, j)
         if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= RISK_MAX:
             raise ValueError(f"risk returned {r!r} for teammate {j}, outside 0..{RISK_MAX}")
-        per_teammate[j] = (p, r)
-    return build_network(state.holder, s, tau, per_teammate)
+        edges[j] = PassEdge(float(p), r)
+    return DecisionNetwork._trusted(state.holder, float(s), float(tau), edges)

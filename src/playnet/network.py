@@ -9,9 +9,11 @@ receiver would threaten the opposing goal).
 
 ``s`` and ``tau`` belong to the holder, so the network stores them once
 and each edge stores only its (p, r); ``edge(j)`` gives the full
-(s, tau, p, r) vector. All values are validated at construction;
-out-of-range inputs raise instead of being clamped, so estimator bugs
-surface immediately.
+(s, tau, p, r) vector. DecisionNetwork(...), build_network and the log
+reader validate every value at construction; out-of-range inputs raise
+instead of being clamped. estimate_network checks each estimator output
+by name and then builds its network unchecked, so the values it passes
+are checked once.
 """
 
 from __future__ import annotations
@@ -126,6 +128,20 @@ class DecisionNetwork:
             except ValueError as err:
                 raise ValueError(f"teammate {j}: {err}") from None
         object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _trusted(cls, holder: int, s: float, tau: float, edges: dict[int, PassEdge]) -> DecisionNetwork:
+        """A network from values that already meet every invariant above; no checks run.
+
+        s and tau must be floats and edges must map the ten teammate ids,
+        in id order, to PassEdges of a float p and an int r.
+        """
+        net = object.__new__(cls)
+        object.__setattr__(net, "holder", holder)
+        object.__setattr__(net, "s", s)
+        object.__setattr__(net, "tau", tau)
+        object.__setattr__(net, "edges", edges)
+        return net
 
     def teammates(self) -> list[int]:
         return sorted(self.edges)

@@ -111,14 +111,22 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     The receiver keeps their position and the ball. Other teammates
     drift toward the goal center, opponents toward the ball, all capped
     at drift_m and clipped to the pitch. Outside players stay outside.
+
+    The new snapshot keeps the ids, the id order and the outside set of
+    a checked one, its moved players are on the pitch, and its holder is
+    not outside (a completed pass has p > 0, so its receiver never is),
+    so it is built without MatchState's checks.
     """
+    outside = state.outside
+    if receiver in outside:
+        raise ValueError(f"holder {receiver} cannot be flagged outside")
     length = state.pitch.length
     width = state.pitch.width
     gx, gy = state.pitch.goal_center
     bx, by = state.team[receiver]
     team: dict[int, tuple[float, float]] = {}
     for j, (x, y) in state.team.items():
-        if j == receiver or j in state.outside:
+        if j == receiver or j in outside:
             team[j] = (x, y)
         else:
             nx, ny = _step_toward(x, y, gx, gy, drift_m)
@@ -127,7 +135,7 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     for x, y in state.opponents:
         nx, ny = _step_toward(x, y, bx, by, drift_m)
         opponents.append((min(length, max(0.0, nx)), min(width, max(0.0, ny))))
-    return MatchState(state.pitch, team, tuple(opponents), receiver, state.outside)
+    return MatchState._trusted(state.pitch, team, tuple(opponents), receiver, outside)
 
 
 class _PathStep:

@@ -7,6 +7,13 @@ Both sides field exactly eleven players. A team player may be flagged
 outside players are exempt from the bounds check and are never eligible
 pass receivers. The opponent list is positional only; opposing shirt
 numbers never matter to the model.
+
+Each snapshot crosses one validation boundary. parse_match_state checks
+the JSON document and names the JSON path of the first violation; the
+MatchState it returns, and every snapshot advance_state derives from a
+checked one, is then built without re-running those checks. A
+MatchState(...) built directly, by library callers, runs every check
+in __post_init__.
 """
 
 from __future__ import annotations
@@ -87,6 +94,23 @@ class MatchState:
         if self.holder in self.outside:
             raise ValueError(f"holder {self.holder} cannot be flagged outside")
 
+    @classmethod
+    def _trusted(
+        cls, pitch: Pitch, team: dict[int, XY], opponents: tuple[XY, ...], holder: int,
+        outside: frozenset[int],
+    ) -> MatchState:
+        """A snapshot from values that already meet every invariant above; no checks run.
+
+        team must map the ids 1..11, in id order, to pairs of floats.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "pitch", pitch)
+        object.__setattr__(state, "team", team)
+        object.__setattr__(state, "opponents", opponents)
+        object.__setattr__(state, "holder", holder)
+        object.__setattr__(state, "outside", outside)
+        return state
+
     def _on_pitch(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.pitch.length and 0.0 <= y <= self.pitch.width
 
@@ -107,14 +131,21 @@ def _require_number(obj: dict, key: str, path: str) -> float:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ValueError(f"{path}.{key}: integer too large for a float") from None
+    if not math.isfinite(v):  # 1e400 is valid JSON that overflows to inf
+        raise ValueError(f"{path}.{key}: {v} is not finite")
+    return v
 
 
 def parse_match_state(data: bytes | str) -> MatchState:
     """Parse and fully validate the match-state JSON document.
 
     The first violated constraint is reported with its JSON path, e.g.
-    "team[3].x: 120.0 outside [0, 105]".
+    "team[3].x: 120.0 outside [0, 105]". These checks cover every
+    MatchState invariant, so the state is built without repeating them.
     """
 
     def _reject_constant(name: str) -> None:
@@ -204,7 +235,8 @@ def parse_match_state(data: bytes | str) -> MatchState:
     if holder in outside:
         raise ValueError(f"holder: player {holder} is flagged outside")
 
-    return MatchState(pitch, team, tuple(opponents), holder, frozenset(outside))
+    team = {j: team[j] for j in sorted(team)}
+    return MatchState._trusted(pitch, team, tuple(opponents), holder, frozenset(outside))
 
 
 def match_state_to_obj(state: MatchState) -> dict:

@@ -75,6 +75,8 @@ class LinearStyle:
     @classmethod
     def parse(cls, text: str) -> LinearStyle:
         """Parse the "x:y" notation used on the command line and in config."""
+        if not isinstance(text, str):
+            raise ValueError(f"style {text!r} must be a string like '3:1'")
         parts = text.split(":")
         if len(parts) != 2:
             raise ValueError(f"style {text!r} must look like 'x:y', e.g. '3:1'")

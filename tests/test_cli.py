@@ -349,6 +349,30 @@ def test_regenerate_names_a_missing_run_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("compare", "styles", [], "run.styles=.* must be a nonempty array"),
+        ("compare", "styles", 5, "run.styles=5 must be a nonempty array"),
+        ("compare", "styles", [3], "style 3 must be a string"),
+        ("simulate", "style", 3, "style 3 must be a string"),
+    ],
+    ids=["styles-empty", "styles-number", "styles-of-numbers", "style-number"],
+)
+def test_regenerate_rejects_a_mistyped_run_value(capsys, tmp_path, command, field, value, message):
+    out_file = tmp_path / "artifact"
+    if command == "compare":
+        argv = ["compare", "--state", MIDFIELD, "--styles", "3:1", "--trials", "5", "--csv", str(out_file)]
+    else:
+        argv = ["simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file)]
+    assert run(capsys, *argv)[0] == 0
+    manifest = json.loads(open(manifest_path(out_file)).read())
+    assert field in manifest["run"]
+    manifest["run"][field] = value
+    with pytest.raises(ValueError, match=message):
+        regenerate(manifest)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["decide", "--state", "{deep}", "--style", "3:1"],

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import playnet.estimators
 from playnet import (
+    DecisionNetwork,
     EstimatorParams,
     EstimatorSuite,
     MatchState,
@@ -17,6 +19,7 @@ from playnet import (
     estimate_network,
 )
 from playnet.estimators import score_prob_at, unavailable_teammates
+from playnet.network import PassEdge
 
 from conftest import GOLDEN_DIR, random_match_state
 
@@ -247,15 +250,100 @@ def test_estimator_errors_name_the_estimator():
     broken_score = EstimatorSuite(lambda st: 1.2, good.decision_time, good.pass_prob, good.risk)
     with pytest.raises(ValueError, match="score_prob"):
         estimate_network(state, broken_score)
-    broken_time = EstimatorSuite(good.score_prob, lambda st: -1.0, good.pass_prob, good.risk)
-    with pytest.raises(ValueError, match="decision_time"):
-        estimate_network(state, broken_time)
+    for bad_tau in (-1.0, math.inf, math.nan):
+        broken_time = EstimatorSuite(good.score_prob, lambda st: bad_tau, good.pass_prob, good.risk)
+        with pytest.raises(ValueError, match="decision_time"):
+            estimate_network(state, broken_time)
     broken_pass = EstimatorSuite(good.score_prob, good.decision_time, lambda st, j, t: 2.0, good.risk)
     with pytest.raises(ValueError, match="pass_prob"):
         estimate_network(state, broken_pass)
     broken_risk = EstimatorSuite(good.score_prob, good.decision_time, good.pass_prob, lambda st, j: 11)
     with pytest.raises(ValueError, match="risk"):
         estimate_network(state, broken_risk)
+
+
+def test_integer_estimator_outputs_become_floats():
+    good = default_suite()
+    certain = EstimatorSuite(lambda st: 1, lambda st: 2, lambda st, j, t: 1, good.risk)
+    net = estimate_network(spread_state(), certain)
+    assert type(net.s) is float and type(net.tau) is float
+    assert all(type(e.p) is float for e in net.edges.values())
+    assert net.to_json().startswith('{"holder": 8, "s": 1.0, "tau": 2.0,')
+
+
+def test_estimated_network_equals_validated_construction():
+    rng = random.Random(606)
+    suite = default_suite()
+    for _ in range(200):
+        state = random_match_state(rng)
+        net = estimate_network(state, suite)
+        checked = DecisionNetwork(net.holder, net.s, net.tau, dict(net.edges))
+        assert net == checked
+        assert list(net.edges) == list(checked.edges) == net.teammates()
+        assert type(net.s) is float and type(net.tau) is float
+        for e in net.edges.values():
+            assert type(e) is PassEdge and type(e.p) is float and type(e.r) is int
+
+
+def far_opponents(*near):
+    """The given opponents plus enough far ones, deep on the goal line, to make eleven."""
+    far = [(104.0, 2.0 + 6.0 * k) for k in range(11 - len(near))]
+    return tuple(list(near) + far)
+
+
+# (holder position, teammate overrides, nearby opponents): each case makes the
+# clearest opponent of one lane fall in one branch of the lane-distance code
+DEGENERATE_LANES = {
+    # teammate 6 on the holder's spot: the lane is a point (norm2 == 0)
+    "teammate-on-holder": ((50.0, 34.0), {6: (50.0, 34.0)}, [(53.0, 38.0)]),
+    # an opponent exactly on the lane 8 -> 6, between its ends
+    "opponent-on-lane": ((50.0, 34.0), {6: (30.0, 34.0)}, [(40.0, 34.0)]),
+    # an opponent behind the holder, beyond the lane's start (t clamped to 0)
+    "beyond-start": ((50.0, 34.0), {6: (30.0, 34.0)}, [(56.0, 37.0)]),
+    # an opponent behind the receiver, beyond the lane's end (t clamped to 1)
+    "beyond-end": ((50.0, 34.0), {6: (30.0, 34.0)}, [(25.0, 31.0)]),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_LANES))
+def test_degenerate_lane_geometry_matches_oracle(case):
+    from oracles import _point_segment_distance, oracle_network_dict, oracle_pass_prob
+
+    holder_pos, overrides, near = DEGENERATE_LANES[case]
+    state = spread_state(holder_pos=holder_pos, overrides=overrides, opponents=far_opponents(*near))
+    net = estimate_network(state, default_suite())
+    assert net.to_json_dict() == oracle_network_dict(state)
+    assert default_pass_prob(state, 6, net.tau) == oracle_pass_prob(state, 6, net.tau) > 0.0
+    # the case's opponent is the lane's clearest, at the distance its branch gives
+    (hx, hy), (tx, ty) = holder_pos, state.team[6]
+    clearances = [_point_segment_distance(ox, oy, hx, hy, tx, ty) for ox, oy in state.opponents]
+    ox, oy = near[0]
+    assert min(clearances) == clearances[0]
+    expected = {
+        "teammate-on-holder": math.hypot(ox - hx, oy - hy),
+        "opponent-on-lane": 0.0,
+        "beyond-start": math.hypot(ox - hx, oy - hy),
+        "beyond-end": math.hypot(ox - tx, oy - ty),
+    }[case]
+    assert clearances[0] == expected
+
+
+def test_suite_calls_the_module_estimators_at_call_time(monkeypatch):
+    # The benchmark's tracer wraps playnet.estimators.default_* after a suite
+    # exists; a suite that bound the functions early would hide them from it.
+    suite = default_suite()
+    calls = []
+    for name in ("default_score_prob", "default_decision_time", "default_pass_prob", "default_risk"):
+        original = getattr(playnet.estimators, name)
+
+        def patched(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(playnet.estimators, name, patched)
+    estimate_network(spread_state(), suite)
+    assert set(calls) == {"default_score_prob", "default_decision_time", "default_pass_prob", "default_risk"}
+    assert calls.count("default_pass_prob") == calls.count("default_risk") > 0
 
 
 def test_params_validated():

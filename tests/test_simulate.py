@@ -197,6 +197,37 @@ def test_advance_state_keeps_outside_players_fixed():
     assert after.outside == frozenset({11})
 
 
+def test_advanced_state_equals_validated_construction():
+    rng = random.Random(505)
+    suite = default_suite()
+    checked_receivers = outside_states = 0
+    for _ in range(150):
+        state = random_match_state(rng)
+        outside_states += bool(state.outside)
+        drift = rng.choice([0.0, 0.5, 2.0, 7.0, 200.0])
+        network = playnet.simulate.estimate_network(state, suite)
+        for receiver, edge in network.edges.items():
+            if edge.p == 0.0:
+                continue
+            after = advance_state(state, receiver, drift)
+            checked = MatchState(after.pitch, dict(after.team), after.opponents, after.holder, after.outside)
+            assert after == checked
+            assert list(after.team) == list(checked.team) == sorted(after.team)
+            assert all(type(v) is float for xy in after.team.values() for v in xy)
+            assert after.outside == state.outside
+            checked_receivers += 1
+    assert checked_receivers > 500 and outside_states > 10
+
+
+def test_advance_state_rejects_an_outside_receiver():
+    team = {j: (40.0 + j, 30.0) for j in range(1, 12)}
+    team[11] = (-3.0, 80.0)
+    state = MatchState(Pitch(), team, tuple((60.0, 6.0 * k + 1.0) for k in range(11)), 8,
+                       frozenset({11}))
+    with pytest.raises(ValueError, match="holder 11 cannot be flagged outside"):
+        advance_state(state, 11, 2.0)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="max_steps"):
         base_config(max_steps=0)

@@ -1,8 +1,9 @@
 import json
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from playnet import MatchState, Pitch, build_network, parse_match_state
 from playnet.config import AppConfig, load_config
@@ -10,7 +11,7 @@ from playnet.dotexport import export_network_dot
 from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, canonicalize
 from playnet.state import match_state_to_obj
 
-from conftest import DATA_DIR, GOLDEN_DIR
+from conftest import DATA_DIR, GOLDEN_DIR, random_match_state
 
 
 def state_doc(**overrides):
@@ -145,6 +146,113 @@ def test_overflowing_pitch_length_rejected():
     assert "1e400" in text
     with pytest.raises(ValueError, match="length"):
         parse_match_state(text)
+
+
+_HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+def test_overflowing_integer_coordinate_is_validation_error():
+    # a JSON integer too large for a float must be a ValueError, not an OverflowError
+    for field in ('"length": 105', '"x": 40.0'):
+        text = json.dumps(state_doc()).replace(field, field.split(":")[0] + ": " + _HUGE, 1)
+        assert _HUGE in text
+        with pytest.raises(ValueError, match="too large"):
+            parse_match_state(text)
+
+
+def test_outside_player_coordinates_must_be_finite():
+    doc = state_doc()
+    doc["team"][10].update({"x": -4.0, "outside": True})
+    text = json.dumps(doc).replace("-4.0", "-1e400", 1)
+    with pytest.raises(ValueError, match=r"team\[10\]\.x: -inf is not finite"):
+        parse_match_state(text)
+
+
+def assert_same_as_validated(state):
+    """state equals the same fields through the public, fully checked constructor."""
+    checked = MatchState(state.pitch, dict(state.team), state.opponents, state.holder, state.outside)
+    assert state == checked
+    assert list(state.team) == list(checked.team) == sorted(state.team)
+    assert all(type(v) is float for xy in state.team.values() for v in xy)
+    assert all(type(v) is float for xy in state.opponents for v in xy)
+    assert type(state.opponents) is tuple and type(state.outside) is frozenset
+
+
+def test_parsed_state_equals_validated_construction():
+    rng = random.Random(404)
+    with_outside = 0
+    for _ in range(300):
+        state = random_match_state(rng)
+        doc = match_state_to_obj(state)
+        rng.shuffle(doc["team"])  # the parser orders the team by id
+        if rng.random() < 0.5:  # integer coordinates parse to floats
+            doc["team"][0]["x"] = int(doc["team"][0]["x"])
+        parsed = parse_match_state(json.dumps(doc).encode("ascii"))
+        assert_same_as_validated(parsed)
+        assert parsed.holder == state.holder and parsed.outside == state.outside
+        with_outside += bool(parsed.outside)
+    assert with_outside > 20
+
+
+# JSON texts spliced into a valid snapshot in place of one value
+_RAW_VALUES = st.one_of(
+    st.sampled_from([
+        "1e400", "-1e400", _HUGE, "-" + _HUGE, "-0.0", "1e-400", "0", "105", "12",
+        "true", "null", '"x"', "[]", "{}",
+    ]),
+    st.floats(-10.0, 120.0).map(json.dumps),
+)
+_MARK = "\0mutated\0"  # stands for the raw value until the text is spliced
+
+
+def _paths(obj, prefix=()):
+    """Every path to a value of the document, containers included."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _paths(value, prefix + (k,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "set", "set", "drop", "add"]), _RAW_VALUES),
+        min_size=1, max_size=2,
+    ),
+    cut=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 3000)),  # truncated text, now and then
+)
+def test_mutated_snapshot_is_a_checked_state_or_one_value_error(state_seed, picks, cut):
+    doc = match_state_to_obj(random_match_state(random.Random(state_seed)))
+    raws = []
+    for index, action, raw in picks:
+        paths = list(_paths(doc))[1:]
+        path = paths[index % len(paths)]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "drop":
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent["extra"] = _MARK
+            raws.append(raw)
+        else:
+            parent[key] = _MARK
+            raws.append(raw)
+    text = json.dumps(doc)
+    for raw in raws:
+        text = text.replace(json.dumps(_MARK), raw, 1)
+    if cut is not None:
+        text = text[:cut]
+    try:
+        state = parse_match_state(text)
+    except ValueError:
+        return
+    assert_same_as_validated(state)
 
 
 def test_match_state_requires_full_teams():
