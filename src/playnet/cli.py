@@ -393,6 +393,9 @@ def regenerate(manifest: dict) -> str:
     cfg = AppConfig.from_dict(_manifest_field(manifest, "config"))
     path = _manifest_field(manifest, "inputs.state.path")
     recorded = _manifest_field(manifest, "inputs.state.sha256")
+    for key, value in (("path", path), ("sha256", recorded)):
+        if not isinstance(value, str):  # open() would take an integer as a file descriptor
+            raise ValueError(f"manifest: inputs.state.{key}={value!r} must be a string")
     digest = sha256_of_file(path)
     if digest != recorded:
         raise ValueError(f"input {path}: digest {digest} does not match the manifest ({recorded})")

@@ -13,10 +13,10 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .decision import check_threshold, check_tie_break
+from .decision import check_tie_break
 from .estimators import EstimatorParams
 from .jsonio import parse_json
-from .simulate import check_drift, check_max_steps
+from .network import check_int, check_real, check_unit
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
 
@@ -32,9 +32,9 @@ class AppConfig:
     def __post_init__(self) -> None:
         # Checked here, not where a subcommand first uses the value, so a
         # bad file or flag fails at load whichever subcommand runs.
-        check_max_steps(self.max_steps)
-        check_drift(self.drift_m)
-        check_threshold(self.threshold)
+        check_int(self.max_steps, "max_steps", 1)
+        check_real(self.drift_m, "drift_m", 0.0)
+        check_unit(self.threshold, "threshold")
         check_tie_break(self.tie_break)
 
     def to_dict(self) -> dict:

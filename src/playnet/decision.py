@@ -16,19 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .network import DecisionNetwork
+from .network import DecisionNetwork, check_unit
 
 TIE_BREAK_RULES: dict[str, Callable[[int], int]] = {
     "lowest_id": lambda j: j,
     "highest_id": lambda j: -j,
 }
-
-
-def check_threshold(value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"threshold={value!r} must be a number in [0, 1]")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"threshold={value} outside [0, 1]")
 
 
 def check_tie_break(value: object) -> None:
@@ -48,7 +41,7 @@ class DecisionPolicy:
     def __post_init__(self) -> None:
         if not callable(self.style):
             raise ValueError("policy style must be callable as style(p, r)")
-        check_threshold(self.threshold)
+        check_unit(self.threshold, "threshold")
         check_tie_break(self.tie_break)
 
 

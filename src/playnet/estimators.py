@@ -20,18 +20,20 @@ config file without touching code. Teammates who are offside or outside
 the pitch are not estimated at all: their edge is (p, r) = (0, 0).
 
 estimate_network is the validation boundary for estimator outputs: it
-checks each value and names the estimator that returned a bad one,
-then builds the network without checking the values again. The
-snapshot it reads was checked where it entered (see state.py).
+checks each value with network.py's checkers, naming the estimator that
+returned a bad one (and, for p and r, the teammate), then builds the
+network without checking the values again. EstimatorParams checks its
+constants with the same checkers. The snapshot it reads was checked
+where it entered (see state.py).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
-from .network import DecisionNetwork, PassEdge, RISK_MAX
+from .network import DecisionNetwork, PassEdge, RISK_MAX, check_int, check_real, check_unit
 from .state import MatchState
 
 
@@ -51,19 +53,10 @@ class EstimatorParams:
     goal_width_m: float = 7.32         # goal mouth span, centered on y = width/2
 
     def __post_init__(self) -> None:
-        for name in (
-            "score_decay_m", "pressure_speed_mps", "time_cap_s", "pass_decay_m",
-            "lane_half_width_m", "pass_time_scale_s", "openness_radius_m", "goal_width_m",
-        ):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-                raise ValueError(f"estimator constant {name}={v!r} must be a finite number > 0")
-            object.__setattr__(self, name, float(v))
-        for name in ("risk_score_weight", "risk_openness_weight"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 <= v < math.inf:
-                raise ValueError(f"estimator constant {name}={v!r} must be a finite number >= 0")
-            object.__setattr__(self, name, float(v))
+        for f in fields(self):  # the risk weights may be 0, every other constant must be > 0
+            strict = f.name not in ("risk_score_weight", "risk_openness_weight")
+            value = check_real(getattr(self, f.name), f"estimator constant {f.name}", 0.0, strict=strict)
+            object.__setattr__(self, f.name, value)
         if self.risk_score_weight + self.risk_openness_weight > 1.0 + 1e-9:
             raise ValueError("risk weights must sum to at most 1 so r stays in 0..10")
 
@@ -243,12 +236,8 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     directly. Unavailable teammates (offside or outside) are never
     passed to the estimators; their edges are (p, r) = (0, 0).
     """
-    s = est.score_prob(state)
-    if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0.0 <= s <= 1.0:
-        raise ValueError(f"score_prob returned {s!r}, outside [0, 1]")
-    tau = est.decision_time(state)
-    if isinstance(tau, bool) or not isinstance(tau, (int, float)) or not 0.0 <= tau < math.inf:
-        raise ValueError(f"decision_time returned {tau!r}, expected a finite number >= 0")
+    s = check_unit(est.score_prob(state), "score_prob()")
+    tau = check_real(est.decision_time(state), "decision_time()", 0.0)
     blocked = unavailable_teammates(state)
     edges: dict[int, PassEdge] = {}
     for j in state.teammates():
@@ -256,10 +245,9 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
             edges[j] = _NO_PASS
             continue
         p = est.pass_prob(state, j, tau)
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"pass_prob returned {p!r} for teammate {j}, outside [0, 1]")
         r = est.risk(state, j)
-        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= RISK_MAX:
-            raise ValueError(f"risk returned {r!r} for teammate {j}, outside 0..{RISK_MAX}")
-        edges[j] = PassEdge(float(p), r)
-    return DecisionNetwork._trusted(state.holder, float(s), float(tau), edges)
+        try:
+            edges[j] = PassEdge(check_unit(p, "pass_prob()"), check_int(r, "risk()", 0, RISK_MAX))
+        except ValueError as err:
+            raise ValueError(f"teammate {j}: {err}") from None
+    return DecisionNetwork._trusted(state.holder, s, tau, edges)

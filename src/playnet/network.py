@@ -14,12 +14,23 @@ reader validate every value at construction; out-of-range inputs raise
 instead of being clamped. estimate_network checks each estimator output
 by name and then builds its network unchecked, so the values it passes
 are checked once.
+
+Every number the package accepts is checked by one of three functions
+defined here: check_unit (a float in [0, 1]), check_real (a finite
+float above a bound) and check_int (an int in a range). They share one
+rule: a bool is never a number, NaN and +-inf are outside every range,
+and an integer too large for a float is rejected, so no checked value
+can overflow later. Each raises a ValueError that names the value, and
+returns an int as a float where a float is asked for. Only
+parse_match_state checks its JSON numbers itself, to name their JSON
+paths.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
@@ -28,38 +39,56 @@ PLAYER_IDS = frozenset(range(1, TEAM_SIZE + 1))
 
 RISK_MAX = 10
 
+_INF = math.inf
+_FLOAT_MAX = sys.float_info.max
+
+
+def _reject_non_number(value: object, name: str, kind: type | tuple, expected: str) -> None:
+    """Raise ValueError if value is a bool, is not an instance of kind, or is an int beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name}={value!r} must be {expected}")
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"{name}: integer too large for a float")
+
+
+def check_unit(value: object, name: str) -> float:
+    """value as a float in [0, 1]."""
+    if type(value) is not float:
+        _reject_non_number(value, name, (int, float), "a number in [0, 1]")
+        value = float(value)
+    if 0.0 <= value <= 1.0:
+        return value
+    raise ValueError(f"{name}={value} outside [0, 1]")
+
+
+def check_real(value: object, name: str, lo: float = -_INF, *, strict: bool = False) -> float:
+    """value as a finite float >= lo, or > lo when strict."""
+    if type(value) is not float:
+        _reject_non_number(value, name, (int, float), "a finite number")
+        value = float(value)
+    if -_INF < value < _INF and (value > lo if strict else value >= lo):
+        return value
+    if lo == -_INF:
+        raise ValueError(f"{name}={value} is not finite")
+    raise ValueError(f"{name}={value} must be {'>' if strict else '>='} {lo:g} and finite")
+
+
+def check_int(value: object, name: str, lo: int | None, hi: int | None = None) -> int:
+    """value as an int >= lo and, when hi is given, <= hi; lo=None (with no hi) accepts any int."""
+    if type(value) is int and hi is not None and lo <= value <= hi:
+        return value
+    bound = f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
+    _reject_non_number(value, name, int, f"an integer{bound}")
+    if hi is not None and not lo <= value <= hi:
+        raise ValueError(f"{name}={value} outside {lo}..{hi}")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name}={value} must be >= {lo}")
+    return value
+
 
 def check_player_id(value: object, what: str = "player id") -> int:
     """Validate a team-relative shirt slot (integer in 1..11)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what}={value!r} must be an integer in 1..{TEAM_SIZE}")
-    if not 1 <= value <= TEAM_SIZE:
-        raise ValueError(f"{what}={value} outside 1..{TEAM_SIZE}")
-    return value
-
-
-def _check_probability(value: object, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}={value!r} must be a number in [0, 1]")
-    if math.isnan(value) or not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name}={value} outside [0, 1]")
-    return float(value)
-
-
-def _check_tau(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"tau={value!r} must be a number >= 0")
-    if not 0 <= value < math.inf:
-        raise ValueError(f"tau={value} must be >= 0 and finite")
-    return float(value)
-
-
-def _check_risk(value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"r={value!r} must be an integer in 0..{RISK_MAX}")
-    if not 0 <= value <= RISK_MAX:
-        raise ValueError(f"r={value} outside 0..{RISK_MAX}")
-    return value
+    return check_int(value, what, 1, TEAM_SIZE)
 
 
 @dataclass(frozen=True)
@@ -76,10 +105,10 @@ class EdgeVector4:
     r: int      # receiver risk, integer in 0..10
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", _check_probability(self.s, "s"))
-        object.__setattr__(self, "tau", _check_tau(self.tau))
-        object.__setattr__(self, "p", _check_probability(self.p, "p"))
-        _check_risk(self.r)
+        object.__setattr__(self, "s", check_unit(self.s, "s"))
+        object.__setattr__(self, "tau", check_real(self.tau, "tau", 0.0))
+        object.__setattr__(self, "p", check_unit(self.p, "p"))
+        check_int(self.r, "r", 0, RISK_MAX)
 
     def as_tuple(self) -> tuple[float, float, float, int]:
         return (self.s, self.tau, self.p, self.r)
@@ -109,8 +138,8 @@ class DecisionNetwork:
 
     def __post_init__(self) -> None:
         check_player_id(self.holder, "holder")
-        object.__setattr__(self, "s", _check_probability(self.s, "s"))
-        object.__setattr__(self, "tau", _check_tau(self.tau))
+        object.__setattr__(self, "s", check_unit(self.s, "s"))
+        object.__setattr__(self, "tau", check_real(self.tau, "tau", 0.0))
         expected = PLAYER_IDS - {self.holder}
         got = set(self.edges)
         for j in sorted(got - expected):
@@ -124,7 +153,7 @@ class DecisionNetwork:
         for j in sorted(got):
             p, r = self.edges[j]
             try:
-                edges[j] = PassEdge(_check_probability(p, "p"), _check_risk(r))
+                edges[j] = PassEdge(check_unit(p, "p"), check_int(r, "r", 0, RISK_MAX))
             except ValueError as err:
                 raise ValueError(f"teammate {j}: {err}") from None
         object.__setattr__(self, "edges", edges)

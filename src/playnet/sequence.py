@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .decision import Decision
-from .network import DecisionNetwork
+from .network import DecisionNetwork, check_unit
 
 OUTCOME_KINDS = ("pass_completed", "pass_intercepted", "shot_taken", "forced_loss")
 
@@ -153,22 +153,14 @@ def security(seq: PossessionSequence) -> float:
     return worst
 
 
-def _check_index(value: float, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}={value!r} must be a number in [0, 1]")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name}={value} outside [0, 1]")
-    return float(value)
-
-
 def is_s_efficient(seq: PossessionSequence, s: float) -> bool:
     """True when some network in the sequence has scoring probability >= s."""
-    return efficiency(seq) >= _check_index(s, "s")
+    return efficiency(seq) >= check_unit(s, "s")
 
 
 def is_p_secure(seq: PossessionSequence, p: float) -> bool:
     """True when every attempted pass had completion probability >= p."""
-    return security(seq) >= _check_index(p, "p")
+    return security(seq) >= check_unit(p, "p")
 
 
 def pareto_frontier(seqs) -> list[tuple[float, float, int]]:

@@ -47,19 +47,9 @@ from dataclasses import dataclass, replace
 
 from .decision import DecisionPolicy, decide
 from .estimators import EstimatorSuite, estimate_network
-from .network import DecisionNetwork
+from .network import DecisionNetwork, check_int, check_real
 from .sequence import PossessionSequence, PossessionStep, StepOutcome
 from .state import MatchState
-
-
-def check_max_steps(value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"max_steps={value!r} must be an integer >= 1")
-
-
-def check_drift(value: object) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-        raise ValueError(f"drift_m={value!r} must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,10 +63,9 @@ class SimulationConfig:
     drift_m: float = 2.0  # per-pass movement of non-receiving players
 
     def __post_init__(self) -> None:
-        check_max_steps(self.max_steps)
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed={self.seed!r} must be an integer")
-        check_drift(self.drift_m)
+        check_int(self.max_steps, "max_steps", 1)
+        check_int(self.seed, "seed", None)
+        check_real(self.drift_m, "drift_m", 0.0)
 
 
 @dataclass(frozen=True)
@@ -265,10 +254,8 @@ def run_trials(
     thread, and the result never depended on it. _networks is
     monte_carlo_compare's map of estimated networks, shared by its styles.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials={trials!r} must be an integer >= 1")
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads={threads!r} must be an integer >= 1")
+    check_int(trials, "trials", 1)
+    check_int(threads, "threads", 1)
     path = _PossessionPath(state, cfg, _networks)
     return [_walk(path, random.Random(derive_seed(cfg.seed, style_index, i))) for i in range(trials)]
 

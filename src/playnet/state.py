@@ -12,8 +12,9 @@ Each snapshot crosses one validation boundary. parse_match_state checks
 the JSON document and names the JSON path of the first violation; the
 MatchState it returns, and every snapshot advance_state derives from a
 checked one, is then built without re-running those checks. A
-MatchState(...) built directly, by library callers, runs every check
-in __post_init__.
+MatchState(...) or Pitch(...) built directly, by library callers, runs
+every check in __post_init__, through network.py's check_real and
+check_player_id.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .jsonio import parse_json
-from .network import PLAYER_IDS, TEAM_SIZE, check_player_id
+from .network import PLAYER_IDS, TEAM_SIZE, check_player_id, check_real
 
 XY = tuple[float, float]
 
@@ -35,23 +36,12 @@ class Pitch:
     width: float = 68.0
 
     def __post_init__(self) -> None:
-        for name in ("length", "width"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
-                raise ValueError(f"pitch.{name}: {v!r} must be a finite number > 0")
-            object.__setattr__(self, name, float(v))
+        object.__setattr__(self, "length", check_real(self.length, "pitch.length", 0.0, strict=True))
+        object.__setattr__(self, "width", check_real(self.width, "pitch.width", 0.0, strict=True))
 
     @property
     def goal_center(self) -> XY:
         return (self.length, self.width / 2.0)
-
-
-def _check_xy(value: object, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name}={value!r} must be a number")
-    if not math.isfinite(value):
-        raise ValueError(f"{name}={value} is not finite")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -74,8 +64,8 @@ class MatchState:
         team: dict[int, XY] = {}
         for j in sorted(self.team):
             x, y = self.team[j]
-            x = _check_xy(x, f"team player {j} x")
-            y = _check_xy(y, f"team player {j} y")
+            x = check_real(x, f"team player {j} x")
+            y = check_real(y, f"team player {j} y")
             if j not in self.outside and not self._on_pitch(x, y):
                 raise ValueError(
                     f"team player {j} at ({x}, {y}) is off the pitch and not flagged outside"
@@ -84,8 +74,8 @@ class MatchState:
         object.__setattr__(self, "team", team)
         opponents = []
         for k, (x, y) in enumerate(self.opponents):
-            x = _check_xy(x, f"opponent {k} x")
-            y = _check_xy(y, f"opponent {k} y")
+            x = check_real(x, f"opponent {k} x")
+            y = check_real(y, f"opponent {k} y")
             if not self._on_pitch(x, y):
                 raise ValueError(f"opponent {k} at ({x}, {y}) is off the pitch")
             opponents.append((x, y))

@@ -16,24 +16,15 @@ accepted; only the linear family ships.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-from .network import RISK_MAX
+from .network import RISK_MAX, check_int, check_unit
 
 
 class StyleClass(enum.Enum):
     POSSESSION = "possession"
     DIRECT = "direct"
     BALANCED = "balanced"
-
-
-def _check_weight(value: object, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"style weight {name}={value!r} must be a nonnegative integer")
-    if value < 0:
-        raise ValueError(f"style weight {name}={value} must be >= 0")
-    return value
 
 
 @dataclass(frozen=True)
@@ -44,18 +35,14 @@ class LinearStyle:
     y: int
 
     def __post_init__(self) -> None:
-        _check_weight(self.x, "x")
-        _check_weight(self.y, "y")
+        check_int(self.x, "style weight x", 0)
+        check_int(self.y, "style weight y", 0)
         if self.x + self.y == 0:
             raise ValueError("style weights x and y cannot both be zero")
 
     def evaluate(self, p: float, r: int) -> float:
         """Score one pass option: x * 10p + y * r."""
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or math.isnan(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p={p!r} outside [0, 1]")
-        if isinstance(r, bool) or not isinstance(r, int) or not 0 <= r <= RISK_MAX:
-            raise ValueError(f"r={r!r} must be an integer in 0..{RISK_MAX}")
-        return self.x * (10.0 * p) + self.y * r
+        return self.x * (10.0 * check_unit(p, "p")) + self.y * check_int(r, "r", 0, RISK_MAX)
 
     # a LinearStyle is itself a style callable
     __call__ = evaluate

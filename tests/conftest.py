@@ -1,7 +1,9 @@
+import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from playnet import (
     Decision,
@@ -18,6 +20,8 @@ from playnet.state import load_match_state
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+HUGE_INT = "1" + "0" * 400  # a JSON integer too large for a float
 
 
 @pytest.fixture(scope="session")
@@ -97,3 +101,59 @@ def random_match_state(rng: random.Random, allow_outside: bool = True) -> MatchS
     )
     holder = rng.choice([j for j in range(1, 12) if j not in outside])
     return MatchState(pitch, team, opponents, holder, frozenset(outside))
+
+
+# --- mutated JSON documents, for the input-boundary properties -------------
+
+_MARK = "\0mutated\0"  # stands for a raw value until the text is spliced
+
+
+def _paths(obj, prefix=()):
+    """Every path to a value of the document, containers included."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _paths(value, prefix + (k,))
+
+
+def json_mutations(raw_values):
+    """One or two (path index, action, raw JSON text) picks for mutated_json_text."""
+    return st.lists(
+        st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "set", "set", "drop", "add"]), raw_values),
+        min_size=1, max_size=2,
+    )
+
+
+JSON_CUTS = st.one_of(st.none(), st.none(), st.none(), st.integers(0, 3000))  # truncated text, now and then
+
+
+def mutated_json_text(doc, picks, cut) -> str:
+    """doc's JSON text after each pick sets, drops or adds a value; cut to cut characters unless None.
+
+    A set or add splices the pick's raw text in verbatim, so values that
+    json.dumps cannot write (1e400, a 400-digit integer) reach the parser.
+    doc is mutated in place.
+    """
+    raws = []
+    for index, action, raw in picks:
+        paths = list(_paths(doc))[1:]
+        path = paths[index % len(paths)]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "drop":
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent["extra"] = _MARK
+            raws.append(raw)
+        else:
+            parent[key] = _MARK
+            raws.append(raw)
+    text = json.dumps(doc)
+    for raw in raws:
+        text = text.replace(json.dumps(_MARK), raw, 1)
+    return text if cut is None else text[:cut]

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -6,10 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import playnet.cli
 from playnet import DecisionPolicy, LinearStyle, SimulationConfig, default_suite, run_trials
-from playnet.cli import _log_text, regenerate, run_cli
-from playnet.jsonio import manifest_path
+from playnet.cli import _log_text, _sequences_from_log_obj, regenerate, run_cli
+from playnet.jsonio import manifest_path, parse_json
+from playnet.sequence import sequence_from_obj, sequence_to_obj
 
-from conftest import DATA_DIR, GOLDEN_DIR, random_match_state
+from conftest import (
+    DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
+)
 from oracles import reference_log_text
 
 MIDFIELD = str(DATA_DIR / "midfield_state.json")
@@ -425,3 +429,78 @@ def test_reused_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
     codes = [code for code, _, _ in reused[0]]
     assert codes == [0, 0, 0, 2, 0, 0]
     assert "threshold 0.1)" in reused[0][0][1] and "threshold 0.5)" in reused[0][1][1]
+
+
+def _file_with_huge_int(tmp_path, doc) -> str:
+    """doc written as JSON with every "HUGE" string replaced by a 400-digit integer."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', HUGE_INT))
+    return str(path)
+
+
+def _log_with_huge_int(tmp_path, edit) -> str:
+    log = json.loads((GOLDEN_DIR / "simulate_seed42.json").read_text())
+    edit(log[0][0]["network"])
+    return _file_with_huge_int(tmp_path, log)
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp: ["analyze", "--log", _log_with_huge_int(tmp, lambda net: net.update(s="HUGE"))],
+        lambda tmp: ["analyze", "--log", _log_with_huge_int(tmp, lambda net: net.update(tau="HUGE"))],
+        lambda tmp: ["frontier", "--log",
+                     _log_with_huge_int(tmp, lambda net: net["edges"][0].update(p="HUGE"))],
+        lambda tmp: ["--config", _file_with_huge_int(tmp, {"estimators": {"pass_decay_m": "HUGE"}}),
+                     "decide", "--state", MIDFIELD, "--style", "3:1"],
+        lambda tmp: ["decide", "--state", MIDFIELD, "--style", HUGE_INT + ":1"],
+    ],
+    ids=["analyze-s", "analyze-tau", "frontier-p", "config-pass_decay_m", "style-weight"],
+)
+def test_integer_too_large_for_a_float_is_validation_error(capsys, tmp_path, make_argv):
+    code, out, err = run(capsys, *make_argv(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "integer too large for a float" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("path", 2**20), ("path", ["x"]), ("sha256", 5)],
+    ids=["path-number", "path-array", "sha256-number"],
+)
+def test_regenerate_requires_string_input_fields(capsys, tmp_path, field, value):
+    # an integer path would be opened as a file descriptor
+    out_file = tmp_path / "log.json"
+    assert run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file))[0] == 0
+    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest["inputs"]["state"][field] = value
+    with pytest.raises(ValueError, match=rf"^manifest: inputs\.state\.{field}=.* must be a string$"):
+        regenerate(manifest)
+
+
+# JSON texts spliced into a recorded sequence log in place of one value
+_LOG_RAW_VALUES = st.one_of(
+    st.sampled_from([
+        HUGE_INT, "-" + HUGE_INT, "1e400", "-1e400", "NaN", "0", "1", "8", "11", "-1", "true", "null",
+        '"x"', '"pass"', '"shoot"', '"shot_scored"', '"pass_completed"', "[]", "{}",
+    ]),
+    st.floats(-1.0, 12.0).map(json.dumps),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(picks=json_mutations(_LOG_RAW_VALUES), cut=JSON_CUTS)
+def test_mutated_log_gives_sequences_or_one_value_error(picks, cut):
+    doc = json.loads((GOLDEN_DIR / "simulate_seed42.json").read_text())
+    text = mutated_json_text(doc, picks, cut)
+    try:
+        sequences = _sequences_from_log_obj(parse_json(text))  # what analyze and frontier read
+    except ValueError:
+        return
+    for seq in sequences:
+        assert sequence_from_obj(sequence_to_obj(seq)) == seq
+        for step in seq.steps:
+            net = step.network
+            values = (net.s, net.tau, *(edge.p for edge in net.edges.values()))
+            assert all(type(v) is float and math.isfinite(v) for v in values)

@@ -1,10 +1,12 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from playnet import DecisionNetwork, EdgeVector4, build_network
+from playnet.network import check_int, check_player_id, check_real, check_unit
 
 from conftest import random_network
 
@@ -78,6 +80,12 @@ def test_build_rejects_holder_edge():
         (dict(r=-1), "r=-1 outside"),
         (dict(r=2.0), "must be an integer"),
         (dict(tau=math.inf), "tau=inf must be >= 0"),  # e.g. 1e400 in a log
+        (dict(s=10**400), "s: integer too large for a float"),
+        (dict(tau=10**400), "tau: integer too large for a float"),
+        (dict(p=-10**400), "p: integer too large for a float"),
+        (dict(r=10**400), "r: integer too large for a float"),
+        (dict(s=True), "s=True must be a number"),
+        (dict(p=math.nan), "p=nan outside"),
     ],
 )
 def test_edge_vector_bounds(kwargs, message):
@@ -171,3 +179,58 @@ def test_random_network_helper_is_valid():
         net = random_network(rng)
         assert len(net.edges) == 10
         assert math.isfinite(net.s)
+
+
+# --- the shared number checkers ----------------------------------------------
+
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, math.nan, math.inf, -math.inf, pytest.param(_FLOAT_MAX_INT + 1, id="beyond-float-max"),
+     pytest.param(-_FLOAT_MAX_INT - 1, id="beyond-float-min"), "1", None, [1]],
+)
+def test_checkers_share_one_rule(value):
+    # a bool is never a number, NaN and +-inf are outside every range, and an
+    # integer too large for a float is rejected, whatever the range asked for
+    for check in (
+        lambda v: check_unit(v, "v"),
+        lambda v: check_real(v, "v"),
+        lambda v: check_real(v, "v", 0.0, strict=True),
+        lambda v: check_int(v, "v", None),
+        lambda v: check_int(v, "v", 0, 10),
+    ):
+        with pytest.raises(ValueError, match="^v"):
+            check(value)
+
+
+def test_checkers_return_exact_types():
+    assert type(check_unit(1, "s")) is float and check_unit(1, "s") == 1.0
+    assert type(check_real(2, "x", 0.0)) is float
+    assert check_real(-_FLOAT_MAX_INT, "x") == -sys.float_info.max
+    assert check_int(_FLOAT_MAX_INT, "n", 1) == _FLOAT_MAX_INT
+    assert check_int(-5, "seed", None) == -5
+    assert check_player_id(11) == 11
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_unit(1.5, "s"), r"^s=1\.5 outside \[0, 1\]$"),
+        (lambda: check_unit("x", "s"), r"^s='x' must be a number in \[0, 1\]$"),
+        (lambda: check_real(-1.0, "tau", 0.0), r"^tau=-1\.0 must be >= 0 and finite$"),
+        (lambda: check_real(0, "pitch.length", 0.0, strict=True),
+         r"^pitch\.length=0\.0 must be > 0 and finite$"),
+        (lambda: check_real(math.inf, "x"), r"^x=inf is not finite$"),
+        (lambda: check_real("a", "x", 0.0), r"^x='a' must be a finite number$"),
+        (lambda: check_int(11, "r", 0, 10), r"^r=11 outside 0\.\.10$"),
+        (lambda: check_int(2.0, "r", 0, 10), r"^r=2\.0 must be an integer in 0\.\.10$"),
+        (lambda: check_int(0, "max_steps", 1), r"^max_steps=0 must be >= 1$"),
+        (lambda: check_int("3", "seed", None), r"^seed='3' must be an integer$"),
+        (lambda: check_int(10**400, "trials", 1), r"^trials: integer too large for a float$"),
+    ],
+)
+def test_checker_messages(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -8,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from playnet import MatchState, Pitch, build_network, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
-from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, canonicalize
+from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, canonicalize, parse_json
 from playnet.state import match_state_to_obj
 
-from conftest import DATA_DIR, GOLDEN_DIR, random_match_state
+from conftest import (
+    DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
+)
 
 
 def state_doc(**overrides):
@@ -137,6 +140,8 @@ def test_pitch_validation():
         Pitch(length=math.inf)
     with pytest.raises(ValueError, match="width"):
         Pitch(width=math.nan)
+    with pytest.raises(ValueError, match="length: integer too large"):
+        Pitch(length=int(HUGE_INT))
 
 
 def test_overflowing_pitch_length_rejected():
@@ -148,14 +153,11 @@ def test_overflowing_pitch_length_rejected():
         parse_match_state(text)
 
 
-_HUGE = "1" + "0" * 400  # a JSON integer too large for a float
-
-
 def test_overflowing_integer_coordinate_is_validation_error():
     # a JSON integer too large for a float must be a ValueError, not an OverflowError
     for field in ('"length": 105', '"x": 40.0'):
-        text = json.dumps(state_doc()).replace(field, field.split(":")[0] + ": " + _HUGE, 1)
-        assert _HUGE in text
+        text = json.dumps(state_doc()).replace(field, field.split(":")[0] + ": " + HUGE_INT, 1)
+        assert HUGE_INT in text
         with pytest.raises(ValueError, match="too large"):
             parse_match_state(text)
 
@@ -197,62 +199,37 @@ def test_parsed_state_equals_validated_construction():
 # JSON texts spliced into a valid snapshot in place of one value
 _RAW_VALUES = st.one_of(
     st.sampled_from([
-        "1e400", "-1e400", _HUGE, "-" + _HUGE, "-0.0", "1e-400", "0", "105", "12",
+        "1e400", "-1e400", HUGE_INT, "-" + HUGE_INT, "-0.0", "1e-400", "0", "105", "12",
         "true", "null", '"x"', "[]", "{}",
     ]),
     st.floats(-10.0, 120.0).map(json.dumps),
 )
-_MARK = "\0mutated\0"  # stands for the raw value until the text is spliced
-
-
-def _paths(obj, prefix=()):
-    """Every path to a value of the document, containers included."""
-    yield prefix
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _paths(value, prefix + (key,))
-    elif isinstance(obj, list):
-        for k, value in enumerate(obj):
-            yield from _paths(value, prefix + (k,))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     state_seed=st.integers(0, 2**32 - 1),
-    picks=st.lists(
-        st.tuples(st.integers(0, 10**6), st.sampled_from(["set", "set", "set", "drop", "add"]), _RAW_VALUES),
-        min_size=1, max_size=2,
-    ),
-    cut=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 3000)),  # truncated text, now and then
+    picks=json_mutations(_RAW_VALUES),
+    cut=JSON_CUTS,
 )
 def test_mutated_snapshot_is_a_checked_state_or_one_value_error(state_seed, picks, cut):
     doc = match_state_to_obj(random_match_state(random.Random(state_seed)))
-    raws = []
-    for index, action, raw in picks:
-        paths = list(_paths(doc))[1:]
-        path = paths[index % len(paths)]
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        if action == "drop":
-            del parent[key]
-        elif action == "add" and isinstance(parent, dict):
-            parent["extra"] = _MARK
-            raws.append(raw)
-        else:
-            parent[key] = _MARK
-            raws.append(raw)
-    text = json.dumps(doc)
-    for raw in raws:
-        text = text.replace(json.dumps(_MARK), raw, 1)
-    if cut is not None:
-        text = text[:cut]
+    text = mutated_json_text(doc, picks, cut)
     try:
         state = parse_match_state(text)
     except ValueError:
         return
     assert_same_as_validated(state)
+
+
+def test_match_state_rejects_an_integer_too_large_for_a_float():
+    team = {j: (10.0, 10.0) for j in range(1, 12)}
+    opponents = tuple((5.0, 5.0) for _ in range(11))
+    for k in (2, 7):  # an outside player's coordinates are checked too
+        with pytest.raises(ValueError, match=f"team player {k} x: integer too large"):
+            MatchState(Pitch(), {**team, k: (int(HUGE_INT), 10.0)}, opponents, 1, frozenset({7}))
+    with pytest.raises(ValueError, match="opponent 3 y: integer too large"):
+        MatchState(Pitch(), team, opponents[:3] + ((5.0, -int(HUGE_INT)),) + opponents[4:], 1)
 
 
 def test_match_state_requires_full_teams():
@@ -379,8 +356,35 @@ def test_shipped_default_config_matches_builtins():
         ({"policy": {"tie_break": [1]}}, "tie_break"),
         ({"estimators": {"pass_decay_m": math.inf}}, "pass_decay_m"),
         ({"estimators": {"risk_score_weight": math.nan}}, "risk_score_weight"),
+        ({"estimators": {"pass_decay_m": 10**400}}, "pass_decay_m"),
+        ({"simulation": {"max_steps": 10**400}}, "max_steps"),
+        ({"simulation": {"drift_m": 10**400}}, "drift_m"),
     ],
 )
 def test_config_rejects_out_of_range_values_at_load(obj, field):
     with pytest.raises(ValueError, match=field):
         AppConfig.from_dict(obj)
+
+
+# JSON texts spliced into the shipped config in place of one value
+_CONFIG_RAW_VALUES = st.one_of(
+    st.sampled_from([
+        HUGE_INT, "-" + HUGE_INT, "1e400", "NaN", "0", "1", "30", "-1", "true", "false", "null",
+        '"x"', '"highest_id"', "[]", "{}",
+    ]),
+    st.floats(-1.0, 100.0).map(json.dumps),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(picks=json_mutations(_CONFIG_RAW_VALUES), cut=JSON_CUTS)
+def test_mutated_config_is_a_checked_config_or_one_value_error(picks, cut):
+    doc = json.loads((DATA_DIR / "default_config.json").read_text())
+    text = mutated_json_text(doc, picks, cut)
+    try:
+        cfg = AppConfig.from_dict(parse_json(text))  # what load_config does with a file's bytes
+    except ValueError:
+        return
+    numbers = [*dataclasses.asdict(cfg.estimators).values(), cfg.max_steps, cfg.drift_m, cfg.threshold]
+    assert all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
+    assert AppConfig.from_dict(cfg.to_dict()) == cfg

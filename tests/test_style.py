@@ -54,7 +54,11 @@ def test_evaluate_monotone_in_r(style, p, r1, r2):
     assert style.evaluate(p, lo) <= style.evaluate(p, hi)
 
 
-@pytest.mark.parametrize("p, r", [(-0.1, 5), (1.1, 5), (0.5, -1), (0.5, 11), (0.5, 2.5)])
+@pytest.mark.parametrize(
+    "p, r",
+    [(-0.1, 5), (1.1, 5), (0.5, -1), (0.5, 11), (0.5, 2.5), pytest.param(10**400, 5, id="huge-5"),
+     (math.nan, 5), (True, 5)],
+)
 def test_evaluate_rejects_out_of_range(p, r):
     with pytest.raises(ValueError):
         LinearStyle(1, 1).evaluate(p, r)
@@ -99,7 +103,9 @@ def test_classify_swap(style):
         )
 
 
-@pytest.mark.parametrize("x, y", [(-1, 2), (2, -1), (0, 0)])
+@pytest.mark.parametrize(
+    "x, y", [(-1, 2), (2, -1), (0, 0), pytest.param(10**400, 1, id="huge-1"), (1, True)]
+)
 def test_invalid_weights(x, y):
     with pytest.raises(ValueError):
         LinearStyle(x, y)
@@ -110,13 +116,22 @@ def test_weights_must_be_integers():
         LinearStyle(1.5, 1)
 
 
+def test_large_finite_weights_are_accepted():
+    # only an integer beyond float range is rejected; a weight of 10**23 scores like 1e23
+    style = LinearStyle.parse("100000000000000000000000:1")
+    assert style.evaluate(0.5, 3) == 1e23 * 5.0 + 3
+
+
 def test_parse_round_trip():
     style = LinearStyle.parse("3:1")
     assert style == LinearStyle(3, 1)
     assert str(style) == "3:1"
 
 
-@pytest.mark.parametrize("text", ["3", "3:1:2", "a:b", "-1:2", "2:-1", "0:0", "1.5:2"])
+@pytest.mark.parametrize(
+    "text",
+    ["3", "3:1:2", "a:b", "-1:2", "2:-1", "0:0", "1.5:2", pytest.param("1" + "0" * 400 + ":1", id="huge:1")],
+)
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         LinearStyle.parse(text)
