@@ -6,6 +6,11 @@ for machine-readable output on stdout; file artifacts (logs, CSV
 reports, DOT dumps) are written atomically with a sibling
 <artifact>.manifest.json recording the resolved config, inputs, and
 seed, and regenerate() rebuilds any artifact from its manifest.
+
+analyze and frontier read a log back with the same checks that built
+it. A log of many trials repeats a few possessions, so each distinct
+sequence is checked once per read and its repeats share the frozen
+result; the sequences and the first error are those of checking each.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .sequence import (
     pareto_frontier,
     security,
     sequence_from_obj,
+    sequence_key,
     sequence_to_obj,
 )
 from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
@@ -160,12 +166,27 @@ def _csv_text(reports) -> str:
 
 
 def _sequences_from_log_obj(obj) -> list[PossessionSequence]:
-    """A log file holds one sequence (array of steps) or an array of sequences."""
+    """A log file holds one sequence (array of steps) or an array of sequences.
+
+    Each distinct sequence of an array is checked once: a sequence whose
+    sequence_key matches one already read reuses that frozen sequence,
+    so the result and the first error are those of checking each.
+    """
     if not isinstance(obj, list) or not obj:
         raise ValueError("sequence log: expected a nonempty array")
     if isinstance(obj[0], dict):
         return [sequence_from_obj(obj)]
-    return [sequence_from_obj(item) for item in obj]
+    read: dict[tuple, PossessionSequence] = {}  # key -> the sequence it checked as
+    sequences = []
+    for item in obj:
+        key = sequence_key(item)
+        seq = read.get(key)
+        if seq is None:
+            seq = sequence_from_obj(item)
+            if key is not None:
+                read[key] = seq
+        sequences.append(seq)
+    return sequences
 
 
 def _load_log(path: str) -> list[PossessionSequence]:

@@ -32,10 +32,12 @@ Reproducibility contract: every random draw comes from one generator
 seeded per trial, at most one draw per step (the shot or the pass), and
 per-trial seeds are derived with SHA-256 from (base seed, style index,
 trial index), so any single trial can be replayed in isolation with
-rollout and results never depend on execution order. Trials run in the
-calling thread; the threads argument is still validated, and accepted
-so that recorded runs replay, but a thread pool only slowed the
-pure-Python rollouts down under the interpreter lock.
+rollout and results never depend on execution order. run_trials hashes
+the (base seed, style index) prefix once and reseeds one generator per
+trial, into the state random.Random(derive_seed(...)) would start in.
+Trials run in the calling thread; the threads argument is still
+validated, and accepted so that recorded runs replay, but a thread pool
+only slowed the pure-Python rollouts down under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -78,10 +80,21 @@ class RolloutResult:
     scored: bool
 
 
+def _seed_hash(base_seed: int, style_index: int):
+    """SHA-256 of a trial seed's message up to the trial index: "base:style:"."""
+    return hashlib.sha256(f"{base_seed}:{style_index}:".encode("ascii"))
+
+
+def _trial_seed(prefix, trial_index: int) -> int:
+    """The first 8 bytes, big-endian, of SHA-256 of "base:style:trial"; prefix is _seed_hash's."""
+    h = prefix.copy()
+    h.update(f"{trial_index}".encode("ascii"))
+    return int.from_bytes(h.digest()[:8], "big")
+
+
 def derive_seed(base_seed: int, style_index: int, trial_index: int) -> int:
     """Stable 64-bit per-trial seed; identical on every platform and run."""
-    msg = f"{base_seed}:{style_index}:{trial_index}".encode("ascii")
-    return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
+    return _trial_seed(_seed_hash(base_seed, style_index), trial_index)
 
 
 def _step_toward(x: float, y: float, tx: float, ty: float, dist: float) -> tuple[float, float]:
@@ -257,7 +270,13 @@ def run_trials(
     check_int(trials, "trials", 1)
     check_int(threads, "threads", 1)
     path = _PossessionPath(state, cfg, _networks)
-    return [_walk(path, random.Random(derive_seed(cfg.seed, style_index, i))) for i in range(trials)]
+    prefix = _seed_hash(cfg.seed, style_index)
+    rng = random.Random()
+    results = []
+    for i in range(trials):
+        rng.seed(_trial_seed(prefix, i))  # the state random.Random(derive_seed(...)) starts in
+        results.append(_walk(path, rng))
+    return results
 
 
 @dataclass(frozen=True)

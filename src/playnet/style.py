@@ -16,6 +16,7 @@ accepted; only the linear family ships.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .network import RISK_MAX, check_int, check_unit
@@ -39,6 +40,13 @@ class LinearStyle:
         check_int(self.y, "style weight y", 0)
         if self.x + self.y == 0:
             raise ValueError("style weights x and y cannot both be zero")
+        # the score is monotone in p and r, so it is finite everywhere iff it is at p=1, r=RISK_MAX
+        try:
+            top = self.x * 10.0 + self.y * RISK_MAX
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError("style weights x and y give a score too large for a float")
 
     def evaluate(self, p: float, r: int) -> float:
         """Score one pass option: x * 10p + y * r."""

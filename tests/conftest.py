@@ -135,7 +135,8 @@ def mutated_json_text(doc, picks, cut) -> str:
 
     A set or add splices the pick's raw text in verbatim, so values that
     json.dumps cannot write (1e400, a 400-digit integer) reach the parser.
-    doc is mutated in place.
+    A raw that is a function gets the value it replaces (None for an add)
+    and returns the text. doc is mutated in place.
     """
     raws = []
     for index, action, raw in picks:
@@ -149,10 +150,10 @@ def mutated_json_text(doc, picks, cut) -> str:
             del parent[key]
         elif action == "add" and isinstance(parent, dict):
             parent["extra"] = _MARK
-            raws.append(raw)
+            raws.append(raw(None) if callable(raw) else raw)
         else:
+            raws.append(raw(parent[key]) if callable(raw) else raw)
             parent[key] = _MARK
-            raws.append(raw)
     text = json.dumps(doc)
     for raw in raws:
         text = text.replace(json.dumps(_MARK), raw, 1)

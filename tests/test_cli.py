@@ -1,3 +1,6 @@
+import contextlib
+import functools
+import io
 import json
 import math
 import random
@@ -6,10 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import playnet.cli
-from playnet import DecisionPolicy, LinearStyle, SimulationConfig, default_suite, run_trials
+from playnet import (
+    Decision,
+    DecisionPolicy,
+    LinearStyle,
+    PossessionSequence,
+    PossessionStep,
+    SimulationConfig,
+    StepOutcome,
+    build_network,
+    default_suite,
+    run_trials,
+)
 from playnet.cli import _log_text, _sequences_from_log_obj, regenerate, run_cli
 from playnet.jsonio import manifest_path, parse_json
-from playnet.sequence import sequence_from_obj, sequence_to_obj
+from playnet.sequence import sequence_from_obj, sequence_key, sequence_to_obj
+from playnet.state import load_match_state
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
@@ -504,3 +519,222 @@ def test_mutated_log_gives_sequences_or_one_value_error(picks, cut):
             net = step.network
             values = (net.s, net.tau, *(edge.p for edge in net.edges.values()))
             assert all(type(v) is float and math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("style", ["1" + "0" * 308 + ":1", "1:1" + "0" * 308], ids=["x-1e308", "y-1e308"])
+@pytest.mark.parametrize("command", ["decide", "simulate", "compare"])
+def test_style_whose_score_overflows_is_validation_error(capsys, command, style):
+    # 10**308 is inside float range, but x * 10.0 is inf and y * 10 is no float
+    argv = {
+        "decide": ["decide", "--style", style],
+        "simulate": ["simulate", "--style", style, "--trials", "3"],
+        "compare": ["compare", "--styles", f"3:1,{style}", "--trials", "3"],
+    }[command]
+    code, out, err = run(capsys, *argv, "--state", MIDFIELD)
+    assert code == 1
+    assert out == ""
+    assert err == "error: style weights x and y give a score too large for a float\n"
+
+
+# --- the log reader checks each distinct sequence once ----------------------
+
+
+def _read_each(obj):
+    """The log reader without its memo: every sequence checked on its own."""
+    if not isinstance(obj, list) or not obj:
+        raise ValueError("sequence log: expected a nonempty array")
+    if isinstance(obj[0], dict):
+        return [sequence_from_obj(obj)]
+    return [sequence_from_obj(item) for item in obj]
+
+
+def _read_outcome(read, obj):
+    """read(obj)'s sequences, or the message of its ValueError."""
+    try:
+        return read(obj)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@functools.cache
+def _log_text_of(name: str) -> str:
+    """The golden log, or a 100-trial midfield log (100 sequences, 6 distinct)."""
+    if name == "golden":
+        return (GOLDEN_DIR / "simulate_seed42.json").read_text()
+    cfg = SimulationConfig(
+        policy=DecisionPolicy(style=LinearStyle(1, 3)), estimators=default_suite(), seed=3,
+    )
+    return _log_text(run_trials(load_match_state(MIDFIELD), cfg, 0, 100))
+
+
+def test_log_reader_checks_each_distinct_sequence_once(monkeypatch):
+    obj = json.loads(_log_text_of("midfield"))
+    real = playnet.cli.sequence_from_obj
+    checked = []
+    monkeypatch.setattr(playnet.cli, "sequence_from_obj", lambda item: checked.append(item) or real(item))
+    sequences = _sequences_from_log_obj(obj)
+    distinct = {json.dumps(item) for item in obj}
+    assert len(checked) == len(distinct) < len(obj)
+    assert len({id(seq) for seq in sequences}) == len(distinct)  # a repeat is the same frozen sequence
+    assert sequences == _read_each(obj)
+
+
+def _retyped(value) -> str:
+    """JSON text of a value equal to value but of another type: 6 -> 6.0, 1.0 -> true, 0.0 -> -0.0."""
+    if type(value) is int and value in (0, 1):
+        return json.dumps(bool(value))
+    if type(value) is int:
+        return f"{value}.0"
+    if type(value) is float and value == 0.0:
+        return "-0.0"
+    if type(value) is float and value == 1.0:
+        return "true"
+    if type(value) is float and value.is_integer():
+        return str(int(value))
+    return json.dumps(value)
+
+
+# besides the log property's texts: a value equal to the replaced one but of another type
+_MEMO_RAW_VALUES = st.one_of(
+    _LOG_RAW_VALUES,
+    st.just(_retyped),
+    st.sampled_from(["-0.0", "1.0", "6.0", "8.0", "true", "false", '["pass_completed"]', '{"a": 1}']),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(["golden", "midfield"]), picks=json_mutations(_MEMO_RAW_VALUES))
+def test_memoised_log_read_equals_checking_each_sequence(name, picks):
+    doc = json.loads(_log_text_of(name))
+    if name == "golden":
+        doc += json.loads(_log_text_of(name))  # each sequence twice; the midfield log repeats its own
+    obj = parse_json(mutated_json_text(doc, picks, None))  # a pick changes one copy
+    assert _read_outcome(_sequences_from_log_obj, obj) == _read_outcome(_read_each, obj)
+
+
+def _one_step_sequence(holder=1, target=2, s=0.25, p=0.5, shoot=False) -> list:
+    network = build_network(holder, s, 1.0, {j: (p, 1) for j in range(1, 12) if j != holder})
+    if shoot:
+        step = PossessionStep(network, Decision("shoot"), StepOutcome("shot_taken"))
+    else:
+        step = PossessionStep(network, Decision("pass", target=target), StepOutcome("pass_intercepted"))
+    return sequence_to_obj(PossessionSequence((step,)))
+
+
+_DROP = object()  # as the value of _set: delete the field
+
+
+def _set(*path_and_value):
+    """An edit of a one-step log that sets the field at path to value."""
+    *path, key, value = path_and_value
+
+    def edit(seq):
+        obj = seq[0]
+        for part in path:
+            obj = obj[part]
+        if value is _DROP:
+            del obj[key]
+        else:
+            obj[key] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "valid, edit, rejected, shares_key",
+    [
+        ({}, _set("network", "edges", 0, "r", 1.0), True, False),
+        ({}, _set("network", "edges", 0, "r", True), True, False),
+        ({"s": 1.0}, _set("network", "s", True), True, False),
+        ({"holder": 2, "target": 1}, _set("network", "holder", 2.0), True, False),
+        ({"holder": 1, "target": 2}, _set("network", "holder", True), True, False),
+        ({"holder": 1, "target": 2}, _set("decision", "target", 2.0), True, False),
+        ({"holder": 2, "target": 1}, _set("decision", "target", True), True, False),
+        ({"shoot": True}, _set("decision", "target", None), False, False),
+        ({}, _set("decision", "target", _DROP), True, False),
+        ({}, _set("decision", "target", None), True, False),
+        ({"p": 0.0}, _set("network", "edges", 0, "p", -0.0), False, True),
+        ({}, _set("network", "s", [0.25]), True, False),
+        ({}, _set("outcome", ["pass_intercepted"]), True, False),
+    ],
+    ids=[
+        "r-1.0", "r-true", "s-true", "holder-2.0", "holder-true", "target-2.0", "target-true",
+        "shoot-target-null", "pass-target-missing", "pass-target-null", "p-negative-zero",
+        "s-unhashable", "outcome-unhashable",
+    ],
+)
+def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected, shares_key):
+    first = _one_step_sequence(**valid)
+    second = json.loads(json.dumps(first))
+    edit(second)
+    for log in ([first, second], [second, first]):
+        got = _read_outcome(_sequences_from_log_obj, log)
+        assert got == _read_outcome(_read_each, log)
+        assert isinstance(got, str) == rejected
+    # -0.0 and 0.0 share a key: their networks compare equal and are written alike
+    assert (sequence_key(first) == sequence_key(second)) == shares_key
+
+
+# --- run_cli on generated argv ------------------------------------------------
+
+# each value is mostly valid, so that most argv reach a command and some run to exit 0
+_WEIGHTS = st.one_of(st.integers(0, 5), st.integers(0, 5), st.sampled_from([10**23, 2 * 10**307, 10**308, 10**400]))
+_STYLES = st.one_of(
+    st.builds("{}:{}".format, _WEIGHTS, _WEIGHTS),
+    st.builds("{}:{}".format, _WEIGHTS, _WEIGHTS),
+    st.sampled_from(["3", "a:b", "-1:2", "1.5:2", "", "1:1:1"]),
+)
+_THRESHOLDS = st.one_of(
+    st.floats(0.0, 1.0).map(str), st.floats().map(str), st.sampled_from(["nan", "inf", "-inf", "1e400", "x"]),
+)
+# trials and max_steps stay small or beyond float range, so that no run is long
+_COUNTS = st.one_of(st.integers(1, 12), st.integers(-3, 12), st.sampled_from([10**400, -(10**400)])).map(str)
+_SEEDS = st.one_of(st.integers(0, 2**64), st.integers(), st.sampled_from([10**400, "x"])).map(str)
+_STATES = st.sampled_from([MIDFIELD, BOX, MIDFIELD, BOX, "/no/such"])
+
+
+@st.composite
+def _cli_argv(draw) -> list[str]:
+    """An argv for any subcommand; "{out}" stands for an output file path."""
+    command = draw(st.sampled_from(["decide", "simulate", "analyze", "compare", "frontier"]))
+    argv = [command]
+
+    def maybe(flag, values=None):
+        if draw(st.booleans()):
+            argv.extend([flag] if values is None else [flag, draw(values)])
+
+    if command in ("analyze", "frontier"):
+        argv += ["--log", draw(st.sampled_from([str(GOLDEN_DIR / "simulate_seed42.json"), MIDFIELD, "/no/such"]))]
+    else:
+        argv += ["--state", draw(_STATES)]
+        if command == "compare":
+            argv += ["--styles", ",".join(draw(st.lists(_STYLES, min_size=1, max_size=3)))]
+        else:
+            argv += ["--style", draw(_STYLES)]
+        maybe("--threshold", _THRESHOLDS)
+        maybe("--tie-break", st.sampled_from(["lowest_id", "highest_id", "random"]))
+    if command in ("simulate", "compare"):
+        maybe("--trials", _COUNTS)
+        maybe("--seed", _SEEDS)
+        maybe("--threads", st.sampled_from(["1", "2", "0", "-1"]))
+    if command == "simulate":
+        maybe("--max-steps", _COUNTS)
+    output_flag = {"decide": "--dot", "simulate": "--out", "compare": "--csv"}.get(command)
+    if output_flag:
+        maybe(output_flag, st.just("{out}"))
+    maybe("--json")
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_cli_argv())
+def test_run_cli_exits_0_1_or_2_on_any_argv(tmp_path_factory, argv):
+    out_file = str(tmp_path_factory.mktemp("argv") / "artifact")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli([out_file if a == "{out}" else a for a in argv])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -275,6 +275,19 @@ def test_run_trials_equals_independent_rollouts_on_one_lazy_path(
     assert len(calls) == max(len(r.sequence) for r in results)
 
 
+@pytest.mark.parametrize("state_name", ["midfield_state", "box_state"])
+def test_run_trials_draws_as_lone_rollouts_seeded_by_derive_seed(state_name, request):
+    # run_trials reseeds one generator from a shared hash prefix; each trial must draw as
+    # a fresh generator seeded with derive_seed would
+    state = request.getfixturevalue(state_name)
+    cfg = base_config(style=LinearStyle(1, 3), seed=2024)
+    results = run_trials(state, cfg, 2, 2000)
+    assert results == [
+        rollout(state, dataclasses.replace(cfg, seed=derive_seed(2024, 2, i))) for i in range(2000)
+    ]
+    assert len({(len(r.sequence), r.scored) for r in results}) > 1  # the draws cut the path apart
+
+
 def test_run_trials_builds_each_end_of_the_path_once(midfield_state, monkeypatch):
     built = []
     real = playnet.sequence.PossessionSequence.__post_init__

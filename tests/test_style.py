@@ -117,9 +117,42 @@ def test_weights_must_be_integers():
 
 
 def test_large_finite_weights_are_accepted():
-    # only an integer beyond float range is rejected; a weight of 10**23 scores like 1e23
+    # a weight whose top score stays a float is accepted; a weight of 10**23 scores like 1e23
     style = LinearStyle.parse("100000000000000000000000:1")
     assert style.evaluate(0.5, 3) == 1e23 * 5.0 + 3
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(10**308, 1), (1, 10**308), (2 * 10**307, 0), (0, 2 * 10**307), (10**308, 10**308)],
+    ids=["1e308-1", "1-1e308", "2e307-0", "0-2e307", "1e308-1e308"],
+)
+def test_weights_whose_top_score_overflows_are_rejected(x, y):
+    # 10**308 is a float, but 10**308 * 10.0 is inf and 10**308 * 10 is no float
+    with pytest.raises(ValueError, match="score too large for a float"):
+        LinearStyle(x, y)
+
+
+_NEAR_FLOAT_MAX = st.one_of(
+    st.integers(0, 10),
+    st.integers(10**306, 10**308),
+    st.sampled_from([int(1.7976931348623157e308 / 10), int(1.7976931348623157e308 / 10) + 10**292]),
+)
+
+
+@given(x=_NEAR_FLOAT_MAX, y=_NEAR_FLOAT_MAX, p=probabilities, r=risks)
+def test_weights_are_accepted_iff_every_score_is_finite(x, y, p, r):
+    try:
+        top = x * 10.0 + y * 10
+    except OverflowError:
+        top = math.inf
+    if x == y == 0:
+        return
+    if math.isfinite(top):
+        assert math.isfinite(LinearStyle(x, y).evaluate(p, r))
+    else:
+        with pytest.raises(ValueError):
+            LinearStyle(x, y)
 
 
 def test_parse_round_trip():
