@@ -5,7 +5,9 @@ input fails validation, 2 on usage errors. Every subcommand takes --json
 for machine-readable output on stdout; file artifacts (logs, CSV
 reports, DOT dumps) are written atomically with a sibling
 <artifact>.manifest.json recording the resolved config, inputs, and
-seed, and regenerate() rebuilds any artifact from its manifest.
+seed, and regenerate() rebuilds any artifact from its manifest. An
+artifact path that is the state or config file in use, or whose
+manifest would be, is refused before anything is written.
 
 analyze and frontier read a log back with the same checks that built
 it. A log of many trials repeats a few possessions, so each distinct
@@ -18,19 +20,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
 from . import __version__
-from .config import AppConfig, load_config
+from .config import AppConfig, config_path, load_config
 from .decision import DecisionPolicy, decide, ranked_options
 from .dotexport import export_network_dot
 from .estimators import default_suite, estimate_network
 from .jsonio import (
     RunManifest,
     canonical_dumps,
-    canonical_number,
+    manifest_path,
+    number_text,
     parse_json,
     sha256_of_file,
     write_artifact,
@@ -50,7 +52,7 @@ from .style import LinearStyle
 
 
 def _fmt(value: float) -> str:
-    return json.dumps(canonical_number(float(value)))
+    return number_text(float(value))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,6 +136,22 @@ def _state_inputs(path: str) -> dict:
     return {"state": {"path": os.path.abspath(path), "sha256": sha256_of_file(path)}}
 
 
+def _check_artifact_path(path: str | None, args: argparse.Namespace) -> None:
+    """Reject an artifact path whose file or manifest is the state or config file in use.
+
+    Called before anything is written: writing there would replace an
+    input that the manifest records by digest, so the artifact could
+    never be regenerated. No path means no artifact.
+    """
+    if not path:
+        return
+    inputs = [p for p in (args.state, config_path(args.config)) if p]
+    for target in (path, manifest_path(path)):
+        for source in inputs:
+            if os.path.exists(target) and os.path.samefile(target, source):
+                raise ValueError(f"{target}: would overwrite the input file {source}")
+
+
 def _log_text(results) -> str:
     """The sequence log of a run: the lone sequence for one trial, else the array of all.
 
@@ -198,6 +216,7 @@ def _load_log(path: str) -> list[PossessionSequence]:
 def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:
     style = LinearStyle.parse(args.style)
     state = load_match_state(args.state)
+    _check_artifact_path(args.dot, args)
     network = estimate_network(state, default_suite(cfg.estimators))
     policy = _policy(cfg, style)
     decision = decide(network, policy)
@@ -238,6 +257,7 @@ def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:
 def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
     style = LinearStyle.parse(args.style)
     state = load_match_state(args.state)
+    _check_artifact_path(args.out, args)
     sim = _sim_config(cfg, style, args.seed)
     results = run_trials(state, sim, 0, args.trials, threads=args.threads)
     if args.out:
@@ -318,6 +338,7 @@ def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
     if not styles:
         raise ValueError("--styles must name at least one style")
     state = load_match_state(args.state)
+    _check_artifact_path(args.csv, args)
     sim = _sim_config(cfg, styles[0], args.seed)
     reports = monte_carlo_compare(state, styles, args.trials, sim, threads=args.threads)
     if args.csv:

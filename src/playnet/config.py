@@ -81,13 +81,17 @@ class AppConfig:
         )
 
 
+def config_path(path: str | None = None) -> str | None:
+    """The config file in use: path if given, else PLAYNET_CONFIG, else none."""
+    return path if path is not None else os.environ.get(CONFIG_ENV_VAR) or None
+
+
 def load_config(path: str | None = None) -> AppConfig:
     """Built-in defaults, overridden by the config file if one is named.
 
     Explicit path wins over the PLAYNET_CONFIG environment variable.
     """
-    if path is None:
-        path = os.environ.get(CONFIG_ENV_VAR) or None
+    path = config_path(path)
     if path is None:
         return AppConfig()
     with open(path, "rb") as fh:

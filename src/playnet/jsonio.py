@@ -10,6 +10,12 @@ shortest form that reads back to the same float, because regenerate()
 re-runs the command from them and a config value trimmed to six digits
 (29.99999949 read back as 30) can change the rebuilt artifact.
 
+One rule makes every number's text: number_text writes
+canonical_number's value as json would, and both canonical_dumps and
+the CLI's printed numbers use it. canonical_dumps writes the layout of
+json.dumps(indent=2) in one walk over the value, without copying it
+first; it takes str dict keys only.
+
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact behind. JSON read from
 outside (state, config and log files) goes through parse_json, so
@@ -24,6 +30,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _encode_str  # the C escaper behind ensure_ascii
 
 TOOL_NAME = "playnet"
 
@@ -51,22 +58,78 @@ def canonical_number(value: float):
     return float(f"{value:.6g}")
 
 
-def canonicalize(obj):
-    """Recursively apply canonical number formatting; dict order is preserved."""
-    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
-        return obj
-    if isinstance(obj, (int, float)):
-        return canonical_number(obj)
-    if isinstance(obj, dict):
-        return {k: canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonicalize(v) for v in obj]
-    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+def number_text(value) -> str:
+    """The artifact text of a number: what json writes for canonical_number(value)."""
+    value = canonical_number(value)
+    return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text for file artifacts (trailing newline included)."""
-    return json.dumps(canonicalize(obj), indent=2) + "\n"
+    """Deterministic JSON text for file artifacts (trailing newline included).
+
+    The bytes are those of json.dumps(obj, indent=2) with every number
+    written as number_text writes it, produced in one walk. Accepts
+    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    a key that is not a str, or a value of any other type, raises
+    TypeError.
+    """
+    parts: list[str] = []
+    put = parts.append
+    floats: dict[float, str] = {}  # floats only: 10**16 == 1e16, but they are written apart
+
+    def write(value, newline: str) -> None:
+        kind = type(value)  # exact types first, the common case; subclasses fall through
+        if kind is float:
+            text = floats.get(value)
+            if text is None:
+                text = floats[value] = number_text(value)
+            put(text)
+        elif kind is str:
+            put(_encode_str(value))
+        elif kind is int:
+            put(number_text(value))
+        elif isinstance(value, dict):
+            if not value:
+                put("{}")
+                return
+            inner = newline + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(sep)
+                put(_encode_str(key))
+                put(": ")
+                write(item, inner)
+                sep = "," + inner
+            put(newline + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                put("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                write(item, inner)
+                sep = "," + inner
+            put(newline + "]")
+        elif value is None:
+            put("null")
+        elif value is True:
+            put("true")
+        elif value is False:
+            put("false")
+        elif isinstance(value, str):
+            put(_encode_str(value))
+        elif isinstance(value, (int, float)):
+            put(number_text(value))
+        else:
+            raise TypeError(f"cannot canonicalize {type(value).__name__}")
+
+    write(obj, "\n")
+    put("\n")
+    return "".join(parts)
 
 
 def atomic_write_text(path, text: str) -> None:

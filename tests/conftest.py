@@ -108,15 +108,15 @@ def random_match_state(rng: random.Random, allow_outside: bool = True) -> MatchS
 _MARK = "\0mutated\0"  # stands for a raw value until the text is spliced
 
 
-def _paths(obj, prefix=()):
+def json_paths(obj, prefix=()):
     """Every path to a value of the document, containers included."""
     yield prefix
     if isinstance(obj, dict):
         for key, value in obj.items():
-            yield from _paths(value, prefix + (key,))
+            yield from json_paths(value, prefix + (key,))
     elif isinstance(obj, list):
         for k, value in enumerate(obj):
-            yield from _paths(value, prefix + (k,))
+            yield from json_paths(value, prefix + (k,))
 
 
 def json_mutations(raw_values):
@@ -140,7 +140,7 @@ def mutated_json_text(doc, picks, cut) -> str:
     """
     raws = []
     for index, action, raw in picks:
-        paths = list(_paths(doc))[1:]
+        paths = list(json_paths(doc))[1:]
         path = paths[index % len(paths)]
         parent = doc
         for key in path[:-1]:

@@ -7,9 +7,10 @@ paths it verifies. Golden files under tests/golden/ were produced by
 these functions and frozen.
 """
 
+import json
 import math
 
-from playnet.jsonio import canonical_dumps
+from playnet.jsonio import canonical_number
 from playnet.sequence import sequence_to_obj
 from playnet.state import MatchState
 
@@ -251,12 +252,34 @@ def exact_possession_moments(state, style, threshold=0.5, max_steps=30, drift_m=
     return {key: (first[key], max(0.0, second[key] - first[key] ** 2)) for key in first}
 
 
+def canonicalize(obj):
+    """Recursively apply canonical number formatting; dict order is preserved."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, str):
+        return obj
+    if isinstance(obj, (int, float)):
+        return canonical_number(obj)
+    if isinstance(obj, dict):
+        return {k: canonicalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [canonicalize(v) for v in obj]
+    raise TypeError(f"cannot canonicalize {type(obj).__name__}")
+
+
+def reference_canonical_dumps(obj) -> str:
+    """The canonical artifact text the obvious way: trim every number, then json.dumps.
+
+    It shares only canonical_number, the trimming rule, with the library;
+    the one-pass writer it checks is jsonio.canonical_dumps.
+    """
+    return json.dumps(canonicalize(obj), indent=2) + "\n"
+
+
 def reference_log_text(results):
     """The sequence log written the obvious way: every trial's sequence, encoded as one value.
 
-    It shares canonical_dumps and sequence_to_obj with the library; what
-    it checks is the CLI's writer, which encodes each distinct sequence
-    once and joins the pieces itself.
+    It shares sequence_to_obj with the library; what it checks is the
+    CLI's writer, which encodes each distinct sequence once with
+    canonical_dumps and joins the pieces itself.
     """
     logs = [sequence_to_obj(r.sequence) for r in results]
-    return canonical_dumps(logs[0] if len(logs) == 1 else logs)
+    return reference_canonical_dumps(logs[0] if len(logs) == 1 else logs)

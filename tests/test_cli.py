@@ -27,7 +27,8 @@ from playnet.sequence import sequence_from_obj, sequence_key, sequence_to_obj
 from playnet.state import load_match_state
 
 from conftest import (
-    DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
+    DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, json_paths, mutated_json_text,
+    random_match_state,
 )
 from oracles import reference_log_text
 
@@ -492,6 +493,92 @@ def test_regenerate_requires_string_input_fields(capsys, tmp_path, field, value)
     manifest["inputs"]["state"][field] = value
     with pytest.raises(ValueError, match=rf"^manifest: inputs\.state\.{field}=.* must be a string$"):
         regenerate(manifest)
+
+
+_ARTIFACT_ARGV = {
+    "decide": ["decide", "--state", MIDFIELD, "--style", "3:1", "--dot"],
+    "simulate": ["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "3", "--seed", "4", "--out"],
+    "compare": ["compare", "--state", MIDFIELD, "--styles", "3:1,1:3", "--trials", "3", "--csv"],
+}
+_DROPPED = object()  # stands for removing the field
+_MANIFEST_VALUES = [None, True, False, -1, 10**400, 1.5, math.nan, "", "3:1", [], {}, _DROPPED]
+_UNREAD_BY_REGENERATE = {("tool",), ("version",), ("timestamp",)}
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_regenerate_on_a_mutated_manifest_gives_the_text_or_value_error(capsys, tmp_path, command):
+    # run.trials stays small: a valid but huge trial count (10**300) runs until stopped
+    out_file = tmp_path / "artifact"
+    assert run(capsys, *_ARTIFACT_ARGV[command], str(out_file))[0] == 0
+    manifest = json.loads(open(manifest_path(out_file)).read())
+    for path in list(json_paths(manifest))[1:]:
+        for value in _MANIFEST_VALUES:
+            mutated = json.loads(json.dumps(manifest))
+            parent = functools.reduce(lambda obj, key: obj[key], path[:-1], mutated)
+            if value is _DROPPED:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            try:
+                text = regenerate(mutated)
+            except ValueError:
+                continue
+            except OSError:  # an unreadable state path: run_cli maps it to exit 1 as well
+                assert path == ("inputs", "state", "path"), (path, value)
+                continue
+            assert isinstance(text, str), (path, value)
+            if path in _UNREAD_BY_REGENERATE:
+                assert text == out_file.read_text(), (path, value)
+
+
+def _overwrite_case(tmp_path, case):
+    """(argv, env, the input file an artifact path names) for one way of overwriting an input."""
+    state = tmp_path / "state.json"
+    state.write_text((DATA_DIR / "midfield_state.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text('{"policy": {"threshold": 0.5}}')
+    (tmp_path / "link.json").symlink_to(state)
+    named = str(state)
+    env = {}
+    if case == "simulate-out-state":
+        argv = ["simulate", "--state", named, "--style", "3:1", "--out", named]
+    elif case == "compare-csv-state":
+        argv = ["compare", "--state", named, "--styles", "3:1", "--trials", "2", "--csv", named]
+    elif case == "decide-dot-state":
+        argv = ["decide", "--state", named, "--style", "3:1", "--dot", named]
+    elif case == "out-symlink-to-state":
+        argv = ["simulate", "--state", named, "--style", "3:1", "--out", str(tmp_path / "link.json")]
+    elif case == "manifest-is-state":
+        state.rename(tmp_path / "log.json.manifest.json")
+        state = tmp_path / "log.json.manifest.json"
+        argv = ["simulate", "--state", str(state), "--style", "3:1", "--out", str(tmp_path / "log.json")]
+    elif case == "out-is-config-flag":
+        argv = ["--config", str(config), "simulate", "--state", named, "--style", "3:1", "--out", str(config)]
+    else:  # out-is-config-env
+        env = {"PLAYNET_CONFIG": str(config)}
+        argv = ["compare", "--state", named, "--styles", "3:1", "--trials", "2", "--csv", str(config)]
+    return argv, env, (config if "config" in case else state)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "simulate-out-state", "compare-csv-state", "decide-dot-state", "out-symlink-to-state",
+        "manifest-is-state", "out-is-config-flag", "out-is-config-env",
+    ],
+)
+def test_an_artifact_never_overwrites_its_own_input(capsys, tmp_path, monkeypatch, case):
+    argv, env, victim = _overwrite_case(tmp_path, case)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if not path.is_symlink()}
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "would overwrite the input file" in err
+    assert victim.read_bytes() == before[victim.name]
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if not path.is_symlink()}
+    assert after == before  # nothing written, not even a manifest
 
 
 # JSON texts spliced into a recorded sequence log in place of one value

@@ -4,17 +4,18 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from playnet import MatchState, Pitch, build_network, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
-from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, canonicalize, parse_json
+from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, parse_json
 from playnet.state import match_state_to_obj
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
 )
+from oracles import canonicalize, reference_canonical_dumps
 
 
 def state_doc(**overrides):
@@ -261,6 +262,79 @@ def test_canonical_formatting_idempotent(x):
 def test_canonical_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         canonical_dumps({"x": {1, 2}})
+
+
+class _Int(int):
+    def __repr__(self):
+        return "_Int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "_Float"
+
+
+class _Str(str):
+    def __str__(self):
+        return "_Str"
+
+
+_ODD_TEXT = ["", "a", "é", "😀", '"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\ud800", 'a"b\\c']
+_KEYS = st.one_of(st.sampled_from(_ODD_TEXT), st.text(max_size=6))
+_INTS = st.one_of(
+    st.sampled_from([0, -1, 10**15 - 1, 10**15, 10**15 + 1, 10**16, -(10**16), 2**53 + 1, 10**400, -(10**400)]),
+    st.integers(),
+    st.integers().map(_Int),
+)
+_FLOATS = st.one_of(
+    st.sampled_from([
+        -0.0, 0.0, 5e-324, -5e-324, 1e15 - 1, 1e15, 1e15 + 1, 1e16, -1e16, 1.7976931348623157e308,
+        0.123456, 0.1234567, 1234.567, 12345.67, 9.999995, 999999.5, 0.9817124, 2.5, 1e-7,
+    ]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(_Float),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _INTS, _FLOATS, st.sampled_from(_ODD_TEXT), st.text(), st.text().map(_Str),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+_DEEP = {"": [{"a": ({"é": [[], {}, (), [[{"\\": [1e16, 10**16, -0.0, None, True]}]]]},)}]}
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value=_DEEP)
+@example(value=[0.5, -0.5, 1e16, 10**16, 10**16, 1e16, -0.0, 0.0, 0.1234567, 0.1234567])  # memo keys
+@example(value=[])
+@example(value={})
+def test_canonical_dumps_equals_reference_writer(value):
+    assert canonical_dumps(value) == reference_canonical_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, b"x", math.nan, math.inf, -math.inf, {"a": [1, {"b": math.nan}]}, [0.5, (math.inf,)], {"x": {1, 2}}],
+    ids=["set", "bytes", "nan", "inf", "-inf", "nested-nan", "nested-inf", "nested-set"],
+)
+def test_canonical_dumps_raises_what_the_reference_raises(value):
+    with pytest.raises(Exception) as expected:
+        reference_canonical_dumps(value)
+    with pytest.raises(expected.type) as raised:
+        canonical_dumps(value)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_canonical_dumps_rejects_keys_that_are_not_str():
+    with pytest.raises(TypeError, match="keys must be str"):
+        canonical_dumps({"a": {1: 2}})  # json would write the key as "1"; no caller passes one
 
 
 def test_atomic_write(tmp_path):
