@@ -10,9 +10,11 @@ artifact path that is the state or config file in use, or whose
 manifest would be, is refused before anything is written.
 
 analyze and frontier read a log back with the same checks that built
-it. A log of many trials repeats a few possessions, so each distinct
-sequence is checked once per read and its repeats share the frozen
-result; the sequences and the first error are those of checking each.
+it. A log of many trials repeats a few possessions, so a log in the
+layout simulate writes is read by its element texts: each distinct text
+is parsed and checked once and its repeats share the frozen sequence.
+Any other log is parsed whole and each sequence checked. Either way the
+sequences and the first error are those of a whole parse.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from .sequence import (
     pareto_frontier,
     security,
     sequence_from_obj,
-    sequence_key,
     sequence_to_obj,
 )
 from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
@@ -183,34 +184,61 @@ def _csv_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sequences_from_log_obj(obj) -> list[PossessionSequence]:
+def _log_items(data: bytes) -> list | None:
+    """The elements of a log laid out as _log_text writes it, or None.
+
+    Split at the element boundaries of "[\n  " + ",\n  ".join(texts) +
+    "\n]\n"; every element starts with "[". Each distinct element text is
+    parsed once and its repeats share the parsed value. If every element
+    parses on its own, the whole text is exactly the array of them; if
+    any fails, or the layout differs, None sends the caller to a whole
+    parse. A slice of UTF-8 decodes as the whole would, as the split
+    points are ASCII.
+    """
+    if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
+        return None
+    parsed: dict[bytes, object] = {}  # element text after its "[" -> its value
+    items = []
+    for text in data[5:-3].split(b",\n  ["):
+        item = parsed.get(text)
+        if item is None:
+            try:
+                item = parsed[text] = parse_json("[" + text.decode("utf-8", "surrogatepass"))
+            except ValueError:  # UnicodeDecodeError included
+                return None
+        items.append(item)
+    return items
+
+
+def _read_log(data: bytes, where: str = "") -> list[PossessionSequence]:
     """A log file holds one sequence (array of steps) or an array of sequences.
 
-    Each distinct sequence of an array is checked once: a sequence whose
-    sequence_key matches one already read reuses that frozen sequence,
-    so the result and the first error are those of checking each.
+    In a log that _log_items reads, a repeated element text is one
+    parsed object, checked once here, so repeats share the frozen
+    sequence. Any other log is parsed whole and each sequence checked.
+    Either way the sequences and the first error are those of a whole
+    parse and checking each sequence.
     """
-    if not isinstance(obj, list) or not obj:
-        raise ValueError("sequence log: expected a nonempty array")
-    if isinstance(obj[0], dict):
-        return [sequence_from_obj(obj)]
-    read: dict[tuple, PossessionSequence] = {}  # key -> the sequence it checked as
+    items = _log_items(data)
+    if items is None:
+        items = parse_json(data, where)
+        if not isinstance(items, list) or not items:
+            raise ValueError("sequence log: expected a nonempty array")
+        if isinstance(items[0], dict):
+            return [sequence_from_obj(items)]
+    read: dict[int, PossessionSequence] = {}  # id of an item that items keeps alive -> its sequence
     sequences = []
-    for item in obj:
-        key = sequence_key(item)
-        seq = read.get(key)
+    for item in items:
+        seq = read.get(id(item))
         if seq is None:
-            seq = sequence_from_obj(item)
-            if key is not None:
-                read[key] = seq
+            seq = read[id(item)] = sequence_from_obj(item)
         sequences.append(seq)
     return sequences
 
 
 def _load_log(path: str) -> list[PossessionSequence]:
     with open(path, "rb") as fh:
-        obj = parse_json(fh.read(), f"log {path}: ")
-    return _sequences_from_log_obj(obj)
+        return _read_log(fh.read(), f"log {path}: ")
 
 
 def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:

@@ -93,5 +93,11 @@ def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
     """Shoot if the holder's s reaches the threshold, else pass to the argmax teammate."""
     if network.s >= policy.threshold:
         return Decision(action="shoot")
-    target, score = ranked_options(network, policy)[0]
+    tie_key = TIE_BREAK_RULES[policy.tie_break]
+    style = policy.style
+    target = score = None
+    for j, e in network.edges.items():  # the head of ranked_options, in one pass
+        value = style(e.p, e.r)
+        if target is None or value > score or (value == score and tie_key(j) < tie_key(target)):
+            target, score = j, value
     return Decision(action="pass", target=target, score=score, degenerate=(score == 0.0))

@@ -127,7 +127,10 @@ def canonical_dumps(obj) -> str:
         else:
             raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
-    write(obj, "\n")
+    try:
+        write(obj, "\n")
+    finally:
+        del write  # write's closure holds write: a cycle keeping parts alive until a full collection
     put("\n")
     return "".join(parts)
 

@@ -21,9 +21,7 @@ single objective, so it is exposed as the Pareto frontier over the
 (efficiency, security) points such as per-style means (pareto_points).
 
 sequence_to_obj and sequence_from_obj write and read the log shape;
-sequence_from_obj checks every invariant again. sequence_key gives a
-logged sequence a hashable key such that equal keys read back alike, so
-a reader can check each distinct sequence of a log once.
+sequence_from_obj checks every invariant again.
 """
 
 from __future__ import annotations
@@ -221,50 +219,6 @@ def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
             }
         )
     return out
-
-
-_MISSING = object()  # an absent field; unlike .get()'s None, never equal to a JSON null
-_KEY_TYPES = frozenset((int, float, str, bool, type(None), object))  # object: _MISSING
-
-
-def sequence_key(obj: object) -> tuple | None:
-    """A hashable key for a logged sequence, or None when it takes no key.
-
-    The key lists every field that sequence_from_obj and
-    DecisionNetwork.from_json_dict read. Per step: network.holder, s,
-    tau and len(edges); each edge's to, p and r; decision.type and
-    decision.target; outcome. A missing field reads as _MISSING. Every
-    value's type follows the values, because 1, 1.0 and true compare
-    and hash equal but do not validate alike. So two inputs with equal
-    keys pass or fail sequence_from_obj alike and give equal sequences;
-    -0.0 and 0.0 share a key, and their networks compare equal and are
-    written alike. A step, network, edge or decision that is not an
-    object, edges that are not an array, or a value that is not a JSON
-    scalar give None.
-    """
-    if type(obj) is not list:
-        return None
-    values: list = []
-    for step in obj:
-        if type(step) is not dict:
-            return None
-        net = step.get("network", _MISSING)
-        dec = step.get("decision", _MISSING)
-        if type(net) is not dict or type(dec) is not dict:
-            return None
-        edges = net.get("edges", _MISSING)
-        if type(edges) is not list:
-            return None
-        values += (net.get("holder", _MISSING), net.get("s", _MISSING), net.get("tau", _MISSING), len(edges))
-        for edge in edges:
-            if type(edge) is not dict:
-                return None
-            values += (edge.get("to", _MISSING), edge.get("p", _MISSING), edge.get("r", _MISSING))
-        values += (dec.get("type", _MISSING), dec.get("target", _MISSING), step.get("outcome", _MISSING))
-    types = tuple(map(type, values))
-    if not _KEY_TYPES.issuperset(types):
-        return None
-    return (*values, *types)
 
 
 def sequence_from_obj(obj: object) -> PossessionSequence:

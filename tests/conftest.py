@@ -130,13 +130,14 @@ def json_mutations(raw_values):
 JSON_CUTS = st.one_of(st.none(), st.none(), st.none(), st.integers(0, 3000))  # truncated text, now and then
 
 
-def mutated_json_text(doc, picks, cut) -> str:
+def mutated_json_text(doc, picks, cut, indent=None) -> str:
     """doc's JSON text after each pick sets, drops or adds a value; cut to cut characters unless None.
 
     A set or add splices the pick's raw text in verbatim, so values that
     json.dumps cannot write (1e400, a 400-digit integer) reach the parser.
     A raw that is a function gets the value it replaces (None for an add)
-    and returns the text. doc is mutated in place.
+    and returns the text. doc is mutated in place. indent is json.dumps';
+    an indented text ends with a newline, laid out as playnet's files are.
     """
     raws = []
     for index, action, raw in picks:
@@ -154,7 +155,7 @@ def mutated_json_text(doc, picks, cut) -> str:
         else:
             raws.append(raw(parent[key]) if callable(raw) else raw)
             parent[key] = _MARK
-    text = json.dumps(doc)
+    text = json.dumps(doc, indent=indent) + ("" if indent is None else "\n")
     for raw in raws:
         text = text.replace(json.dumps(_MARK), raw, 1)
     return text if cut is None else text[:cut]

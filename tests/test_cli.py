@@ -21,9 +21,9 @@ from playnet import (
     default_suite,
     run_trials,
 )
-from playnet.cli import _log_text, _sequences_from_log_obj, regenerate, run_cli
+from playnet.cli import _load_log, _log_items, _log_text, _read_log, regenerate, run_cli
 from playnet.jsonio import manifest_path, parse_json
-from playnet.sequence import sequence_from_obj, sequence_key, sequence_to_obj
+from playnet.sequence import sequence_from_obj, sequence_to_obj
 from playnet.state import load_match_state
 
 from conftest import (
@@ -592,13 +592,13 @@ _LOG_RAW_VALUES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(picks=json_mutations(_LOG_RAW_VALUES), cut=JSON_CUTS)
-def test_mutated_log_gives_sequences_or_one_value_error(picks, cut):
+@given(picks=json_mutations(_LOG_RAW_VALUES), cut=JSON_CUTS, indent=st.sampled_from([2, None]))
+def test_mutated_log_gives_sequences_or_one_value_error(picks, cut, indent):
     doc = json.loads((GOLDEN_DIR / "simulate_seed42.json").read_text())
-    text = mutated_json_text(doc, picks, cut)
-    try:
-        sequences = _sequences_from_log_obj(parse_json(text))  # what analyze and frontier read
-    except ValueError:
+    data = mutated_json_text(doc, picks, cut, indent).encode()  # indented: read by element texts
+    sequences = _read_outcome(_read_log, data)  # what analyze and frontier read
+    assert sequences == _read_outcome(_read_whole, data)
+    if isinstance(sequences, str):
         return
     for seq in sequences:
         assert sequence_from_obj(sequence_to_obj(seq)) == seq
@@ -623,7 +623,7 @@ def test_style_whose_score_overflows_is_validation_error(capsys, command, style)
     assert err == "error: style weights x and y give a score too large for a float\n"
 
 
-# --- the log reader checks each distinct sequence once ----------------------
+# --- the log reader parses and checks each distinct sequence once -----------
 
 
 def _read_each(obj):
@@ -635,10 +635,15 @@ def _read_each(obj):
     return [sequence_from_obj(item) for item in obj]
 
 
-def _read_outcome(read, obj):
-    """read(obj)'s sequences, or the message of its ValueError."""
+def _read_whole(data: bytes, where: str = ""):
+    """The log reader without its text path: one whole parse, then every sequence checked."""
+    return _read_each(parse_json(data, where))
+
+
+def _read_outcome(read, *args):
+    """read(*args)'s sequences, or the message of its ValueError."""
     try:
-        return read(obj)
+        return read(*args)
     except ValueError as err:
         return f"ValueError: {err}"
 
@@ -659,7 +664,7 @@ def test_log_reader_checks_each_distinct_sequence_once(monkeypatch):
     real = playnet.cli.sequence_from_obj
     checked = []
     monkeypatch.setattr(playnet.cli, "sequence_from_obj", lambda item: checked.append(item) or real(item))
-    sequences = _sequences_from_log_obj(obj)
+    sequences = _read_log(_log_text_of("midfield").encode())
     distinct = {json.dumps(item) for item in obj}
     assert len(checked) == len(distinct) < len(obj)
     assert len({id(seq) for seq in sequences}) == len(distinct)  # a repeat is the same frozen sequence
@@ -690,13 +695,17 @@ _MEMO_RAW_VALUES = st.one_of(
 
 
 @settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(["golden", "midfield"]), picks=json_mutations(_MEMO_RAW_VALUES))
-def test_memoised_log_read_equals_checking_each_sequence(name, picks):
+@given(
+    name=st.sampled_from(["golden", "midfield"]),
+    picks=json_mutations(_MEMO_RAW_VALUES),
+    indent=st.sampled_from([2, None]),
+)
+def test_memoised_log_read_equals_checking_each_sequence(name, picks, indent):
     doc = json.loads(_log_text_of(name))
     if name == "golden":
         doc += json.loads(_log_text_of(name))  # each sequence twice; the midfield log repeats its own
-    obj = parse_json(mutated_json_text(doc, picks, None))  # a pick changes one copy
-    assert _read_outcome(_sequences_from_log_obj, obj) == _read_outcome(_read_each, obj)
+    data = mutated_json_text(doc, picks, None, indent).encode()  # a pick changes one copy
+    assert _read_outcome(_read_log, data) == _read_outcome(_read_whole, data)
 
 
 def _one_step_sequence(holder=1, target=2, s=0.25, p=0.5, shoot=False) -> list:
@@ -727,21 +736,21 @@ def _set(*path_and_value):
 
 
 @pytest.mark.parametrize(
-    "valid, edit, rejected, shares_key",
+    "valid, edit, rejected",
     [
-        ({}, _set("network", "edges", 0, "r", 1.0), True, False),
-        ({}, _set("network", "edges", 0, "r", True), True, False),
-        ({"s": 1.0}, _set("network", "s", True), True, False),
-        ({"holder": 2, "target": 1}, _set("network", "holder", 2.0), True, False),
-        ({"holder": 1, "target": 2}, _set("network", "holder", True), True, False),
-        ({"holder": 1, "target": 2}, _set("decision", "target", 2.0), True, False),
-        ({"holder": 2, "target": 1}, _set("decision", "target", True), True, False),
-        ({"shoot": True}, _set("decision", "target", None), False, False),
-        ({}, _set("decision", "target", _DROP), True, False),
-        ({}, _set("decision", "target", None), True, False),
-        ({"p": 0.0}, _set("network", "edges", 0, "p", -0.0), False, True),
-        ({}, _set("network", "s", [0.25]), True, False),
-        ({}, _set("outcome", ["pass_intercepted"]), True, False),
+        ({}, _set("network", "edges", 0, "r", 1.0), True),
+        ({}, _set("network", "edges", 0, "r", True), True),
+        ({"s": 1.0}, _set("network", "s", True), True),
+        ({"holder": 2, "target": 1}, _set("network", "holder", 2.0), True),
+        ({"holder": 1, "target": 2}, _set("network", "holder", True), True),
+        ({"holder": 1, "target": 2}, _set("decision", "target", 2.0), True),
+        ({"holder": 2, "target": 1}, _set("decision", "target", True), True),
+        ({"shoot": True}, _set("decision", "target", None), False),
+        ({}, _set("decision", "target", _DROP), True),
+        ({}, _set("decision", "target", None), True),
+        ({"p": 0.0}, _set("network", "edges", 0, "p", -0.0), False),
+        ({}, _set("network", "s", [0.25]), True),
+        ({}, _set("outcome", ["pass_intercepted"]), True),
     ],
     ids=[
         "r-1.0", "r-true", "s-true", "holder-2.0", "holder-true", "target-2.0", "target-true",
@@ -749,16 +758,71 @@ def _set(*path_and_value):
         "s-unhashable", "outcome-unhashable",
     ],
 )
-def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected, shares_key):
+def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
     first = _one_step_sequence(**valid)
     second = json.loads(json.dumps(first))
     edit(second)
     for log in ([first, second], [second, first]):
-        got = _read_outcome(_sequences_from_log_obj, log)
-        assert got == _read_outcome(_read_each, log)
-        assert isinstance(got, str) == rejected
-    # -0.0 and 0.0 share a key: their networks compare equal and are written alike
-    assert (sequence_key(first) == sequence_key(second)) == shares_key
+        for indent in (2, None):  # read by element texts, and parsed whole
+            data = (json.dumps(log, indent=indent) + "\n").encode()
+            assert (_log_items(data) is None) == (indent is None)
+            got = _read_outcome(_read_log, data)
+            assert got == _read_outcome(_read_whole, data)
+            assert isinstance(got, str) == rejected
+
+
+def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkeypatch, tmp_path):
+    path = tmp_path / "log.json"
+    path.write_text(_log_text_of("midfield"))
+    real = playnet.cli.parse_json
+    parsed = []
+    monkeypatch.setattr(playnet.cli, "parse_json", lambda data, *rest: parsed.append(data) or real(data, *rest))
+    sequences = _load_log(str(path))
+    elements = [json.dumps(item) for item in json.loads(path.read_text())]
+    assert len(parsed) == len(set(elements)) < len(elements)
+    assert sorted(json.dumps(json.loads(text)) for text in parsed) == sorted(set(elements))
+    assert sequences == _read_whole(path.read_bytes())
+
+
+@functools.cache
+def _log_layout_cases() -> dict[str, tuple[bytes, bool]]:
+    """Logs that _log_items must leave to a whole parse: name -> (bytes, whether they read)."""
+    log = _log_text_of("midfield")
+    lone = _log_text(run_trials(load_match_state(BOX), SimulationConfig(
+        policy=DecisionPolicy(style=LinearStyle(3, 1)), estimators=default_suite()), 0, 1))
+    first = json.dumps(json.loads(log)[0])
+    return {
+        "lone-sequence": (lone.encode(), True),
+        "utf8-bom": (b"\xef\xbb\xbf" + log.encode(), True),
+        "utf16": (log.encode("utf-16"), True),
+        "compact": (json.dumps(json.loads(log)).encode(), True),
+        "truncated": (log.encode()[:-2], False),
+        "truncated-element": (log.encode()[: len(log) // 2] + b"\n]\n", False),
+        # the first sequence with a second step [1] laid out as an element: the split cuts it apart
+        "split-at-wrong-depth": (f"[\n  [{first[1:-1]},\n  [1]]\n]\n".encode(), False),
+        "empty": (b"[]\n", False),
+        "bad-sequence-then-bad-json": (b"[\n  [1],\n  [}\n]\n", False),
+        "element-not-utf8": (b'[\n  ["\xff"]\n]\n', False),
+        "element-with-nul": (b"[\n  [\x00]\x00\n]\n", False),
+        "nested-too-deeply": (b"[\n  [" + b"[" * 100_000 + b"]" * 100_001 + b"\n]\n", False),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "lone-sequence", "utf8-bom", "utf16", "compact", "truncated", "truncated-element",
+    "split-at-wrong-depth", "empty", "bad-sequence-then-bad-json", "element-not-utf8",
+    "element-with-nul", "nested-too-deeply",
+])
+def test_log_reader_equals_a_whole_parse_outside_the_written_layout(tmp_path, case):
+    data, reads = _log_layout_cases()[case]
+    assert _log_items(data) is None
+    got = _read_outcome(_read_log, data)
+    assert got == _read_outcome(_read_whole, data)
+    assert isinstance(got, list) == reads
+    path = tmp_path / "log.json"
+    path.write_bytes(data)
+    where = f"log {path}: "
+    assert _read_outcome(_load_log, str(path)) == _read_outcome(_read_whole, data, where)
 
 
 # --- run_cli on generated argv ------------------------------------------------

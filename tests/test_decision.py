@@ -152,6 +152,34 @@ def test_ranked_head_consistent_with_decide():
             assert ranked_options(net, policy)[0][0] == decision.target
 
 
+_TIED_STYLES = {
+    "linear": LinearStyle(2, 1),
+    "linear-p-only": LinearStyle(1, 0),
+    "plain": lambda p, r: round(p * 2) + r % 3,
+    "plain-flat": lambda p, r: 0.0,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    style=st.sampled_from(sorted(_TIED_STYLES)),
+    tie_break=st.sampled_from(["lowest_id", "highest_id"]),
+)
+def test_decide_takes_the_head_of_ranked_options_under_ties(seed, style, tie_break):
+    rng = random.Random(seed)
+    holder = rng.randint(1, 11)
+    # few distinct (p, r) values, so that several teammates share the top score
+    per = {j: (rng.choice([0.0, 0.25, 0.5]), rng.choice([0, 1, 2])) for j in range(1, 12) if j != holder}
+    net = build_network(holder, 0.1, 1.0, per)
+    policy = DecisionPolicy(style=_TIED_STYLES[style], threshold=0.5, tie_break=tie_break)
+    decision = decide(net, policy)
+    target, score = ranked_options(net, policy)[0]
+    assert (decision.target, decision.score) == (target, score)
+    assert type(decision.score) is type(score)
+    assert decision.degenerate == (score == 0.0)
+
+
 def test_policy_validation():
     with pytest.raises(ValueError, match="threshold"):
         DecisionPolicy(style=LinearStyle(1, 1), threshold=1.5)

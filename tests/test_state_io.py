@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import random
@@ -262,6 +263,20 @@ def test_canonical_formatting_idempotent(x):
 def test_canonical_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         canonical_dumps({"x": {1, 2}})
+
+
+@pytest.mark.parametrize("value", [{"a": [1.5, {"b": None}], "c": "x"}, {"x": {1, 2}}], ids=["written", "rejected"])
+def test_canonical_dumps_leaves_no_reference_cycle(value):
+    gc.collect()
+    gc.disable()  # so that no automatic collection frees a cycle before the count below
+    try:
+        try:
+            canonical_dumps(value)
+        except TypeError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class _Int(int):
