@@ -4,10 +4,16 @@ Exit codes are the only success/failure channel: 0 on success, 1 when an
 input fails validation, 2 on usage errors. Every subcommand takes --json
 for machine-readable output on stdout; file artifacts (logs, CSV
 reports, DOT dumps) are written atomically with a sibling
-<artifact>.manifest.json recording the resolved config, inputs, and
-seed, and regenerate() rebuilds any artifact from its manifest. An
-artifact path that is the state or config file in use, or whose
-manifest would be, is refused before anything is written.
+<artifact>.manifest.json recording the resolved config, inputs, and the
+command's own arguments (its run record). An artifact path that is the
+state or config file in use, or whose manifest would be, is refused
+before anything is written.
+
+Each artifact has one recipe in _RECIPES: its results from the state,
+config and run record, and the artifact text of those results. The
+command and regenerate() both call it, so regenerate rebuilds the text
+the command wrote by construction; it ignores run fields the recipe
+does not read, so older manifests still regenerate.
 
 analyze and frontier read a log back with the same checks that built
 it. A log of many trials repeats a few possessions, so a log in the
@@ -24,6 +30,7 @@ import dataclasses
 import functools
 import os
 import sys
+from datetime import datetime, timezone
 
 from . import __version__
 from .config import AppConfig, config_path, load_config
@@ -31,7 +38,6 @@ from .decision import DecisionPolicy, decide, ranked_options
 from .dotexport import export_network_dot
 from .estimators import default_suite, estimate_network
 from .jsonio import (
-    RunManifest,
     canonical_dumps,
     manifest_path,
     number_text,
@@ -79,7 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-break", dest="tie_break")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--out", help="write the sequence log JSON to this file")
     p.add_argument("--json", action="store_true")
@@ -95,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tie-break", dest="tie_break")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--csv", help="write the per-style report as CSV to this file")
     p.add_argument("--json", action="store_true")
 
@@ -241,23 +245,74 @@ def _load_log(path: str) -> list[PossessionSequence]:
         return _read_log(fh.read(), f"log {path}: ")
 
 
+def _manifest_field(manifest: dict, dotted: str):
+    """The manifest's value at a dotted path such as inputs.state.path."""
+    value = manifest
+    for key in dotted.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"manifest: missing field {dotted}")
+        value = value[key]
+    return value
+
+
+def _run_field(run, key: str):
+    """A field of a run record; regenerate passes the manifest's, which may lack it."""
+    return _manifest_field({"run": run}, f"run.{key}")
+
+
+def _decide_results(state, cfg: AppConfig, run):
+    return estimate_network(state, default_suite(cfg.estimators))
+
+
+def _simulate_results(state, cfg: AppConfig, run):
+    sim = _sim_config(cfg, LinearStyle.parse(_run_field(run, "style")), _run_field(run, "seed"))
+    return run_trials(state, sim, 0, _run_field(run, "trials"))
+
+
+def _compare_results(state, cfg: AppConfig, run):
+    styles = _run_field(run, "styles")
+    if not isinstance(styles, list) or not styles:
+        raise ValueError(f"manifest: run.styles={styles!r} must be a nonempty array")
+    styles = [LinearStyle.parse(text) for text in styles]
+    sim = _sim_config(cfg, styles[0], _run_field(run, "seed"))
+    return monte_carlo_compare(state, styles, _run_field(run, "trials"), sim)
+
+
+# command -> (results of (state, config, run record), artifact text of those results);
+# the functions they call are looked up at call time, so a patched or traced one is used
+_RECIPES = {
+    "decide": (_decide_results, lambda network: export_network_dot(network)),
+    "simulate": (_simulate_results, _log_text),
+    "compare": (_compare_results, _csv_text),
+}
+
+
+def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict, path: str | None):
+    """The command's results; with a path, also its artifact and manifest written there."""
+    state = load_match_state(args.state)
+    _check_artifact_path(path, args)
+    results_of, text_of = _RECIPES[args.command]
+    results = results_of(state, cfg, run)
+    if path:
+        manifest = {
+            "tool": "playnet",
+            "version": __version__,
+            "command": args.command,
+            "config": cfg.to_dict(),
+            "run": run,
+            "inputs": _state_inputs(args.state),
+            "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        }
+        write_artifact(path, text_of(results), manifest)
+    return results
+
+
 def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:
     style = LinearStyle.parse(args.style)
-    state = load_match_state(args.state)
-    _check_artifact_path(args.dot, args)
-    network = estimate_network(state, default_suite(cfg.estimators))
+    network = _run_recipe(args, cfg, {"style": str(style)}, args.dot)
     policy = _policy(cfg, style)
     decision = decide(network, policy)
     ranked = ranked_options(network, policy)
-    if args.dot:
-        manifest = RunManifest.build(
-            "decide",
-            cfg.to_dict(),
-            {"style": str(style), "threshold": cfg.threshold, "tie_break": cfg.tie_break},
-            _state_inputs(args.state),
-            __version__,
-        )
-        write_artifact(args.dot, export_network_dot(network), manifest)
     if args.json:
         decision_obj: dict = {"type": decision.action}
         if decision.is_pass:
@@ -284,24 +339,8 @@ def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:
 
 def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
     style = LinearStyle.parse(args.style)
-    state = load_match_state(args.state)
-    _check_artifact_path(args.out, args)
-    sim = _sim_config(cfg, style, args.seed)
-    results = run_trials(state, sim, 0, args.trials, threads=args.threads)
-    if args.out:
-        manifest = RunManifest.build(
-            "simulate",
-            cfg.to_dict(),
-            {
-                "style": str(style),
-                "trials": args.trials,
-                "seed": args.seed,
-                "threads": args.threads,
-            },
-            _state_inputs(args.state),
-            __version__,
-        )
-        write_artifact(args.out, _log_text(results), manifest)
+    run = {"style": str(style), "trials": args.trials, "seed": args.seed}
+    results = _run_recipe(args, cfg, run, args.out)
     report = StyleReport.from_results(str(style), results)
     summary = {
         key: getattr(report, key)
@@ -365,24 +404,8 @@ def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
     styles = [LinearStyle.parse(text) for text in args.styles.split(",") if text != ""]
     if not styles:
         raise ValueError("--styles must name at least one style")
-    state = load_match_state(args.state)
-    _check_artifact_path(args.csv, args)
-    sim = _sim_config(cfg, styles[0], args.seed)
-    reports = monte_carlo_compare(state, styles, args.trials, sim, threads=args.threads)
-    if args.csv:
-        manifest = RunManifest.build(
-            "compare",
-            cfg.to_dict(),
-            {
-                "styles": [str(s) for s in styles],
-                "trials": args.trials,
-                "seed": args.seed,
-                "threads": args.threads,
-            },
-            _state_inputs(args.state),
-            __version__,
-        )
-        write_artifact(args.csv, _csv_text(reports), manifest)
+    run = {"styles": [str(s) for s in styles], "trials": args.trials, "seed": args.seed}
+    reports = _run_recipe(args, cfg, run, args.csv)
     if args.json:
         sys.stdout.write(canonical_dumps({"reports": [dataclasses.asdict(r) for r in reports]}))
         return 0
@@ -442,24 +465,17 @@ def run_cli(argv) -> int:
         return 1
 
 
-def _manifest_field(manifest: dict, dotted: str):
-    """The manifest's value at a dotted path such as inputs.state.path."""
-    value = manifest
-    for key in dotted.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"manifest: missing field {dotted}")
-        value = value[key]
-    return value
-
-
 def regenerate(manifest: dict) -> str:
     """Rebuild an artifact's exact text from its manifest.
 
-    Reads the recorded input files, verifies their digests, and re-runs
-    the recorded command with the recorded config and seed.
+    Reads the recorded input files, verifies their digests, and runs the
+    recorded command's recipe with the recorded config and run record.
     """
     if not isinstance(manifest, dict) or "command" not in manifest:
         raise ValueError("manifest: expected an object with a command")
+    command = manifest["command"]
+    if not isinstance(command, str) or command not in _RECIPES:
+        raise ValueError(f"manifest: cannot regenerate command {command!r}")
     cfg = AppConfig.from_dict(_manifest_field(manifest, "config"))
     path = _manifest_field(manifest, "inputs.state.path")
     recorded = _manifest_field(manifest, "inputs.state.sha256")
@@ -469,25 +485,8 @@ def regenerate(manifest: dict) -> str:
     digest = sha256_of_file(path)
     if digest != recorded:
         raise ValueError(f"input {path}: digest {digest} does not match the manifest ({recorded})")
-    state = load_match_state(path)
-    command = manifest["command"]
-    if command == "decide":
-        network = estimate_network(state, default_suite(cfg.estimators))
-        return export_network_dot(network)
-    if command == "simulate":
-        style = LinearStyle.parse(_manifest_field(manifest, "run.style"))
-        sim = _sim_config(cfg, style, _manifest_field(manifest, "run.seed"))
-        results = run_trials(state, sim, 0, _manifest_field(manifest, "run.trials"), threads=1)
-        return _log_text(results)
-    if command == "compare":
-        styles = _manifest_field(manifest, "run.styles")
-        if not isinstance(styles, list) or not styles:
-            raise ValueError(f"manifest: run.styles={styles!r} must be a nonempty array")
-        styles = [LinearStyle.parse(text) for text in styles]
-        sim = _sim_config(cfg, styles[0], _manifest_field(manifest, "run.seed"))
-        trials = _manifest_field(manifest, "run.trials")
-        return _csv_text(monte_carlo_compare(state, styles, trials, sim, threads=1))
-    raise ValueError(f"manifest: cannot regenerate command {command!r}")
+    results_of, text_of = _RECIPES[command]
+    return text_of(results_of(load_match_state(path), cfg, manifest.get("run")))
 
 
 def main(argv=None) -> int:

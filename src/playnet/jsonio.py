@@ -27,12 +27,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-from dataclasses import dataclass
-from datetime import datetime, timezone
+import secrets
 from json.encoder import encode_basestring_ascii as _encode_str  # the C escaper behind ensure_ascii
-
-TOOL_NAME = "playnet"
 
 
 def parse_json(data: bytes | str, where: str = "", parse_constant=None):
@@ -136,10 +132,14 @@ def canonical_dumps(obj) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write-to-temp then rename: no partial files on error."""
+    """Write-to-temp then rename: no partial files on error.
+
+    The temporary file is created with the mode open(path, "w") would
+    give a new file under the process umask; os.replace keeps it.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -160,50 +160,11 @@ def sha256_of_file(path) -> str:
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one file artifact exactly.
-
-    Written alongside every simulation/comparison/export output as
-    <artifact>.manifest.json. The timestamp documents when the run
-    happened; regeneration uses only command, config, run, and inputs.
-    """
-
-    command: str
-    config: dict          # fully resolved AppConfig.to_dict()
-    run: dict             # command-specific knobs: style(s), threshold, trials, seed, ...
-    inputs: dict          # name -> {"path": ..., "sha256": ...}
-    version: str
-    timestamp: str
-
-    @classmethod
-    def build(cls, command: str, config: dict, run: dict, inputs: dict, version: str) -> RunManifest:
-        return cls(
-            command=command,
-            config=config,
-            run=run,
-            inputs=inputs,
-            version=version,
-            timestamp=datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": TOOL_NAME,
-            "version": self.version,
-            "command": self.command,
-            "config": self.config,
-            "run": self.run,
-            "inputs": self.inputs,
-            "timestamp": self.timestamp,
-        }
-
-
 def manifest_path(artifact_path) -> str:
     return os.fspath(artifact_path) + ".manifest.json"
 
 
-def write_artifact(path, text: str, manifest: RunManifest) -> None:
+def write_artifact(path, text: str, manifest: dict) -> None:
     """Write an artifact and its sibling manifest atomically."""
     atomic_write_text(path, text)
-    atomic_write_text(manifest_path(path), json.dumps(manifest.to_dict(), indent=2) + "\n")
+    atomic_write_text(manifest_path(path), json.dumps(manifest, indent=2) + "\n")

@@ -35,9 +35,8 @@ trial index), so any single trial can be replayed in isolation with
 rollout and results never depend on execution order. run_trials hashes
 the (base seed, style index) prefix once and reseeds one generator per
 trial, into the state random.Random(derive_seed(...)) would start in.
-Trials run in the calling thread; the threads argument is still
-validated, and accepted so that recorded runs replay, but a thread pool
-only slowed the pure-Python rollouts down under the interpreter lock.
+Trials run in the calling thread: a thread pool only slowed the
+pure-Python rollouts down under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from dataclasses import dataclass, replace
 from .decision import DecisionPolicy, decide
 from .estimators import EstimatorSuite, estimate_network
 from .network import DecisionNetwork, check_int, check_real
-from .sequence import PossessionSequence, PossessionStep, StepOutcome
+from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficiency, security
 from .state import MatchState
 
 
@@ -72,7 +71,7 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class RolloutResult:
-    """A finished possession plus the metrics maintained during the rollout."""
+    """A finished possession plus its efficiency and security."""
 
     sequence: PossessionSequence
     efficiency: float
@@ -141,31 +140,21 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
 
 
 class _PathStep:
-    """Step k of a compiled path: the network seen, the decision, and the possessions ending here.
+    """Step k of a compiled path: the network seen, the decision, and the possessions ending here."""
 
-    efficiency and security are the running metrics of every possession
-    that ends at this step: the best s up to and including it, and the
-    worst attempted-pass p, including this step's pass if it is one.
-    """
+    __slots__ = ("chain", "prefix", "network", "decision", "p", "final", "_ends")
 
-    __slots__ = ("chain", "prefix", "network", "decision", "p", "final", "efficiency", "security", "_ends")
-
-    def __init__(self, chain, prefix, network, decision, prev, max_steps) -> None:
+    def __init__(self, chain, prefix, network, decision, max_steps) -> None:
         self.chain = chain  # receivers of the completed passes before this step
         self.prefix = prefix  # those passes as PossessionSteps
         self.network = network
         self.decision = decision
-        eff, sec = (0.0, 1.0) if prev is None else (prev.efficiency, prev.security)
-        self.efficiency = network.s if network.s > eff else eff
         if decision.is_shoot:
             self.p = None
             self.final = True
         else:
-            self.p = p = network.edges[decision.target].p
-            if p < sec:
-                sec = p
+            self.p = network.edges[decision.target].p
             self.final = decision.degenerate or len(chain) == max_steps - 1
-        self.security = sec
         self._ends: list[RolloutResult | None] = [None, None]  # by scored
 
     def end(self, scored: bool) -> RolloutResult:
@@ -179,7 +168,7 @@ class _PathStep:
             sequence = PossessionSequence(
                 self.prefix + (PossessionStep(self.network, self.decision, outcome),)
             )
-            result = RolloutResult(sequence, self.efficiency, self.security, sequence.scored)
+            result = RolloutResult(sequence, efficiency(sequence), security(sequence), sequence.scored)
             self._ends[scored] = result
         return result
 
@@ -223,7 +212,7 @@ class _PossessionPath:
                 prefix = prev.prefix + (completed,)
             network = self._network(chain)
             decision = decide(network, self._cfg.policy)
-            steps.append(_PathStep(chain, prefix, network, decision, prev, self._cfg.max_steps))
+            steps.append(_PathStep(chain, prefix, network, decision, self._cfg.max_steps))
         return steps[k]
 
 
@@ -254,7 +243,6 @@ def run_trials(
     cfg: SimulationConfig,
     style_index: int,
     trials: int,
-    threads: int = 1,
     *,
     _networks: dict | None = None,
 ) -> list[RolloutResult]:
@@ -263,12 +251,10 @@ def run_trials(
     Each end of the path (a shot scored or missed, an interception or a
     forced loss at step k) is built once, the first time a trial reaches
     it, so trials that end the same way share one frozen RolloutResult.
-    threads is validated and otherwise ignored: trials run in this
-    thread, and the result never depended on it. _networks is
-    monte_carlo_compare's map of estimated networks, shared by its styles.
+    Trials run in this thread. _networks is monte_carlo_compare's map of
+    estimated networks, shared by its styles.
     """
     check_int(trials, "trials", 1)
-    check_int(threads, "threads", 1)
     path = _PossessionPath(state, cfg, _networks)
     prefix = _seed_hash(cfg.seed, style_index)
     rng = random.Random()
@@ -309,7 +295,6 @@ def monte_carlo_compare(
     styles,
     trials: int,
     cfg: SimulationConfig,
-    threads: int = 1,
 ) -> list[StyleReport]:
     """Trial the same snapshot under each style and aggregate the outcomes.
 
@@ -324,6 +309,6 @@ def monte_carlo_compare(
     networks: dict = {}  # a style changes only the policy, so every style may share the networks
     for style_index, style in enumerate(styles):
         style_cfg = replace(cfg, policy=replace(cfg.policy, style=style))
-        results = run_trials(state, style_cfg, style_index, trials, threads=threads, _networks=networks)
+        results = run_trials(state, style_cfg, style_index, trials, _networks=networks)
         reports.append(StyleReport.from_results(str(style), results))
     return reports

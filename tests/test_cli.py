@@ -3,7 +3,10 @@ import functools
 import io
 import json
 import math
+import os
 import random
+import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,13 +117,13 @@ def test_simulate_matches_frozen_log(capsys, tmp_path):
     assert out_file.read_bytes() == (GOLDEN_DIR / "simulate_seed42.json").read_bytes()
 
 
-def test_simulate_deterministic_across_runs_and_threads(capsys, tmp_path):
+def test_simulate_deterministic_across_runs(capsys, tmp_path):
     outputs = []
-    for name, threads in (("a.json", "1"), ("b.json", "1"), ("c.json", "3")):
+    for name in ("a.json", "b.json", "c.json"):
         out_file = tmp_path / name
         code, _, _ = run(
             capsys, "simulate", "--state", MIDFIELD, "--style", "2:2",
-            "--trials", "6", "--seed", "9", "--threads", threads, "--out", str(out_file),
+            "--trials", "6", "--seed", "9", "--out", str(out_file),
         )
         assert code == 0
         outputs.append(out_file.read_bytes())
@@ -170,7 +173,7 @@ def test_manifest_records_config_exactly(capsys, tmp_path):
         "--trials", "50", "--seed", "13", "--out", str(out_file),
     )
     assert code == 0
-    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
     assert manifest["config"]["estimators"]["pass_decay_m"] == 29.99999949
     assert manifest["config"]["policy"]["threshold"] == 0.49999999
     assert regenerate(manifest) == out_file.read_text()
@@ -185,7 +188,7 @@ def test_regenerate_detects_changed_input(capsys, tmp_path):
         "--trials", "1", "--seed", "1", "--out", str(out_file),
     )
     assert code == 0
-    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
     state_copy.write_text((DATA_DIR / "box_state.json").read_text())
     with pytest.raises(ValueError, match="digest"):
         regenerate(manifest)
@@ -320,8 +323,6 @@ def test_out_of_range_flags_are_validation_errors(capsys):
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--max-steps", "0")
     assert code == 1 and err.startswith("error:")
-    code, _, err = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--threads", "0")
-    assert code == 1 and err.startswith("error:")
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +363,7 @@ def test_regenerate_names_a_missing_run_field(capsys, tmp_path):
     out_file = tmp_path / "log.json"
     code, _, _ = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file))
     assert code == 0
-    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
     del manifest["run"]
     with pytest.raises(ValueError, match="missing field run.style"):
         regenerate(manifest)
@@ -385,7 +386,7 @@ def test_regenerate_rejects_a_mistyped_run_value(capsys, tmp_path, command, fiel
     else:
         argv = ["simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file)]
     assert run(capsys, *argv)[0] == 0
-    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
     assert field in manifest["run"]
     manifest["run"][field] = value
     with pytest.raises(ValueError, match=message):
@@ -489,7 +490,7 @@ def test_regenerate_requires_string_input_fields(capsys, tmp_path, field, value)
     # an integer path would be opened as a file descriptor
     out_file = tmp_path / "log.json"
     assert run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file))[0] == 0
-    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
     manifest["inputs"]["state"][field] = value
     with pytest.raises(ValueError, match=rf"^manifest: inputs\.state\.{field}=.* must be a string$"):
         regenerate(manifest)
@@ -510,7 +511,7 @@ def test_regenerate_on_a_mutated_manifest_gives_the_text_or_value_error(capsys, 
     # run.trials stays small: a valid but huge trial count (10**300) runs until stopped
     out_file = tmp_path / "artifact"
     assert run(capsys, *_ARTIFACT_ARGV[command], str(out_file))[0] == 0
-    manifest = json.loads(open(manifest_path(out_file)).read())
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
     for path in list(json_paths(manifest))[1:]:
         for value in _MANIFEST_VALUES:
             mutated = json.loads(json.dumps(manifest))
@@ -529,6 +530,47 @@ def test_regenerate_on_a_mutated_manifest_gives_the_text_or_value_error(capsys, 
             assert isinstance(text, str), (path, value)
             if path in _UNREAD_BY_REGENERATE:
                 assert text == out_file.read_text(), (path, value)
+
+
+_RUN_KEYS = {"decide": ["style"], "simulate": ["style", "trials", "seed"], "compare": ["styles", "trials", "seed"]}
+_OLD_RUN_FIELDS = {
+    "decide": {"threshold": 0.5, "tie_break": "lowest_id"},
+    "simulate": {"threads": 4},
+    "compare": {"threads": 4},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_manifest_from_before_threads_went_still_regenerates(capsys, tmp_path, command):
+    # older manifests recorded --threads, and decide its threshold and tie-break
+    out_file = tmp_path / "artifact"
+    assert run(capsys, *_ARTIFACT_ARGV[command], str(out_file))[0] == 0
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
+    assert list(manifest["run"]) == _RUN_KEYS[command]
+    manifest["run"].update(_OLD_RUN_FIELDS[command])
+    assert regenerate(manifest) == out_file.read_text()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_threads_flag_is_a_usage_error(capsys, command):
+    argv = _ARTIFACT_ARGV[command][:-1] + ["--threads", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--threads" in err
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_artifact_files_get_the_mode_a_plain_write_gives(capsys, tmp_path, command, umask):
+    out_file = tmp_path / "artifact"
+    old = os.umask(umask)
+    try:
+        assert run(capsys, *_ARTIFACT_ARGV[command], str(out_file))[0] == 0
+    finally:
+        os.umask(old)
+    for path in (out_file, Path(manifest_path(out_file))):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
 
 
 def _overwrite_case(tmp_path, case):
@@ -866,7 +908,6 @@ def _cli_argv(draw) -> list[str]:
     if command in ("simulate", "compare"):
         maybe("--trials", _COUNTS)
         maybe("--seed", _SEEDS)
-        maybe("--threads", st.sampled_from(["1", "2", "0", "-1"]))
     if command == "simulate":
         maybe("--max-steps", _COUNTS)
     output_flag = {"decide": "--dot", "simulate": "--out", "compare": "--csv"}.get(command)
