@@ -9,6 +9,12 @@ reproduce exactly across platforms.
 The holder's decision time tau is carried by the network but plays no
 role here; its influence is upstream, where pass probabilities are
 estimated as a function of the time available.
+
+No check runs here on a network's values: every network holds a float
+p in [0, 1] and an int r in 0..10, checked when it was built. So decide
+and ranked_options score a LinearStyle inline, with the operations of
+LinearStyle.evaluate but without its checks of p and r, which stay for
+library callers. Any other style callable is called as it is.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .network import DecisionNetwork, check_unit
+from .style import LinearStyle
 
 TIE_BREAK_RULES: dict[str, Callable[[int], int]] = {
     "lowest_id": lambda j: j,
@@ -76,6 +83,20 @@ class Decision:
         return self.action == "pass"
 
 
+def _scored(network: DecisionNetwork, style: Callable[[float, int], float]) -> list[tuple[int, float]]:
+    """(teammate, style score) for each edge, in the network's id order.
+
+    A LinearStyle, but not a subclass of it, is scored inline and
+    unchecked (see the module docstring); any other style is called.
+    """
+    edges = network.edges.items()
+    if type(style) is LinearStyle:
+        x = style.x
+        y = style.y
+        return [(j, x * (10.0 * p) + y * r) for j, (p, r) in edges]
+    return [(j, style(p, r)) for j, (p, r) in edges]
+
+
 def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tuple[int, float]]:
     """All ten pass options, best first.
 
@@ -83,8 +104,7 @@ def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tup
     The head of this list is exactly the pass target decide() would pick.
     """
     tie_key = TIE_BREAK_RULES[policy.tie_break]
-    style = policy.style
-    scored = [(j, style(e.p, e.r)) for j, e in network.edges.items()]
+    scored = _scored(network, policy.style)
     scored.sort(key=lambda item: (-item[1], tie_key(item[0])))
     return scored
 
@@ -94,10 +114,8 @@ def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
     if network.s >= policy.threshold:
         return Decision(action="shoot")
     tie_key = TIE_BREAK_RULES[policy.tie_break]
-    style = policy.style
     target = score = None
-    for j, e in network.edges.items():  # the head of ranked_options, in one pass
-        value = style(e.p, e.r)
+    for j, value in _scored(network, policy.style):  # the head of ranked_options, in one pass
         if target is None or value > score or (value == score and tie_key(j) < tie_key(target)):
             target, score = j, value
     return Decision(action="pass", target=target, score=score, degenerate=(score == 0.0))

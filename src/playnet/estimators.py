@@ -19,21 +19,28 @@ Every constant lives in EstimatorParams and can be overridden from the
 config file without touching code. Teammates who are offside or outside
 the pitch are not estimated at all: their edge is (p, r) = (0, 0).
 
-estimate_network is the validation boundary for estimator outputs: it
-checks each value with network.py's checkers, naming the estimator that
-returned a bad one (and, for p and r, the teammate), then builds the
-network without checking the values again. EstimatorParams checks its
+estimate_network is the validation boundary for estimator outputs. It
+checks s and tau with network.py's checkers. Each (p, r) first meets an
+inline test, a float p in [0, 1] and an int r in 0..10; only a pair that
+fails it goes to check_unit and check_int, which turn an int p into a
+float or raise naming the estimator and the teammate. The network is
+then built without checking the values again. The default kernels look
+their target up on the team and call check_player_id only when the
+target is not an int or the lookup fails. EstimatorParams checks its
 constants with the same checkers. The snapshot it reads was checked
 where it entered (see state.py).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
+from math import atan2, cos, exp, floor, hypot, inf
 from typing import Callable
 
-from .network import DecisionNetwork, PassEdge, RISK_MAX, check_int, check_real, check_unit
+from .network import (
+    DecisionNetwork, PassEdge, RISK_MAX, check_int, check_player_id, check_real, check_unit,
+    player_id_error,
+)
 from .state import MatchState
 
 
@@ -79,9 +86,10 @@ class EstimatorSuite:
 
 
 def _nearest_opponent_distance(state: MatchState, x: float, y: float) -> float:
-    best = math.inf
+    # a plain loop: faster than min() over a list comprehension for eleven opponents
+    best = inf
     for ox, oy in state.opponents:
-        d = math.hypot(ox - x, oy - y)
+        d = hypot(ox - x, oy - y)
         if d < best:
             best = d
     return best
@@ -101,32 +109,34 @@ def score_prob_at(pitch, x: float, y: float, params: EstimatorParams = DEFAULT_P
     length = pitch.length
     gy = pitch.width / 2.0
     half = params.goal_width_m / 2.0
-    d_goal = math.hypot(length - x, gy - y)
+    d_goal = hypot(length - x, gy - y)
     if d_goal == 0.0:
         return 1.0
     if x < length and gy - half <= y <= gy + half:
         cos_theta = 1.0
     else:
-        theta_low = abs(math.atan2(gy - half - y, length - x))
-        theta_high = abs(math.atan2(gy + half - y, length - x))
-        cos_theta = math.cos(min(theta_low, theta_high))
+        theta_low = abs(atan2(gy - half - y, length - x))
+        theta_high = abs(atan2(gy + half - y, length - x))
+        cos_theta = cos(theta_high if theta_high < theta_low else theta_low)
         if cos_theta < 0.0:
             cos_theta = 0.0
-    s = math.exp(-d_goal / params.score_decay_m) * cos_theta
-    return min(1.0, max(0.0, s))
+    s = exp(-d_goal / params.score_decay_m) * cos_theta
+    s = s if s > 0.0 else 0.0
+    return s if s < 1.0 else 1.0
 
 
 def default_score_prob(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS) -> float:
     """Scoring chance of the holder from where they stand (see score_prob_at)."""
-    x, y = state.holder_position
+    x, y = state.team[state.holder]
     return score_prob_at(state.pitch, x, y, params)
 
 
 def default_decision_time(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS) -> float:
     """Seconds before pressure forces an action: nearest-opponent distance over speed, capped."""
-    x, y = state.holder_position
-    d = _nearest_opponent_distance(state, x, y)
-    return min(d / params.pressure_speed_mps, params.time_cap_s)
+    x, y = state.team[state.holder]
+    t = _nearest_opponent_distance(state, x, y) / params.pressure_speed_mps
+    cap = params.time_cap_s
+    return cap if cap < t else t
 
 
 def default_pass_prob(
@@ -139,36 +149,40 @@ def default_pass_prob(
     the passing lane (an opponent standing on the lane halves it). With
     no time at all (tau = 0) no pass completes.
     """
-    if target == state.holder:
+    if type(target) is not int:
+        check_player_id(target, "pass target")
+    team = state.team
+    holder = state.holder
+    if target == holder:
         raise ValueError("pass target cannot be the holder")
-    hx, hy = state.holder_position
-    tx, ty = state.team[target]
+    try:
+        tx, ty = team[target]
+    except KeyError:
+        raise player_id_error(target, "pass target") from None
+    hx, hy = team[holder]
     dx = tx - hx
     dy = ty - hy
-    d = math.hypot(dx, dy)
+    d = hypot(dx, dy)
     # each opponent's distance to the lane, the segment holder -> target,
     # from the lane's vector and squared length computed once per lane
     norm2 = dx * dx + dy * dy
     if norm2 == 0.0:  # the lane is a point: the holder's spot
         lane_clearance = _nearest_opponent_distance(state, hx, hy)
     else:
-        lane_clearance = math.inf
+        lane_clearance = inf
         for ox, oy in state.opponents:
             t = ((ox - hx) * dx + (oy - hy) * dy) / norm2
             if t < 0.0:
                 t = 0.0
             elif t > 1.0:
                 t = 1.0
-            c = math.hypot(ox - (hx + t * dx), oy - (hy + t * dy))
+            c = hypot(ox - (hx + t * dx), oy - (hy + t * dy))
             if c < lane_clearance:
                 lane_clearance = c
-    lane_openness = 1.0 / (1.0 + math.exp(-lane_clearance / params.lane_half_width_m))
-    p = (
-        math.exp(-d / params.pass_decay_m)
-        * lane_openness
-        * (1.0 - math.exp(-tau / params.pass_time_scale_s))
-    )
-    return min(1.0, max(0.0, p))
+    lane_openness = 1.0 / (1.0 + exp(-lane_clearance / params.lane_half_width_m))
+    p = exp(-d / params.pass_decay_m) * lane_openness * (1.0 - exp(-tau / params.pass_time_scale_s))
+    p = p if p > 0.0 else 0.0
+    return p if p < 1.0 else 1.0
 
 
 def default_risk(state: MatchState, target: int, params: EstimatorParams = DEFAULT_PARAMS) -> int:
@@ -178,15 +192,23 @@ def default_risk(state: MatchState, target: int, params: EstimatorParams = DEFAU
     their openness (nearest-opponent distance, saturating at the
     openness radius), then rounds half-up to an integer.
     """
+    if type(target) is not int:
+        check_player_id(target, "risk target")
     if target == state.holder:
         raise ValueError("risk target cannot be the holder")
-    tx, ty = state.team[target]
+    try:
+        tx, ty = state.team[target]
+    except KeyError:
+        raise player_id_error(target, "risk target") from None
     # equals default_score_prob on the state with the ball moved to the target
     s_target = score_prob_at(state.pitch, tx, ty, params)
-    openness = min(1.0, _nearest_opponent_distance(state, tx, ty) / params.openness_radius_m)
+    openness = _nearest_opponent_distance(state, tx, ty) / params.openness_radius_m
+    openness = openness if openness < 1.0 else 1.0
     raw = params.risk_score_weight * s_target + params.risk_openness_weight * openness
-    raw = min(1.0, max(0.0, raw))
-    return min(RISK_MAX, int(math.floor(raw * RISK_MAX + 0.5)))
+    raw = raw if raw > 0.0 else 0.0
+    raw = raw if raw < 1.0 else 1.0
+    r = floor(raw * RISK_MAX + 0.5)
+    return r if r < RISK_MAX else RISK_MAX
 
 
 def default_suite(params: EstimatorParams = DEFAULT_PARAMS) -> EstimatorSuite:
@@ -211,17 +233,15 @@ def unavailable_teammates(state: MatchState) -> list[int]:
     second-last opponent, measured along the attack direction at the
     moment the pass would be decided.
     """
-    ball_x = state.holder_position[0]
+    holder = state.holder
+    outside = state.outside
+    team = state.team
+    ball_x = team[holder][0]
     fence_x = second_last_opponent_x(state)
-    out = []
-    for j in state.teammates():
-        if j in state.outside:
-            out.append(j)
-        else:
-            x = state.team[j][0]
-            if x > ball_x and x > fence_x:
-                out.append(j)
-    return out
+    return [
+        j for j, (x, _) in team.items()
+        if j != holder and (j in outside or (x > ball_x and x > fence_x))
+    ]
 
 
 _NO_PASS = PassEdge(0.0, 0)  # the edge of a teammate who cannot receive
@@ -233,21 +253,29 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     Each output is bounds-checked here, once, so a misbehaving estimator
     fails loudly by name instead of corrupting a network; the checked
     values, as floats (p, s, tau) and ints (r), build the network
-    directly. Unavailable teammates (offside or outside) are never
-    passed to the estimators; their edges are (p, r) = (0, 0).
+    directly. A p that is already a float in [0, 1] and an r that is
+    already an int in 0..10 pass an inline test; any other value goes
+    to check_unit or check_int, which convert it or raise. Unavailable
+    teammates (offside or outside) are never passed to the estimators;
+    their edges are (p, r) = (0, 0).
     """
     s = check_unit(est.score_prob(state), "score_prob()")
     tau = check_real(est.decision_time(state), "decision_time()", 0.0)
     blocked = unavailable_teammates(state)
+    pass_prob = est.pass_prob
+    risk = est.risk
     edges: dict[int, PassEdge] = {}
     for j in state.teammates():
         if j in blocked:
             edges[j] = _NO_PASS
             continue
-        p = est.pass_prob(state, j, tau)
-        r = est.risk(state, j)
-        try:
-            edges[j] = PassEdge(check_unit(p, "pass_prob()"), check_int(r, "risk()", 0, RISK_MAX))
-        except ValueError as err:
-            raise ValueError(f"teammate {j}: {err}") from None
+        p = pass_prob(state, j, tau)
+        r = risk(state, j)
+        if not (type(p) is float and 0.0 <= p <= 1.0 and type(r) is int and 0 <= r <= RISK_MAX):
+            try:
+                p = check_unit(p, "pass_prob()")
+                r = check_int(r, "risk()", 0, RISK_MAX)
+            except ValueError as err:
+                raise ValueError(f"teammate {j}: {err}") from None
+        edges[j] = PassEdge(p, r)
     return DecisionNetwork._trusted(state.holder, s, tau, edges)

@@ -91,6 +91,19 @@ def check_player_id(value: object, what: str = "player id") -> int:
     return check_int(value, what, 1, TEAM_SIZE)
 
 
+def player_id_error(value: object, what: str) -> ValueError:
+    """The error check_player_id(value, what) raises, for a value that names no player.
+
+    For callers that look an id up first and check it only when the
+    lookup fails.
+    """
+    try:
+        check_player_id(value, what)
+    except ValueError as err:
+        return err
+    return ValueError(f"{what} {value!r} names no player")
+
+
 @dataclass(frozen=True)
 class EdgeVector4:
     """The four decision parameters attached to one holder-teammate edge.

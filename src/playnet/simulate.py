@@ -42,13 +42,13 @@ pure-Python rollouts down under the interpreter lock.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, replace
+from math import hypot
 
 from .decision import DecisionPolicy, decide
 from .estimators import EstimatorSuite, estimate_network
-from .network import DecisionNetwork, check_int, check_real
+from .network import DecisionNetwork, check_int, check_player_id, check_real, player_id_error
 from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficiency, security
 from .state import MatchState
 
@@ -96,16 +96,6 @@ def derive_seed(base_seed: int, style_index: int, trial_index: int) -> int:
     return _trial_seed(_seed_hash(base_seed, style_index), trial_index)
 
 
-def _step_toward(x: float, y: float, tx: float, ty: float, dist: float) -> tuple[float, float]:
-    dx = tx - x
-    dy = ty - y
-    d = math.hypot(dx, dy)
-    if d <= dist:
-        return (tx, ty)
-    f = dist / d
-    return (x + f * dx, y + f * dy)
-
-
 def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchState:
     """The snapshot after a completed pass to the receiver.
 
@@ -118,25 +108,55 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     not outside (a completed pass has p > 0, so its receiver never is),
     so it is built without MatchState's checks.
     """
+    if type(receiver) is not int:
+        check_player_id(receiver, "receiver")
     outside = state.outside
     if receiver in outside:
         raise ValueError(f"holder {receiver} cannot be flagged outside")
-    length = state.pitch.length
-    width = state.pitch.width
-    gx, gy = state.pitch.goal_center
-    bx, by = state.team[receiver]
-    team: dict[int, tuple[float, float]] = {}
-    for j, (x, y) in state.team.items():
+    team = state.team
+    try:
+        bx, by = team[receiver]
+    except KeyError:
+        raise player_id_error(receiver, "receiver") from None
+    pitch = state.pitch
+    length = pitch.length
+    width = pitch.width
+    gx, gy = pitch.goal_center
+    # a moving player steps toward its target (the goal center for a
+    # teammate, the ball for an opponent): onto it when it is within
+    # drift_m, else drift_m along the way; then it is clipped to the pitch
+    moved: dict[int, tuple[float, float]] = {}
+    for j, (x, y) in team.items():
         if j == receiver or j in outside:
-            team[j] = (x, y)
+            moved[j] = (x, y)
+            continue
+        dx = gx - x
+        dy = gy - y
+        d = hypot(dx, dy)
+        if d <= drift_m:
+            nx, ny = gx, gy
         else:
-            nx, ny = _step_toward(x, y, gx, gy, drift_m)
-            team[j] = (min(length, max(0.0, nx)), min(width, max(0.0, ny)))
+            f = drift_m / d
+            nx = x + f * dx
+            ny = y + f * dy
+        nx = nx if nx > 0.0 else 0.0
+        ny = ny if ny > 0.0 else 0.0
+        moved[j] = (nx if nx < length else length, ny if ny < width else width)
     opponents = []
     for x, y in state.opponents:
-        nx, ny = _step_toward(x, y, bx, by, drift_m)
-        opponents.append((min(length, max(0.0, nx)), min(width, max(0.0, ny))))
-    return MatchState._trusted(state.pitch, team, tuple(opponents), receiver, outside)
+        dx = bx - x
+        dy = by - y
+        d = hypot(dx, dy)
+        if d <= drift_m:
+            nx, ny = bx, by
+        else:
+            f = drift_m / d
+            nx = x + f * dx
+            ny = y + f * dy
+        nx = nx if nx > 0.0 else 0.0
+        ny = ny if ny > 0.0 else 0.0
+        opponents.append((nx if nx < length else length, ny if ny < width else width))
+    return MatchState._trusted(pitch, moved, tuple(opponents), receiver, outside)
 
 
 class _PathStep:

@@ -109,16 +109,35 @@ class MatchState:
         return self.team[self.holder]
 
     def teammates(self) -> list[int]:
-        return [j for j in sorted(self.team) if j != self.holder]
+        """The ids other than the holder's, ascending (team is kept in id order)."""
+        holder = self.holder
+        return [j for j in self.team if j != holder]
 
 
-_REQUIRED_KEYS = ("pitch", "team", "opponents", "holder")
+_ROOT_KEYS = frozenset(("pitch", "team", "opponents", "holder"))
+_PITCH_KEYS = frozenset(("length", "width"))
+_TEAM_KEYS = frozenset(("id", "x", "y", "outside"))
+_OPPONENT_KEYS = frozenset(("x", "y"))
+_INF = math.inf
+# the JSON path of each team and opponent entry, for error messages
+_TEAM_PATHS = tuple(f"team[{k}]" for k in range(TEAM_SIZE))
+_OPPONENT_PATHS = tuple(f"opponents[{k}]" for k in range(TEAM_SIZE))
+
+
+def _reject_unexpected_keys(obj: dict, allowed: frozenset, path: str) -> None:
+    """Raise naming the first key of obj that is not allowed."""
+    for key in obj:
+        if key not in allowed:
+            raise ValueError(f"{path}: unexpected key {key!r}")
 
 
 def _require_number(obj: dict, key: str, path: str) -> float:
-    if key not in obj:
-        raise ValueError(f"{path}.{key}: missing")
-    v = obj[key]
+    try:
+        v = obj[key]
+    except KeyError:
+        raise ValueError(f"{path}.{key}: missing") from None
+    if type(v) is float and -_INF < v < _INF:
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{path}.{key}: expected a number, got {v!r}")
     try:
@@ -144,19 +163,17 @@ def parse_match_state(data: bytes | str) -> MatchState:
     obj = parse_json(data, parse_constant=_reject_constant)
     if not isinstance(obj, dict):
         raise ValueError("root: expected a JSON object")
-    for key in _REQUIRED_KEYS:
+    for key in ("pitch", "team", "opponents", "holder"):
         if key not in obj:
             raise ValueError(f"{key}: missing")
-    for key in obj:
-        if key not in _REQUIRED_KEYS:
-            raise ValueError(f"root: unexpected key {key!r}")
+    if not obj.keys() <= _ROOT_KEYS:
+        _reject_unexpected_keys(obj, _ROOT_KEYS, "root")
 
     pitch_obj = obj["pitch"]
     if not isinstance(pitch_obj, dict):
         raise ValueError("pitch: expected an object")
-    for key in pitch_obj:
-        if key not in ("length", "width"):
-            raise ValueError(f"pitch: unexpected key {key!r}")
+    if not pitch_obj.keys() <= _PITCH_KEYS:
+        _reject_unexpected_keys(pitch_obj, _PITCH_KEYS, "pitch")
     length = _require_number(pitch_obj, "length", "pitch")
     width = _require_number(pitch_obj, "width", "pitch")
     pitch = Pitch(length, width)
@@ -168,33 +185,31 @@ def parse_match_state(data: bytes | str) -> MatchState:
         raise ValueError(f"team: expected {TEAM_SIZE} players, got {len(team_arr)}")
     team: dict[int, XY] = {}
     outside: set[int] = set()
-    for k, entry in enumerate(team_arr):
-        path = f"team[{k}]"
+    for path, entry in zip(_TEAM_PATHS, team_arr):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: expected an object")
-        for key in entry:
-            if key not in ("id", "x", "y", "outside"):
-                raise ValueError(f"{path}: unexpected key {key!r}")
+        if not entry.keys() <= _TEAM_KEYS:
+            _reject_unexpected_keys(entry, _TEAM_KEYS, path)
         if "id" not in entry:
             raise ValueError(f"{path}.id: missing")
         pid = entry["id"]
-        if isinstance(pid, bool) or not isinstance(pid, int) or not 1 <= pid <= TEAM_SIZE:
+        if type(pid) is not int or not 1 <= pid <= TEAM_SIZE:  # JSON gives a bool its own type
             raise ValueError(f"{path}.id: {pid!r} must be an integer in 1..{TEAM_SIZE}")
         if pid in team:
             raise ValueError(f"{path}.id: duplicate player id {pid}")
         x = _require_number(entry, "x", path)
         y = _require_number(entry, "y", path)
         is_outside = entry.get("outside", False)
-        if not isinstance(is_outside, bool):
-            raise ValueError(f"{path}.outside: expected a boolean, got {is_outside!r}")
-        if not is_outside:
+        if is_outside is True:
+            outside.add(pid)
+        elif is_outside is False:
             if not 0.0 <= x <= length:
                 raise ValueError(f"{path}.x: {x} outside [0, {pitch.length:g}]")
             if not 0.0 <= y <= width:
                 raise ValueError(f"{path}.y: {y} outside [0, {pitch.width:g}]")
+        else:
+            raise ValueError(f"{path}.outside: expected a boolean, got {is_outside!r}")
         team[pid] = (x, y)
-        if is_outside:
-            outside.add(pid)
 
     opp_arr = obj["opponents"]
     if not isinstance(opp_arr, list):
@@ -202,13 +217,11 @@ def parse_match_state(data: bytes | str) -> MatchState:
     if len(opp_arr) != TEAM_SIZE:
         raise ValueError(f"opponents: expected {TEAM_SIZE} entries, got {len(opp_arr)}")
     opponents: list[XY] = []
-    for k, entry in enumerate(opp_arr):
-        path = f"opponents[{k}]"
+    for path, entry in zip(_OPPONENT_PATHS, opp_arr):
         if not isinstance(entry, dict):
             raise ValueError(f"{path}: expected an object")
-        for key in entry:
-            if key not in ("x", "y"):
-                raise ValueError(f"{path}: unexpected key {key!r}")
+        if not entry.keys() <= _OPPONENT_KEYS:
+            _reject_unexpected_keys(entry, _OPPONENT_KEYS, path)
         x = _require_number(entry, "x", path)
         y = _require_number(entry, "y", path)
         if not 0.0 <= x <= length:

@@ -49,7 +49,11 @@ class LinearStyle:
             raise ValueError("style weights x and y give a score too large for a float")
 
     def evaluate(self, p: float, r: int) -> float:
-        """Score one pass option: x * 10p + y * r."""
+        """Score one pass option: x * 10p + y * r, after checking p and r.
+
+        decide and ranked_options compute the same expression inline,
+        unchecked, on a network's already checked values.
+        """
         return self.x * (10.0 * check_unit(p, "p")) + self.y * check_int(r, "r", 0, RISK_MAX)
 
     # a LinearStyle is itself a style callable

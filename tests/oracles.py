@@ -10,6 +10,7 @@ these functions and frozen.
 import json
 import math
 
+from playnet.estimators import EstimatorParams
 from playnet.jsonio import canonical_number
 from playnet.sequence import sequence_to_obj
 from playnet.state import MatchState
@@ -81,17 +82,30 @@ def pareto_pairwise(points):
 
 # --- straight-line transcriptions of the default estimator formulas ---
 
-GOAL_WIDTH = 7.32
+# The shipped constants, written out here rather than read from the
+# library's defaults, so a change to those defaults shows up as a mismatch.
+ORACLE_PARAMS = EstimatorParams(
+    score_decay_m=20.0,
+    pressure_speed_mps=5.0,
+    time_cap_s=4.0,
+    pass_decay_m=30.0,
+    lane_half_width_m=2.0,
+    pass_time_scale_s=1.0,
+    openness_radius_m=10.0,
+    risk_score_weight=0.7,
+    risk_openness_weight=0.3,
+    goal_width_m=7.32,
+)
 
 
-def oracle_score_prob(state, x, y):
+def oracle_score_prob(state, x, y, params=ORACLE_PARAMS):
     length = state.pitch.length
     goal_y = state.pitch.width / 2.0
     dist = math.hypot(length - x, goal_y - y)
     if dist == 0.0:
         return 1.0
-    low_y = goal_y - GOAL_WIDTH / 2.0
-    high_y = goal_y + GOAL_WIDTH / 2.0
+    low_y = goal_y - params.goal_width_m / 2.0
+    high_y = goal_y + params.goal_width_m / 2.0
     if x < length and low_y <= y <= high_y:
         angle_factor = 1.0
     else:
@@ -99,14 +113,14 @@ def oracle_score_prob(state, x, y):
         angle_b = abs(math.atan2(high_y - y, length - x))
         angle = angle_a if angle_a < angle_b else angle_b
         angle_factor = max(0.0, math.cos(angle))
-    value = math.exp(-dist / 20.0) * angle_factor
+    value = math.exp(-dist / params.score_decay_m) * angle_factor
     return min(1.0, max(0.0, value))
 
 
-def oracle_decision_time(state):
+def oracle_decision_time(state, params=ORACLE_PARAMS):
     hx, hy = state.team[state.holder]
     nearest = min(math.hypot(ox - hx, oy - hy) for ox, oy in state.opponents)
-    return min(nearest / 5.0, 4.0)
+    return min(nearest / params.pressure_speed_mps, params.time_cap_s)
 
 
 def _point_segment_distance(px, py, ax, ay, bx, by):
@@ -119,24 +133,28 @@ def _point_segment_distance(px, py, ax, ay, bx, by):
     return math.hypot(px - cx, py - cy)
 
 
-def oracle_pass_prob(state, target, tau):
+def oracle_pass_prob(state, target, tau, params=ORACLE_PARAMS):
     hx, hy = state.team[state.holder]
     tx, ty = state.team[target]
     dist = math.hypot(tx - hx, ty - hy)
     clearance = min(
         _point_segment_distance(ox, oy, hx, hy, tx, ty) for ox, oy in state.opponents
     )
-    lane = 1.0 / (1.0 + math.exp(-clearance / 2.0))
-    value = math.exp(-dist / 30.0) * lane * (1.0 - math.exp(-tau / 1.0))
+    lane = 1.0 / (1.0 + math.exp(-clearance / params.lane_half_width_m))
+    value = (
+        math.exp(-dist / params.pass_decay_m)
+        * lane
+        * (1.0 - math.exp(-tau / params.pass_time_scale_s))
+    )
     return min(1.0, max(0.0, value))
 
 
-def oracle_risk(state, target):
+def oracle_risk(state, target, params=ORACLE_PARAMS):
     tx, ty = state.team[target]
-    s_there = oracle_score_prob(state, tx, ty)
+    s_there = oracle_score_prob(state, tx, ty, params)
     nearest = min(math.hypot(ox - tx, oy - ty) for ox, oy in state.opponents)
-    openness = min(1.0, nearest / 10.0)
-    raw = min(1.0, max(0.0, 0.7 * s_there + 0.3 * openness))
+    openness = min(1.0, nearest / params.openness_radius_m)
+    raw = min(1.0, max(0.0, params.risk_score_weight * s_there + params.risk_openness_weight * openness))
     return min(10, int(math.floor(raw * 10.0 + 0.5)))
 
 
@@ -155,11 +173,11 @@ def oracle_offside_or_outside(state):
     return flagged
 
 
-def oracle_network_dict(state):
+def oracle_network_dict(state, params=ORACLE_PARAMS):
     """The holder's network as a JSON dict, straight from the formulas above."""
     hx, hy = state.team[state.holder]
-    s = oracle_score_prob(state, hx, hy)
-    tau = oracle_decision_time(state)
+    s = oracle_score_prob(state, hx, hy, params)
+    tau = oracle_decision_time(state, params)
     blocked = set(oracle_offside_or_outside(state))
     edges = []
     for j in sorted(state.team):
@@ -168,7 +186,9 @@ def oracle_network_dict(state):
         if j in blocked:
             edges.append({"to": j, "p": 0.0, "r": 0})
         else:
-            edges.append({"to": j, "p": oracle_pass_prob(state, j, tau), "r": oracle_risk(state, j)})
+            edges.append({
+                "to": j, "p": oracle_pass_prob(state, j, tau, params), "r": oracle_risk(state, j, params),
+            })
     return {"holder": state.holder, "s": s, "tau": tau, "edges": edges}
 
 

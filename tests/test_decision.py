@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from playnet import DecisionPolicy, LinearStyle, build_network, decide, ranked_options
+from playnet import DecisionNetwork, DecisionPolicy, LinearStyle, build_network, decide, ranked_options
 
 from conftest import random_network
 from oracles import best_pass_exhaustive, ranked_exhaustive
@@ -178,6 +178,62 @@ def test_decide_takes_the_head_of_ranked_options_under_ties(seed, style, tie_bre
     assert (decision.target, decision.score) == (target, score)
     assert type(decision.score) is type(score)
     assert decision.degenerate == (score == 0.0)
+
+
+def tied_network(rng: random.Random) -> DecisionNetwork:
+    """A network below any threshold whose edges repeat a few (p, r) values, zeros included."""
+    holder = rng.randint(1, 11)
+    if rng.random() < 0.1:
+        per = {j: (0.0, 0) for j in range(1, 12) if j != holder}
+    else:
+        values = [(0.0, 0), (0.0, 0), (0.5, 0), (0.0, 5), (0.25, 2), (1.0, 10)]
+        values.append((rng.random(), rng.randint(0, 10)))
+        per = {j: rng.choice(values) for j in range(1, 12) if j != holder}
+    return build_network(holder, 0.0, 1.0, per)
+
+
+@pytest.mark.parametrize("tie_break", ["lowest_id", "highest_id"])
+def test_linear_style_scores_equal_its_checked_evaluate(tie_break):
+    # decide and ranked_options score a LinearStyle without its checks;
+    # the scores must be the very floats the checked evaluate gives
+    rng = random.Random(4711)
+    zero_networks = 0
+    for _ in range(400):
+        x, y = rng.randint(0, 7), rng.randint(0, 7)
+        style = LinearStyle(x, y or 1)
+        net = tied_network(rng)
+        zero_networks += all(e == (0.0, 0) for e in net.edges.values())
+        policy = DecisionPolicy(style=style, threshold=0.5, tie_break=tie_break)
+        decision = decide(net, policy)
+        target, score = best_pass_exhaustive(net, style.evaluate, tie_break)
+        assert (decision.target, decision.score) == (target, score)
+        assert type(decision.score) is float and decision.degenerate == (score == 0.0)
+        ranked = ranked_options(net, policy)
+        assert ranked == ranked_exhaustive(net, style.evaluate, tie_break)
+        assert all(type(v) is float for _, v in ranked)
+    assert zero_networks > 10
+
+
+def test_other_styles_are_scored_through_themselves():
+    net = uniform_network(s=0.1, p=0.4, r=3)
+    calls = []
+
+    def plain(p, r):
+        calls.append((p, r))
+        return r - p
+
+    policy = DecisionPolicy(style=plain)
+    decide(net, policy)
+    ranked_options(net, policy)
+    assert calls == [(0.4, 3)] * 20
+
+    class Doubled(LinearStyle):
+        def __call__(self, p, r):
+            return 2.0 * self.evaluate(p, r)
+
+    policy = DecisionPolicy(style=Doubled(1, 1))
+    assert decide(net, policy).score == 2.0 * LinearStyle(1, 1).evaluate(0.4, 3)
+    assert ranked_options(net, policy)[0][1] == 2.0 * LinearStyle(1, 1).evaluate(0.4, 3)
 
 
 def test_policy_validation():

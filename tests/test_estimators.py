@@ -19,7 +19,7 @@ from playnet import (
     estimate_network,
 )
 from playnet.estimators import score_prob_at, unavailable_teammates
-from playnet.network import PassEdge
+from playnet.network import PassEdge, check_player_id
 
 from conftest import GOLDEN_DIR, random_match_state
 
@@ -172,6 +172,21 @@ def test_risk_rejects_holder_target():
         default_pass_prob(state, state.holder, 1.0)
 
 
+@pytest.mark.parametrize("target", [0, 12, True, 1.0])
+def test_kernels_reject_a_target_that_is_no_teammate(target):
+    # the error check_player_id gives: 0 and 12 used to raise KeyError, and
+    # True and 1.0 used to find player 1
+    state = spread_state(holder=8)
+    for kernel, what in ((lambda: default_pass_prob(state, target, 1.0), "pass target"),
+                         (lambda: default_risk(state, target), "risk target")):
+        with pytest.raises(ValueError) as expected:
+            check_player_id(target, what)
+        with pytest.raises(ValueError) as got:
+            kernel()
+        assert str(got.value) == str(expected.value)
+        assert repr(target) in str(got.value)
+
+
 def test_offside_detection():
     # defenders' second-last x is 88; ball at 55
     opponents = tuple([(100.0, 34.0), (88.0, 30.0)] + [(60.0, 5.0 + 5.0 * k) for k in range(9)])
@@ -220,14 +235,31 @@ def test_estimate_network_matches_frozen_golden():
     assert estimate_network(state, default_suite()).to_json_dict() == golden
 
 
-def test_estimate_network_matches_oracle_on_random_states():
-    from oracles import oracle_network_dict
+# every constant differs from its default, so a kernel that reads DEFAULT_PARAMS
+# (or a hard-coded constant) instead of its params argument disagrees with the oracle
+OTHER_PARAMS = EstimatorParams(
+    score_decay_m=33.0,
+    pressure_speed_mps=3.5,
+    time_cap_s=6.5,
+    pass_decay_m=21.0,
+    lane_half_width_m=3.25,
+    pass_time_scale_s=0.6,
+    openness_radius_m=14.0,
+    risk_score_weight=0.45,
+    risk_openness_weight=0.5,
+    goal_width_m=11.0,
+)
 
-    rng = random.Random(55)
-    suite = default_suite()
-    for _ in range(200):
-        state = random_match_state(rng)
-        assert estimate_network(state, suite).to_json_dict() == oracle_network_dict(state)
+
+def test_estimate_network_matches_oracle_on_random_states():
+    from oracles import ORACLE_PARAMS, oracle_network_dict
+
+    assert OTHER_PARAMS != ORACLE_PARAMS
+    for params, suite in ((ORACLE_PARAMS, default_suite()), (OTHER_PARAMS, default_suite(OTHER_PARAMS))):
+        rng = random.Random(55)
+        for _ in range(200):
+            state = random_match_state(rng)
+            assert estimate_network(state, suite).to_json_dict() == oracle_network_dict(state, params)
 
 
 def test_default_outputs_stay_in_bounds():

@@ -24,11 +24,12 @@ from playnet import (
     security,
     simulate_possession,
 )
+from playnet.network import check_player_id
 from playnet.sequence import sequence_to_obj
 from playnet.simulate import StyleReport, advance_state
 
 from conftest import random_match_state
-from oracles import exact_possession_moments
+from oracles import exact_possession_moments, oracle_advance
 
 
 def base_config(style=LinearStyle(3, 1), threshold=0.5, seed=0, **kwargs):
@@ -219,6 +220,44 @@ def test_advance_state_rejects_an_outside_receiver():
                        frozenset({11}))
     with pytest.raises(ValueError, match="holder 11 cannot be flagged outside"):
         advance_state(state, 11, 2.0)
+
+
+def _bits(state):
+    """Every number of a snapshot as its exact float bits, in the snapshot's order."""
+    return (
+        state.holder,
+        state.outside,
+        (state.pitch.length.hex(), state.pitch.width.hex()),
+        [(j, x.hex(), y.hex()) for j, (x, y) in state.team.items()],
+        [(x.hex(), y.hex()) for x, y in state.opponents],
+    )
+
+
+def test_advance_state_matches_the_oracle_bit_for_bit():
+    rng = random.Random(1111)
+    snapped = moved = 0
+    for _ in range(60):
+        state = random_match_state(rng)
+        for drift in (0.0, 2.0, 50.0):
+            for receiver in state.team:
+                if receiver in state.outside:
+                    continue
+                after = advance_state(state, receiver, drift)
+                assert _bits(after) == _bits(oracle_advance(state, receiver, drift))
+                for (x0, y0), (x1, y1) in zip(state.opponents, after.opponents):
+                    snapped += (x1, y1) == after.team[receiver]
+                    moved += (x1, y1) != (x0, y0)
+    assert snapped > 100 and moved > 1000  # both branches of the step ran
+
+
+@pytest.mark.parametrize("receiver", [0, 12, True, 1.0])
+def test_advance_state_rejects_a_receiver_that_is_no_teammate(receiver):
+    state = random_match_state(random.Random(3), allow_outside=False)
+    with pytest.raises(ValueError) as expected:
+        check_player_id(receiver, "receiver")
+    with pytest.raises(ValueError) as got:
+        advance_state(state, receiver, 2.0)
+    assert str(got.value) == str(expected.value)
 
 
 def test_config_validation():

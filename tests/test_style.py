@@ -56,8 +56,8 @@ def test_evaluate_monotone_in_r(style, p, r1, r2):
 
 @pytest.mark.parametrize(
     "p, r",
-    [(-0.1, 5), (1.1, 5), (0.5, -1), (0.5, 11), (0.5, 2.5), pytest.param(10**400, 5, id="huge-5"),
-     (math.nan, 5), (True, 5)],
+    [(-0.1, 5), (1.1, 5), (1.5, 5), (0.5, -1), (0.5, 11), (0.5, 2.5), pytest.param(10**400, 5, id="huge-5"),
+     (math.nan, 5), (True, 5), (0.5, True)],
 )
 def test_evaluate_rejects_out_of_range(p, r):
     with pytest.raises(ValueError):
