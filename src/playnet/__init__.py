@@ -30,7 +30,6 @@ from .simulate import (
     monte_carlo_compare,
     rollout,
     run_trials,
-    simulate_possession,
 )
 from .state import MatchState, Pitch, match_state_to_obj, parse_match_state
 from .style import LinearStyle, StyleClass
@@ -74,6 +73,5 @@ __all__ = [
     "rollout",
     "run_trials",
     "security",
-    "simulate_possession",
     "__version__",
 ]

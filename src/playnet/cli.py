@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True, help="match state JSON file")
     p.add_argument("--style", required=True, help="style weights as x:y, e.g. 3:1")
     p.add_argument("--threshold", type=float, help="shoot threshold (default from config: 0.5)")
-    p.add_argument("--tie-break", dest="tie_break", help="argmax tie-break rule")
     p.add_argument("--dot", help="also write the network as a DOT graph to this file")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -82,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--style", required=True)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--tie-break", dest="tie_break")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-steps", dest="max_steps", type=int)
@@ -97,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--styles", required=True, help="comma-separated styles, e.g. 3:1,1:3,2:2")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--tie-break", dest="tie_break")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write the per-style report as CSV to this file")
@@ -115,15 +112,13 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
     overrides = {}
     if getattr(args, "threshold", None) is not None:
         overrides["threshold"] = args.threshold
-    if getattr(args, "tie_break", None) is not None:
-        overrides["tie_break"] = args.tie_break
     if getattr(args, "max_steps", None) is not None:
         overrides["max_steps"] = args.max_steps
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _policy(cfg: AppConfig, style: LinearStyle) -> DecisionPolicy:
-    return DecisionPolicy(style=style, threshold=cfg.threshold, tie_break=cfg.tie_break)
+    return DecisionPolicy(style=style, threshold=cfg.threshold)
 
 
 def _sim_config(cfg: AppConfig, style: LinearStyle, seed: int) -> SimulationConfig:

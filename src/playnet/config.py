@@ -13,7 +13,6 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from .decision import check_tie_break
 from .estimators import EstimatorParams
 from .jsonio import parse_json
 from .network import check_int, check_real, check_unit
@@ -27,7 +26,6 @@ class AppConfig:
     max_steps: int = 30
     drift_m: float = 2.0
     threshold: float = 0.5  # tool convention for the shoot threshold
-    tie_break: str = "lowest_id"
 
     def __post_init__(self) -> None:
         # Checked here, not where a subcommand first uses the value, so a
@@ -35,13 +33,12 @@ class AppConfig:
         check_int(self.max_steps, "max_steps", 1)
         check_real(self.drift_m, "drift_m", 0.0)
         check_unit(self.threshold, "threshold")
-        check_tie_break(self.tie_break)
 
     def to_dict(self) -> dict:
         return {
             "estimators": dataclasses.asdict(self.estimators),
             "simulation": {"max_steps": self.max_steps, "drift_m": self.drift_m},
-            "policy": {"threshold": self.threshold, "tie_break": self.tie_break},
+            "policy": {"threshold": self.threshold},
         }
 
     @classmethod
@@ -71,13 +68,16 @@ class AppConfig:
         for key in pol_obj:
             if key not in ("threshold", "tie_break"):
                 raise ValueError(f"config.policy: unknown key {key!r}")
+        # older configs and manifests name the one tie rule there is
+        tie_break = pol_obj.get("tie_break", "lowest_id")
+        if tie_break != "lowest_id":
+            raise ValueError(f"config.policy: unknown tie_break {tie_break!r} (known: lowest_id)")
         defaults = cls()
         return cls(
             estimators=EstimatorParams(**est_obj),
             max_steps=sim_obj.get("max_steps", defaults.max_steps),
             drift_m=sim_obj.get("drift_m", defaults.drift_m),
             threshold=pol_obj.get("threshold", defaults.threshold),
-            tie_break=pol_obj.get("tie_break", defaults.tie_break),
         )
 
 

@@ -2,9 +2,8 @@
 
 Shoot when the holder's scoring probability reaches the policy
 threshold; otherwise pass to the teammate whose (p, r) edge maximizes
-the policy's style function. Ties at the argmax are broken by a
-deterministic configurable rule (default: lowest teammate id) so runs
-reproduce exactly across platforms.
+the policy's style function. Ties at the argmax go to the lowest
+teammate id, so runs reproduce exactly across platforms.
 
 The holder's decision time tau is carried by the network but plays no
 role here; its influence is upstream, where pass probabilities are
@@ -25,31 +24,17 @@ from typing import Callable
 from .network import DecisionNetwork, check_unit
 from .style import LinearStyle
 
-TIE_BREAK_RULES: dict[str, Callable[[int], int]] = {
-    "lowest_id": lambda j: j,
-    "highest_id": lambda j: -j,
-}
-
-
-def check_tie_break(value: object) -> None:
-    if not isinstance(value, str) or value not in TIE_BREAK_RULES:
-        known = ", ".join(sorted(TIE_BREAK_RULES))
-        raise ValueError(f"unknown tie_break {value!r} (known: {known})")
-
-
 @dataclass(frozen=True)
 class DecisionPolicy:
-    """A style function, a shoot threshold, and an argmax tie-break rule."""
+    """A style function and a shoot threshold."""
 
     style: Callable[[float, int], float]
     threshold: float = 0.5
-    tie_break: str = "lowest_id"
 
     def __post_init__(self) -> None:
         if not callable(self.style):
             raise ValueError("policy style must be callable as style(p, r)")
         check_unit(self.threshold, "threshold")
-        check_tie_break(self.tie_break)
 
 
 @dataclass(frozen=True)
@@ -100,12 +85,11 @@ def _scored(network: DecisionNetwork, style: Callable[[float, int], float]) -> l
 def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tuple[int, float]]:
     """All ten pass options, best first.
 
-    Sorted by style score descending; ties broken by the policy's rule.
-    The head of this list is exactly the pass target decide() would pick.
+    Sorted by style score descending, ties by lowest teammate id. The
+    head of this list is exactly the pass target decide() would pick.
     """
-    tie_key = TIE_BREAK_RULES[policy.tie_break]
     scored = _scored(network, policy.style)
-    scored.sort(key=lambda item: (-item[1], tie_key(item[0])))
+    scored.sort(key=lambda item: (-item[1], item[0]))
     return scored
 
 
@@ -113,9 +97,10 @@ def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
     """Shoot if the holder's s reaches the threshold, else pass to the argmax teammate."""
     if network.s >= policy.threshold:
         return Decision(action="shoot")
-    tie_key = TIE_BREAK_RULES[policy.tie_break]
     target = score = None
-    for j, value in _scored(network, policy.style):  # the head of ranked_options, in one pass
-        if target is None or value > score or (value == score and tie_key(j) < tie_key(target)):
+    # the head of ranked_options, in one pass: edges are in id order, so
+    # the first maximum is the lowest id among the tied
+    for j, value in _scored(network, policy.style):
+        if target is None or value > score:
             target, score = j, value
     return Decision(action="pass", target=target, score=score, degenerate=(score == 0.0))

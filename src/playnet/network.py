@@ -28,7 +28,6 @@ paths.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -222,9 +221,6 @@ class DecisionNetwork:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, obj: object) -> DecisionNetwork:
         if not isinstance(obj, dict):
@@ -245,10 +241,6 @@ class DecisionNetwork:
                 raise ValueError(f"network.edges[{k}].to: duplicate teammate id {to}")
             per_teammate[to] = (entry["p"], entry["r"])
         return build_network(obj["holder"], obj["s"], obj["tau"], per_teammate)
-
-    @classmethod
-    def from_json(cls, text: str | bytes) -> DecisionNetwork:
-        return cls.from_json_dict(json.loads(text))
 
 
 def build_network(

@@ -253,11 +253,6 @@ def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
     return _walk(_PossessionPath(state, cfg), random.Random(cfg.seed))
 
 
-def simulate_possession(state: MatchState, cfg: SimulationConfig) -> PossessionSequence:
-    """One full possession from the given snapshot."""
-    return rollout(state, cfg).sequence
-
-
 def run_trials(
     state: MatchState,
     cfg: SimulationConfig,

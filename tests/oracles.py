@@ -16,11 +16,11 @@ from playnet.sequence import sequence_to_obj
 from playnet.state import MatchState
 
 
-def best_pass_exhaustive(network, style, tie_break="lowest_id"):
-    """(target, score) by scanning all ten teammates one by one."""
+def best_pass_exhaustive(network, style):
+    """(target, score) by scanning all ten teammates one by one, in id order."""
     best_j = None
     best_score = None
-    for j in sorted(network.edges, reverse=(tie_break == "highest_id")):
+    for j in sorted(network.edges):
         e = network.edges[j]
         score = style(e.p, e.r)
         if best_score is None or score > best_score:
@@ -28,14 +28,14 @@ def best_pass_exhaustive(network, style, tie_break="lowest_id"):
     return best_j, best_score
 
 
-def ranked_exhaustive(network, style, tie_break="lowest_id"):
+def ranked_exhaustive(network, style):
     """Full ranking by repeated extraction of the exhaustive best."""
     remaining = dict(network.edges)
     out = []
     while remaining:
         best_j = None
         best_score = None
-        for j in sorted(remaining, reverse=(tie_break == "highest_id")):
+        for j in sorted(remaining):
             e = remaining[j]
             score = style(e.p, e.r)
             if best_score is None or score > best_score:

@@ -560,6 +560,37 @@ def test_threads_flag_is_a_usage_error(capsys, command):
     assert "--threads" in err
 
 
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_tie_break_in_older_configs_and_manifests(capsys, tmp_path, command):
+    # lowest_id is the one tie rule: files that name it load and change no
+    # byte; files naming any other rule are invalid input
+    plain = tmp_path / "plain"
+    assert run(capsys, *_ARTIFACT_ARGV[command], str(plain))[0] == 0
+    config = tmp_path / "config.json"
+    config.write_text('{"policy": {"threshold": 0.5, "tie_break": "lowest_id"}}')
+    named = tmp_path / "named"
+    assert run(capsys, "--config", str(config), *_ARTIFACT_ARGV[command], str(named))[0] == 0
+    assert named.read_bytes() == plain.read_bytes()
+    manifest = json.loads(Path(manifest_path(plain)).read_text())
+    assert manifest["config"]["policy"] == {"threshold": 0.5}
+    manifest["config"]["policy"]["tie_break"] = "lowest_id"
+    assert regenerate(manifest) == plain.read_text()
+    config.write_text('{"policy": {"tie_break": "highest_id"}}')
+    code, out, err = run(capsys, "--config", str(config), *_ARTIFACT_ARGV[command], str(tmp_path / "other"))
+    assert (code, out) == (1, "")
+    assert err.count("error:") == 1 and "tie_break" in err
+    assert not (tmp_path / "other").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_tie_break_flag_is_a_usage_error(capsys, command):
+    argv = _ARTIFACT_ARGV[command][:-1] + ["--tie-break", "lowest_id"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--tie-break" in err
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o002], ids=["022", "002"])
 @pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
 def test_artifact_files_get_the_mode_a_plain_write_gives(capsys, tmp_path, command, umask):
@@ -904,7 +935,6 @@ def _cli_argv(draw) -> list[str]:
         else:
             argv += ["--style", draw(_STYLES)]
         maybe("--threshold", _THRESHOLDS)
-        maybe("--tie-break", st.sampled_from(["lowest_id", "highest_id", "random"]))
     if command in ("simulate", "compare"):
         maybe("--trials", _COUNTS)
         maybe("--seed", _SEEDS)

@@ -42,12 +42,6 @@ def test_degenerate_iff_all_zero():
     assert not decide(nonzero, DecisionPolicy(style=LinearStyle(1, 1), threshold=0.5)).degenerate
 
 
-def test_highest_id_tie_break():
-    net = uniform_network(holder=8, s=0.1, p=0.4, r=3)
-    decision = decide(net, DecisionPolicy(style=LinearStyle(1, 1), threshold=0.5, tie_break="highest_id"))
-    assert decision.target == 11
-
-
 def test_ranked_all_zero_sorted_by_id():
     net = uniform_network(holder=8, s=0.1, p=0.0, r=0)
     ranked = ranked_options(net, DecisionPolicy(style=LinearStyle(1, 1)))
@@ -79,11 +73,10 @@ def test_pass_target_matches_exhaustive_scan():
 
 def test_ranked_matches_exhaustive_ranking():
     rng = random.Random(99)
-    for tie_break in ("lowest_id", "highest_id"):
-        policy = DecisionPolicy(style=LinearStyle(1, 2), tie_break=tie_break)
-        for _ in range(100):
-            net = random_network(rng)
-            assert ranked_options(net, policy) == ranked_exhaustive(net, LinearStyle(1, 2), tie_break)
+    policy = DecisionPolicy(style=LinearStyle(1, 2))
+    for _ in range(100):
+        net = random_network(rng)
+        assert ranked_options(net, policy) == ranked_exhaustive(net, LinearStyle(1, 2))
 
 
 @settings(max_examples=200)
@@ -164,15 +157,14 @@ _TIED_STYLES = {
 @given(
     seed=st.integers(0, 2**32),
     style=st.sampled_from(sorted(_TIED_STYLES)),
-    tie_break=st.sampled_from(["lowest_id", "highest_id"]),
 )
-def test_decide_takes_the_head_of_ranked_options_under_ties(seed, style, tie_break):
+def test_decide_takes_the_head_of_ranked_options_under_ties(seed, style):
     rng = random.Random(seed)
     holder = rng.randint(1, 11)
     # few distinct (p, r) values, so that several teammates share the top score
     per = {j: (rng.choice([0.0, 0.25, 0.5]), rng.choice([0, 1, 2])) for j in range(1, 12) if j != holder}
     net = build_network(holder, 0.1, 1.0, per)
-    policy = DecisionPolicy(style=_TIED_STYLES[style], threshold=0.5, tie_break=tie_break)
+    policy = DecisionPolicy(style=_TIED_STYLES[style], threshold=0.5)
     decision = decide(net, policy)
     target, score = ranked_options(net, policy)[0]
     assert (decision.target, decision.score) == (target, score)
@@ -192,8 +184,7 @@ def tied_network(rng: random.Random) -> DecisionNetwork:
     return build_network(holder, 0.0, 1.0, per)
 
 
-@pytest.mark.parametrize("tie_break", ["lowest_id", "highest_id"])
-def test_linear_style_scores_equal_its_checked_evaluate(tie_break):
+def test_linear_style_scores_equal_its_checked_evaluate():
     # decide and ranked_options score a LinearStyle without its checks;
     # the scores must be the very floats the checked evaluate gives
     rng = random.Random(4711)
@@ -203,13 +194,13 @@ def test_linear_style_scores_equal_its_checked_evaluate(tie_break):
         style = LinearStyle(x, y or 1)
         net = tied_network(rng)
         zero_networks += all(e == (0.0, 0) for e in net.edges.values())
-        policy = DecisionPolicy(style=style, threshold=0.5, tie_break=tie_break)
+        policy = DecisionPolicy(style=style, threshold=0.5)
         decision = decide(net, policy)
-        target, score = best_pass_exhaustive(net, style.evaluate, tie_break)
+        target, score = best_pass_exhaustive(net, style.evaluate)
         assert (decision.target, decision.score) == (target, score)
         assert type(decision.score) is float and decision.degenerate == (score == 0.0)
         ranked = ranked_options(net, policy)
-        assert ranked == ranked_exhaustive(net, style.evaluate, tie_break)
+        assert ranked == ranked_exhaustive(net, style.evaluate)
         assert all(type(v) is float for _, v in ranked)
     assert zero_networks > 10
 
@@ -239,8 +230,6 @@ def test_other_styles_are_scored_through_themselves():
 def test_policy_validation():
     with pytest.raises(ValueError, match="threshold"):
         DecisionPolicy(style=LinearStyle(1, 1), threshold=1.5)
-    with pytest.raises(ValueError, match="tie_break"):
-        DecisionPolicy(style=LinearStyle(1, 1), tie_break="coin_flip")
     with pytest.raises(ValueError, match="callable"):
         DecisionPolicy(style="3:1")
 

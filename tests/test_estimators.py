@@ -300,7 +300,7 @@ def test_integer_estimator_outputs_become_floats():
     net = estimate_network(spread_state(), certain)
     assert type(net.s) is float and type(net.tau) is float
     assert all(type(e.p) is float for e in net.edges.values())
-    assert net.to_json().startswith('{"holder": 8, "s": 1.0, "tau": 2.0,')
+    assert json.dumps(net.to_json_dict()).startswith('{"holder": 8, "s": 1.0, "tau": 2.0,')
 
 
 def test_estimated_network_equals_validated_construction():

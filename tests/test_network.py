@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -159,7 +160,7 @@ def test_build_edge_round_trip(net):
 
 @given(networks())
 def test_json_round_trip_lossless(net):
-    assert DecisionNetwork.from_json(net.to_json()) == net
+    assert DecisionNetwork.from_json_dict(json.loads(json.dumps(net.to_json_dict()))) == net
 
 
 def test_json_shape():

@@ -1,17 +1,25 @@
-"""Smoke tests for the public surface outside the library: scripts and exports.
+"""Smoke tests for the public surface outside the library: scripts, exports and README.
 
 The scripts under scripts/ import playnet by name, so a renamed or
-deleted export breaks them without breaking any library test.
+deleted export breaks them without breaking any library test. The
+README's commands are checked against the CLI parser for the same
+reason.
 """
 
+import re
+import shlex
 import subprocess
 import sys
 
-import playnet
+import pytest
 
-from conftest import DATA_DIR, GOLDEN_DIR, REPO_ROOT
+import playnet
+from playnet.cli import build_parser
+
+from conftest import DATA_DIR, REPO_ROOT
 
 SCRIPTS = REPO_ROOT / "scripts"
+README = (REPO_ROOT / "README.md").read_text()
 
 
 def run_script(name, *args):
@@ -37,7 +45,30 @@ def test_compare_styles_script():
     assert any(row.endswith("*") for row in rows)  # some style is always undominated
 
 
-def test_render_network_script():
-    proc = run_script("render_network.py", "--state", str(DATA_DIR / "midfield_state.json"))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDEN_DIR / "midfield_t8.dot").read_text()
+def readme_playnet_commands():
+    """The argv of each playnet command line in the README's bash blocks, continuations joined."""
+    commands = []
+    for block in re.findall(r"^```bash\n(.*?)^```", README, re.S | re.M):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["playnet"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_readme_names_some_commands():
+    assert len(readme_playnet_commands()) >= 7
+
+
+@pytest.mark.parametrize("argv", readme_playnet_commands(), ids=" ".join)
+def test_readme_playnet_command_parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:  # what argparse does on a usage error
+        pytest.fail(f"usage error: playnet {shlex.join(argv)}")
+
+
+def test_readme_scripts_exist():
+    named = set(re.findall(r"scripts/[\w.-]+\.py", README))
+    assert named
+    assert sorted(name for name in named if not (REPO_ROOT / name).is_file()) == []

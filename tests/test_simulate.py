@@ -22,7 +22,6 @@ from playnet import (
     rollout,
     run_trials,
     security,
-    simulate_possession,
 )
 from playnet.network import check_player_id
 from playnet.sequence import sequence_to_obj
@@ -51,7 +50,7 @@ def corner_kick_state(holder_pos):
 def test_certain_shot_scores_on_any_seed():
     state = corner_kick_state((105.0, 34.0))  # s
     for seed in (0, 1, 42, 987654321):
-        seq = simulate_possession(state, base_config(seed=seed))
+        seq = rollout(state, base_config(seed=seed)).sequence
         assert len(seq) == 1
         assert seq.steps[0].decision.is_shoot
         assert seq.terminal_outcome.label() == "shot_scored"
@@ -60,14 +59,14 @@ def test_certain_shot_scores_on_any_seed():
 def test_zero_threshold_forces_shot_that_never_scores_at_s_zero():
     # corner flag: scoring chance clips to ~0 but the policy still forces the shot
     state = corner_kick_state((105.0, 0.0))
-    seq = simulate_possession(state, base_config(threshold=0.0, seed=3))
+    seq = rollout(state, base_config(threshold=0.0, seed=3)).sequence
     assert len(seq) == 1
     assert seq.terminal_outcome.label() == "shot_missed"
 
 
 def test_max_steps_one_forces_loss_on_pass():
     state = corner_kick_state((50.0, 34.0))  # deep position, decision will be a pass
-    seq = simulate_possession(state, base_config(max_steps=1, seed=5))
+    seq = rollout(state, base_config(max_steps=1, seed=5)).sequence
     assert len(seq) == 1
     assert seq.steps[0].decision.is_pass
     assert seq.terminal_outcome.label() == "forced_loss"
@@ -80,7 +79,7 @@ def test_all_teammates_outside_is_degenerate_forced_loss():
         Pitch(), team, tuple((80.0, 6.0 * k + 2.0) for k in range(11)), 8,
         frozenset(j for j in range(1, 12) if j != 8),
     )
-    seq = simulate_possession(state, base_config(seed=9))
+    seq = rollout(state, base_config(seed=9)).sequence
     assert len(seq) == 1
     assert seq.steps[0].decision.degenerate
     assert seq.terminal_outcome.label() == "forced_loss"
@@ -88,11 +87,11 @@ def test_all_teammates_outside_is_degenerate_forced_loss():
 
 def test_same_seed_same_sequence(midfield_state):
     cfg = base_config(seed=42)
-    assert simulate_possession(midfield_state, cfg) == simulate_possession(midfield_state, cfg)
+    assert rollout(midfield_state, cfg).sequence == rollout(midfield_state, cfg).sequence
 
 
 def test_different_seeds_eventually_differ(midfield_state):
-    seqs = {tuple(s.outcome.label() for s in simulate_possession(midfield_state, base_config(seed=k)).steps)
+    seqs = {tuple(s.outcome.label() for s in rollout(midfield_state, base_config(seed=k)).sequence.steps)
             for k in range(40)}
     assert len(seqs) > 1
 
@@ -112,7 +111,7 @@ def test_rollout_sequences_always_valid():
     rng = random.Random(607)
     for k in range(200):
         state = random_match_state(rng)
-        seq = simulate_possession(state, base_config(seed=k, max_steps=12))
+        seq = rollout(state, base_config(seed=k, max_steps=12)).sequence
         # construction enforces chaining/terminality; spot-check the chain anyway
         for a, b in zip(seq.steps, seq.steps[1:]):
             assert a.outcome.kind == "pass_completed"

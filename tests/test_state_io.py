@@ -448,6 +448,7 @@ def test_shipped_default_config_matches_builtins():
         ({"estimators": {"pass_decay_m": 10**400}}, "pass_decay_m"),
         ({"simulation": {"max_steps": 10**400}}, "max_steps"),
         ({"simulation": {"drift_m": 10**400}}, "drift_m"),
+        ({"policy": {"tie_break": "highest_id"}}, "tie_break"),
     ],
 )
 def test_config_rejects_out_of_range_values_at_load(obj, field):
