@@ -13,7 +13,10 @@ No check runs here on a network's values: every network holds a float
 p in [0, 1] and an int r in 0..10, checked when it was built. So decide
 and ranked_options score a LinearStyle inline, with the operations of
 LinearStyle.evaluate but without its checks of p and r, which stay for
-library callers. Any other style callable is called as it is.
+library callers. Any other style callable is called as it is. The
+Decision that decide returns is right by construction, so it is built
+without Decision's checks, which still run on Decision(...) called
+directly and on every decision a log holds.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ class Decision:
         if self.action == "shoot" and self.target is not None:
             raise ValueError("shoot decision cannot carry a target")
 
+    @classmethod
+    def _trusted(cls, action: str, target: int | None, score: float | None, degenerate: bool) -> Decision:
+        """A decision from fields that already meet the checks above; none run.
+
+        For decide, whose decisions are right by construction. A frozen
+        dataclass without slots keeps its fields in __dict__, so one
+        update sets all four.
+        """
+        decision = object.__new__(cls)
+        decision.__dict__.update(action=action, target=target, score=score, degenerate=degenerate)
+        return decision
+
     @property
     def is_shoot(self) -> bool:
         return self.action == "shoot"
@@ -66,6 +81,9 @@ class Decision:
     @property
     def is_pass(self) -> bool:
         return self.action == "pass"
+
+
+_SHOOT = Decision(action="shoot")  # frozen, so every shoot decision can share it
 
 
 def _scored(network: DecisionNetwork, style: Callable[[float, int], float]) -> list[tuple[int, float]]:
@@ -96,11 +114,11 @@ def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tup
 def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
     """Shoot if the holder's s reaches the threshold, else pass to the argmax teammate."""
     if network.s >= policy.threshold:
-        return Decision(action="shoot")
+        return _SHOOT
     target = score = None
     # the head of ranked_options, in one pass: edges are in id order, so
     # the first maximum is the lowest id among the tied
     for j, value in _scored(network, policy.style):
         if target is None or value > score:
             target, score = j, value
-    return Decision(action="pass", target=target, score=score, degenerate=(score == 0.0))
+    return Decision._trusted("pass", target, score, score == 0.0)

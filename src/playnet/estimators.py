@@ -29,13 +29,23 @@ their target up on the team and call check_player_id only when the
 target is not an int or the lookup fails. EstimatorParams checks its
 constants with the same checkers. The snapshot it reads was checked
 where it entered (see state.py).
+
+The shipped suite's network, estimate_network(state, default_suite(...)),
+is built in one pass by _default_network: the same floats, bit for bit,
+under the same output checks, with each opponent distance computed once
+instead of once per kernel call. Any other suite, including one derived
+from default_suite() by dataclasses.replace, goes through its four
+functions, one call each for s and tau and one pair of calls per
+teammate. The four default_* kernels stay public, for suites that mix
+them with their own and as the reference the one-pass build is tested
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import atan2, cos, exp, floor, hypot, inf
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .network import (
     DecisionNetwork, PassEdge, RISK_MAX, check_int, check_player_id, check_real, check_unit,
@@ -83,6 +93,9 @@ class EstimatorSuite:
     decision_time: Callable[[MatchState], float]
     pass_prob: Callable[[MatchState, int, float], float]
     risk: Callable[[MatchState, int], int]
+
+    # the params of a suite made by default_suite, set on that instance alone
+    _default_params: ClassVar[EstimatorParams | None] = None
 
 
 def _nearest_opponent_distance(state: MatchState, x: float, y: float) -> float:
@@ -212,13 +225,21 @@ def default_risk(state: MatchState, target: int, params: EstimatorParams = DEFAU
 
 
 def default_suite(params: EstimatorParams = DEFAULT_PARAMS) -> EstimatorSuite:
-    """The shipped geometric estimators bound to one set of constants."""
-    return EstimatorSuite(
+    """The shipped geometric estimators bound to one set of constants.
+
+    estimate_network builds the network of this exact suite in one pass
+    (see _default_network). The mark that tells it so is an instance
+    attribute, not a field: dataclasses.replace and EstimatorSuite(...)
+    do not copy it, so a suite derived from this one calls its fields.
+    """
+    suite = EstimatorSuite(
         score_prob=lambda state: default_score_prob(state, params),
         decision_time=lambda state: default_decision_time(state, params),
         pass_prob=lambda state, target, tau: default_pass_prob(state, target, tau, params),
         risk=lambda state, target: default_risk(state, target, params),
     )
+    object.__setattr__(suite, "_default_params", params)
+    return suite
 
 
 def second_last_opponent_x(state: MatchState) -> float:
@@ -247,6 +268,93 @@ def unavailable_teammates(state: MatchState) -> list[int]:
 _NO_PASS = PassEdge(0.0, 0)  # the edge of a teammate who cannot receive
 
 
+def _default_network(state: MatchState, params: EstimatorParams) -> DecisionNetwork:
+    """estimate_network(state, default_suite(params)) in one pass, bit for bit.
+
+    Every value comes from the float operations of the four default_*
+    kernels, in their order, and meets estimate_network's checks. The
+    holder's offset and distance to each opponent are computed once: the
+    nearest gives tau, and also the clearance of a lane that is a point.
+    One loop over the opponents per teammate gives both the lane's
+    clearance and the receiver's nearest opponent. Where an opponent's
+    projection clamps to the holder (t <= 0) its lane distance is its
+    holder distance, since hx + 0.0 * dx == hx for the finite dx of any
+    snapshot; a NaN t, from a pitch so large that norm2 overflows, takes
+    the general formula as default_pass_prob does.
+    """
+    pitch = state.pitch
+    team = state.team
+    holder = state.holder
+    hx, hy = team[holder]
+    s = check_unit(score_prob_at(pitch, hx, hy, params), "score_prob()")
+    # per opponent: position, offset from the holder and distance to the holder
+    rel = [(ox, oy, ox - hx, oy - hy, hypot(ox - hx, oy - hy)) for ox, oy in state.opponents]
+    near = min([o[4] for o in rel])
+    tau = near / params.pressure_speed_mps
+    cap = params.time_cap_s
+    tau = check_real(cap if cap < tau else tau, "decision_time()", 0.0)
+    blocked = unavailable_teammates(state)
+    pass_decay = params.pass_decay_m
+    lane_half_width = params.lane_half_width_m
+    time_factor = 1.0 - exp(-tau / params.pass_time_scale_s)
+    openness_radius = params.openness_radius_m
+    score_weight = params.risk_score_weight
+    openness_weight = params.risk_openness_weight
+    edges: dict[int, PassEdge] = {}
+    for j, (tx, ty) in team.items():
+        if j == holder:
+            continue
+        if j in blocked:
+            edges[j] = _NO_PASS
+            continue
+        dx = tx - hx
+        dy = ty - hy
+        norm2 = dx * dx + dy * dy
+        marker = inf  # the receiver's nearest opponent
+        if norm2 == 0.0:  # the lane is a point: the holder's spot
+            clearance = near
+            for ox, oy, _, _, _ in rel:
+                c = hypot(ox - tx, oy - ty)
+                if c < marker:
+                    marker = c
+        else:
+            clearance = inf
+            ex = hx + dx  # the lane's end, as hx + 1.0 * dx
+            ey = hy + dy
+            for ox, oy, ax, ay, hd in rel:
+                t = (ax * dx + ay * dy) / norm2
+                if t <= 0.0:
+                    c = hd
+                elif t > 1.0:
+                    c = hypot(ox - ex, oy - ey)
+                else:
+                    c = hypot(ox - (hx + t * dx), oy - (hy + t * dy))
+                if c < clearance:
+                    clearance = c
+                c = hypot(ox - tx, oy - ty)
+                if c < marker:
+                    marker = c
+        lane_openness = 1.0 / (1.0 + exp(-clearance / lane_half_width))
+        p = exp(-hypot(dx, dy) / pass_decay) * lane_openness * time_factor
+        p = p if p > 0.0 else 0.0
+        p = p if p < 1.0 else 1.0
+        openness = marker / openness_radius
+        openness = openness if openness < 1.0 else 1.0
+        raw = score_weight * score_prob_at(pitch, tx, ty, params) + openness_weight * openness
+        raw = raw if raw > 0.0 else 0.0
+        raw = raw if raw < 1.0 else 1.0
+        r = floor(raw * RISK_MAX + 0.5)
+        r = r if r < RISK_MAX else RISK_MAX
+        if not (type(p) is float and 0.0 <= p <= 1.0 and type(r) is int and 0 <= r <= RISK_MAX):
+            try:
+                p = check_unit(p, "pass_prob()")
+                r = check_int(r, "risk()", 0, RISK_MAX)
+            except ValueError as err:
+                raise ValueError(f"teammate {j}: {err}") from None
+        edges[j] = PassEdge(p, r)
+    return DecisionNetwork._trusted(holder, s, tau, edges)
+
+
 def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     """Build the holder's decision network from estimator outputs.
 
@@ -257,8 +365,12 @@ def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
     already an int in 0..10 pass an inline test; any other value goes
     to check_unit or check_int, which convert it or raise. Unavailable
     teammates (offside or outside) are never passed to the estimators;
-    their edges are (p, r) = (0, 0).
+    their edges are (p, r) = (0, 0). The network of a suite made by
+    default_suite is built in one pass, with the same values and checks.
     """
+    params = est._default_params
+    if params is not None:
+        return _default_network(state, params)
     s = check_unit(est.score_prob(state), "score_prob()")
     tau = check_real(est.decision_time(state), "decision_time()", 0.0)
     blocked = unavailable_teammates(state)

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from playnet import DecisionNetwork, DecisionPolicy, LinearStyle, build_network, decide, ranked_options
+from playnet import Decision, DecisionNetwork, DecisionPolicy, LinearStyle, build_network, decide, ranked_options
 
 from conftest import random_network
 from oracles import best_pass_exhaustive, ranked_exhaustive
@@ -203,6 +203,33 @@ def test_linear_style_scores_equal_its_checked_evaluate():
         assert ranked == ranked_exhaustive(net, style.evaluate)
         assert all(type(v) is float for _, v in ranked)
     assert zero_networks > 10
+
+
+def test_decide_returns_the_decision_the_checked_constructor_builds():
+    # decide builds its Decision without Decision's checks; it must equal
+    # the checked Decision(...) of an exhaustive scan, field types included
+    rng = random.Random(1313)
+    styles = [
+        lambda: LinearStyle(rng.randint(0, 7), rng.randint(1, 7)),
+        lambda: _TIED_STYLES[rng.choice(sorted(_TIED_STYLES))],
+        lambda: (lambda p, r: int(r > 4)),
+    ]
+    seen = set()
+    for _ in range(600):
+        net = tied_network(rng) if rng.random() < 0.5 else random_network(rng)
+        policy = DecisionPolicy(style=rng.choice(styles)(), threshold=rng.choice((0.0, rng.random())))
+        decision = decide(net, policy)
+        if net.s >= policy.threshold:
+            expected = Decision(action="shoot")
+        else:
+            target, score = best_pass_exhaustive(net, policy.style)
+            expected = Decision(action="pass", target=target, score=score, degenerate=score == 0.0)
+        assert decision == expected == Decision(**vars(decision))
+        assert [(k, type(v)) for k, v in vars(decision).items()] == [
+            (k, type(v)) for k, v in vars(expected).items()
+        ]
+        seen.add((decision.action, decision.degenerate))
+    assert seen == {("shoot", False), ("pass", False), ("pass", True)}
 
 
 def test_other_styles_are_scored_through_themselves():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -18,8 +19,9 @@ from playnet import (
     default_suite,
     estimate_network,
 )
-from playnet.estimators import score_prob_at, unavailable_teammates
+from playnet.estimators import DEFAULT_PARAMS, score_prob_at, unavailable_teammates
 from playnet.network import PassEdge, check_player_id
+from playnet.simulate import advance_state
 
 from conftest import GOLDEN_DIR, random_match_state
 
@@ -345,6 +347,7 @@ def test_degenerate_lane_geometry_matches_oracle(case):
     state = spread_state(holder_pos=holder_pos, overrides=overrides, opponents=far_opponents(*near))
     net = estimate_network(state, default_suite())
     assert net.to_json_dict() == oracle_network_dict(state)
+    assert_one_pass_equals_four_calls(state, DEFAULT_PARAMS)
     assert default_pass_prob(state, 6, net.tau) == oracle_pass_prob(state, 6, net.tau) > 0.0
     # the case's opponent is the lane's clearest, at the distance its branch gives
     (hx, hy), (tx, ty) = holder_pos, state.team[6]
@@ -361,11 +364,17 @@ def test_degenerate_lane_geometry_matches_oracle(case):
 
 
 def test_suite_calls_the_module_estimators_at_call_time(monkeypatch):
-    # The benchmark's tracer wraps playnet.estimators.default_* after a suite
-    # exists; a suite that bound the functions early would hide them from it.
+    # The benchmark's tracer wraps playnet.estimators functions after a suite
+    # exists; a suite that bound them early would hide them from it. The four
+    # fields of default_suite() look the default_* kernels up when called;
+    # estimate_network builds default_suite()'s own network in one pass,
+    # which looks unavailable_teammates up when called.
     suite = default_suite()
     calls = []
-    for name in ("default_score_prob", "default_decision_time", "default_pass_prob", "default_risk"):
+    for name in (
+        "default_score_prob", "default_decision_time", "default_pass_prob", "default_risk",
+        "unavailable_teammates",
+    ):
         original = getattr(playnet.estimators, name)
 
         def patched(*args, _name=name, _original=original, **kwargs):
@@ -373,9 +382,100 @@ def test_suite_calls_the_module_estimators_at_call_time(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(playnet.estimators, name, patched)
-    estimate_network(spread_state(), suite)
-    assert set(calls) == {"default_score_prob", "default_decision_time", "default_pass_prob", "default_risk"}
+    estimate_network(spread_state(), four_call_suite(suite))
+    assert set(calls) == {
+        "default_score_prob", "default_decision_time", "default_pass_prob", "default_risk",
+        "unavailable_teammates",
+    }
     assert calls.count("default_pass_prob") == calls.count("default_risk") > 0
+    calls.clear()
+    estimate_network(spread_state(), suite)
+    assert calls == ["unavailable_teammates"]
+
+
+def four_call_suite(suite: EstimatorSuite) -> EstimatorSuite:
+    """suite's four functions in a suite default_suite did not make, which estimate_network calls one by one."""
+    return EstimatorSuite(suite.score_prob, suite.decision_time, suite.pass_prob, suite.risk)
+
+
+def network_bits(net: DecisionNetwork):
+    """Every value of a network, to the bit and with its type, in id order."""
+    edges = [(j, type(e.p), e.p.hex(), type(e.r), e.r) for j, e in net.edges.items()]
+    return net.holder, type(net.s), net.s.hex(), type(net.tau), net.tau.hex(), edges
+
+
+def assert_one_pass_equals_four_calls(state, params):
+    suite = default_suite(params)
+    assert network_bits(estimate_network(state, suite)) == network_bits(
+        estimate_network(state, four_call_suite(suite))
+    )
+
+
+def test_one_pass_network_equals_the_four_estimators_bit_for_bit():
+    from oracles import ORACLE_PARAMS
+
+    for params in (ORACLE_PARAMS, OTHER_PARAMS):
+        rng = random.Random(909)
+        passes = 0
+        for _ in range(500):
+            state = random_match_state(rng)
+            assert_one_pass_equals_four_calls(state, params)
+            # and one completed pass later, where players have drifted
+            net = estimate_network(state, default_suite(params))
+            live = [j for j, e in net.edges.items() if e.p > 0.0]
+            if live:
+                assert_one_pass_equals_four_calls(advance_state(state, rng.choice(live), 2.0), params)
+                passes += 1
+        assert passes > 400
+
+
+def test_one_pass_network_on_absurd_pitches():
+    # A pitch near 1e300 meters is accepted. On it a lane's norm2 overflows,
+    # so its projection t can be NaN, and near the float maximum distances
+    # overflow to inf. Length constants on the same scale keep p and r from
+    # flattening to 0 there, so the lane geometry shows in their bits.
+    vast = EstimatorParams(score_decay_m=1e300, pass_decay_m=1e300, lane_half_width_m=1e300,
+                           openness_radius_m=1e300)
+    rng = random.Random(300)
+    nan_lanes = 0
+    for size in (1e300, 3e300, 1e308, 1.7e308):
+        def spot():
+            return tuple(rng.choice((0.0, rng.uniform(0.0, size), rng.uniform(0.0, 100.0))) for _ in "xy")
+
+        for _ in range(40):
+            team = {j: spot() for j in range(1, 12)}
+            state = MatchState(Pitch(size, size), team, tuple(spot() for _ in range(11)), rng.randint(1, 11))
+            for params in (DEFAULT_PARAMS, OTHER_PARAMS, vast):
+                assert_one_pass_equals_four_calls(state, params)
+            hx, hy = team[state.holder]
+            blocked = unavailable_teammates(state)
+            for j in state.teammates():
+                dx, dy = team[j][0] - hx, team[j][1] - hy
+                norm2 = dx * dx + dy * dy
+                nan_lanes += j not in blocked and norm2 != 0.0 and any(
+                    math.isnan(((ox - hx) * dx + (oy - hy) * dy) / norm2) for ox, oy in state.opponents
+                )
+    assert nan_lanes > 500
+
+
+def test_a_suite_derived_from_the_default_calls_its_own_functions():
+    good = default_suite()
+    state = spread_state(overrides={11: (90.0, 56.0)})
+    blocked = unavailable_teammates(state)
+    assert blocked
+    calls = []
+
+    def pass_prob(st, j, tau):
+        calls.append(j)
+        return good.pass_prob(st, j, tau)
+
+    derived = dataclasses.replace(good, pass_prob=pass_prob)
+    assert network_bits(estimate_network(state, derived)) == network_bits(estimate_network(state, good))
+    assert calls == [j for j in state.teammates() if j not in blocked]
+    with pytest.raises(ValueError, match=r"teammate 1: pass_prob\(\)=1.5 outside \[0, 1\]"):
+        estimate_network(state, dataclasses.replace(good, pass_prob=lambda st, j, tau: 1.5))
+    with pytest.raises(ValueError, match=r"teammate 1: risk\(\)"):
+        estimate_network(state, dataclasses.replace(good, risk=lambda st, j: 11))
 
 
 def test_params_validated():
