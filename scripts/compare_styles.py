@@ -17,9 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from playnet import (
     DecisionPolicy,
+    EstimatorParams,
     LinearStyle,
     SimulationConfig,
-    default_suite,
     monte_carlo_compare,
 )
 from playnet.sequence import pareto_points
@@ -41,7 +41,7 @@ def main() -> int:
     state = load_match_state(args.state)
     cfg = SimulationConfig(
         policy=DecisionPolicy(style=styles[0], threshold=args.threshold),
-        estimators=default_suite(),
+        estimators=EstimatorParams(),
         seed=args.seed,
     )
     reports = monte_carlo_compare(state, styles, args.trials, cfg)

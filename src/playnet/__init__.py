@@ -3,12 +3,10 @@
 from .decision import Decision, DecisionPolicy, decide, ranked_options
 from .estimators import (
     EstimatorParams,
-    EstimatorSuite,
     default_decision_time,
     default_pass_prob,
     default_risk,
     default_score_prob,
-    default_suite,
     estimate_network,
 )
 from .network import DecisionNetwork, EdgeVector4, build_network
@@ -42,7 +40,6 @@ __all__ = [
     "DecisionPolicy",
     "EdgeVector4",
     "EstimatorParams",
-    "EstimatorSuite",
     "LinearStyle",
     "MatchState",
     "Pitch",
@@ -59,7 +56,6 @@ __all__ = [
     "default_pass_prob",
     "default_risk",
     "default_score_prob",
-    "default_suite",
     "derive_seed",
     "efficiency",
     "estimate_network",

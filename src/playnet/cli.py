@@ -36,7 +36,7 @@ from . import __version__
 from .config import AppConfig, config_path, load_config
 from .decision import DecisionPolicy, decide, ranked_options
 from .dotexport import export_network_dot
-from .estimators import default_suite, estimate_network
+from .estimators import estimate_network
 from .jsonio import (
     canonical_dumps,
     manifest_path,
@@ -124,7 +124,7 @@ def _policy(cfg: AppConfig, style: LinearStyle) -> DecisionPolicy:
 def _sim_config(cfg: AppConfig, style: LinearStyle, seed: int) -> SimulationConfig:
     return SimulationConfig(
         policy=_policy(cfg, style),
-        estimators=default_suite(cfg.estimators),
+        estimators=cfg.estimators,
         max_steps=cfg.max_steps,
         seed=seed,
         drift_m=cfg.drift_m,
@@ -256,7 +256,7 @@ def _run_field(run, key: str):
 
 
 def _decide_results(state, cfg: AppConfig, run):
-    return estimate_network(state, default_suite(cfg.estimators))
+    return estimate_network(state, cfg.estimators)
 
 
 def _simulate_results(state, cfg: AppConfig, run):

@@ -9,34 +9,33 @@ The holder's decision time tau is carried by the network but plays no
 role here; its influence is upstream, where pass probabilities are
 estimated as a function of the time available.
 
+A policy's style is a LinearStyle, checked when the policy is built.
 No check runs here on a network's values: every network holds a float
-p in [0, 1] and an int r in 0..10, checked when it was built. So decide
-and ranked_options score a LinearStyle inline, with the operations of
+p in [0, 1] and an int r in 0..10, in range when it was built. So decide
+and ranked_options score a style inline, with the operations of
 LinearStyle.evaluate but without its checks of p and r, which stay for
-library callers. Any other style callable is called as it is. The
-Decision that decide returns is right by construction, so it is built
-without Decision's checks, which still run on Decision(...) called
-directly and on every decision a log holds.
+library callers. The Decision that decide returns is right by
+construction, so it is built without Decision's checks, which still run
+on Decision(...) called directly and on every decision a log holds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .network import DecisionNetwork, check_unit
 from .style import LinearStyle
 
 @dataclass(frozen=True)
 class DecisionPolicy:
-    """A style function and a shoot threshold."""
+    """A game style and a shoot threshold."""
 
-    style: Callable[[float, int], float]
+    style: LinearStyle
     threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        if not callable(self.style):
-            raise ValueError("policy style must be callable as style(p, r)")
+        if not isinstance(self.style, LinearStyle):
+            raise ValueError(f"policy style must be a LinearStyle, not {type(self.style).__name__}")
         check_unit(self.threshold, "threshold")
 
 
@@ -86,18 +85,11 @@ class Decision:
 _SHOOT = Decision(action="shoot")  # frozen, so every shoot decision can share it
 
 
-def _scored(network: DecisionNetwork, style: Callable[[float, int], float]) -> list[tuple[int, float]]:
-    """(teammate, style score) for each edge, in the network's id order.
-
-    A LinearStyle, but not a subclass of it, is scored inline and
-    unchecked (see the module docstring); any other style is called.
-    """
-    edges = network.edges.items()
-    if type(style) is LinearStyle:
-        x = style.x
-        y = style.y
-        return [(j, x * (10.0 * p) + y * r) for j, (p, r) in edges]
-    return [(j, style(p, r)) for j, (p, r) in edges]
+def _scored(network: DecisionNetwork, style: LinearStyle) -> list[tuple[int, float]]:
+    """(teammate, style score) for each edge, in the network's id order, unchecked."""
+    x = style.x
+    y = style.y
+    return [(j, x * (10.0 * p) + y * r) for j, (p, r) in network.edges.items()]
 
 
 def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tuple[int, float]]:

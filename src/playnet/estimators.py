@@ -2,9 +2,9 @@
 
 How s, tau, p and r should be measured is an open modeling question with
 a literature of its own (shot models, pass-ability models, tracking
-metrics). This module therefore exposes a pluggable suite of four pure
-functions and ships closed-form geometric defaults that are bounded,
-smooth, cheap, and monotone in the directions a coach would expect:
+metrics). This module ships one answer, closed-form geometric estimators
+that are bounded, smooth, cheap, and monotone in the directions a coach
+would expect:
 
 * score_prob      s    falls with distance to goal and with how far the
                        attack direction points away from the goal mouth;
@@ -19,38 +19,24 @@ Every constant lives in EstimatorParams and can be overridden from the
 config file without touching code. Teammates who are offside or outside
 the pitch are not estimated at all: their edge is (p, r) = (0, 0).
 
-estimate_network is the validation boundary for estimator outputs. It
-checks s and tau with network.py's checkers. Each (p, r) first meets an
-inline test, a float p in [0, 1] and an int r in 0..10; only a pair that
-fails it goes to check_unit and check_int, which turn an int p into a
-float or raise naming the estimator and the teammate. The network is
-then built without checking the values again. The default kernels look
-their target up on the team and call check_player_id only when the
-target is not an int or the lookup fails. EstimatorParams checks its
-constants with the same checkers. The snapshot it reads was checked
-where it entered (see state.py).
-
-The shipped suite's network, estimate_network(state, default_suite(...)),
-is built in one pass by _default_network: the same floats, bit for bit,
-under the same output checks, with each opponent distance computed once
-instead of once per kernel call. Any other suite, including one derived
-from default_suite() by dataclasses.replace, goes through its four
-functions, one call each for s and tau and one pair of calls per
-teammate. The four default_* kernels stay public, for suites that mix
-them with their own and as the reference the one-pass build is tested
-against.
+estimate_network builds the holder's network in one pass, with each
+opponent distance computed once instead of once per kernel call. Its
+values are those of the four public default_* kernels, bit for bit; the
+kernels stay as the readable reference it is tested against. Every value
+is in range by construction (see estimate_network), so the network is
+built without DecisionNetwork's checks. The kernels look their target up
+on the team and call check_player_id only when the target is not an int
+or the lookup fails. EstimatorParams checks its constants with
+network.py's checkers. The snapshot read here was checked where it
+entered (see state.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import atan2, cos, exp, floor, hypot, inf
-from typing import Callable, ClassVar
 
-from .network import (
-    DecisionNetwork, PassEdge, RISK_MAX, check_int, check_player_id, check_real, check_unit,
-    player_id_error,
-)
+from .network import DecisionNetwork, PassEdge, RISK_MAX, check_player_id, check_real, player_id_error
 from .state import MatchState
 
 
@@ -79,23 +65,6 @@ class EstimatorParams:
 
 
 DEFAULT_PARAMS = EstimatorParams()
-
-
-@dataclass(frozen=True)
-class EstimatorSuite:
-    """Four pure functions producing (s, tau, p, r) for a match snapshot.
-
-    Pure means equal snapshots give equal values: the simulator computes
-    each step of a possession path once and shares it across trials.
-    """
-
-    score_prob: Callable[[MatchState], float]
-    decision_time: Callable[[MatchState], float]
-    pass_prob: Callable[[MatchState, int, float], float]
-    risk: Callable[[MatchState, int], int]
-
-    # the params of a suite made by default_suite, set on that instance alone
-    _default_params: ClassVar[EstimatorParams | None] = None
 
 
 def _nearest_opponent_distance(state: MatchState, x: float, y: float) -> float:
@@ -224,22 +193,9 @@ def default_risk(state: MatchState, target: int, params: EstimatorParams = DEFAU
     return r if r < RISK_MAX else RISK_MAX
 
 
-def default_suite(params: EstimatorParams = DEFAULT_PARAMS) -> EstimatorSuite:
-    """The shipped geometric estimators bound to one set of constants.
-
-    estimate_network builds the network of this exact suite in one pass
-    (see _default_network). The mark that tells it so is an instance
-    attribute, not a field: dataclasses.replace and EstimatorSuite(...)
-    do not copy it, so a suite derived from this one calls its fields.
-    """
-    suite = EstimatorSuite(
-        score_prob=lambda state: default_score_prob(state, params),
-        decision_time=lambda state: default_decision_time(state, params),
-        pass_prob=lambda state, target, tau: default_pass_prob(state, target, tau, params),
-        risk=lambda state, target: default_risk(state, target, params),
-    )
-    object.__setattr__(suite, "_default_params", params)
-    return suite
+def default_suite(params: EstimatorParams = DEFAULT_PARAMS) -> EstimatorParams:
+    """params itself, for callers written when estimators came as a suite of four functions."""
+    return params
 
 
 def second_last_opponent_x(state: MatchState) -> float:
@@ -268,31 +224,41 @@ def unavailable_teammates(state: MatchState) -> list[int]:
 _NO_PASS = PassEdge(0.0, 0)  # the edge of a teammate who cannot receive
 
 
-def _default_network(state: MatchState, params: EstimatorParams) -> DecisionNetwork:
-    """estimate_network(state, default_suite(params)) in one pass, bit for bit.
+def estimate_network(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS) -> DecisionNetwork:
+    """The holder's decision network under params, in one pass.
 
     Every value comes from the float operations of the four default_*
-    kernels, in their order, and meets estimate_network's checks. The
-    holder's offset and distance to each opponent are computed once: the
-    nearest gives tau, and also the clearance of a lane that is a point.
-    One loop over the opponents per teammate gives both the lane's
-    clearance and the receiver's nearest opponent. Where an opponent's
-    projection clamps to the holder (t <= 0) its lane distance is its
-    holder distance, since hx + 0.0 * dx == hx for the finite dx of any
-    snapshot; a NaN t, from a pitch so large that norm2 overflows, takes
-    the general formula as default_pass_prob does.
+    kernels, in their order, bit for bit. The holder's offset and
+    distance to each opponent are computed once: the nearest gives tau,
+    and also the clearance of a lane that is a point. One loop over the
+    opponents per teammate gives both the lane's clearance and the
+    receiver's nearest opponent. Where an opponent's projection clamps
+    to the holder (t <= 0) its lane distance is its holder distance,
+    since hx + 0.0 * dx == hx for the finite dx of any snapshot; a NaN
+    t, from a pitch so large that norm2 overflows, takes the general
+    formula as default_pass_prob does. Unavailable teammates (offside or
+    outside) are not estimated; their edge is (p, r) = (0, 0).
+
+    No value is checked, since each is in range by construction:
+    * s is clamped into [0, 1]; a NaN fails s > 0.0 and becomes 0.
+    * tau is the nearest opponent's distance, a hypot of finite offsets
+      and so never NaN or negative, over a positive speed; it is capped
+      at time_cap_s, which EstimatorParams holds finite.
+    * p is clamped into [0, 1] as s is, a NaN to 0.
+    * r rounds a raw score clamped into [0, 1] as s is, so it is an int
+      in 0..10.
     """
     pitch = state.pitch
     team = state.team
     holder = state.holder
     hx, hy = team[holder]
-    s = check_unit(score_prob_at(pitch, hx, hy, params), "score_prob()")
+    s = score_prob_at(pitch, hx, hy, params)
     # per opponent: position, offset from the holder and distance to the holder
     rel = [(ox, oy, ox - hx, oy - hy, hypot(ox - hx, oy - hy)) for ox, oy in state.opponents]
     near = min([o[4] for o in rel])
     tau = near / params.pressure_speed_mps
     cap = params.time_cap_s
-    tau = check_real(cap if cap < tau else tau, "decision_time()", 0.0)
+    tau = cap if cap < tau else tau
     blocked = unavailable_teammates(state)
     pass_decay = params.pass_decay_m
     lane_half_width = params.lane_half_width_m
@@ -345,49 +311,6 @@ def _default_network(state: MatchState, params: EstimatorParams) -> DecisionNetw
         raw = raw if raw < 1.0 else 1.0
         r = floor(raw * RISK_MAX + 0.5)
         r = r if r < RISK_MAX else RISK_MAX
-        if not (type(p) is float and 0.0 <= p <= 1.0 and type(r) is int and 0 <= r <= RISK_MAX):
-            try:
-                p = check_unit(p, "pass_prob()")
-                r = check_int(r, "risk()", 0, RISK_MAX)
-            except ValueError as err:
-                raise ValueError(f"teammate {j}: {err}") from None
         edges[j] = PassEdge(p, r)
     return DecisionNetwork._trusted(holder, s, tau, edges)
 
-
-def estimate_network(state: MatchState, est: EstimatorSuite) -> DecisionNetwork:
-    """Build the holder's decision network from estimator outputs.
-
-    Each output is bounds-checked here, once, so a misbehaving estimator
-    fails loudly by name instead of corrupting a network; the checked
-    values, as floats (p, s, tau) and ints (r), build the network
-    directly. A p that is already a float in [0, 1] and an r that is
-    already an int in 0..10 pass an inline test; any other value goes
-    to check_unit or check_int, which convert it or raise. Unavailable
-    teammates (offside or outside) are never passed to the estimators;
-    their edges are (p, r) = (0, 0). The network of a suite made by
-    default_suite is built in one pass, with the same values and checks.
-    """
-    params = est._default_params
-    if params is not None:
-        return _default_network(state, params)
-    s = check_unit(est.score_prob(state), "score_prob()")
-    tau = check_real(est.decision_time(state), "decision_time()", 0.0)
-    blocked = unavailable_teammates(state)
-    pass_prob = est.pass_prob
-    risk = est.risk
-    edges: dict[int, PassEdge] = {}
-    for j in state.teammates():
-        if j in blocked:
-            edges[j] = _NO_PASS
-            continue
-        p = pass_prob(state, j, tau)
-        r = risk(state, j)
-        if not (type(p) is float and 0.0 <= p <= 1.0 and type(r) is int and 0 <= r <= RISK_MAX):
-            try:
-                p = check_unit(p, "pass_prob()")
-                r = check_int(r, "risk()", 0, RISK_MAX)
-            except ValueError as err:
-                raise ValueError(f"teammate {j}: {err}") from None
-        edges[j] = PassEdge(p, r)
-    return DecisionNetwork._trusted(state.holder, s, tau, edges)

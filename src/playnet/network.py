@@ -11,9 +11,9 @@ receiver would threaten the opposing goal).
 and each edge stores only its (p, r); ``edge(j)`` gives the full
 (s, tau, p, r) vector. DecisionNetwork(...), build_network and the log
 reader validate every value at construction; out-of-range inputs raise
-instead of being clamped. estimate_network checks each estimator output
-by name and then builds its network unchecked, so the values it passes
-are checked once.
+instead of being clamped. estimate_network builds its network
+unchecked, from values that are in range by construction (see
+estimators.py).
 
 Every number the package accepts is checked by one of three functions
 defined here: check_unit (a float in [0, 1]), check_real (a finite

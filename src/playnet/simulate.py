@@ -23,8 +23,9 @@ stops there; trials that stop at the same end share that one frozen
 result, and a walk only makes the draws. monte_carlo_compare also
 shares the estimated networks between its styles, since a style
 changes the decisions but not the snapshot a receiver chain leads to.
-Sharing rests on the estimator suite's contract that its four
-functions are pure: equal snapshots give equal networks.
+Sharing is sound because estimate_network is a pure function of the
+snapshot and the estimator constants: equal snapshots give equal
+networks.
 estimate_network, decide and advance_state are looked up in this
 module at call time.
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass, replace
 from math import hypot
 
 from .decision import DecisionPolicy, decide
-from .estimators import EstimatorSuite, estimate_network
+from .estimators import EstimatorParams, estimate_network
 from .network import DecisionNetwork, check_int, check_player_id, check_real, player_id_error
 from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficiency, security
 from .state import MatchState
@@ -58,7 +59,7 @@ class SimulationConfig:
     """Everything a rollout needs besides the match state."""
 
     policy: DecisionPolicy
-    estimators: EstimatorSuite
+    estimators: EstimatorParams
     max_steps: int = 30
     seed: int = 0
     drift_m: float = 2.0  # per-pass movement of non-receiving players

@@ -104,10 +104,6 @@ class MatchState:
     def _on_pitch(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.pitch.length and 0.0 <= y <= self.pitch.width
 
-    @property
-    def holder_position(self) -> XY:
-        return self.team[self.holder]
-
     def teammates(self) -> list[int]:
         """The ids other than the holder's, ascending (team is kept in id order)."""
         holder = self.holder

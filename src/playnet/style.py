@@ -9,8 +9,8 @@ for nonnegative integer weights (x, y), not both zero. The weight ratio
 is the coach's statement of intent: x > y keeps the ball (possession
 style), x < y chases danger (direct style), x = y is balanced.
 
-Any callable (p, r) -> float can serve as a style wherever one is
-accepted; only the linear family ships.
+This linear family is the only one: a DecisionPolicy takes a LinearStyle
+and nothing else.
 """
 
 from __future__ import annotations
@@ -52,11 +52,10 @@ class LinearStyle:
         """Score one pass option: x * 10p + y * r, after checking p and r.
 
         decide and ranked_options compute the same expression inline,
-        unchecked, on a network's already checked values.
+        unchecked, on a network's values, which are in range.
         """
         return self.x * (10.0 * check_unit(p, "p")) + self.y * check_int(r, "r", 0, RISK_MAX)
 
-    # a LinearStyle is itself a style callable
     __call__ = evaluate
 
     def importance(self) -> tuple[float, float]:
@@ -73,17 +72,20 @@ class LinearStyle:
 
     @classmethod
     def parse(cls, text: str) -> LinearStyle:
-        """Parse the "x:y" notation used on the command line and in config."""
+        """Parse the "x:y" notation used on the command line and in manifests.
+
+        Each weight is written in the ASCII digits 0-9 alone: no sign,
+        underscore, space or other script's digit, all of which int()
+        would accept.
+        """
         if not isinstance(text, str):
             raise ValueError(f"style {text!r} must be a string like '3:1'")
         parts = text.split(":")
         if len(parts) != 2:
             raise ValueError(f"style {text!r} must look like 'x:y', e.g. '3:1'")
-        try:
-            x, y = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"style {text!r} must use integer weights") from None
-        return cls(x, y)
+        if not all(part.isascii() and part.isdigit() for part in parts):
+            raise ValueError(f"style {text!r} must use integer weights written in the digits 0-9")
+        return cls(int(parts[0]), int(parts[1]))
 
     def __str__(self) -> str:
         return f"{self.x}:{self.y}"

@@ -19,7 +19,6 @@ from playnet import (
     StyleClass,
     build_network,
     decide,
-    default_suite,
     efficiency,
     monte_carlo_compare,
     pareto_frontier,
@@ -27,6 +26,7 @@ from playnet import (
     security,
 )
 from playnet.cli import run_cli
+from playnet.estimators import DEFAULT_PARAMS
 
 from conftest import DATA_DIR, random_match_state, random_network, random_sequence
 from oracles import best_pass_exhaustive, pareto_pairwise, scan_efficiency, scan_security
@@ -52,14 +52,13 @@ def random_style(rng: random.Random) -> LinearStyle:
 def possession_corpus():
     """10 000 seeded possessions over random valid states, shared by criteria 6 and 9."""
     rng = random.Random(20260806)
-    suite = default_suite()
     results = []
     start = time.perf_counter()
     for k in range(10_000):
         state = random_match_state(rng)
         cfg = SimulationConfig(
             policy=DecisionPolicy(style=random_style(rng), threshold=rng.choice((0.3, 0.5, 0.7))),
-            estimators=suite,
+            estimators=DEFAULT_PARAMS,
             seed=k,
         )
         results.append(rollout(state, cfg))
@@ -202,7 +201,7 @@ def test_criterion_8_directional_style_experiment(midfield_state):
     start = time.perf_counter()
     cfg = SimulationConfig(
         policy=DecisionPolicy(style=LinearStyle(3, 1), threshold=0.5),
-        estimators=default_suite(),
+        estimators=DEFAULT_PARAMS,
         seed=8080,
     )
     possession, direct = monte_carlo_compare(

@@ -21,10 +21,10 @@ from playnet import (
     SimulationConfig,
     StepOutcome,
     build_network,
-    default_suite,
     run_trials,
 )
 from playnet.cli import _load_log, _log_items, _log_text, _read_log, regenerate, run_cli
+from playnet.estimators import DEFAULT_PARAMS
 from playnet.jsonio import manifest_path, parse_json
 from playnet.sequence import sequence_from_obj, sequence_to_obj
 from playnet.state import load_match_state
@@ -338,7 +338,7 @@ def test_log_text_equals_reference_writer(state_seed, weights, threshold, max_st
     state = random_match_state(random.Random(state_seed))
     cfg = SimulationConfig(
         policy=DecisionPolicy(style=LinearStyle(*weights), threshold=threshold),
-        estimators=default_suite(), max_steps=max_steps, seed=seed,
+        estimators=DEFAULT_PARAMS, max_steps=max_steps, seed=seed,
     )
     results = run_trials(state, cfg, 0, trials)
     assert _log_text(results) == reference_log_text(results)
@@ -727,7 +727,7 @@ def _log_text_of(name: str) -> str:
     if name == "golden":
         return (GOLDEN_DIR / "simulate_seed42.json").read_text()
     cfg = SimulationConfig(
-        policy=DecisionPolicy(style=LinearStyle(1, 3)), estimators=default_suite(), seed=3,
+        policy=DecisionPolicy(style=LinearStyle(1, 3)), estimators=DEFAULT_PARAMS, seed=3,
     )
     return _log_text(run_trials(load_match_state(MIDFIELD), cfg, 0, 100))
 
@@ -862,7 +862,7 @@ def _log_layout_cases() -> dict[str, tuple[bytes, bool]]:
     """Logs that _log_items must leave to a whole parse: name -> (bytes, whether they read)."""
     log = _log_text_of("midfield")
     lone = _log_text(run_trials(load_match_state(BOX), SimulationConfig(
-        policy=DecisionPolicy(style=LinearStyle(3, 1)), estimators=default_suite()), 0, 1))
+        policy=DecisionPolicy(style=LinearStyle(3, 1)), estimators=DEFAULT_PARAMS), 0, 1))
     first = json.dumps(json.loads(log)[0])
     return {
         "lone-sequence": (lone.encode(), True),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -9,14 +8,12 @@ import playnet.estimators
 from playnet import (
     DecisionNetwork,
     EstimatorParams,
-    EstimatorSuite,
     MatchState,
     Pitch,
     default_decision_time,
     default_pass_prob,
     default_risk,
     default_score_prob,
-    default_suite,
     estimate_network,
 )
 from playnet.estimators import DEFAULT_PARAMS, score_prob_at, unavailable_teammates
@@ -128,7 +125,7 @@ def test_pass_prob_monotone_in_distance_and_tau():
         tau1, tau2 = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
         assert default_pass_prob(state, target, tau1) <= default_pass_prob(state, target, tau2)
         # push the target further out along the holder->target ray
-        hx, hy = state.holder_position
+        hx, hy = state.team[state.holder]
         tx, ty = state.team[target]
         if (tx, ty) == (hx, hy):
             continue
@@ -196,7 +193,7 @@ def test_offside_detection():
     flagged = unavailable_teammates(state)
     assert 9 in flagged      # ahead of ball and of the second-last opponent
     assert 7 not in flagged  # level with the second-last opponent is onside
-    net = estimate_network(state, default_suite())
+    net = estimate_network(state)
     assert net.edge(9).p == 0.0 and net.edge(9).r == 0
     assert net.edge(7).p > 0.0
 
@@ -216,7 +213,7 @@ def test_outside_player_zeroed():
         8,
         frozenset({10}),
     )
-    net = estimate_network(state, default_suite())
+    net = estimate_network(state)
     assert net.edge(10).p == 0.0 and net.edge(10).r == 0
 
 
@@ -234,7 +231,7 @@ def test_estimate_network_matches_frozen_golden():
 
     state = load_match_state(GOLDEN_DIR.parent.parent / "data" / "midfield_state.json")
     golden = json.loads((GOLDEN_DIR / "midfield_network.json").read_text())
-    assert estimate_network(state, default_suite()).to_json_dict() == golden
+    assert estimate_network(state).to_json_dict() == golden
 
 
 # every constant differs from its default, so a kernel that reads DEFAULT_PARAMS
@@ -257,19 +254,18 @@ def test_estimate_network_matches_oracle_on_random_states():
     from oracles import ORACLE_PARAMS, oracle_network_dict
 
     assert OTHER_PARAMS != ORACLE_PARAMS
-    for params, suite in ((ORACLE_PARAMS, default_suite()), (OTHER_PARAMS, default_suite(OTHER_PARAMS))):
+    for params in (ORACLE_PARAMS, OTHER_PARAMS):
         rng = random.Random(55)
         for _ in range(200):
             state = random_match_state(rng)
-            assert estimate_network(state, suite).to_json_dict() == oracle_network_dict(state, params)
+            assert estimate_network(state, params).to_json_dict() == oracle_network_dict(state, params)
 
 
 def test_default_outputs_stay_in_bounds():
     rng = random.Random(2026)
-    suite = default_suite()
     for _ in range(500):
         state = random_match_state(rng)
-        net = estimate_network(state, suite)
+        net = estimate_network(state)
         assert 0.0 <= net.s <= 1.0
         assert net.tau >= 0.0
         for j in net.teammates():
@@ -278,39 +274,11 @@ def test_default_outputs_stay_in_bounds():
             assert 0 <= e.r <= 10 and isinstance(e.r, int)
 
 
-def test_estimator_errors_name_the_estimator():
-    state = spread_state()
-    good = default_suite()
-    broken_score = EstimatorSuite(lambda st: 1.2, good.decision_time, good.pass_prob, good.risk)
-    with pytest.raises(ValueError, match="score_prob"):
-        estimate_network(state, broken_score)
-    for bad_tau in (-1.0, math.inf, math.nan):
-        broken_time = EstimatorSuite(good.score_prob, lambda st: bad_tau, good.pass_prob, good.risk)
-        with pytest.raises(ValueError, match="decision_time"):
-            estimate_network(state, broken_time)
-    broken_pass = EstimatorSuite(good.score_prob, good.decision_time, lambda st, j, t: 2.0, good.risk)
-    with pytest.raises(ValueError, match="pass_prob"):
-        estimate_network(state, broken_pass)
-    broken_risk = EstimatorSuite(good.score_prob, good.decision_time, good.pass_prob, lambda st, j: 11)
-    with pytest.raises(ValueError, match="risk"):
-        estimate_network(state, broken_risk)
-
-
-def test_integer_estimator_outputs_become_floats():
-    good = default_suite()
-    certain = EstimatorSuite(lambda st: 1, lambda st: 2, lambda st, j, t: 1, good.risk)
-    net = estimate_network(spread_state(), certain)
-    assert type(net.s) is float and type(net.tau) is float
-    assert all(type(e.p) is float for e in net.edges.values())
-    assert json.dumps(net.to_json_dict()).startswith('{"holder": 8, "s": 1.0, "tau": 2.0,')
-
-
 def test_estimated_network_equals_validated_construction():
     rng = random.Random(606)
-    suite = default_suite()
     for _ in range(200):
         state = random_match_state(rng)
-        net = estimate_network(state, suite)
+        net = estimate_network(state)
         checked = DecisionNetwork(net.holder, net.s, net.tau, dict(net.edges))
         assert net == checked
         assert list(net.edges) == list(checked.edges) == net.teammates()
@@ -345,9 +313,9 @@ def test_degenerate_lane_geometry_matches_oracle(case):
 
     holder_pos, overrides, near = DEGENERATE_LANES[case]
     state = spread_state(holder_pos=holder_pos, overrides=overrides, opponents=far_opponents(*near))
-    net = estimate_network(state, default_suite())
+    net = estimate_network(state)
     assert net.to_json_dict() == oracle_network_dict(state)
-    assert_one_pass_equals_four_calls(state, DEFAULT_PARAMS)
+    assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
     assert default_pass_prob(state, 6, net.tau) == oracle_pass_prob(state, 6, net.tau) > 0.0
     # the case's opponent is the lane's clearest, at the distance its branch gives
     (hx, hy), (tx, ty) = holder_pos, state.team[6]
@@ -364,38 +332,31 @@ def test_degenerate_lane_geometry_matches_oracle(case):
 
 
 def test_suite_calls_the_module_estimators_at_call_time(monkeypatch):
-    # The benchmark's tracer wraps playnet.estimators functions after a suite
-    # exists; a suite that bound them early would hide them from it. The four
-    # fields of default_suite() look the default_* kernels up when called;
-    # estimate_network builds default_suite()'s own network in one pass,
-    # which looks unavailable_teammates up when called.
-    suite = default_suite()
+    # The benchmark's tracer wraps playnet.estimators functions after the
+    # module is imported; estimate_network looks unavailable_teammates up
+    # when called, so the tracer sees it.
     calls = []
-    for name in (
-        "default_score_prob", "default_decision_time", "default_pass_prob", "default_risk",
-        "unavailable_teammates",
-    ):
-        original = getattr(playnet.estimators, name)
+    original = playnet.estimators.unavailable_teammates
 
-        def patched(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+    def patched(state):
+        calls.append("unavailable_teammates")
+        return original(state)
 
-        monkeypatch.setattr(playnet.estimators, name, patched)
-    estimate_network(spread_state(), four_call_suite(suite))
-    assert set(calls) == {
-        "default_score_prob", "default_decision_time", "default_pass_prob", "default_risk",
-        "unavailable_teammates",
-    }
-    assert calls.count("default_pass_prob") == calls.count("default_risk") > 0
-    calls.clear()
-    estimate_network(spread_state(), suite)
+    monkeypatch.setattr(playnet.estimators, "unavailable_teammates", patched)
+    estimate_network(spread_state())
     assert calls == ["unavailable_teammates"]
 
 
-def four_call_suite(suite: EstimatorSuite) -> EstimatorSuite:
-    """suite's four functions in a suite default_suite did not make, which estimate_network calls one by one."""
-    return EstimatorSuite(suite.score_prob, suite.decision_time, suite.pass_prob, suite.risk)
+def reference_network(state, params):
+    """The network the four public default_* kernels give, built by the checked DecisionNetwork(...)."""
+    s = default_score_prob(state, params)
+    tau = default_decision_time(state, params)
+    blocked = unavailable_teammates(state)
+    edges = {
+        j: (0.0, 0) if j in blocked else (default_pass_prob(state, j, tau, params), default_risk(state, j, params))
+        for j in state.teammates()
+    }
+    return DecisionNetwork(state.holder, s, tau, edges)
 
 
 def network_bits(net: DecisionNetwork):
@@ -404,11 +365,10 @@ def network_bits(net: DecisionNetwork):
     return net.holder, type(net.s), net.s.hex(), type(net.tau), net.tau.hex(), edges
 
 
-def assert_one_pass_equals_four_calls(state, params):
-    suite = default_suite(params)
-    assert network_bits(estimate_network(state, suite)) == network_bits(
-        estimate_network(state, four_call_suite(suite))
-    )
+def assert_one_pass_equals_the_kernels(state, params):
+    # the reference passes every value through DecisionNetwork's checks,
+    # which estimate_network does not run
+    assert network_bits(estimate_network(state, params)) == network_bits(reference_network(state, params))
 
 
 def test_one_pass_network_equals_the_four_estimators_bit_for_bit():
@@ -419,12 +379,12 @@ def test_one_pass_network_equals_the_four_estimators_bit_for_bit():
         passes = 0
         for _ in range(500):
             state = random_match_state(rng)
-            assert_one_pass_equals_four_calls(state, params)
+            assert_one_pass_equals_the_kernels(state, params)
             # and one completed pass later, where players have drifted
-            net = estimate_network(state, default_suite(params))
+            net = estimate_network(state, params)
             live = [j for j, e in net.edges.items() if e.p > 0.0]
             if live:
-                assert_one_pass_equals_four_calls(advance_state(state, rng.choice(live), 2.0), params)
+                assert_one_pass_equals_the_kernels(advance_state(state, rng.choice(live), 2.0), params)
                 passes += 1
         assert passes > 400
 
@@ -446,7 +406,7 @@ def test_one_pass_network_on_absurd_pitches():
             team = {j: spot() for j in range(1, 12)}
             state = MatchState(Pitch(size, size), team, tuple(spot() for _ in range(11)), rng.randint(1, 11))
             for params in (DEFAULT_PARAMS, OTHER_PARAMS, vast):
-                assert_one_pass_equals_four_calls(state, params)
+                assert_one_pass_equals_the_kernels(state, params)
             hx, hy = team[state.holder]
             blocked = unavailable_teammates(state)
             for j in state.teammates():
@@ -456,26 +416,6 @@ def test_one_pass_network_on_absurd_pitches():
                     math.isnan(((ox - hx) * dx + (oy - hy) * dy) / norm2) for ox, oy in state.opponents
                 )
     assert nan_lanes > 500
-
-
-def test_a_suite_derived_from_the_default_calls_its_own_functions():
-    good = default_suite()
-    state = spread_state(overrides={11: (90.0, 56.0)})
-    blocked = unavailable_teammates(state)
-    assert blocked
-    calls = []
-
-    def pass_prob(st, j, tau):
-        calls.append(j)
-        return good.pass_prob(st, j, tau)
-
-    derived = dataclasses.replace(good, pass_prob=pass_prob)
-    assert network_bits(estimate_network(state, derived)) == network_bits(estimate_network(state, good))
-    assert calls == [j for j in state.teammates() if j not in blocked]
-    with pytest.raises(ValueError, match=r"teammate 1: pass_prob\(\)=1.5 outside \[0, 1\]"):
-        estimate_network(state, dataclasses.replace(good, pass_prob=lambda st, j, tau: 1.5))
-    with pytest.raises(ValueError, match=r"teammate 1: risk\(\)"):
-        estimate_network(state, dataclasses.replace(good, risk=lambda st, j: 11))
 
 
 def test_params_validated():
@@ -493,5 +433,8 @@ def test_params_validated():
 
 def test_params_flow_through_suite():
     state = spread_state(holder_pos=(85.0, 34.0))
-    slow_decay = default_suite(EstimatorParams(score_decay_m=40.0))
-    assert slow_decay.score_prob(state) > default_suite().score_prob(state)
+    slow_decay = EstimatorParams(score_decay_m=40.0)
+    assert estimate_network(state, slow_decay).s > estimate_network(state, DEFAULT_PARAMS).s
+    # callers of the former suite API get the params back
+    assert playnet.estimators.default_suite(slow_decay) is slow_decay
+    assert playnet.estimators.default_suite() is DEFAULT_PARAMS

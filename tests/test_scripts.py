@@ -1,11 +1,14 @@
-"""Smoke tests for the public surface outside the library: scripts, exports and README.
+"""Smoke tests for the public surface outside the library: scripts, exports, README and CLI.
 
 The scripts under scripts/ import playnet by name, so a renamed or
 deleted export breaks them without breaking any library test. The
 README's commands are checked against the CLI parser for the same
-reason.
+reason, and the CLI is run as a process, through main(), as a shell
+runs it.
 """
 
+import importlib
+import os
 import re
 import shlex
 import subprocess
@@ -72,3 +75,54 @@ def test_readme_scripts_exist():
     named = set(re.findall(r"scripts/[\w.-]+\.py", README))
     assert named
     assert sorted(name for name in named if not (REPO_ROOT / name).is_file()) == []
+
+
+def run_playnet(*args):
+    """python -m playnet.cli as a process, from the repository root, without PLAYNET_CONFIG."""
+    env = {k: v for k, v in os.environ.items() if k != "PLAYNET_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "playnet.cli", *args],
+        capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=env,
+    )
+
+
+def test_readme_decide_runs_as_a_process():
+    argv = next(argv for argv in readme_playnet_commands() if argv[0] == "decide" and "--dot" not in argv)
+    proc = run_playnet(*argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
+
+
+def test_cli_process_without_arguments_prints_usage_and_exits_2():
+    proc = run_playnet("decide")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "--state", "no/such/state.json", "--style", "3:1"],
+        ["decide", "--state", "data/midfield_state.json", "--style", "3_0:1"],
+    ],
+    ids=["missing-state", "style-3_0:1"],
+)
+def test_cli_process_invalid_input_exits_1_with_one_error_line(argv):
+    proc = run_playnet(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_console_script_resolves_to_main():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (REPO_ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.S | re.M).group(1)
+    target = re.search(r'^playnet\s*=\s*"([^"]+)"\s*$', section, re.M).group(1)
+    assert target == "playnet.cli:main"
+    module, _, name = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), name))

@@ -15,7 +15,6 @@ from playnet import (
     MatchState,
     Pitch,
     SimulationConfig,
-    default_suite,
     derive_seed,
     efficiency,
     monte_carlo_compare,
@@ -23,6 +22,7 @@ from playnet import (
     run_trials,
     security,
 )
+from playnet.estimators import DEFAULT_PARAMS
 from playnet.network import check_player_id
 from playnet.sequence import sequence_to_obj
 from playnet.simulate import StyleReport, advance_state
@@ -34,7 +34,7 @@ from oracles import exact_possession_moments, oracle_advance
 def base_config(style=LinearStyle(3, 1), threshold=0.5, seed=0, **kwargs):
     return SimulationConfig(
         policy=DecisionPolicy(style=style, threshold=threshold),
-        estimators=default_suite(),
+        estimators=DEFAULT_PARAMS,
         seed=seed,
         **kwargs,
     )
@@ -192,13 +192,12 @@ def test_advance_state_keeps_outside_players_fixed():
 
 def test_advanced_state_equals_validated_construction():
     rng = random.Random(505)
-    suite = default_suite()
     checked_receivers = outside_states = 0
     for _ in range(150):
         state = random_match_state(rng)
         outside_states += bool(state.outside)
         drift = rng.choice([0.0, 0.5, 2.0, 7.0, 200.0])
-        network = playnet.simulate.estimate_network(state, suite)
+        network = playnet.simulate.estimate_network(state, DEFAULT_PARAMS)
         for receiver, edge in network.edges.items():
             if edge.p == 0.0:
                 continue

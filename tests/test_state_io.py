@@ -380,9 +380,10 @@ def test_dot_deterministic():
 
 
 def test_dot_matches_frozen_golden(midfield_state):
-    from playnet import default_suite, estimate_network
+    from playnet import estimate_network
+    from playnet.estimators import DEFAULT_PARAMS
 
-    network = estimate_network(midfield_state, default_suite())
+    network = estimate_network(midfield_state, DEFAULT_PARAMS)
     assert export_network_dot(network) == (GOLDEN_DIR / "midfield_t8.dot").read_text()
 
 

@@ -163,7 +163,11 @@ def test_parse_round_trip():
 
 @pytest.mark.parametrize(
     "text",
-    ["3", "3:1:2", "a:b", "-1:2", "2:-1", "0:0", "1.5:2", pytest.param("1" + "0" * 400 + ":1", id="huge:1")],
+    [
+        "3", "3:1:2", "a:b", "-1:2", "2:-1", "0:0", "1.5:2", pytest.param("1" + "0" * 400 + ":1", id="huge:1"),
+        # int() accepts each of these weights, parse does not
+        "3_0:1", "+3:1", "3:+1", " 3 : 1 ", "3:1\n", "\u0663:1", "3:\uff11", ":1", "3:",
+    ],
 )
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
