@@ -9,7 +9,7 @@ from .estimators import (
     default_score_prob,
     estimate_network,
 )
-from .network import DecisionNetwork, EdgeVector4, build_network
+from .network import DecisionNetwork, EdgeVector4
 from .sequence import (
     PossessionSequence,
     PossessionStep,
@@ -50,7 +50,6 @@ __all__ = [
     "StepOutcome",
     "StyleClass",
     "StyleReport",
-    "build_network",
     "decide",
     "default_decision_time",
     "default_pass_prob",

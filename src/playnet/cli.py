@@ -183,55 +183,48 @@ def _csv_text(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _log_items(data: bytes) -> list | None:
-    """The elements of a log laid out as _log_text writes it, or None.
+def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
+    """The sequences of a log laid out as _log_text writes it, or None.
 
     Split at the element boundaries of "[\n  " + ",\n  ".join(texts) +
     "\n]\n"; every element starts with "[". Each distinct element text is
-    parsed once and its repeats share the parsed value. If every element
-    parses on its own, the whole text is exactly the array of them; if
-    any fails, or the layout differs, None sends the caller to a whole
-    parse. A slice of UTF-8 decodes as the whole would, as the split
-    points are ASCII.
+    parsed and checked once, and its repeats share the frozen sequence.
+    If every element reads on its own, the whole text is exactly the
+    array of them; if any fails, or the layout differs, None sends the
+    caller to a whole parse, which raises what it raises. A slice of
+    UTF-8 decodes as the whole would, as the split points are ASCII.
     """
     if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
         return None
-    parsed: dict[bytes, object] = {}  # element text after its "[" -> its value
-    items = []
+    read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
+    sequences = []
     for text in data[5:-3].split(b",\n  ["):
-        item = parsed.get(text)
-        if item is None:
+        seq = read.get(text)
+        if seq is None:
             try:
-                item = parsed[text] = parse_json("[" + text.decode("utf-8", "surrogatepass"))
+                obj = parse_json("[" + text.decode("utf-8", "surrogatepass"))
+                seq = read[text] = sequence_from_obj(obj)
             except ValueError:  # UnicodeDecodeError included
                 return None
-        items.append(item)
-    return items
+        sequences.append(seq)
+    return sequences
 
 
 def _read_log(data: bytes, where: str = "") -> list[PossessionSequence]:
     """A log file holds one sequence (array of steps) or an array of sequences.
 
-    In a log that _log_items reads, a repeated element text is one
-    parsed object, checked once here, so repeats share the frozen
-    sequence. Any other log is parsed whole and each sequence checked.
-    Either way the sequences and the first error are those of a whole
-    parse and checking each sequence.
+    A log that _log_sequences reads is read by its element texts; any
+    other log is parsed whole and each sequence checked. Either way the
+    sequences and the first error are those of a whole parse.
     """
-    items = _log_items(data)
-    if items is None:
+    sequences = _log_sequences(data)
+    if sequences is None:
         items = parse_json(data, where)
         if not isinstance(items, list) or not items:
             raise ValueError("sequence log: expected a nonempty array")
         if isinstance(items[0], dict):
             return [sequence_from_obj(items)]
-    read: dict[int, PossessionSequence] = {}  # id of an item that items keeps alive -> its sequence
-    sequences = []
-    for item in items:
-        seq = read.get(id(item))
-        if seq is None:
-            seq = read[id(item)] = sequence_from_obj(item)
-        sequences.append(seq)
+        sequences = [sequence_from_obj(item) for item in items]
     return sequences
 
 
@@ -396,9 +389,7 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AppConfig) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
-    styles = [LinearStyle.parse(text) for text in args.styles.split(",") if text != ""]
-    if not styles:
-        raise ValueError("--styles must name at least one style")
+    styles = [LinearStyle.parse(text) for text in args.styles.split(",")]
     run = {"styles": [str(s) for s in styles], "trials": args.trials, "seed": args.seed}
     reports = _run_recipe(args, cfg, run, args.csv)
     if args.json:

@@ -14,9 +14,8 @@ No check runs here on a network's values: every network holds a float
 p in [0, 1] and an int r in 0..10, in range when it was built. So decide
 and ranked_options score a style inline, with the operations of
 LinearStyle.evaluate but without its checks of p and r, which stay for
-library callers. The Decision that decide returns is right by
-construction, so it is built without Decision's checks, which still run
-on Decision(...) called directly and on every decision a log holds.
+library callers. A Decision is a plain record that checks nothing;
+a PossessionSequence checks every decision it holds.
 """
 
 from __future__ import annotations
@@ -46,32 +45,13 @@ class Decision:
     degenerate marks a pass whose best style score is zero (for example
     every teammate offside); the simulator treats such forced passes as
     turnovers rather than guessing a receiver that cannot be reached.
+    Unchecked: PossessionSequence checks the decisions it holds.
     """
 
     action: str  # "shoot" | "pass"
     target: int | None = None
     score: float | None = None
     degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        if self.action not in ("shoot", "pass"):
-            raise ValueError(f"unknown decision action {self.action!r}")
-        if self.action == "pass" and self.target is None:
-            raise ValueError("pass decision requires a target")
-        if self.action == "shoot" and self.target is not None:
-            raise ValueError("shoot decision cannot carry a target")
-
-    @classmethod
-    def _trusted(cls, action: str, target: int | None, score: float | None, degenerate: bool) -> Decision:
-        """A decision from fields that already meet the checks above; none run.
-
-        For decide, whose decisions are right by construction. A frozen
-        dataclass without slots keeps its fields in __dict__, so one
-        update sets all four.
-        """
-        decision = object.__new__(cls)
-        decision.__dict__.update(action=action, target=target, score=score, degenerate=degenerate)
-        return decision
 
     @property
     def is_shoot(self) -> bool:
@@ -113,4 +93,4 @@ def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
     for j, value in _scored(network, policy.style):
         if target is None or value > score:
             target, score = j, value
-    return Decision._trusted("pass", target, score, score == 0.0)
+    return Decision("pass", target, score, score == 0.0)

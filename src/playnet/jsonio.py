@@ -1,7 +1,7 @@
 """Canonical file output: stable bytes for logs, reports, and manifests.
 
-Numbers in file artifacts are written with at most six significant
-digits, shortest form, integers bare: the same input always produces
+Numbers in JSON and CSV artifacts are written with at most six
+significant digits, shortest form, integers bare: the same input always produces
 the same bytes on every platform, which is what makes golden files and
 the determinism checks possible. (In-memory JSON round-trips of core
 types stay lossless; the trimming applies to file artifacts only.)
@@ -10,11 +10,12 @@ shortest form that reads back to the same float, because regenerate()
 re-runs the command from them and a config value trimmed to six digits
 (29.99999949 read back as 30) can change the rebuilt artifact.
 
-One rule makes every number's text: number_text writes
-canonical_number's value as json would, and both canonical_dumps and
-the CLI's printed numbers use it. canonical_dumps writes the layout of
-json.dumps(indent=2) in one walk over the value, without copying it
-first; it takes str dict keys only.
+One rule makes a number's text: number_text writes canonical_number's
+value as json would, and canonical_dumps, the CSV report and the CLI's
+printed numbers use it. Two texts are fixed-decimal instead: compare's
+text table (four decimals) and a DOT graph's edge labels (three).
+canonical_dumps writes the layout of json.dumps(indent=2) in one walk
+over the value, without copying it first; it takes str dict keys only.
 
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact behind. JSON read from

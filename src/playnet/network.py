@@ -9,8 +9,9 @@ receiver would threaten the opposing goal).
 
 ``s`` and ``tau`` belong to the holder, so the network stores them once
 and each edge stores only its (p, r); ``edge(j)`` gives the full
-(s, tau, p, r) vector. DecisionNetwork(...), build_network and the log
-reader validate every value at construction; out-of-range inputs raise
+(s, tau, p, r) vector as an EdgeVector4, a view that checks nothing.
+DecisionNetwork(...), which from_json_dict and so the log reader call,
+validates every value at construction; out-of-range inputs raise
 instead of being clamped. estimate_network builds its network
 unchecked, from values that are in range by construction (see
 estimators.py).
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 TEAM_SIZE = 11
 PLAYER_IDS = frozenset(range(1, TEAM_SIZE + 1))
@@ -103,27 +104,18 @@ def player_id_error(value: object, what: str) -> ValueError:
     return ValueError(f"{what} {value!r} names no player")
 
 
-@dataclass(frozen=True)
-class EdgeVector4:
-    """The four decision parameters attached to one holder-teammate edge.
+class EdgeVector4(NamedTuple):
+    """The four decision parameters of one holder-teammate edge, as DecisionNetwork.edge gives them.
 
     s, tau describe the holder (the same on every edge of one network);
-    p, r describe the pass to this particular teammate.
+    p, r describe the pass to this particular teammate. A view of a
+    checked network: it checks nothing itself.
     """
 
     s: float    # holder's scoring probability, in [0, 1]
     tau: float  # holder's decision time, seconds, >= 0
     p: float    # pass-completion probability, in [0, 1]
     r: int      # receiver risk, integer in 0..10
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s", check_unit(self.s, "s"))
-        object.__setattr__(self, "tau", check_real(self.tau, "tau", 0.0))
-        object.__setattr__(self, "p", check_unit(self.p, "p"))
-        check_int(self.r, "r", 0, RISK_MAX)
-
-    def as_tuple(self) -> tuple[float, float, float, int]:
-        return (self.s, self.tau, self.p, self.r)
 
 
 class PassEdge(NamedTuple):
@@ -240,19 +232,4 @@ class DecisionNetwork:
             if to in per_teammate:
                 raise ValueError(f"network.edges[{k}].to: duplicate teammate id {to}")
             per_teammate[to] = (entry["p"], entry["r"])
-        return build_network(obj["holder"], obj["s"], obj["tau"], per_teammate)
-
-
-def build_network(
-    holder: int,
-    s: float,
-    tau: float,
-    per_teammate: Mapping[int, tuple[float, int]],
-) -> DecisionNetwork:
-    """Assemble the holder's decision network from per-teammate (p, r) pairs.
-
-    per_teammate must map exactly the ten ids other than the holder. Any
-    missing or extra id, or any out-of-range value, raises a ValueError
-    naming the offending id and field.
-    """
-    return DecisionNetwork(holder, s, tau, per_teammate)
+        return cls(obj["holder"], obj["s"], obj["tau"], per_teammate)

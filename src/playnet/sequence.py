@@ -3,8 +3,10 @@
 A possession is a chain of decision networks: every completed pass hands
 the ball (and the network) to the receiver, and the chain ends with a
 shot, an interception, or a forced loss. Each step records the network
-seen, the decision taken, and what actually happened, so simulated
-turnovers terminate sequences explicitly.
+seen, the decision taken, and what actually happened (a StepOutcome,
+whose values are the five log labels), so simulated turnovers terminate
+sequences explicitly. PossessionSequence is the one place a step is
+checked; Decision and PossessionStep are plain records.
 
 Two aggregates summarize a sequence:
 
@@ -20,77 +22,51 @@ single objective, so it is exposed as the Pareto frontier over the
 (efficiency, security) plane: of sequences (pareto_frontier), or of any
 (efficiency, security) points such as per-style means (pareto_points).
 
-sequence_to_obj and sequence_from_obj write and read the log shape;
-sequence_from_obj checks every invariant again.
+sequence_to_obj and sequence_from_obj write and read the log shape.
+sequence_from_obj reads each network and outcome label and leaves every
+other check to PossessionSequence.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from .decision import Decision
 from .network import DecisionNetwork, check_unit
 
-OUTCOME_KINDS = ("pass_completed", "pass_intercepted", "shot_taken", "forced_loss")
 
-_OUTCOME_LABELS = {
-    "pass_completed": "pass_completed",
-    "pass_intercepted": "pass_intercepted",
-    "forced_loss": "forced_loss",
-}
+class StepOutcome(enum.Enum):
+    """What actually happened after a decision; each value is its label in a sequence log."""
 
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """What actually happened after a decision; shots record whether they scored."""
-
-    kind: str
-    scored: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in OUTCOME_KINDS:
-            raise ValueError(f"unknown outcome kind {self.kind!r}")
-        if self.scored and self.kind != "shot_taken":
-            raise ValueError(f"scored flag is only valid for shot_taken, not {self.kind!r}")
+    PASS_COMPLETED = "pass_completed"
+    PASS_INTERCEPTED = "pass_intercepted"
+    SHOT_SCORED = "shot_scored"
+    SHOT_MISSED = "shot_missed"
+    FORCED_LOSS = "forced_loss"
 
     @property
     def is_terminal(self) -> bool:
-        return self.kind != "pass_completed"
+        return self is not StepOutcome.PASS_COMPLETED
 
     def label(self) -> str:
         """The wire label used in sequence log files."""
-        if self.kind == "shot_taken":
-            return "shot_scored" if self.scored else "shot_missed"
-        return _OUTCOME_LABELS[self.kind]
+        return self.value
 
-    @classmethod
-    def from_label(cls, label: str) -> StepOutcome:
-        if not isinstance(label, str):
-            raise ValueError(f"outcome label {label!r} must be a string")
-        if label == "shot_scored":
-            return cls("shot_taken", scored=True)
-        if label == "shot_missed":
-            return cls("shot_taken")
-        if label in _OUTCOME_LABELS:
-            return cls(label)
-        raise ValueError(f"unknown outcome label {label!r}")
+
+_SHOTS = (StepOutcome.SHOT_SCORED, StepOutcome.SHOT_MISSED)
 
 
 @dataclass(frozen=True)
 class PossessionStep:
-    """One link of the chain: the network seen, the decision, the outcome."""
+    """One link of the chain: the network seen, the decision, the outcome.
+
+    A plain record: PossessionSequence checks it.
+    """
 
     network: DecisionNetwork
     decision: Decision
     outcome: StepOutcome
-
-    def __post_init__(self) -> None:
-        if self.decision.is_shoot and self.outcome.kind != "shot_taken":
-            raise ValueError(f"shoot decision cannot end in {self.outcome.kind!r}")
-        if self.decision.is_pass:
-            if self.outcome.kind == "shot_taken":
-                raise ValueError("pass decision cannot end in a shot")
-            self.network.check_teammate(self.decision.target)
 
     @property
     def attempted_pass_p(self) -> float | None:
@@ -104,7 +80,10 @@ class PossessionStep:
 class PossessionSequence:
     """A nonempty chain of steps; only the last one may end the possession.
 
-    Enforced: every non-final step is a completed pass whose receiver
+    The one place a step is checked, each error naming its step: the
+    outcome is a StepOutcome; a shoot carries no target and ends in a
+    shot; a pass targets one of the holder's teammates and does not end
+    in a shot; every non-final step is a completed pass whose receiver
     holds the ball in the next step, and the final step is terminal
     (shot, interception, or forced loss).
     """
@@ -112,21 +91,40 @@ class PossessionSequence:
     steps: tuple[PossessionStep, ...]
 
     def __post_init__(self) -> None:
-        if not self.steps:
+        steps = self.steps
+        if not steps:
             raise ValueError("a possession sequence needs at least one step")
-        for k, step in enumerate(self.steps[:-1]):
-            if step.outcome.kind != "pass_completed":
+        last = len(steps) - 1
+        for k, step in enumerate(steps):
+            decision, outcome = step.decision, step.outcome
+            if not isinstance(outcome, StepOutcome):
+                raise ValueError(f"step {k}: outcome {outcome!r} is not a StepOutcome")
+            if decision.action == "shoot":
+                if decision.target is not None:
+                    raise ValueError(f"step {k}: a shoot decision cannot carry a target")
+                if outcome not in _SHOTS:
+                    raise ValueError(f"step {k}: a shoot decision cannot end in {outcome.value!r}")
+            elif decision.action == "pass":
+                if decision.target is None:
+                    raise ValueError(f"step {k}: a pass decision needs a target")
+                try:
+                    step.network.check_teammate(decision.target)
+                except ValueError as err:
+                    raise ValueError(f"step {k}: {err}") from None
+                if outcome in _SHOTS:
+                    raise ValueError(f"step {k}: a pass decision cannot end in a shot")
+            else:
+                raise ValueError(f"step {k}: unknown decision action {decision.action!r}")
+            if k == last:
+                if not outcome.is_terminal:
+                    raise ValueError(f"step {k}: final step must be terminal (shot, interception, or forced loss)")
+            elif outcome is not StepOutcome.PASS_COMPLETED:
+                raise ValueError(f"step {k}: non-final outcome must be pass_completed, got {outcome.value!r}")
+            elif steps[k + 1].network.holder != decision.target:
                 raise ValueError(
-                    f"step {k}: non-final outcome must be pass_completed, got {step.outcome.kind!r}"
+                    f"step {k + 1}: holder {steps[k + 1].network.holder} does not match "
+                    f"the previous pass target {decision.target}"
                 )
-            nxt = self.steps[k + 1]
-            if nxt.network.holder != step.decision.target:
-                raise ValueError(
-                    f"step {k + 1}: holder {nxt.network.holder} does not match "
-                    f"the previous pass target {step.decision.target}"
-                )
-        if not self.steps[-1].outcome.is_terminal:
-            raise ValueError("final step must be terminal (shot, interception, or forced loss)")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -137,8 +135,7 @@ class PossessionSequence:
 
     @property
     def scored(self) -> bool:
-        last = self.steps[-1].outcome
-        return last.kind == "shot_taken" and last.scored
+        return self.steps[-1].outcome is StepOutcome.SHOT_SCORED
 
 
 def efficiency(seq: PossessionSequence) -> float:
@@ -222,7 +219,7 @@ def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
 
 
 def sequence_from_obj(obj: object) -> PossessionSequence:
-    """Rebuild a sequence from its log shape, revalidating every invariant."""
+    """Rebuild a sequence from its log shape; PossessionSequence checks every step again."""
     if not isinstance(obj, list) or not obj:
         raise ValueError("sequence log: expected a nonempty array of steps")
     steps = []
@@ -236,14 +233,10 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
         dec_obj = item["decision"]
         if not isinstance(dec_obj, dict) or "type" not in dec_obj:
             raise ValueError(f"step {k}: decision must be an object with a type")
-        if dec_obj["type"] == "shoot":
-            decision = Decision(action="shoot")
-        elif dec_obj["type"] == "pass":
-            if "target" not in dec_obj:
-                raise ValueError(f"step {k}: pass decision needs a target")
-            decision = Decision(action="pass", target=dec_obj["target"])
-        else:
-            raise ValueError(f"step {k}: unknown decision type {dec_obj['type']!r}")
-        outcome = StepOutcome.from_label(item["outcome"])
+        try:
+            outcome = StepOutcome(item["outcome"])
+        except ValueError:
+            raise ValueError(f"step {k}: unknown outcome label {item['outcome']!r}") from None
+        decision = Decision(action=dec_obj["type"], target=dec_obj.get("target"))
         steps.append(PossessionStep(network, decision, outcome))
     return PossessionSequence(tuple(steps))

@@ -18,8 +18,8 @@ extended lazily, one step when a trial first reaches it, so a single
 rollout costs what it always did. A path has at most two ends per
 step: a shot scored or missed, or, after a pass, an interception or a
 forced loss (degenerate pass or step cap). Each end's RolloutResult is
-built, with the usual sequence validation, the first time a trial
-stops there; trials that stop at the same end share that one frozen
+built the first time a trial stops there, its PossessionSequence
+checking every step as any sequence does; trials that stop at the same end share that one frozen
 result, and a walk only makes the draws. monte_carlo_compare also
 shares the estimated networks between its styles, since a style
 changes the decisions but not the snapshot a receiver chain leads to.
@@ -183,9 +183,9 @@ class _PathStep:
         result = self._ends[scored]
         if result is None:
             if self.decision.is_shoot:
-                outcome = StepOutcome("shot_taken", scored=scored)
+                outcome = StepOutcome.SHOT_SCORED if scored else StepOutcome.SHOT_MISSED
             else:
-                outcome = StepOutcome("forced_loss" if self.final else "pass_intercepted")
+                outcome = StepOutcome.FORCED_LOSS if self.final else StepOutcome.PASS_INTERCEPTED
             sequence = PossessionSequence(
                 self.prefix + (PossessionStep(self.network, self.decision, outcome),)
             )
@@ -229,7 +229,7 @@ class _PossessionPath:
                 chain, prefix = (), ()
             else:
                 chain = prev.chain + (prev.decision.target,)
-                completed = PossessionStep(prev.network, prev.decision, StepOutcome("pass_completed"))
+                completed = PossessionStep(prev.network, prev.decision, StepOutcome.PASS_COMPLETED)
                 prefix = prev.prefix + (completed,)
             network = self._network(chain)
             decision = decide(network, self._cfg.policy)

@@ -13,7 +13,6 @@ from playnet import (
     PossessionSequence,
     PossessionStep,
     StepOutcome,
-    build_network,
 )
 from playnet.state import load_match_state
 
@@ -54,12 +53,12 @@ def random_network(rng: random.Random, s: float | None = None, tau: float | None
         for j in range(1, 12)
         if j != holder
     }
-    return build_network(holder, s, tau, per)
+    return DecisionNetwork(holder, s, tau, per)
 
 
 def network_with_holder(rng: random.Random, holder: int) -> DecisionNetwork:
     per = {j: (rng.random(), rng.randint(0, 10)) for j in range(1, 12) if j != holder}
-    return build_network(holder, rng.random(), rng.uniform(0.0, 4.0), per)
+    return DecisionNetwork(holder, rng.random(), rng.uniform(0.0, 4.0), per)
 
 
 def random_sequence(rng: random.Random, max_len: int = 30) -> PossessionSequence:
@@ -72,7 +71,7 @@ def random_sequence(rng: random.Random, max_len: int = 30) -> PossessionSequence
         final = k == length - 1
         if final and rng.random() < 0.4:
             decision = Decision(action="shoot")
-            outcome = StepOutcome("shot_taken", scored=rng.random() < 0.5)
+            outcome = StepOutcome.SHOT_SCORED if rng.random() < 0.5 else StepOutcome.SHOT_MISSED
         else:
             target = rng.choice([j for j in range(1, 12) if j != holder])
             decision = Decision(action="pass", target=target, score=rng.random())

@@ -13,11 +13,11 @@ import time
 import pytest
 
 from playnet import (
+    DecisionNetwork,
     DecisionPolicy,
     LinearStyle,
     SimulationConfig,
     StyleClass,
-    build_network,
     decide,
     efficiency,
     monte_carlo_compare,
@@ -70,8 +70,8 @@ def test_criterion_1_decision_reproduction():
     start = time.perf_counter()
     policy = DecisionPolicy(style=LinearStyle(1, 1), threshold=0.5)
     per = {j: (0.4, 3) for j in range(1, 12) if j != 8}
-    confident = build_network(8, 0.8, 1.0, per)
-    hesitant = build_network(8, 0.1, 1.0, per)
+    confident = DecisionNetwork(8, 0.8, 1.0, per)
+    hesitant = DecisionNetwork(8, 0.1, 1.0, per)
     shoot = decide(confident, policy)
     passes = decide(hesitant, policy)
     elapsed = time.perf_counter() - start
@@ -163,7 +163,7 @@ def test_criterion_6_sequence_invariant_fuzz(possession_corpus):
     for result in results:
         seq = result.sequence
         for a, b in zip(seq.steps, seq.steps[1:]):
-            if a.outcome.kind != "pass_completed" or b.network.holder != a.decision.target:
+            if a.outcome.label() != "pass_completed" or b.network.holder != a.decision.target:
                 violations += 1
         if not seq.terminal_outcome.is_terminal:
             violations += 1

@@ -14,16 +14,16 @@ from hypothesis import given, settings, strategies as st
 import playnet.cli
 from playnet import (
     Decision,
+    DecisionNetwork,
     DecisionPolicy,
     LinearStyle,
     PossessionSequence,
     PossessionStep,
     SimulationConfig,
     StepOutcome,
-    build_network,
     run_trials,
 )
-from playnet.cli import _load_log, _log_items, _log_text, _read_log, regenerate, run_cli
+from playnet.cli import _load_log, _log_sequences, _log_text, _read_log, regenerate, run_cli
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.jsonio import manifest_path, parse_json
 from playnet.sequence import sequence_from_obj, sequence_to_obj
@@ -89,6 +89,14 @@ def test_bad_style_is_validation_error(capsys):
     code, _, err = run(capsys, "decide", "--state", MIDFIELD, "--style", "0:0")
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("styles", [",3:1", "3:1,,1:3", "3:1,", ","], ids=["leading", "doubled", "trailing", "lone"])
+def test_empty_compare_style_entry_is_validation_error(capsys, styles):
+    code, out, err = run(capsys, "compare", "--state", MIDFIELD, "--styles", styles, "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: style '' must look like 'x:y', e.g. '3:1'\n"
 
 
 def test_missing_state_file_is_validation_error(capsys):
@@ -782,9 +790,9 @@ def test_memoised_log_read_equals_checking_each_sequence(name, picks, indent):
 
 
 def _one_step_sequence(holder=1, target=2, s=0.25, p=0.5, shoot=False) -> list:
-    network = build_network(holder, s, 1.0, {j: (p, 1) for j in range(1, 12) if j != holder})
+    network = DecisionNetwork(holder, s, 1.0, {j: (p, 1) for j in range(1, 12) if j != holder})
     if shoot:
-        step = PossessionStep(network, Decision("shoot"), StepOutcome("shot_taken"))
+        step = PossessionStep(network, Decision("shoot"), StepOutcome.SHOT_MISSED)
     else:
         step = PossessionStep(network, Decision("pass", target=target), StepOutcome("pass_intercepted"))
     return sequence_to_obj(PossessionSequence((step,)))
@@ -824,11 +832,12 @@ def _set(*path_and_value):
         ({"p": 0.0}, _set("network", "edges", 0, "p", -0.0), False),
         ({}, _set("network", "s", [0.25]), True),
         ({}, _set("outcome", ["pass_intercepted"]), True),
+        ({"shoot": True}, _set("decision", "target", 2), True),
     ],
     ids=[
         "r-1.0", "r-true", "s-true", "holder-2.0", "holder-true", "target-2.0", "target-true",
         "shoot-target-null", "pass-target-missing", "pass-target-null", "p-negative-zero",
-        "s-unhashable", "outcome-unhashable",
+        "s-unhashable", "outcome-unhashable", "shoot-with-target",
     ],
 )
 def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
@@ -838,7 +847,7 @@ def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
     for log in ([first, second], [second, first]):
         for indent in (2, None):  # read by element texts, and parsed whole
             data = (json.dumps(log, indent=indent) + "\n").encode()
-            assert (_log_items(data) is None) == (indent is None)
+            assert (_log_sequences(data) is None) == (indent is None or rejected)
             got = _read_outcome(_read_log, data)
             assert got == _read_outcome(_read_whole, data)
             assert isinstance(got, str) == rejected
@@ -859,7 +868,7 @@ def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkey
 
 @functools.cache
 def _log_layout_cases() -> dict[str, tuple[bytes, bool]]:
-    """Logs that _log_items must leave to a whole parse: name -> (bytes, whether they read)."""
+    """Logs that _log_sequences must leave to a whole parse: name -> (bytes, whether they read)."""
     log = _log_text_of("midfield")
     lone = _log_text(run_trials(load_match_state(BOX), SimulationConfig(
         policy=DecisionPolicy(style=LinearStyle(3, 1)), estimators=DEFAULT_PARAMS), 0, 1))
@@ -888,7 +897,7 @@ def _log_layout_cases() -> dict[str, tuple[bytes, bool]]:
 ])
 def test_log_reader_equals_a_whole_parse_outside_the_written_layout(tmp_path, case):
     data, reads = _log_layout_cases()[case]
-    assert _log_items(data) is None
+    assert _log_sequences(data) is None
     got = _read_outcome(_read_log, data)
     assert got == _read_outcome(_read_whole, data)
     assert isinstance(got, list) == reads

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from playnet import Decision, DecisionNetwork, DecisionPolicy, LinearStyle, build_network, decide, ranked_options
+from playnet import Decision, DecisionNetwork, DecisionPolicy, LinearStyle, decide, ranked_options
 
 from conftest import random_network
 from oracles import best_pass_exhaustive, ranked_exhaustive
@@ -11,7 +11,7 @@ from oracles import best_pass_exhaustive, ranked_exhaustive
 
 def uniform_network(holder=8, s=0.1, tau=1.0, p=0.4, r=3):
     per = {j: (p, r) for j in range(1, 12) if j != holder}
-    return build_network(holder, s, tau, per)
+    return DecisionNetwork(holder, s, tau, per)
 
 
 def test_shoot_above_threshold():
@@ -52,7 +52,7 @@ def test_ranked_all_zero_sorted_by_id():
 def test_ranked_unique_maximum_first():
     per = {j: (0.0, 0) for j in range(1, 12) if j != 8}
     per[9] = (1.0, 10)
-    net = build_network(8, 0.1, 1.0, per)
+    net = DecisionNetwork(8, 0.1, 1.0, per)
     style = LinearStyle(2, 3)
     ranked = ranked_options(net, DecisionPolicy(style=style))
     assert ranked[0] == (9, 10 * 2 + 10 * 3)
@@ -162,7 +162,7 @@ def test_decide_takes_the_head_of_ranked_options_under_ties(seed, style):
     holder = rng.randint(1, 11)
     # few distinct (p, r) values, so that several teammates share the top score
     per = {j: (rng.choice([0.0, 0.25, 0.5]), rng.choice([0, 1, 2])) for j in range(1, 12) if j != holder}
-    net = build_network(holder, 0.1, 1.0, per)
+    net = DecisionNetwork(holder, 0.1, 1.0, per)
     policy = DecisionPolicy(style=_TIED_STYLES[style], threshold=0.5)
     decision = decide(net, policy)
     target, score = ranked_options(net, policy)[0]
@@ -180,7 +180,7 @@ def tied_network(rng: random.Random) -> DecisionNetwork:
         values = [(0.0, 0), (0.0, 0), (0.5, 0), (0.0, 5), (0.25, 2), (1.0, 10)]
         values.append((rng.random(), rng.randint(0, 10)))
         per = {j: rng.choice(values) for j in range(1, 12) if j != holder}
-    return build_network(holder, 0.0, 1.0, per)
+    return DecisionNetwork(holder, 0.0, 1.0, per)
 
 
 def test_linear_style_scores_equal_its_checked_evaluate():

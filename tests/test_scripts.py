@@ -2,13 +2,15 @@
 
 The scripts under scripts/ import playnet by name, so a renamed or
 deleted export breaks them without breaking any library test. The
-README's commands are checked against the CLI parser for the same
-reason, and the CLI is run as a process, through main(), as a shell
-runs it.
+README's commands are checked against the CLI parser, and the library
+calls it names against the package, for the same reason; the CLI is
+run as a process, through main(), as a shell runs it.
 """
 
+import functools
 import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -75,6 +77,42 @@ def test_readme_scripts_exist():
     named = set(re.findall(r"scripts/[\w.-]+\.py", README))
     assert named
     assert sorted(name for name in named if not (REPO_ROOT / name).is_file()) == []
+
+
+README_CALL_ALLOWLIST = ("json.",)  # calls the README names outside playnet
+
+
+def readme_calls():
+    """The dotted name of each backticked call in the README: `f(...)`, `a.b(x)`."""
+    return sorted(set(re.findall(r"`([A-Za-z_][\w.]*)\([^`()\n]*\)`", README)))
+
+
+def resolves_in_playnet(dotted: str) -> bool:
+    """True if dotted names an attribute of playnet or of one of its modules.
+
+    A name that starts with "playnet." is looked up from the package,
+    whose modules are all imported here; any other from the package and
+    from every playnet.* module.
+    """
+    modules = [playnet] + [
+        importlib.import_module(info.name) for info in pkgutil.iter_modules(playnet.__path__, "playnet.")
+    ]
+    if dotted.startswith("playnet."):
+        modules, dotted = [playnet], dotted[len("playnet."):]
+    missing = object()
+    return any(
+        functools.reduce(lambda obj, name: getattr(obj, name, missing), dotted.split("."), module) is not missing
+        for module in modules
+    )
+
+
+def test_readme_names_some_calls():
+    assert {"DecisionNetwork", "estimate_network", "playnet.cli.regenerate"} <= set(readme_calls())
+
+
+@pytest.mark.parametrize("dotted", [name for name in readme_calls() if not name.startswith(README_CALL_ALLOWLIST)])
+def test_readme_call_resolves(dotted):
+    assert resolves_in_playnet(dotted), f"README names {dotted}(...), which playnet does not define"
 
 
 def run_playnet(*args):

@@ -5,10 +5,10 @@ import pytest
 
 from playnet import (
     Decision,
+    DecisionNetwork,
     PossessionSequence,
     PossessionStep,
     StepOutcome,
-    build_network,
     efficiency,
     is_p_secure,
     is_s_efficient,
@@ -22,12 +22,14 @@ from conftest import random_sequence
 
 def uniform_network(holder, s, p=0.5, r=3, tau=1.0):
     per = {j: (p, r) for j in range(1, 12) if j != holder}
-    return build_network(holder, s, tau, per)
+    return DecisionNetwork(holder, s, tau, per)
 
 
 def shot_step(holder, s, scored=False):
     return PossessionStep(
-        uniform_network(holder, s), Decision(action="shoot"), StepOutcome("shot_taken", scored=scored)
+        uniform_network(holder, s),
+        Decision(action="shoot"),
+        StepOutcome.SHOT_SCORED if scored else StepOutcome.SHOT_MISSED,
     )
 
 
@@ -155,7 +157,7 @@ def test_incremental_append_equals_recompute():
             continue
         *prefix, last = seq.steps
         # terminate the prefix in place of its completed pass; metrics ignore outcomes
-        closed = prefix[:-1] + [dataclasses.replace(prefix[-1], outcome=StepOutcome("forced_loss"))]
+        closed = prefix[:-1] + [dataclasses.replace(prefix[-1], outcome=StepOutcome.FORCED_LOSS)]
         prefix_seq = PossessionSequence(tuple(closed))
         assert efficiency(seq) == max(efficiency(prefix_seq), last.network.s)
         last_p = last.attempted_pass_p
@@ -238,29 +240,46 @@ def test_sequence_invariants_enforced():
 
 def test_step_invariants_enforced():
     net = uniform_network(8, 0.5)
-    with pytest.raises(ValueError, match="shoot decision"):
-        PossessionStep(net, Decision(action="shoot"), StepOutcome("pass_completed"))
-    with pytest.raises(ValueError, match="cannot end in a shot"):
-        PossessionStep(net, Decision(action="pass", target=9), StepOutcome("shot_taken"))
-    with pytest.raises(ValueError, match="self-edge"):
-        PossessionStep(net, Decision(action="pass", target=8), StepOutcome("pass_completed"))
+    for decision, outcome, message in (
+        (Decision(action="shoot"), StepOutcome.PASS_COMPLETED, "shoot decision"),
+        (Decision(action="pass", target=9), StepOutcome.SHOT_MISSED, "cannot end in a shot"),
+        (Decision(action="pass", target=8), StepOutcome.PASS_INTERCEPTED, "self-edge"),
+    ):
+        step = PossessionStep(net, decision, outcome)  # a plain record: the sequence checks it
+        with pytest.raises(ValueError, match=f"^step 0: .*{message}"):
+            PossessionSequence((step,))
+
+
+@pytest.mark.parametrize(
+    "decision, outcome, message",
+    [
+        (Decision(action="shoot", target=9), StepOutcome.SHOT_MISSED, "shoot decision cannot carry a target"),
+        (Decision(action="pass"), StepOutcome.PASS_INTERCEPTED, "pass decision needs a target"),
+        (Decision(action="dribble", target=9), StepOutcome.PASS_INTERCEPTED, "unknown decision action 'dribble'"),
+        (Decision(action="pass", target=9), "pass_intercepted", "outcome 'pass_intercepted' is not a StepOutcome"),
+        (Decision(action="pass", target=2), StepOutcome.PASS_INTERCEPTED, "holder 2 has no self-edge"),
+        (Decision(action="pass", target=3), StepOutcome.SHOT_SCORED, "pass decision cannot end in a shot"),
+    ],
+    ids=["shoot-with-target", "pass-without-target", "unknown-action", "str-outcome", "pass-to-holder",
+         "pass-ending-in-shot"],
+)
+def test_sequence_rejects_a_bad_step_and_names_it(decision, outcome, message):
+    opening = pass_step(8, 2)  # a completed pass to 2, so the bad step is step 1, held by 2
+    bad = PossessionStep(uniform_network(2, 0.3), decision, outcome)
+    with pytest.raises(ValueError, match=f"^step 1: .*{message}"):
+        PossessionSequence((opening, bad))
 
 
 def test_outcome_labels_round_trip():
-    for outcome in (
-        StepOutcome("pass_completed"),
-        StepOutcome("pass_intercepted"),
-        StepOutcome("forced_loss"),
-        StepOutcome("shot_taken", scored=True),
-        StepOutcome("shot_taken", scored=False),
-    ):
-        assert StepOutcome.from_label(outcome.label()) == outcome
+    labels = ["pass_completed", "pass_intercepted", "shot_scored", "shot_missed", "forced_loss"]
+    assert [outcome.label() for outcome in StepOutcome] == labels
+    for label in labels:
+        assert StepOutcome(label).label() == label
+    assert [StepOutcome(label).is_terminal for label in labels] == [False, True, True, True, True]
     with pytest.raises(ValueError):
-        StepOutcome.from_label("own_goal")
-    with pytest.raises(ValueError, match="outcome label"):
-        StepOutcome.from_label([1])  # unhashable: must not escape as TypeError
+        StepOutcome("own_goal")
     with pytest.raises(ValueError):
-        StepOutcome("pass_completed", scored=True)
+        StepOutcome([1])  # unhashable: must not escape as TypeError
 
 
 def test_log_round_trip():

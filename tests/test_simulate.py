@@ -114,7 +114,7 @@ def test_rollout_sequences_always_valid():
         seq = rollout(state, base_config(seed=k, max_steps=12)).sequence
         # construction enforces chaining/terminality; spot-check the chain anyway
         for a, b in zip(seq.steps, seq.steps[1:]):
-            assert a.outcome.kind == "pass_completed"
+            assert a.outcome.label() == "pass_completed"
             assert b.network.holder == a.decision.target
         assert seq.terminal_outcome.is_terminal
         assert len(seq) <= 12

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from playnet import MatchState, Pitch, build_network, parse_match_state
+from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
 from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, parse_json
@@ -363,7 +363,7 @@ def test_atomic_write(tmp_path):
 # --- DOT export -------------------------------------------------------------
 
 def zero_network(holder=8):
-    return build_network(holder, 0.0, 0.0, {j: (0.0, 0) for j in range(1, 12) if j != holder})
+    return DecisionNetwork(holder, 0.0, 0.0, {j: (0.0, 0) for j in range(1, 12) if j != holder})
 
 
 def test_dot_zero_network_shape():
