@@ -224,7 +224,12 @@ def _read_log(data: bytes, where: str = "") -> list[PossessionSequence]:
             raise ValueError("sequence log: expected a nonempty array")
         if isinstance(items[0], dict):
             return [sequence_from_obj(items)]
-        sequences = [sequence_from_obj(item) for item in items]
+        sequences = []
+        for i, item in enumerate(items):
+            try:
+                sequences.append(sequence_from_obj(item))
+            except ValueError as err:
+                raise ValueError(f"sequence {i}: {err}") from None
     return sequences
 
 

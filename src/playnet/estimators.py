@@ -29,6 +29,13 @@ on the team and call check_player_id only when the target is not an int
 or the lookup fails. EstimatorParams checks its constants with
 network.py's checkers. The snapshot read here was checked where it
 entered (see state.py).
+
+estimate_network memoizes its result on the snapshot: a MatchState
+keeps the (params, network) of its last estimate, and a call with the
+same or equal params returns that network without estimating again.
+So a caller who decides on a snapshot and then rolls it out estimates
+it once. Neither MatchState.team nor a returned network's edges may be
+mutated, since the memo would then describe another snapshot.
 """
 
 from __future__ import annotations
@@ -82,11 +89,17 @@ def score_prob_at(pitch, x: float, y: float, params: EstimatorParams = DEFAULT_P
 
     theta is the turn from the attack direction (+x) to the nearest ray
     into the goal mouth: zero whenever shooting straight ahead reaches
-    the mouth, otherwise the angle to the closer goalpost. Positions
-    level with or behind the goal line see theta >= 90 degrees, so the
-    cosine clips to zero. Along any fixed bearing the angle term is
-    constant or shrinking with distance, which makes s decrease in
-    d_goal by construction.
+    the mouth, otherwise the angle to the closer goalpost. Along any
+    fixed bearing the angle term is constant or shrinking with distance,
+    which makes s decrease in d_goal by construction.
+
+    On the goal line (x == length) theta is atan2(., 0.0) = 90 degrees,
+    and cos of that is 6.1e-17 in floats, not zero: a holder on the line
+    1 m off centre inside the mouth gets s = 5.8e-17. One nanometre in
+    front of the line the mouth is straight ahead, so s jumps to about
+    0.951 there, and at the exact goal centre d_goal = 0 gives s = 1.
+    Only behind the line is theta above 90 degrees and the cosine
+    clipped to zero.
     """
     length = pitch.length
     gy = pitch.width / 2.0
@@ -247,7 +260,14 @@ def estimate_network(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS
     * p is clamped into [0, 1] as s is, a NaN to 0.
     * r rounds a raw score clamped into [0, 1] as s is, so it is an int
       in 0..10.
+
+    The network is stored on the state with params (see state.py); a
+    later call with params that are the stored ones, or equal to them,
+    returns that same network object.
     """
+    memo = state._estimate
+    if memo is not None and (memo[0] is params or memo[0] == params):
+        return memo[1]
     pitch = state.pitch
     team = state.team
     holder = state.holder
@@ -312,5 +332,7 @@ def estimate_network(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS
         r = floor(raw * RISK_MAX + 0.5)
         r = r if r < RISK_MAX else RISK_MAX
         edges[j] = PassEdge(p, r)
-    return DecisionNetwork._trusted(holder, s, tau, edges)
+    network = DecisionNetwork._trusted(holder, s, tau, edges)
+    object.__setattr__(state, "_estimate", (params, network))
+    return network
 

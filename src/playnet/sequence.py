@@ -229,7 +229,10 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
         for key in ("network", "decision", "outcome"):
             if key not in item:
                 raise ValueError(f"step {k}: missing field {key!r}")
-        network = DecisionNetwork.from_json_dict(item["network"])
+        try:
+            network = DecisionNetwork.from_json_dict(item["network"])
+        except ValueError as err:
+            raise ValueError(f"step {k}: {err}") from None
         dec_obj = item["decision"]
         if not isinstance(dec_obj, dict) or "type" not in dec_obj:
             raise ValueError(f"step {k}: decision must be an object with a type")

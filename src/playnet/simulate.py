@@ -25,7 +25,11 @@ shares the estimated networks between its styles, since a style
 changes the decisions but not the snapshot a receiver chain leads to.
 Sharing is sound because estimate_network is a pure function of the
 snapshot and the estimator constants: equal snapshots give equal
-networks.
+networks. For the same reason estimate_network keeps a snapshot's
+network on the MatchState (see state.py), once per EstimatorParams: a
+rollout of a snapshot its caller has estimated under cfg.estimators
+starts from that network instead of estimating it again. Neither
+MatchState.team nor a network's edges may be mutated.
 estimate_network, decide and advance_state are looked up in this
 module at call time.
 

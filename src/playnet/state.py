@@ -15,6 +15,16 @@ checked one, is then built without re-running those checks. A
 MatchState(...) or Pitch(...) built directly, by library callers, runs
 every check in __post_init__, through network.py's check_real and
 check_player_id.
+
+A snapshot is estimated once per EstimatorParams: estimate_network
+keeps its last (params, network) on the MatchState, in the private
+_estimate slot, and returns that network again when asked with equal
+params. The slot is not a dataclass field, so it is not compared, not
+printed and set by no constructor; a snapshot from advance_state or
+dataclasses.replace starts without it. The memo is sound because the
+network is a pure function of the snapshot and the constants, and
+because neither changes: a MatchState is frozen, and its team dict and
+a returned network's edges must not be mutated.
 """
 
 from __future__ import annotations
@@ -53,6 +63,10 @@ class MatchState:
     opponents: tuple[XY, ...]     # 11 positions, defending the x = length goal
     holder: int
     outside: frozenset[int] = frozenset()
+
+    # estimate_network's (params, network) for this snapshot, or None
+    # (see the module docstring); a class attribute, not a field
+    _estimate = None
 
     def __post_init__(self) -> None:
         if set(self.team) != PLAYER_IDS:

@@ -225,6 +225,23 @@ def test_analyze_single_sequence_log(capsys, tmp_path):
     assert len(json.loads(out)["sequences"]) == 1
 
 
+def test_analyze_names_the_sequence_and_step_of_a_bad_network(capsys, tmp_path):
+    log = json.loads((GOLDEN_DIR / "simulate_seed42.json").read_text())
+    network = log[1][1]["network"]
+    network["s"] = 2.0
+    path = tmp_path / "bad.json"
+    for data, where in ((log, "sequence 1: "), (log[1], "")):  # an array of sequences, and a lone one
+        path.write_text(json.dumps(data, indent=2) + "\n")
+        code, _, err = run(capsys, "analyze", "--log", str(path))
+        assert (code, err) == (1, f"error: {where}step 1: s=2.0 outside [0, 1]\n")
+    network["s"] = 0.5
+    network["edges"][0]["r"] = 11
+    path.write_text(json.dumps(log, indent=2) + "\n")
+    code, _, err = run(capsys, "analyze", "--log", str(path))
+    to = network["edges"][0]["to"]
+    assert (code, err) == (1, f"error: sequence 1: step 1: teammate {to}: r=11 outside 0..10\n")
+
+
 def test_compare_csv_and_manifest(capsys, tmp_path):
     csv_file = tmp_path / "report.csv"
     code, out, _ = run(
@@ -713,7 +730,13 @@ def _read_each(obj):
         raise ValueError("sequence log: expected a nonempty array")
     if isinstance(obj[0], dict):
         return [sequence_from_obj(obj)]
-    return [sequence_from_obj(item) for item in obj]
+    sequences = []
+    for i, item in enumerate(obj):
+        try:
+            sequences.append(sequence_from_obj(item))
+        except ValueError as err:
+            raise ValueError(f"sequence {i}: {err}") from None
+    return sequences
 
 
 def _read_whole(data: bytes, where: str = ""):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from playnet import (
 from playnet.estimators import DEFAULT_PARAMS, score_prob_at, unavailable_teammates
 from playnet.network import PassEdge, check_player_id
 from playnet.simulate import advance_state
+from playnet.state import match_state_to_obj, parse_match_state
 
 from conftest import GOLDEN_DIR, random_match_state
 
@@ -67,6 +69,14 @@ def test_score_prob_vanishes_at_goal_line():
     pitch = Pitch()
     assert score_prob_at(pitch, 105.0, 10.0) < 1e-12  # on the line, outside the mouth
     assert score_prob_at(pitch, 104.9, 5.0) < 0.05    # near the corner, tight angle
+
+
+def test_score_prob_on_the_goal_line_inside_the_mouth():
+    # cos(pi/2) is 6.1e-17 in floats, so the line itself gives a tiny positive s
+    pitch = Pitch()
+    assert 0.0 < score_prob_at(pitch, 105.0, 33.0) < 1e-15
+    assert score_prob_at(pitch, 105.0 - 1e-9, 33.0) > 0.95  # 1 nm in front: the mouth is straight ahead
+    assert score_prob_at(pitch, 105.0, 34.0) == 1.0  # the exact goal centre
 
 
 def test_score_prob_corridor_has_no_angle_penalty():
@@ -196,6 +206,17 @@ def test_offside_detection():
     net = estimate_network(state)
     assert net.edge(9).p == 0.0 and net.edge(9).r == 0
     assert net.edge(7).p > 0.0
+
+
+def test_level_with_the_ball_is_onside():
+    # second-last opponent at x = 60, ball at x = 70
+    opponents = tuple([(100.0, 34.0), (60.0, 20.0)] + [(50.0, 5.0 + 5.0 * k) for k in range(9)])
+    state = spread_state(holder_pos=(70.0, 30.0), overrides={9: (70.0, 50.0), 11: (70.5, 56.0)},
+                         opponents=opponents)
+    flagged = unavailable_teammates(state)
+    assert 9 not in flagged  # level with the ball, ahead of the second-last opponent
+    assert 11 in flagged     # strictly ahead of both
+    assert estimate_network(state).edges[9].p > 0.0
 
 
 def test_behind_ball_never_offside():
@@ -345,6 +366,55 @@ def test_suite_calls_the_module_estimators_at_call_time(monkeypatch):
     monkeypatch.setattr(playnet.estimators, "unavailable_teammates", patched)
     estimate_network(spread_state())
     assert calls == ["unavailable_teammates"]
+
+
+# --- a snapshot is estimated once per EstimatorParams ------------------------
+
+
+def reparsed(state):
+    """An equal snapshot, parsed afresh, that no estimate has touched."""
+    return parse_match_state(json.dumps(match_state_to_obj(state)))
+
+
+def test_a_repeat_estimate_returns_the_same_network():
+    state = spread_state()
+    net = estimate_network(state)
+    assert estimate_network(state) is net
+    assert estimate_network(state, DEFAULT_PARAMS) is net
+
+
+def test_equal_but_distinct_params_hit_the_memo():
+    state = spread_state()
+    first, second = EstimatorParams(pass_decay_m=25.0), EstimatorParams(pass_decay_m=25.0)
+    assert first is not second and first == second
+    net = estimate_network(state, first)
+    assert estimate_network(state, second) is net
+
+
+def test_other_params_estimate_afresh():
+    state = random_match_state(random.Random(5))
+    other = EstimatorParams(score_decay_m=10.0, pass_decay_m=12.0)
+    default_net = estimate_network(state)
+    other_net = estimate_network(state, other)
+    assert other_net == estimate_network(reparsed(state), other)
+    assert other_net != default_net
+    again = estimate_network(state)  # the memo now holds the other params' network
+    assert again == default_net and again is not default_net
+
+
+def test_the_memo_is_not_part_of_the_snapshot():
+    state = random_match_state(random.Random(6))
+    twin = reparsed(state)
+    before = repr(state)
+    estimate_network(state)
+    assert state._estimate is not None and twin._estimate is None
+    assert state == twin and twin == state
+    assert repr(state) == before == repr(twin)
+    assert "_estimate" not in {f.name for f in dataclasses.fields(MatchState)}
+    copy = dataclasses.replace(state)
+    assert copy == state and copy._estimate is None
+    receiver = next(j for j in state.teammates() if j not in state.outside)
+    assert advance_state(state, receiver, 2.0)._estimate is None
 
 
 def reference_network(state, params):

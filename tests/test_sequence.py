@@ -270,6 +270,23 @@ def test_sequence_rejects_a_bad_step_and_names_it(decision, outcome, message):
         PossessionSequence((opening, bad))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda net: net.update(s=2.0), "s=2.0 outside [0, 1]"),
+        (lambda net: net["edges"][0].update(r=11), "teammate 1: r=11 outside 0..10"),
+        (lambda net: net.pop("tau"), "network: missing field 'tau'"),
+    ],
+    ids=["bad-s", "bad-r", "missing-tau"],
+)
+def test_sequence_from_obj_names_the_step_of_a_bad_network(edit, message):
+    obj = sequence_to_obj(PossessionSequence((pass_step(8, 2), shot_step(2, 0.3))))
+    edit(obj[1]["network"])
+    with pytest.raises(ValueError) as info:
+        sequence_from_obj(obj)
+    assert str(info.value) == f"step 1: {message}"
+
+
 def test_outcome_labels_round_trip():
     labels = ["pass_completed", "pass_intercepted", "shot_scored", "shot_missed", "forced_loss"]
     assert [outcome.label() for outcome in StepOutcome] == labels

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import playnet.estimators
 import playnet.sequence
 import playnet.simulate
 
@@ -17,6 +18,7 @@ from playnet import (
     SimulationConfig,
     derive_seed,
     efficiency,
+    estimate_network,
     monte_carlo_compare,
     rollout,
     run_trials,
@@ -331,6 +333,24 @@ def test_run_trials_builds_each_end_of_the_path_once(midfield_state, monkeypatch
     ends = {(len(r.sequence), r.sequence.terminal_outcome.label()) for r in results}
     assert len(built) == len(ends)
     assert len({id(r) for r in results}) == len(ends)  # equal trials share one result
+
+
+def test_rollout_reuses_the_network_its_caller_estimated(monkeypatch):
+    # estimate_network looks unavailable_teammates up at call time, once per estimate it makes
+    calls = []
+    original = playnet.estimators.unavailable_teammates
+    monkeypatch.setattr(playnet.estimators, "unavailable_teammates", lambda st: calls.append(st) or original(st))
+    rng = random.Random(8)
+    lengths = []
+    for seed in range(60):
+        state = random_match_state(rng)
+        cfg = base_config(style=LinearStyle(1, 3), threshold=0.9, seed=seed)
+        estimate_network(state, cfg.estimators)
+        del calls[:]
+        result = rollout(state, cfg)
+        assert len(calls) == len(result.sequence) - 1
+        lengths.append(len(result.sequence))
+    assert max(lengths) > 1  # some possessions pass on, so later steps are estimated
 
 
 def test_compare_estimates_a_shared_network_once(box_state, monkeypatch):
