@@ -1,14 +1,7 @@
 """Decision networks, shoot-or-pass policies, and possession simulation."""
 
 from .decision import Decision, DecisionPolicy, decide, ranked_options
-from .estimators import (
-    EstimatorParams,
-    default_decision_time,
-    default_pass_prob,
-    default_risk,
-    default_score_prob,
-    estimate_network,
-)
+from .estimators import EstimatorParams, estimate_network
 from .network import DecisionNetwork, EdgeVector4
 from .sequence import (
     PossessionSequence,
@@ -51,10 +44,6 @@ __all__ = [
     "StyleClass",
     "StyleReport",
     "decide",
-    "default_decision_time",
-    "default_pass_prob",
-    "default_risk",
-    "default_score_prob",
     "derive_seed",
     "efficiency",
     "estimate_network",

@@ -2,33 +2,30 @@
 
 How s, tau, p and r should be measured is an open modeling question with
 a literature of its own (shot models, pass-ability models, tracking
-metrics). This module ships one answer, closed-form geometric estimators
+metrics). This module ships one answer, closed-form geometric formulas
 that are bounded, smooth, cheap, and monotone in the directions a coach
 would expect:
 
-* score_prob      s    falls with distance to goal and with how far the
-                       attack direction points away from the goal mouth;
-* decision_time   tau  grows with the nearest opponent's distance
-                       (pressure forces fast decisions), capped;
-* pass_prob       p    falls with pass length, falls as opponents close
-                       on the passing lane, grows with the time available;
-* risk            r    blends the receiver's own scoring chance with how
-                       unmarked the receiver is, rounded to 0..10.
+* s    the holder's scoring chance (score_prob_at) falls with distance
+       to goal and with how far the attack direction points away from
+       the goal mouth;
+* tau  the holder's decision time grows with the nearest opponent's
+       distance (pressure forces fast decisions), capped;
+* p    a pass's completion probability falls with pass length, falls as
+       opponents close on the passing lane, grows with the time available;
+* r    the receiver's risk blends the receiver's own scoring chance with
+       how unmarked the receiver is, rounded to 0..10.
 
 Every constant lives in EstimatorParams and can be overridden from the
 config file without touching code. Teammates who are offside or outside
 the pitch are not estimated at all: their edge is (p, r) = (0, 0).
 
-estimate_network builds the holder's network in one pass, with each
-opponent distance computed once instead of once per kernel call. Its
-values are those of the four public default_* kernels, bit for bit; the
-kernels stay as the readable reference it is tested against. Every value
-is in range by construction (see estimate_network), so the network is
-built without DecisionNetwork's checks. The kernels look their target up
-on the team and call check_player_id only when the target is not an int
-or the lookup fails. EstimatorParams checks its constants with
-network.py's checkers. The snapshot read here was checked where it
-entered (see state.py).
+estimate_network is the one estimator: it builds the holder's network
+in one pass, with each opponent distance computed once. Every value is
+in range by construction (see estimate_network), so the network is
+built without DecisionNetwork's checks. EstimatorParams checks its
+constants with network.py's checkers. The snapshot read here was
+checked where it entered (see state.py).
 
 estimate_network memoizes its result on the snapshot: a MatchState
 keeps the (params, network) of its last estimate, and a call with the
@@ -43,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import atan2, cos, exp, floor, hypot, inf
 
-from .network import DecisionNetwork, PassEdge, RISK_MAX, check_player_id, check_real, player_id_error
+from .network import DecisionNetwork, PassEdge, RISK_MAX, check_real
 from .state import MatchState
 
 
@@ -72,16 +69,6 @@ class EstimatorParams:
 
 
 DEFAULT_PARAMS = EstimatorParams()
-
-
-def _nearest_opponent_distance(state: MatchState, x: float, y: float) -> float:
-    # a plain loop: faster than min() over a list comprehension for eleven opponents
-    best = inf
-    for ox, oy in state.opponents:
-        d = hypot(ox - x, oy - y)
-        if d < best:
-            best = d
-    return best
 
 
 def score_prob_at(pitch, x: float, y: float, params: EstimatorParams = DEFAULT_PARAMS) -> float:
@@ -120,92 +107,6 @@ def score_prob_at(pitch, x: float, y: float, params: EstimatorParams = DEFAULT_P
     return s if s < 1.0 else 1.0
 
 
-def default_score_prob(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS) -> float:
-    """Scoring chance of the holder from where they stand (see score_prob_at)."""
-    x, y = state.team[state.holder]
-    return score_prob_at(state.pitch, x, y, params)
-
-
-def default_decision_time(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS) -> float:
-    """Seconds before pressure forces an action: nearest-opponent distance over speed, capped."""
-    x, y = state.team[state.holder]
-    t = _nearest_opponent_distance(state, x, y) / params.pressure_speed_mps
-    cap = params.time_cap_s
-    return cap if cap < t else t
-
-
-def default_pass_prob(
-    state: MatchState, target: int, tau: float, params: EstimatorParams = DEFAULT_PARAMS
-) -> float:
-    """Completion probability of a pass to the target teammate.
-
-    exp(-d/decay) * lane_openness * (1 - exp(-tau/scale)), where
-    lane_openness is the logistic of the clearest opponent's distance to
-    the passing lane (an opponent standing on the lane halves it). With
-    no time at all (tau = 0) no pass completes.
-    """
-    if type(target) is not int:
-        check_player_id(target, "pass target")
-    team = state.team
-    holder = state.holder
-    if target == holder:
-        raise ValueError("pass target cannot be the holder")
-    try:
-        tx, ty = team[target]
-    except KeyError:
-        raise player_id_error(target, "pass target") from None
-    hx, hy = team[holder]
-    dx = tx - hx
-    dy = ty - hy
-    d = hypot(dx, dy)
-    # each opponent's distance to the lane, the segment holder -> target,
-    # from the lane's vector and squared length computed once per lane
-    norm2 = dx * dx + dy * dy
-    if norm2 == 0.0:  # the lane is a point: the holder's spot
-        lane_clearance = _nearest_opponent_distance(state, hx, hy)
-    else:
-        lane_clearance = inf
-        for ox, oy in state.opponents:
-            t = ((ox - hx) * dx + (oy - hy) * dy) / norm2
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            c = hypot(ox - (hx + t * dx), oy - (hy + t * dy))
-            if c < lane_clearance:
-                lane_clearance = c
-    lane_openness = 1.0 / (1.0 + exp(-lane_clearance / params.lane_half_width_m))
-    p = exp(-d / params.pass_decay_m) * lane_openness * (1.0 - exp(-tau / params.pass_time_scale_s))
-    p = p if p > 0.0 else 0.0
-    return p if p < 1.0 else 1.0
-
-
-def default_risk(state: MatchState, target: int, params: EstimatorParams = DEFAULT_PARAMS) -> int:
-    """Receiver risk 0..10: how dangerous the ball at the target's feet would be.
-
-    Blends the target's own scoring chance (were they the holder) with
-    their openness (nearest-opponent distance, saturating at the
-    openness radius), then rounds half-up to an integer.
-    """
-    if type(target) is not int:
-        check_player_id(target, "risk target")
-    if target == state.holder:
-        raise ValueError("risk target cannot be the holder")
-    try:
-        tx, ty = state.team[target]
-    except KeyError:
-        raise player_id_error(target, "risk target") from None
-    # equals default_score_prob on the state with the ball moved to the target
-    s_target = score_prob_at(state.pitch, tx, ty, params)
-    openness = _nearest_opponent_distance(state, tx, ty) / params.openness_radius_m
-    openness = openness if openness < 1.0 else 1.0
-    raw = params.risk_score_weight * s_target + params.risk_openness_weight * openness
-    raw = raw if raw > 0.0 else 0.0
-    raw = raw if raw < 1.0 else 1.0
-    r = floor(raw * RISK_MAX + 0.5)
-    return r if r < RISK_MAX else RISK_MAX
-
-
 def default_suite(params: EstimatorParams = DEFAULT_PARAMS) -> EstimatorParams:
     """params itself, for callers written when estimators came as a suite of four functions."""
     return params
@@ -240,16 +141,16 @@ _NO_PASS = PassEdge(0.0, 0)  # the edge of a teammate who cannot receive
 def estimate_network(state: MatchState, params: EstimatorParams = DEFAULT_PARAMS) -> DecisionNetwork:
     """The holder's decision network under params, in one pass.
 
-    Every value comes from the float operations of the four default_*
-    kernels, in their order, bit for bit. The holder's offset and
-    distance to each opponent are computed once: the nearest gives tau,
-    and also the clearance of a lane that is a point. One loop over the
-    opponents per teammate gives both the lane's clearance and the
-    receiver's nearest opponent. Where an opponent's projection clamps
-    to the holder (t <= 0) its lane distance is its holder distance,
-    since hx + 0.0 * dx == hx for the finite dx of any snapshot; a NaN
-    t, from a pitch so large that norm2 overflows, takes the general
-    formula as default_pass_prob does. Unavailable teammates (offside or
+    Each value comes out bit for bit as evaluating its formula on its
+    own would give it; the tests hold it to such a reference. The
+    holder's offset and distance to each opponent are computed once: the
+    nearest gives tau, and also the clearance of a lane that is a point.
+    One loop over the opponents per teammate gives both the lane's
+    clearance and the receiver's nearest opponent. Where an opponent's projection clamps to the holder
+    (t <= 0) its lane distance is its holder distance, since
+    hx + 0.0 * dx == hx for the finite dx of any snapshot; a NaN t, from
+    a pitch so large that norm2 overflows, fails both clamp tests and
+    takes the general formula. Unavailable teammates (offside or
     outside) are not estimated; their edge is (p, r) = (0, 0).
 
     No value is checked, since each is in range by construction:

@@ -91,19 +91,6 @@ def check_player_id(value: object, what: str = "player id") -> int:
     return check_int(value, what, 1, TEAM_SIZE)
 
 
-def player_id_error(value: object, what: str) -> ValueError:
-    """The error check_player_id(value, what) raises, for a value that names no player.
-
-    For callers that look an id up first and check it only when the
-    lookup fails.
-    """
-    try:
-        check_player_id(value, what)
-    except ValueError as err:
-        return err
-    return ValueError(f"{what} {value!r} names no player")
-
-
 class EdgeVector4(NamedTuple):
     """The four decision parameters of one holder-teammate edge, as DecisionNetwork.edge gives them.
 
@@ -131,8 +118,8 @@ class DecisionNetwork:
 
     Invariants (enforced): exactly ten edges, one per teammate id other
     than the holder; no self-edge; every value in range. Reduced teams
-    (red cards, players off the pitch) are represented by marking
-    players unavailable, never by removing edges.
+    (red cards, players off the pitch) are represented by zeroed edges,
+    (p, r) = (0, 0), never by removing edges.
     """
 
     holder: int
@@ -190,17 +177,6 @@ class DecisionNetwork:
         """The 4-vector (s, tau, p, r) of the edge between the holder and teammate j."""
         p, r = self.edges[self.check_teammate(j)]
         return EdgeVector4(self.s, self.tau, p, r)
-
-    def mark_unavailable(self, j: int) -> DecisionNetwork:
-        """Zero out teammate j's pass edge (offside, outside the pitch, sent off).
-
-        Returns a new network where edge j has p = 0 and r = 0; s and tau
-        are untouched. Idempotent.
-        """
-        check_player_id(j, "teammate id")
-        if j == self.holder:
-            raise ValueError("holder cannot be marked")
-        return DecisionNetwork(self.holder, self.s, self.tau, {**self.edges, j: PassEdge(0.0, 0)})
 
     def to_json_dict(self) -> dict:
         return {

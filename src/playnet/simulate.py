@@ -53,7 +53,7 @@ from math import hypot
 
 from .decision import DecisionPolicy, decide
 from .estimators import EstimatorParams, estimate_network
-from .network import DecisionNetwork, check_int, check_player_id, check_real, player_id_error
+from .network import DecisionNetwork, check_int, check_player_id, check_real
 from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficiency, security
 from .state import MatchState
 
@@ -97,7 +97,14 @@ def _trial_seed(prefix, trial_index: int) -> int:
 
 
 def derive_seed(base_seed: int, style_index: int, trial_index: int) -> int:
-    """Stable 64-bit per-trial seed; identical on every platform and run."""
+    """Stable 64-bit per-trial seed; identical on every platform and run.
+
+    base_seed is any int and both indices are ints >= 0: a float or a
+    bool that equals an index would hash to another seed.
+    """
+    check_int(base_seed, "base_seed", None)
+    check_int(style_index, "style_index", 0)
+    check_int(trial_index, "trial_index", 0)
     return _trial_seed(_seed_hash(base_seed, style_index), trial_index)
 
 
@@ -113,16 +120,13 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     not outside (a completed pass has p > 0, so its receiver never is),
     so it is built without MatchState's checks.
     """
-    if type(receiver) is not int:
+    team = state.team
+    if type(receiver) is not int or receiver not in team:
         check_player_id(receiver, "receiver")
     outside = state.outside
     if receiver in outside:
         raise ValueError(f"holder {receiver} cannot be flagged outside")
-    team = state.team
-    try:
-        bx, by = team[receiver]
-    except KeyError:
-        raise player_id_error(receiver, "receiver") from None
+    bx, by = team[receiver]
     pitch = state.pitch
     length = pitch.length
     width = pitch.width
@@ -271,9 +275,11 @@ def run_trials(
     Each end of the path (a shot scored or missed, an interception or a
     forced loss at step k) is built once, the first time a trial reaches
     it, so trials that end the same way share one frozen RolloutResult.
-    Trials run in this thread. _networks is monte_carlo_compare's map of
+    Trials run in this thread. style_index is an int >= 0, checked once,
+    as derive_seed checks it. _networks is monte_carlo_compare's map of
     estimated networks, shared by its styles.
     """
+    check_int(style_index, "style_index", 0)
     check_int(trials, "trials", 1)
     path = _PossessionPath(state, cfg, _networks)
     prefix = _seed_hash(cfg.seed, style_index)

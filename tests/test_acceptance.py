@@ -27,6 +27,7 @@ from playnet import (
 )
 from playnet.cli import run_cli
 from playnet.estimators import DEFAULT_PARAMS
+from playnet.network import PassEdge
 
 from conftest import DATA_DIR, random_match_state, random_network, random_sequence
 from oracles import best_pass_exhaustive, pareto_pairwise, scan_efficiency, scan_security
@@ -143,7 +144,7 @@ def test_criterion_5_offside_rule():
     while trials < 1000:
         net = random_network(rng, s=0.2)
         blocked = rng.choice(net.teammates())
-        net = net.mark_unavailable(blocked)
+        net = DecisionNetwork(net.holder, net.s, net.tau, {**net.edges, blocked: PassEdge(0.0, 0)})
         style = random_style(rng)
         if not any(
             style(net.edge(j).p, net.edge(j).r) > 0.0 for j in net.teammates() if j != blocked

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from playnet import Decision, DecisionNetwork, DecisionPolicy, LinearStyle, decide, ranked_options
+from playnet.network import PassEdge
 
 from conftest import random_network
 from oracles import best_pass_exhaustive, ranked_exhaustive
@@ -116,7 +117,7 @@ def test_offside_exclusion():
     for _ in range(300):
         net = random_network(rng, s=0.3)
         blocked = rng.choice(net.teammates())
-        net = net.mark_unavailable(blocked)
+        net = DecisionNetwork(net.holder, net.s, net.tau, {**net.edges, blocked: PassEdge(0.0, 0)})
         others_positive = any(
             net.edge(j).p > 0 or net.edge(j).r > 0 for j in net.teammates() if j != blocked
         )

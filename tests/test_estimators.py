@@ -11,14 +11,10 @@ from playnet import (
     EstimatorParams,
     MatchState,
     Pitch,
-    default_decision_time,
-    default_pass_prob,
-    default_risk,
-    default_score_prob,
     estimate_network,
 )
 from playnet.estimators import DEFAULT_PARAMS, score_prob_at, unavailable_teammates
-from playnet.network import PassEdge, check_player_id
+from playnet.network import RISK_MAX, PassEdge
 from playnet.simulate import advance_state
 from playnet.state import match_state_to_obj, parse_match_state
 
@@ -42,12 +38,12 @@ def spread_state(holder=8, holder_pos=(55.0, 30.0), opponents=None, overrides=No
 
 def test_score_prob_goal_center_is_one():
     state = spread_state(holder_pos=(105.0, 34.0))
-    assert default_score_prob(state) == 1.0
+    assert estimate_network(state).s == 1.0
 
 
 def test_score_prob_own_half_below_tenth():
     state = spread_state(holder_pos=(52.0, 34.0))
-    assert default_score_prob(state) < 0.1
+    assert estimate_network(state).s < 0.1
 
 
 def test_score_prob_decreasing_along_bearing():
@@ -87,26 +83,33 @@ def test_score_prob_corridor_has_no_angle_penalty():
 
 def test_decision_time_boundaries():
     opponents = [(55.0, 30.0)] + [(5.0 + k, 5.0) for k in range(10)]
-    assert default_decision_time(spread_state(opponents=tuple(opponents))) == 0.0
+    assert estimate_network(spread_state(opponents=tuple(opponents))).tau == 0.0
     opponents = [(90.0, 60.0)] + [(80.0 + k, 60.0) for k in range(10)]
     state = spread_state(opponents=tuple(opponents))
-    assert default_decision_time(state) == 4.0
+    assert estimate_network(state).tau == 4.0
     opponents = [(65.0, 30.0)] + [(80.0 + k, 60.0) for k in range(10)]
     state = spread_state(opponents=tuple(opponents))
-    assert default_decision_time(state) == 2.0
+    assert estimate_network(state).tau == 2.0
 
 
 def test_pass_prob_zero_without_time():
-    state = spread_state()
+    # an opponent on the holder's spot leaves no time at all
+    opponents = [(55.0, 30.0)] + [(70.0 + (k % 4), 10.0 + 5.0 * k) for k in range(1, 11)]
+    state = spread_state(opponents=tuple(opponents))
+    net = estimate_network(state)
+    assert net.tau == 0.0
+    assert len(unavailable_teammates(state)) < 10  # some pass is estimated, not zeroed
     for j in state.teammates():
-        assert default_pass_prob(state, j, 0.0) == 0.0
+        assert net.edges[j].p == 0.0
 
 
 def test_pass_prob_short_open_pass_near_time_cap():
     # receiver 0.5 m away, every opponent far from the lane, tau at cap
     state = spread_state(holder_pos=(55.0, 30.0), overrides={6: (55.5, 30.0)},
                          opponents=tuple((20.0, 5.0 + 5.0 * k) for k in range(11)))
-    p = default_pass_prob(state, 6, 4.0)
+    assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
+    assert estimate_network(state).tau == 4.0
+    p = reference_pass_prob(state, 6, 4.0)  # 6 is offside, so estimate_network zeroes its edge
     cap = 1.0 - math.exp(-4.0)
     assert p == pytest.approx(cap, rel=0.05)
     assert p < cap  # distance and lane factors stay below 1
@@ -123,17 +126,22 @@ def test_pass_prob_opponent_on_lane_midpoint_halves_lane_factor():
     tau = 2.0
     d = 10.0
     expected_blocked = math.exp(-d / 30.0) * 0.5 * (1.0 - math.exp(-tau))
-    assert default_pass_prob(blocked_state, 6, tau) == expected_blocked
-    assert default_pass_prob(open_state, 6, tau) > 1.9 * expected_blocked
+    # a chosen tau, and 6 is offside: the reference gives p, held to estimate_network on both states
+    assert_one_pass_equals_the_kernels(open_state, DEFAULT_PARAMS)
+    assert_one_pass_equals_the_kernels(blocked_state, DEFAULT_PARAMS)
+    assert reference_pass_prob(blocked_state, 6, tau) == expected_blocked
+    assert reference_pass_prob(open_state, 6, tau) > 1.9 * expected_blocked
 
 
 def test_pass_prob_monotone_in_distance_and_tau():
+    # chosen taus and any target: the reference gives p, held to estimate_network on each state
     rng = random.Random(31)
     for _ in range(100):
         state = random_match_state(rng, allow_outside=False)
+        assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
         target = rng.choice(state.teammates())
         tau1, tau2 = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
-        assert default_pass_prob(state, target, tau1) <= default_pass_prob(state, target, tau2)
+        assert reference_pass_prob(state, target, tau1) <= reference_pass_prob(state, target, tau2)
         # push the target further out along the holder->target ray
         hx, hy = state.team[state.holder]
         tx, ty = state.team[target]
@@ -145,55 +153,36 @@ def test_pass_prob_monotone_in_distance_and_tau():
         team = dict(state.team)
         team[target] = stretched
         far_state = MatchState(state.pitch, team, state.opponents, state.holder)
+        assert_one_pass_equals_the_kernels(far_state, DEFAULT_PARAMS)
         tau = rng.uniform(0.5, 4.0)
-        assert default_pass_prob(far_state, target, tau) <= default_pass_prob(state, target, tau)
+        assert reference_pass_prob(far_state, target, tau) <= reference_pass_prob(state, target, tau)
 
 
 def test_risk_saturates_at_goal_mouth():
     state = spread_state(overrides={9: (105.0, 34.0)},
                          opponents=tuple((40.0, 5.0 + 5.0 * k) for k in range(11)))
-    assert default_risk(state, 9) == 10
+    assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
+    assert reference_risk(state, 9) == 10  # 9 is offside, so estimate_network zeroes its edge
 
 
 def test_risk_low_when_marked_deep():
     state = spread_state(overrides={9: (6.0, 34.0)},
                          opponents=tuple([(6.5, 34.0)] + [(70.0, 5.0 + 5.0 * k) for k in range(10)]))
-    assert default_risk(state, 9) <= 1
+    assert estimate_network(state).edges[9].r <= 1
 
 
 def test_risk_never_grows_with_goal_distance():
-    # central corridor, receiver unmarked at every probe: only s_target moves
+    # central corridor, receiver unmarked at every probe: only s_target moves;
+    # the probes ahead of the ball are offside, so the reference gives their r
     opponents = tuple((10.0, 60.0 + 0.5 * k) for k in range(11))
     last = None
     for x in (100.0, 90.0, 75.0, 60.0, 45.0, 30.0):
         state = spread_state(overrides={9: (x, 34.0)}, opponents=opponents)
-        r = default_risk(state, 9)
+        assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
+        r = reference_risk(state, 9)
         if last is not None:
             assert r <= last
         last = r
-
-
-def test_risk_rejects_holder_target():
-    state = spread_state()
-    with pytest.raises(ValueError):
-        default_risk(state, state.holder)
-    with pytest.raises(ValueError):
-        default_pass_prob(state, state.holder, 1.0)
-
-
-@pytest.mark.parametrize("target", [0, 12, True, 1.0])
-def test_kernels_reject_a_target_that_is_no_teammate(target):
-    # the error check_player_id gives: 0 and 12 used to raise KeyError, and
-    # True and 1.0 used to find player 1
-    state = spread_state(holder=8)
-    for kernel, what in ((lambda: default_pass_prob(state, target, 1.0), "pass target"),
-                         (lambda: default_risk(state, target), "risk target")):
-        with pytest.raises(ValueError) as expected:
-            check_player_id(target, what)
-        with pytest.raises(ValueError) as got:
-            kernel()
-        assert str(got.value) == str(expected.value)
-        assert repr(target) in str(got.value)
 
 
 def test_offside_detection():
@@ -255,7 +244,7 @@ def test_estimate_network_matches_frozen_golden():
     assert estimate_network(state).to_json_dict() == golden
 
 
-# every constant differs from its default, so a kernel that reads DEFAULT_PARAMS
+# every constant differs from its default, so an estimate that reads DEFAULT_PARAMS
 # (or a hard-coded constant) instead of its params argument disagrees with the oracle
 OTHER_PARAMS = EstimatorParams(
     score_decay_m=33.0,
@@ -337,7 +326,7 @@ def test_degenerate_lane_geometry_matches_oracle(case):
     net = estimate_network(state)
     assert net.to_json_dict() == oracle_network_dict(state)
     assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
-    assert default_pass_prob(state, 6, net.tau) == oracle_pass_prob(state, 6, net.tau) > 0.0
+    assert net.edges[6].p == oracle_pass_prob(state, 6, net.tau) > 0.0
     # the case's opponent is the lane's clearest, at the distance its branch gives
     (hx, hy), (tx, ty) = holder_pos, state.team[6]
     clearances = [_point_segment_distance(ox, oy, hx, hy, tx, ty) for ox, oy in state.opponents]
@@ -417,13 +406,85 @@ def test_the_memo_is_not_part_of_the_snapshot():
     assert advance_state(state, receiver, 2.0)._estimate is None
 
 
+# --- the reference: each parameter on its own -----------------------------
+#
+# estimate_network computes every opponent distance once and shares it
+# between tau, the lanes and the markers. The reference below evaluates
+# each parameter separately, with the float operations of its formula in
+# the order estimate_network must reproduce, so the two agree bit for bit.
+# It is never handed a bad target, so it checks none.
+
+
+def reference_nearest_opponent(state, x, y):
+    best = math.inf
+    for ox, oy in state.opponents:
+        d = math.hypot(ox - x, oy - y)
+        if d < best:
+            best = d
+    return best
+
+
+def reference_tau(state, params):
+    """Nearest-opponent distance over the pressure speed, capped."""
+    x, y = state.team[state.holder]
+    t = reference_nearest_opponent(state, x, y) / params.pressure_speed_mps
+    cap = params.time_cap_s
+    return cap if cap < t else t
+
+
+def reference_pass_prob(state, target, tau, params=DEFAULT_PARAMS):
+    """exp(-d/decay) * lane_openness * (1 - exp(-tau/scale)), clamped into [0, 1]."""
+    hx, hy = state.team[state.holder]
+    tx, ty = state.team[target]
+    dx = tx - hx
+    dy = ty - hy
+    d = math.hypot(dx, dy)
+    norm2 = dx * dx + dy * dy
+    if norm2 == 0.0:  # the lane is a point: the holder's spot
+        lane_clearance = reference_nearest_opponent(state, hx, hy)
+    else:
+        lane_clearance = math.inf
+        for ox, oy in state.opponents:
+            t = ((ox - hx) * dx + (oy - hy) * dy) / norm2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            c = math.hypot(ox - (hx + t * dx), oy - (hy + t * dy))
+            if c < lane_clearance:
+                lane_clearance = c
+    lane_openness = 1.0 / (1.0 + math.exp(-lane_clearance / params.lane_half_width_m))
+    p = math.exp(-d / params.pass_decay_m) * lane_openness * (1.0 - math.exp(-tau / params.pass_time_scale_s))
+    p = p if p > 0.0 else 0.0
+    return p if p < 1.0 else 1.0
+
+
+def reference_risk(state, target, params=DEFAULT_PARAMS):
+    """The target's scoring chance and openness, blended and rounded half-up to 0..10."""
+    tx, ty = state.team[target]
+    s_target = score_prob_at(state.pitch, tx, ty, params)
+    openness = reference_nearest_opponent(state, tx, ty) / params.openness_radius_m
+    openness = openness if openness < 1.0 else 1.0
+    raw = params.risk_score_weight * s_target + params.risk_openness_weight * openness
+    raw = raw if raw > 0.0 else 0.0
+    raw = raw if raw < 1.0 else 1.0
+    r = math.floor(raw * RISK_MAX + 0.5)
+    return r if r < RISK_MAX else RISK_MAX
+
+
 def reference_network(state, params):
-    """The network the four public default_* kernels give, built by the checked DecisionNetwork(...)."""
-    s = default_score_prob(state, params)
-    tau = default_decision_time(state, params)
+    """The holder's network from the reference above, built by the checked DecisionNetwork(...).
+
+    s is score_prob_at at the holder, tau is reference_tau, and each
+    teammate that unavailable_teammates leaves gets reference_pass_prob
+    and reference_risk; the others get (0, 0).
+    """
+    hx, hy = state.team[state.holder]
+    s = score_prob_at(state.pitch, hx, hy, params)
+    tau = reference_tau(state, params)
     blocked = unavailable_teammates(state)
     edges = {
-        j: (0.0, 0) if j in blocked else (default_pass_prob(state, j, tau, params), default_risk(state, j, params))
+        j: (0.0, 0) if j in blocked else (reference_pass_prob(state, j, tau, params), reference_risk(state, j, params))
         for j in state.teammates()
     }
     return DecisionNetwork(state.holder, s, tau, edges)

@@ -105,40 +105,10 @@ def test_build_names_offending_teammate():
         DecisionNetwork(8, 0.0, 0.0, per)
 
 
-def test_mark_unavailable_zeroes_edge():
-    per = zero_per_teammate(8)
-    per[9] = (0.9, 7)
-    net = DecisionNetwork(8, 0.8, 2.0, per).mark_unavailable(9)
-    assert net.edge(9) == EdgeVector4(0.8, 2.0, 0.0, 0)
-
-
-def test_mark_unavailable_rejects_holder():
-    net = DecisionNetwork(8, 0.0, 0.0, zero_per_teammate(8))
-    with pytest.raises(ValueError, match="holder cannot be marked"):
-        net.mark_unavailable(8)
-
-
 def test_edge_rejects_holder():
     net = DecisionNetwork(8, 0.0, 0.0, zero_per_teammate(8))
     with pytest.raises(ValueError, match="self-edge"):
         net.edge(8)
-
-
-@given(networks(), st.integers(min_value=1, max_value=11))
-def test_mark_unavailable_idempotent(net, j):
-    if j == net.holder:
-        j = min(net.teammates())
-    once = net.mark_unavailable(j)
-    twice = once.mark_unavailable(j)
-    assert once == twice
-    assert once.edge(j).p == 0.0
-    assert once.edge(j).r == 0
-    assert once.edge(j).s == net.s
-    assert once.edge(j).tau == net.tau
-    # all other edges untouched
-    for k in net.teammates():
-        if k != j:
-            assert once.edge(k) == net.edge(k)
 
 
 @given(networks())

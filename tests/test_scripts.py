@@ -4,9 +4,13 @@ The scripts under scripts/ import playnet by name, so a renamed or
 deleted export breaks them without breaking any library test. The
 README's commands are checked against the CLI parser, and the library
 calls it names against the package, for the same reason; the CLI is
-run as a process, through main(), as a shell runs it.
+run as a process, through main(), as a shell runs it. The other way
+round, every function the library defines must be used by the library,
+the scripts or the benchmark, or be exported, or be allowlisted with
+its reason: code that only tests call is kept out of the package.
 """
 
+import ast
 import functools
 import importlib
 import os
@@ -37,6 +41,50 @@ def run_script(name, *args):
 def test_every_export_resolves():
     missing = [name for name in playnet.__all__ if not hasattr(playnet, name)]
     assert missing == []
+
+
+# methods no code outside the tests calls, kept on purpose
+UNREFERENCED_ALLOWLIST = {
+    "DecisionNetwork.edge": "the paper's (s, tau, p, r) 4-vector of one edge",
+    "LinearStyle.importance": "the importance split of a style, which acceptance criterion 2 checks",
+}
+
+
+def library_definitions():
+    """(qualified name, name) of each module-level function and non-dunder method in src/playnet/."""
+    for path in sorted((REPO_ROOT / "src" / "playnet").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield node.name, node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        yield f"{node.name}.{item.name}", item.name
+
+
+def names_used_outside_the_tests():
+    """Every name and attribute read or called in src/playnet/, scripts/ and perfbench/; imports do not count."""
+    used = set()
+    for root in ("src/playnet", "scripts", "perfbench"):
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_library_function_is_used_outside_the_tests():
+    used = names_used_outside_the_tests()
+    unused = sorted(
+        qualified for qualified, name in library_definitions()
+        if name not in used and qualified not in playnet.__all__
+    )
+    # an allowlisted method that comes into use leaves the allowlist too
+    assert unused == sorted(UNREFERENCED_ALLOWLIST)
 
 
 def test_compare_styles_script():

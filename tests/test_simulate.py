@@ -130,6 +130,20 @@ def test_derive_seed_is_stable():
     assert derive_seed(42, 0, 0) == 14343004183857124121
 
 
+@pytest.mark.parametrize("index", [1.0, True, "1", -1], ids=repr)
+def test_a_seed_index_must_be_an_int_at_least_zero(index):
+    # 1.0, True and "1" were once accepted, each seeding trials other than index 1's
+    with pytest.raises(ValueError, match="style_index"):
+        run_trials(corner_kick_state((50.0, 34.0)), base_config(), index, 1)
+    with pytest.raises(ValueError, match="style_index"):
+        derive_seed(0, index, 0)
+    with pytest.raises(ValueError, match="trial_index"):
+        derive_seed(0, 0, index)
+    if index != -1:  # a negative base seed is an int like any other
+        with pytest.raises(ValueError, match="base_seed"):
+            derive_seed(index, 0, 0)
+
+
 def test_trial_prefix_independent_of_total(midfield_state):
     cfg = base_config(seed=11)
     five = run_trials(midfield_state, cfg, 0, 5)
