@@ -18,6 +18,12 @@ from .jsonio import parse_json
 from .network import check_int, check_real, check_unit
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
+# each section of a config file and the keys it may hold
+_SECTION_KEYS = {
+    "estimators": frozenset(f.name for f in dataclasses.fields(EstimatorParams)),
+    "simulation": ("max_steps", "drift_m"),
+    "policy": ("threshold", "tie_break"),
+}
 
 
 @dataclass(frozen=True)
@@ -30,6 +36,8 @@ class AppConfig:
     def __post_init__(self) -> None:
         # Checked here, not where a subcommand first uses the value, so a
         # bad file or flag fails at load whichever subcommand runs.
+        if not isinstance(self.estimators, EstimatorParams):
+            raise ValueError(f"estimators must be an EstimatorParams, not {type(self.estimators).__name__}")
         check_int(self.max_steps, "max_steps", 1)
         check_real(self.drift_m, "drift_m", 0.0)
         check_unit(self.threshold, "threshold")
@@ -45,29 +53,17 @@ class AppConfig:
     def from_dict(cls, obj: object) -> AppConfig:
         if not isinstance(obj, dict):
             raise ValueError("config: expected a JSON object")
-        known_sections = ("estimators", "simulation", "policy")
         for section in obj:
-            if section not in known_sections:
+            if section not in _SECTION_KEYS:
                 raise ValueError(f"config: unknown section {section!r}")
-        est_obj = obj.get("estimators", {})
-        if not isinstance(est_obj, dict):
-            raise ValueError("config.estimators: expected an object")
-        est_fields = {f.name for f in dataclasses.fields(EstimatorParams)}
-        for key in est_obj:
-            if key not in est_fields:
-                raise ValueError(f"config.estimators: unknown key {key!r}")
-        sim_obj = obj.get("simulation", {})
-        if not isinstance(sim_obj, dict):
-            raise ValueError("config.simulation: expected an object")
-        for key in sim_obj:
-            if key not in ("max_steps", "drift_m"):
-                raise ValueError(f"config.simulation: unknown key {key!r}")
-        pol_obj = obj.get("policy", {})
-        if not isinstance(pol_obj, dict):
-            raise ValueError("config.policy: expected an object")
-        for key in pol_obj:
-            if key not in ("threshold", "tie_break"):
-                raise ValueError(f"config.policy: unknown key {key!r}")
+        for section, keys in _SECTION_KEYS.items():
+            sub = obj.get(section, {})
+            if not isinstance(sub, dict):
+                raise ValueError(f"config.{section}: expected an object")
+            for key in sub:
+                if key not in keys:
+                    raise ValueError(f"config.{section}: unknown key {key!r}")
+        est_obj, sim_obj, pol_obj = (obj.get(section, {}) for section in _SECTION_KEYS)
         # older configs and manifests name the one tie rule there is
         tie_break = pol_obj.get("tie_break", "lowest_id")
         if tie_break != "lowest_id":

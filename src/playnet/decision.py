@@ -21,6 +21,7 @@ a PossessionSequence checks every decision it holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .network import DecisionNetwork, check_unit
 from .style import LinearStyle
@@ -79,7 +80,7 @@ def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tup
     head of this list is exactly the pass target decide() would pick.
     """
     scored = _scored(network, policy.style)
-    scored.sort(key=lambda item: (-item[1], item[0]))
+    scored.sort(key=itemgetter(1), reverse=True)  # stable, so equal scores stay in id order
     return scored
 
 
@@ -87,10 +88,7 @@ def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
     """Shoot if the holder's s reaches the threshold, else pass to the argmax teammate."""
     if network.s >= policy.threshold:
         return _SHOOT
-    target = score = None
-    # the head of ranked_options, in one pass: edges are in id order, so
-    # the first maximum is the lowest id among the tied
-    for j, value in _scored(network, policy.style):
-        if target is None or value > score:
-            target, score = j, value
+    # the head of ranked_options: edges are in id order and max keeps the
+    # first of equal scores, so ties go to the lowest id
+    target, score = max(_scored(network, policy.style), key=itemgetter(1))
     return Decision("pass", target, score, score == 0.0)

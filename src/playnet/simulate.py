@@ -19,17 +19,16 @@ rollout costs what it always did. A path has at most two ends per
 step: a shot scored or missed, or, after a pass, an interception or a
 forced loss (degenerate pass or step cap). Each end's RolloutResult is
 built the first time a trial stops there, its PossessionSequence
-checking every step as any sequence does; trials that stop at the same end share that one frozen
-result, and a walk only makes the draws. monte_carlo_compare also
-shares the estimated networks between its styles, since a style
-changes the decisions but not the snapshot a receiver chain leads to.
-Sharing is sound because estimate_network is a pure function of the
-snapshot and the estimator constants: equal snapshots give equal
-networks. For the same reason estimate_network keeps a snapshot's
-network on the MatchState (see state.py), once per EstimatorParams: a
-rollout of a snapshot its caller has estimated under cfg.estimators
-starts from that network instead of estimating it again. Neither
-MatchState.team nor a network's edges may be mutated.
+checking every step as any sequence does; trials that stop at the same
+end share that one frozen result, and a walk only makes the draws.
+monte_carlo_compare also shares the snapshots between its styles, since
+a style changes the decisions but not the snapshot a receiver chain
+leads to. Each snapshot keeps its network: estimate_network memoizes it
+on the MatchState (see state.py), once per EstimatorParams, so a
+snapshot shared by styles, or estimated by the caller under
+cfg.estimators, is estimated once. This is sound because
+estimate_network is a pure function of the snapshot and the estimator
+constants. Neither MatchState.team nor a network's edges may be mutated.
 estimate_network, decide and advance_state are looked up in this
 module at call time.
 
@@ -53,7 +52,7 @@ from math import hypot
 
 from .decision import DecisionPolicy, decide
 from .estimators import EstimatorParams, estimate_network
-from .network import DecisionNetwork, check_int, check_player_id, check_real
+from .network import check_int, check_player_id, check_real
 from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficiency, security
 from .state import MatchState
 
@@ -69,6 +68,10 @@ class SimulationConfig:
     drift_m: float = 2.0  # per-pass movement of non-receiving players
 
     def __post_init__(self) -> None:
+        if not isinstance(self.policy, DecisionPolicy):
+            raise ValueError(f"policy must be a DecisionPolicy, not {type(self.policy).__name__}")
+        if not isinstance(self.estimators, EstimatorParams):
+            raise ValueError(f"estimators must be an EstimatorParams, not {type(self.estimators).__name__}")
         check_int(self.max_steps, "max_steps", 1)
         check_int(self.seed, "seed", None)
         check_real(self.drift_m, "drift_m", 0.0)
@@ -108,6 +111,25 @@ def derive_seed(base_seed: int, style_index: int, trial_index: int) -> int:
     return _trial_seed(_seed_hash(base_seed, style_index), trial_index)
 
 
+def _drift(points, tx, ty, drift_m: float, length: float, width: float) -> list[tuple[float, float]]:
+    """Each point moved drift_m toward (tx, ty), or onto it if nearer, then clipped to the pitch."""
+    moved = []
+    for x, y in points:
+        dx = tx - x
+        dy = ty - y
+        d = hypot(dx, dy)
+        if d <= drift_m:
+            nx, ny = tx, ty
+        else:
+            f = drift_m / d
+            nx = x + f * dx
+            ny = y + f * dy
+        nx = nx if nx > 0.0 else 0.0
+        ny = ny if ny > 0.0 else 0.0
+        moved.append((nx if nx < length else length, ny if ny < width else width))
+    return moved
+
+
 def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchState:
     """The snapshot after a completed pass to the receiver.
 
@@ -131,40 +153,10 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     length = pitch.length
     width = pitch.width
     gx, gy = pitch.goal_center
-    # a moving player steps toward its target (the goal center for a
-    # teammate, the ball for an opponent): onto it when it is within
-    # drift_m, else drift_m along the way; then it is clipped to the pitch
-    moved: dict[int, tuple[float, float]] = {}
-    for j, (x, y) in team.items():
-        if j == receiver or j in outside:
-            moved[j] = (x, y)
-            continue
-        dx = gx - x
-        dy = gy - y
-        d = hypot(dx, dy)
-        if d <= drift_m:
-            nx, ny = gx, gy
-        else:
-            f = drift_m / d
-            nx = x + f * dx
-            ny = y + f * dy
-        nx = nx if nx > 0.0 else 0.0
-        ny = ny if ny > 0.0 else 0.0
-        moved[j] = (nx if nx < length else length, ny if ny < width else width)
-    opponents = []
-    for x, y in state.opponents:
-        dx = bx - x
-        dy = by - y
-        d = hypot(dx, dy)
-        if d <= drift_m:
-            nx, ny = bx, by
-        else:
-            f = drift_m / d
-            nx = x + f * dx
-            ny = y + f * dy
-        nx = nx if nx > 0.0 else 0.0
-        ny = ny if ny > 0.0 else 0.0
-        opponents.append((nx if nx < length else length, ny if ny < width else width))
+    movers = [j for j in team if j != receiver and j not in outside]
+    moved = dict(team)  # in id order; the receiver and outside players stay put
+    moved.update(zip(movers, _drift([team[j] for j in movers], gx, gy, drift_m, length, width)))
+    opponents = _drift(state.opponents, bx, by, drift_m, length, width)
     return MatchState._trusted(pitch, moved, tuple(opponents), receiver, outside)
 
 
@@ -207,29 +199,22 @@ class _PossessionPath:
 
     Built lazily: step k is estimated and decided only when some trial
     first reaches it, so a path costs as many estimate_network calls as
-    its deepest trial has steps. networks maps a chain of receivers to
-    the (snapshot, network) it leads to; it depends only on the start
-    snapshot, the estimators and drift_m, so paths that differ only in
-    their policy may share one.
+    its deepest trial has steps. snapshots maps a chain of receivers to
+    the snapshot it leads to, the start snapshot at (); it depends only
+    on the start snapshot and drift_m, so paths that differ only in
+    their policy may share one. Each snapshot keeps its network (see
+    state.py), so a shared snapshot is estimated once.
     """
 
-    def __init__(self, state: MatchState, cfg: SimulationConfig, networks: dict | None = None) -> None:
+    def __init__(self, state: MatchState, cfg: SimulationConfig, snapshots: dict | None = None) -> None:
         self._cfg = cfg
-        self._state = state
-        self._networks = {} if networks is None else networks
+        self._snapshots = {} if snapshots is None else snapshots
+        self._snapshots.setdefault((), state)
         self._steps: list[_PathStep] = []
 
-    def _network(self, chain: tuple[int, ...]) -> DecisionNetwork:
-        entry = self._networks.get(chain)
-        if entry is None:
-            if chain:  # only a completed pass leads on, and only to its target
-                state = advance_state(self._networks[chain[:-1]][0], chain[-1], self._cfg.drift_m)
-            else:
-                state = self._state
-            entry = self._networks[chain] = (state, estimate_network(state, self._cfg.estimators))
-        return entry[1]
-
     def step(self, k: int) -> _PathStep:
+        cfg = self._cfg
+        snapshots = self._snapshots
         steps = self._steps
         while len(steps) <= k:
             prev = steps[-1] if steps else None
@@ -239,9 +224,11 @@ class _PossessionPath:
                 chain = prev.chain + (prev.decision.target,)
                 completed = PossessionStep(prev.network, prev.decision, StepOutcome.PASS_COMPLETED)
                 prefix = prev.prefix + (completed,)
-            network = self._network(chain)
-            decision = decide(network, self._cfg.policy)
-            steps.append(_PathStep(chain, prefix, network, decision, self._cfg.max_steps))
+            snapshot = snapshots.get(chain)
+            if snapshot is None:  # only a completed pass leads on, and only to its target
+                snapshot = snapshots[chain] = advance_state(snapshots[chain[:-1]], chain[-1], cfg.drift_m)
+            network = estimate_network(snapshot, cfg.estimators)
+            steps.append(_PathStep(chain, prefix, network, decide(network, cfg.policy), cfg.max_steps))
         return steps[k]
 
 
@@ -268,7 +255,7 @@ def run_trials(
     style_index: int,
     trials: int,
     *,
-    _networks: dict | None = None,
+    _snapshots: dict | None = None,
 ) -> list[RolloutResult]:
     """Independent seeded rollouts, in trial order, sharing one possession path.
 
@@ -276,12 +263,12 @@ def run_trials(
     forced loss at step k) is built once, the first time a trial reaches
     it, so trials that end the same way share one frozen RolloutResult.
     Trials run in this thread. style_index is an int >= 0, checked once,
-    as derive_seed checks it. _networks is monte_carlo_compare's map of
-    estimated networks, shared by its styles.
+    as derive_seed checks it. _snapshots is monte_carlo_compare's map of
+    the snapshots a chain of receivers leads to, shared by its styles.
     """
     check_int(style_index, "style_index", 0)
     check_int(trials, "trials", 1)
-    path = _PossessionPath(state, cfg, _networks)
+    path = _PossessionPath(state, cfg, _snapshots)
     prefix = _seed_hash(cfg.seed, style_index)
     rng = random.Random()
     results = []
@@ -332,9 +319,9 @@ def monte_carlo_compare(
     if not styles:
         raise ValueError("monte_carlo_compare requires at least one style")
     reports = []
-    networks: dict = {}  # a style changes only the policy, so every style may share the networks
+    snapshots: dict = {}  # a style changes only the policy, so every style may share the snapshots
     for style_index, style in enumerate(styles):
         style_cfg = replace(cfg, policy=replace(cfg.policy, style=style))
-        results = run_trials(state, style_cfg, style_index, trials, _networks=networks)
+        results = run_trials(state, style_cfg, style_index, trials, _snapshots=snapshots)
         reports.append(StyleReport.from_results(str(style), results))
     return reports

@@ -118,11 +118,6 @@ class MatchState:
     def _on_pitch(self, x: float, y: float) -> bool:
         return 0.0 <= x <= self.pitch.length and 0.0 <= y <= self.pitch.width
 
-    def teammates(self) -> list[int]:
-        """The ids other than the holder's, ascending (team is kept in id order)."""
-        holder = self.holder
-        return [j for j in self.team if j != holder]
-
 
 _ROOT_KEYS = frozenset(("pitch", "team", "opponents", "holder"))
 _PITCH_KEYS = frozenset(("length", "width"))

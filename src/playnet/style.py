@@ -56,8 +56,6 @@ class LinearStyle:
         """
         return self.x * (10.0 * check_unit(p, "p")) + self.y * check_int(r, "r", 0, RISK_MAX)
 
-    __call__ = evaluate
-
     def importance(self) -> tuple[float, float]:
         """Relative weight of (p, r) in this style; the pair sums to 1."""
         total = self.x + self.y

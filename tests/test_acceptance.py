@@ -122,7 +122,7 @@ def test_criterion_4_oracle_equivalence():
         net = random_network(rng, s=rng.uniform(0.0, 0.99))
         style = random_style(rng)
         decision = decide(net, DecisionPolicy(style=style, threshold=1.0))
-        target, _ = best_pass_exhaustive(net, style)
+        target, _ = best_pass_exhaustive(net, style.evaluate)
         if decision.target != target:
             bad += 1
     for _ in range(1000):
@@ -147,7 +147,7 @@ def test_criterion_5_offside_rule():
         net = DecisionNetwork(net.holder, net.s, net.tau, {**net.edges, blocked: PassEdge(0.0, 0)})
         style = random_style(rng)
         if not any(
-            style(net.edge(j).p, net.edge(j).r) > 0.0 for j in net.teammates() if j != blocked
+            style.evaluate(net.edge(j).p, net.edge(j).r) > 0.0 for j in net.teammates() if j != blocked
         ):
             continue
         trials += 1

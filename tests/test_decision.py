@@ -67,7 +67,7 @@ def test_pass_target_matches_exhaustive_scan():
         net = random_network(rng, s=rng.uniform(0.0, 0.99))
         decision = decide(net, policy)
         assert decision.is_pass
-        target, score = best_pass_exhaustive(net, style)
+        target, score = best_pass_exhaustive(net, style.evaluate)
         assert decision.target == target
         assert decision.score == score
 
@@ -77,7 +77,7 @@ def test_ranked_matches_exhaustive_ranking():
     policy = DecisionPolicy(style=LinearStyle(1, 2))
     for _ in range(100):
         net = random_network(rng)
-        assert ranked_options(net, policy) == ranked_exhaustive(net, LinearStyle(1, 2))
+        assert ranked_options(net, policy) == ranked_exhaustive(net, LinearStyle(1, 2).evaluate)
 
 
 @settings(max_examples=200)
@@ -221,7 +221,7 @@ def test_decide_returns_the_decision_the_checked_constructor_builds():
         if net.s >= policy.threshold:
             expected = Decision(action="shoot")
         else:
-            target, score = best_pass_exhaustive(net, policy.style)
+            target, score = best_pass_exhaustive(net, policy.style.evaluate)
             expected = Decision(action="pass", target=target, score=score, degenerate=score == 0.0)
         assert decision == expected == Decision(**vars(decision))
         assert [(k, type(v)) for k, v in vars(decision).items()] == [

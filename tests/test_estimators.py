@@ -99,7 +99,7 @@ def test_pass_prob_zero_without_time():
     net = estimate_network(state)
     assert net.tau == 0.0
     assert len(unavailable_teammates(state)) < 10  # some pass is estimated, not zeroed
-    for j in state.teammates():
+    for j in [j for j in state.team if j != state.holder]:
         assert net.edges[j].p == 0.0
 
 
@@ -139,7 +139,7 @@ def test_pass_prob_monotone_in_distance_and_tau():
     for _ in range(100):
         state = random_match_state(rng, allow_outside=False)
         assert_one_pass_equals_the_kernels(state, DEFAULT_PARAMS)
-        target = rng.choice(state.teammates())
+        target = rng.choice([j for j in state.team if j != state.holder])
         tau1, tau2 = sorted((rng.uniform(0, 4), rng.uniform(0, 4)))
         assert reference_pass_prob(state, target, tau1) <= reference_pass_prob(state, target, tau2)
         # push the target further out along the holder->target ray
@@ -402,7 +402,7 @@ def test_the_memo_is_not_part_of_the_snapshot():
     assert "_estimate" not in {f.name for f in dataclasses.fields(MatchState)}
     copy = dataclasses.replace(state)
     assert copy == state and copy._estimate is None
-    receiver = next(j for j in state.teammates() if j not in state.outside)
+    receiver = next(j for j in state.team if j != state.holder and j not in state.outside)
     assert advance_state(state, receiver, 2.0)._estimate is None
 
 
@@ -485,7 +485,7 @@ def reference_network(state, params):
     blocked = unavailable_teammates(state)
     edges = {
         j: (0.0, 0) if j in blocked else (reference_pass_prob(state, j, tau, params), reference_risk(state, j, params))
-        for j in state.teammates()
+        for j in state.team if j != state.holder
     }
     return DecisionNetwork(state.holder, s, tau, edges)
 
@@ -540,7 +540,7 @@ def test_one_pass_network_on_absurd_pitches():
                 assert_one_pass_equals_the_kernels(state, params)
             hx, hy = team[state.holder]
             blocked = unavailable_teammates(state)
-            for j in state.teammates():
+            for j in [j for j in state.team if j != state.holder]:
                 dx, dy = team[j][0] - hx, team[j][1] - hy
                 norm2 = dx * dx + dy * dy
                 nan_lanes += j not in blocked and norm2 != 0.0 and any(

@@ -24,10 +24,12 @@ from playnet import (
     run_trials,
     security,
 )
+from playnet.config import AppConfig
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.network import check_player_id
 from playnet.sequence import sequence_to_obj
 from playnet.simulate import StyleReport, advance_state
+from playnet.state import load_match_state
 
 from conftest import random_match_state
 from oracles import exact_possession_moments, oracle_advance
@@ -281,6 +283,25 @@ def test_config_validation():
         run_trials(corner_kick_state((50.0, 34.0)), base_config(), 0, 0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dataclasses.replace(base_config(), policy="3:1"), "policy must be a DecisionPolicy, not str"),
+        (lambda: dataclasses.replace(base_config(), estimators="fast"),
+         "estimators must be an EstimatorParams, not str"),
+        (lambda: dataclasses.replace(base_config(), estimators=None),
+         "estimators must be an EstimatorParams, not NoneType"),
+        (lambda: AppConfig(estimators={"score_decay_m": 1.0}), "estimators must be an EstimatorParams, not dict"),
+    ],
+    ids=["simulation-policy-str", "simulation-estimators-str", "simulation-estimators-None", "app-estimators-dict"],
+)
+def test_config_rejects_a_record_of_the_wrong_type(build, message):
+    # accepted once, and rollout then failed with an AttributeError
+    with pytest.raises(ValueError) as got:
+        build()
+    assert str(got.value) == message
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     state_seed=st.integers(0, 2**32 - 1),
@@ -349,11 +370,19 @@ def test_run_trials_builds_each_end_of_the_path_once(midfield_state, monkeypatch
     assert len({id(r) for r in results}) == len(ends)  # equal trials share one result
 
 
-def test_rollout_reuses_the_network_its_caller_estimated(monkeypatch):
-    # estimate_network looks unavailable_teammates up at call time, once per estimate it makes
+def count_estimates(monkeypatch) -> list:
+    """A list that grows by one for each network estimate_network estimates, not for a memo hit.
+
+    estimate_network looks unavailable_teammates up at call time, once per estimate it makes.
+    """
     calls = []
     original = playnet.estimators.unavailable_teammates
     monkeypatch.setattr(playnet.estimators, "unavailable_teammates", lambda st: calls.append(st) or original(st))
+    return calls
+
+
+def test_rollout_reuses_the_network_its_caller_estimated(monkeypatch):
+    calls = count_estimates(monkeypatch)
     rng = random.Random(8)
     lengths = []
     for seed in range(60):
@@ -367,19 +396,41 @@ def test_rollout_reuses_the_network_its_caller_estimated(monkeypatch):
     assert max(lengths) > 1  # some possessions pass on, so later steps are estimated
 
 
-def test_compare_estimates_a_shared_network_once(box_state, monkeypatch):
-    real = playnet.simulate.estimate_network
-    calls = []
-
-    def counting(current, suite):
-        calls.append(current.holder)
-        return real(current, suite)
-
-    monkeypatch.setattr(playnet.simulate, "estimate_network", counting)
+def test_compare_estimates_a_shared_network_once(box_state_path, monkeypatch):
+    state = load_match_state(box_state_path)  # not the session's box_state, which keeps its network
+    calls = count_estimates(monkeypatch)
     styles = [LinearStyle(3, 1), LinearStyle(2, 2), LinearStyle(1, 3)]
-    reports = monte_carlo_compare(box_state, styles, 200, base_config(seed=5))
+    reports = monte_carlo_compare(state, styles, 200, base_config(seed=5))
     assert len(calls) == 1  # box shoots at once under every style
     assert [r.mean_length for r in reports] == [1.0, 1.0, 1.0]
+
+
+def test_compare_estimates_each_receiver_chain_once(midfield_state_path, monkeypatch):
+    state = load_match_state(midfield_state_path)
+    styles = [LinearStyle(x, y) for x in range(11) for y in range(11 - x) if x + y]
+    real_run_trials = playnet.simulate.run_trials
+    walked = []  # each style's results
+
+    def recording(*args, **kwargs):
+        results = real_run_trials(*args, **kwargs)
+        walked.append(results)
+        return results
+
+    monkeypatch.setattr(playnet.simulate, "run_trials", recording)
+    calls = count_estimates(monkeypatch)
+    monte_carlo_compare(state, styles, 200, base_config(seed=3))
+    assert len(walked) == len(styles) == 65
+
+    def chains(results):
+        """The receivers before each step some trial reached: one network each."""
+        return {
+            tuple(step.decision.target for step in r.sequence.steps[:k])
+            for r in results for k in range(len(r.sequence))
+        }
+
+    shared = set().union(*map(chains, walked))
+    assert len(calls) == len(shared)
+    assert sum(len(chains(results)) for results in walked) > len(shared)  # styles do share chains
 
 
 @pytest.mark.parametrize("state_name", ["midfield_state", "box_state"])
@@ -406,7 +457,7 @@ def test_monte_carlo_means_within_clt_bound_of_exact_chain(state_name, request):
     styles = [LinearStyle(3, 1), LinearStyle(2, 2), LinearStyle(1, 3)]
     reports = monte_carlo_compare(state, styles, EXACT_TRIALS, base_config(seed=2019))
     for style, report in zip(styles, reports):
-        exact = exact_possession_moments(state, style)
+        exact = exact_possession_moments(state, style.evaluate)
         for key, (mean, var) in exact.items():
             bound = 4.0 * math.sqrt(var / EXACT_TRIALS) + 1e-12
             got = getattr(report, key)

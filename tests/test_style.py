@@ -173,7 +173,3 @@ def test_parse_rejects(text):
     with pytest.raises(ValueError):
         LinearStyle.parse(text)
 
-
-def test_style_is_callable():
-    style = LinearStyle(2, 3)
-    assert style(0.5, 4) == style.evaluate(0.5, 4)
