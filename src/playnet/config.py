@@ -13,9 +13,11 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
+from .decision import DecisionPolicy
 from .estimators import EstimatorParams
 from .jsonio import parse_json
 from .network import check_int, check_real, check_unit
+from .simulate import SimulationConfig
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
 # each section of a config file and the keys it may hold
@@ -29,9 +31,9 @@ _SECTION_KEYS = {
 @dataclass(frozen=True)
 class AppConfig:
     estimators: EstimatorParams = EstimatorParams()
-    max_steps: int = 30
-    drift_m: float = 2.0
-    threshold: float = 0.5  # tool convention for the shoot threshold
+    max_steps: int = SimulationConfig.max_steps
+    drift_m: float = SimulationConfig.drift_m
+    threshold: float = DecisionPolicy.threshold
 
     def __post_init__(self) -> None:
         # Checked here, not where a subcommand first uses the value, so a

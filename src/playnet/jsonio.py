@@ -32,14 +32,16 @@ import secrets
 from json.encoder import encode_basestring_ascii as _encode_str  # the C escaper behind ensure_ascii
 
 
-def parse_json(data: bytes | str, where: str = "", parse_constant=None):
+def parse_json(data: bytes | str, where: str = ""):
     """json.loads for input from outside: bad or too deeply nested JSON raises ValueError.
 
-    where prefixes the message (e.g. "log run.json: "); parse_constant
-    is json.loads' hook for NaN and Infinity.
+    where prefixes the message (e.g. "log run.json: "). NaN, Infinity
+    and -Infinity parse to floats, as json.loads has them: the checks
+    each number goes through next (check_real, check_unit, check_int)
+    reject them.
     """
     try:
-        return json.loads(data, parse_constant=parse_constant)
+        return json.loads(data)
     except json.JSONDecodeError as err:
         raise ValueError(f"{where}invalid JSON: {err}") from None
     except RecursionError:

@@ -22,9 +22,9 @@ float above a bound) and check_int (an int in a range). They share one
 rule: a bool is never a number, NaN and +-inf are outside every range,
 and an integer too large for a float is rejected, so no checked value
 can overflow later. Each raises a ValueError that names the value, and
-returns an int as a float where a float is asked for. Only
-parse_match_state checks its JSON numbers itself, to name their JSON
-paths.
+returns an int as a float where a float is asked for. The name is
+the caller's path to the value, so a number from a state file is
+named by its JSON path (team[3].x).
 """
 
 from __future__ import annotations
@@ -133,10 +133,11 @@ class DecisionNetwork:
         object.__setattr__(self, "tau", check_real(self.tau, "tau", 0.0))
         expected = PLAYER_IDS - {self.holder}
         got = set(self.edges)
-        for j in sorted(got - expected):
-            if j == self.holder:
-                raise ValueError(f"holder {self.holder} cannot have a self-edge")
-            raise ValueError(f"unexpected teammate id {j!r}")
+        unexpected = got - expected
+        if self.holder in unexpected:
+            raise ValueError(f"holder {self.holder} cannot have a self-edge")
+        if unexpected:  # keys of any type, which need not compare: name the least repr
+            raise ValueError(f"unexpected teammate id {min(unexpected, key=repr)!r}")
         missing = sorted(expected - got)
         if missing:
             raise ValueError(f"incomplete edge set: missing teammate {missing[0]}")

@@ -52,9 +52,9 @@ from math import hypot
 
 from .decision import DecisionPolicy, decide
 from .estimators import EstimatorParams, estimate_network
-from .network import check_int, check_player_id, check_real
+from .network import check_int, check_real
 from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficiency, security
-from .state import MatchState
+from .state import MatchState, check_holder
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,13 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     at drift_m and clipped to the pitch. Outside players stay outside.
 
     The new snapshot keeps the ids, the id order and the outside set of
-    a checked one, its moved players are on the pitch, and its holder is
-    not outside (a completed pass has p > 0, so its receiver never is),
-    so it is built without MatchState's checks.
+    a checked one, its moved players are on the pitch, and its holder
+    passes check_holder (a completed pass has p > 0, so its receiver is
+    never outside), so it is built without MatchState's other checks.
     """
     team = state.team
-    if type(receiver) is not int or receiver not in team:
-        check_player_id(receiver, "receiver")
     outside = state.outside
-    if receiver in outside:
-        raise ValueError(f"holder {receiver} cannot be flagged outside")
+    check_holder(receiver, outside, "receiver")
     bx, by = team[receiver]
     pitch = state.pitch
     length = pitch.length

@@ -8,13 +8,19 @@ outside players are exempt from the bounds check and are never eligible
 pass receivers. The opponent list is positional only; opposing shirt
 numbers never matter to the model.
 
-Each snapshot crosses one validation boundary. parse_match_state checks
-the JSON document and names the JSON path of the first violation; the
-MatchState it returns, and every snapshot advance_state derives from a
-checked one, is then built without re-running those checks. A
-MatchState(...) or Pitch(...) built directly, by library callers, runs
-every check in __post_init__, through network.py's check_real and
-check_player_id.
+Each snapshot rule is written once, here, and every way in calls it:
+a position is a pair of finite floats (check_real), on the pitch
+unless its player is outside (_position); a holder, or a pass
+receiver, is a player id that is not flagged outside (check_holder).
+MatchState(...) and Pitch(...), as library callers build them, run
+every rule in __post_init__, and errors name the argument path
+(team[4].x, opponents[2].y). parse_match_state checks only what JSON
+adds (object and array shapes, unknown and missing keys, the type and
+uniqueness of ids, the outside flag), passes the rest through the same
+rules under its JSON path (team[3].x: 120.0 outside [0, 105]), and
+builds the MatchState without running them again. advance_state checks
+its receiver with check_holder; the snapshot it derives from a checked
+one is valid by construction and built unchecked.
 
 A snapshot is estimated once per EstimatorParams: estimate_network
 keeps its last (params, network) on the MatchState, in the private
@@ -29,7 +35,6 @@ a returned network's edges must not be mutated.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .jsonio import parse_json
@@ -69,34 +74,23 @@ class MatchState:
     _estimate = None
 
     def __post_init__(self) -> None:
-        if set(self.team) != PLAYER_IDS:
-            raise ValueError(f"team must cover exactly the ids 1..{TEAM_SIZE}")
-        if len(self.opponents) != TEAM_SIZE:
-            raise ValueError(f"opponents must have exactly {TEAM_SIZE} entries")
-        for j in self.outside:
+        pitch, outside = self.pitch, self.outside
+        if not isinstance(pitch, Pitch):
+            raise ValueError(f"pitch must be a Pitch, not {type(pitch).__name__}")
+        if not isinstance(outside, (set, frozenset)):
+            raise ValueError(f"outside must be a set of player ids, not {type(outside).__name__}")
+        for j in outside:
             check_player_id(j, "outside id")
-        team: dict[int, XY] = {}
-        for j in sorted(self.team):
-            x, y = self.team[j]
-            x = check_real(x, f"team player {j} x")
-            y = check_real(y, f"team player {j} y")
-            if j not in self.outside and not self._on_pitch(x, y):
-                raise ValueError(
-                    f"team player {j} at ({x}, {y}) is off the pitch and not flagged outside"
-                )
-            team[j] = (x, y)
+        if not isinstance(self.team, dict) or self.team.keys() != PLAYER_IDS:
+            raise ValueError(f"team must cover exactly the ids 1..{TEAM_SIZE}")
+        if not isinstance(self.opponents, (list, tuple)) or len(self.opponents) != TEAM_SIZE:
+            raise ValueError(f"opponents must have exactly {TEAM_SIZE} entries")
+        team = {j: _position(self.team[j], pitch, f"team[{j}]", j in outside) for j in sorted(PLAYER_IDS)}
+        opponents = tuple(_position(xy, pitch, f"opponents[{k}]") for k, xy in enumerate(self.opponents))
         object.__setattr__(self, "team", team)
-        opponents = []
-        for k, (x, y) in enumerate(self.opponents):
-            x = check_real(x, f"opponent {k} x")
-            y = check_real(y, f"opponent {k} y")
-            if not self._on_pitch(x, y):
-                raise ValueError(f"opponent {k} at ({x}, {y}) is off the pitch")
-            opponents.append((x, y))
-        object.__setattr__(self, "opponents", tuple(opponents))
-        check_player_id(self.holder, "holder")
-        if self.holder in self.outside:
-            raise ValueError(f"holder {self.holder} cannot be flagged outside")
+        object.__setattr__(self, "opponents", opponents)
+        object.__setattr__(self, "outside", frozenset(outside))
+        check_holder(self.holder, outside)
 
     @classmethod
     def _trusted(
@@ -115,73 +109,78 @@ class MatchState:
         object.__setattr__(state, "outside", outside)
         return state
 
-    def _on_pitch(self, x: float, y: float) -> bool:
-        return 0.0 <= x <= self.pitch.length and 0.0 <= y <= self.pitch.width
+
+def _position(xy: object, pitch: Pitch, name: str, outside: bool = False) -> XY:
+    """xy as a pair of finite floats, on the pitch unless its player is outside.
+
+    name is the path of xy in what the caller passed (team[3],
+    opponents[2]); an error names it, or its .x or .y.
+    """
+    try:
+        x, y = xy
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an (x, y) pair, not {xy!r}") from None
+    if type(x) is float and type(y) is float and 0.0 <= x <= pitch.length and 0.0 <= y <= pitch.width:
+        return x, y  # the common case, finite because in range
+    x = check_real(x, name + ".x")
+    y = check_real(y, name + ".y")
+    if not outside:
+        if not 0.0 <= x <= pitch.length:
+            raise ValueError(f"{name}.x: {x} outside [0, {pitch.length:g}]")
+        if not 0.0 <= y <= pitch.width:
+            raise ValueError(f"{name}.y: {y} outside [0, {pitch.width:g}]")
+    return x, y
+
+
+def check_holder(holder: object, outside: frozenset[int], name: str = "holder") -> int:
+    """holder as a player id that is not flagged outside: the rule for a holder and a pass receiver."""
+    check_player_id(holder, name)
+    if holder in outside:
+        raise ValueError(f"{name}={holder} is flagged outside")
+    return holder
 
 
 _ROOT_KEYS = frozenset(("pitch", "team", "opponents", "holder"))
 _PITCH_KEYS = frozenset(("length", "width"))
 _TEAM_KEYS = frozenset(("id", "x", "y", "outside"))
 _OPPONENT_KEYS = frozenset(("x", "y"))
-_INF = math.inf
 # the JSON path of each team and opponent entry, for error messages
 _TEAM_PATHS = tuple(f"team[{k}]" for k in range(TEAM_SIZE))
 _OPPONENT_PATHS = tuple(f"opponents[{k}]" for k in range(TEAM_SIZE))
 
 
-def _reject_unexpected_keys(obj: dict, allowed: frozenset, path: str) -> None:
-    """Raise naming the first key of obj that is not allowed."""
-    for key in obj:
-        if key not in allowed:
-            raise ValueError(f"{path}: unexpected key {key!r}")
-
-
-def _require_number(obj: dict, key: str, path: str) -> float:
-    try:
-        v = obj[key]
-    except KeyError:
-        raise ValueError(f"{path}.{key}: missing") from None
-    if type(v) is float and -_INF < v < _INF:
-        return v
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{path}.{key}: expected a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise ValueError(f"{path}.{key}: integer too large for a float") from None
-    if not math.isfinite(v):  # 1e400 is valid JSON that overflows to inf
-        raise ValueError(f"{path}.{key}: {v} is not finite")
-    return v
+def _check_object(obj: object, allowed: frozenset, required: tuple, path: str) -> None:
+    """Raise unless obj is a JSON object with every required key and no key outside allowed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object")
+    if not obj.keys() <= allowed:
+        for key in obj:
+            if key not in allowed:
+                raise ValueError(f"{path}: unexpected key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{path}.{key}: missing")
 
 
 def parse_match_state(data: bytes | str) -> MatchState:
     """Parse and fully validate the match-state JSON document.
 
     The first violated constraint is reported with its JSON path, e.g.
-    "team[3].x: 120.0 outside [0, 105]". These checks cover every
-    MatchState invariant, so the state is built without repeating them.
+    "team[3].x: 120.0 outside [0, 105]". The document's numbers go
+    through MatchState's own rules, so the state is built without
+    repeating them.
     """
-
-    def _reject_constant(name: str) -> None:
-        raise ValueError(f"non-finite number {name} is not allowed")
-
-    obj = parse_json(data, parse_constant=_reject_constant)
+    obj = parse_json(data)
     if not isinstance(obj, dict):
         raise ValueError("root: expected a JSON object")
     for key in ("pitch", "team", "opponents", "holder"):
         if key not in obj:
             raise ValueError(f"{key}: missing")
-    if not obj.keys() <= _ROOT_KEYS:
-        _reject_unexpected_keys(obj, _ROOT_KEYS, "root")
+    _check_object(obj, _ROOT_KEYS, (), "root")
 
     pitch_obj = obj["pitch"]
-    if not isinstance(pitch_obj, dict):
-        raise ValueError("pitch: expected an object")
-    if not pitch_obj.keys() <= _PITCH_KEYS:
-        _reject_unexpected_keys(pitch_obj, _PITCH_KEYS, "pitch")
-    length = _require_number(pitch_obj, "length", "pitch")
-    width = _require_number(pitch_obj, "width", "pitch")
-    pitch = Pitch(length, width)
+    _check_object(pitch_obj, _PITCH_KEYS, ("length", "width"), "pitch")
+    pitch = Pitch(pitch_obj["length"], pitch_obj["width"])
 
     team_arr = obj["team"]
     if not isinstance(team_arr, list):
@@ -191,30 +190,18 @@ def parse_match_state(data: bytes | str) -> MatchState:
     team: dict[int, XY] = {}
     outside: set[int] = set()
     for path, entry in zip(_TEAM_PATHS, team_arr):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: expected an object")
-        if not entry.keys() <= _TEAM_KEYS:
-            _reject_unexpected_keys(entry, _TEAM_KEYS, path)
-        if "id" not in entry:
-            raise ValueError(f"{path}.id: missing")
+        _check_object(entry, _TEAM_KEYS, ("id", "x", "y"), path)
         pid = entry["id"]
-        if type(pid) is not int or not 1 <= pid <= TEAM_SIZE:  # JSON gives a bool its own type
-            raise ValueError(f"{path}.id: {pid!r} must be an integer in 1..{TEAM_SIZE}")
+        if type(pid) is not int or not 1 <= pid <= TEAM_SIZE:  # the fast path of check_player_id
+            check_player_id(pid, path + ".id")
         if pid in team:
             raise ValueError(f"{path}.id: duplicate player id {pid}")
-        x = _require_number(entry, "x", path)
-        y = _require_number(entry, "y", path)
         is_outside = entry.get("outside", False)
         if is_outside is True:
             outside.add(pid)
-        elif is_outside is False:
-            if not 0.0 <= x <= length:
-                raise ValueError(f"{path}.x: {x} outside [0, {pitch.length:g}]")
-            if not 0.0 <= y <= width:
-                raise ValueError(f"{path}.y: {y} outside [0, {pitch.width:g}]")
-        else:
+        elif is_outside is not False:
             raise ValueError(f"{path}.outside: expected a boolean, got {is_outside!r}")
-        team[pid] = (x, y)
+        team[pid] = _position((entry["x"], entry["y"]), pitch, path, is_outside)
 
     opp_arr = obj["opponents"]
     if not isinstance(opp_arr, list):
@@ -223,26 +210,10 @@ def parse_match_state(data: bytes | str) -> MatchState:
         raise ValueError(f"opponents: expected {TEAM_SIZE} entries, got {len(opp_arr)}")
     opponents: list[XY] = []
     for path, entry in zip(_OPPONENT_PATHS, opp_arr):
-        if not isinstance(entry, dict):
-            raise ValueError(f"{path}: expected an object")
-        if not entry.keys() <= _OPPONENT_KEYS:
-            _reject_unexpected_keys(entry, _OPPONENT_KEYS, path)
-        x = _require_number(entry, "x", path)
-        y = _require_number(entry, "y", path)
-        if not 0.0 <= x <= length:
-            raise ValueError(f"{path}.x: {x} outside [0, {pitch.length:g}]")
-        if not 0.0 <= y <= width:
-            raise ValueError(f"{path}.y: {y} outside [0, {pitch.width:g}]")
-        opponents.append((x, y))
+        _check_object(entry, _OPPONENT_KEYS, ("x", "y"), path)
+        opponents.append(_position((entry["x"], entry["y"]), pitch, path))
 
-    holder = obj["holder"]
-    if isinstance(holder, bool) or not isinstance(holder, int):
-        raise ValueError(f"holder: {holder!r} must be an integer player id")
-    if holder not in team:
-        raise ValueError(f"holder: no team player with id {holder}")
-    if holder in outside:
-        raise ValueError(f"holder: player {holder} is flagged outside")
-
+    holder = check_holder(obj["holder"], outside)
     team = {j: team[j] for j in sorted(team)}
     return MatchState._trusted(pitch, team, tuple(opponents), holder, frozenset(outside))
 

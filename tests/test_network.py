@@ -63,6 +63,14 @@ def test_build_extra_teammate():
         DecisionNetwork(8, 0.0, 0.0, per)
 
 
+def test_build_names_one_unexpected_id_of_keys_that_do_not_compare():
+    per = zero_per_teammate(8)
+    per[12] = per["a"] = per[None] = (0.0, 0)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unexpected teammate id 'a'"):
+            DecisionNetwork(8, 0.0, 0.0, dict(reversed(per.items())))
+
+
 def test_build_rejects_holder_edge():
     per = zero_per_teammate(8)
     per[8] = (0.0, 0)

@@ -5,9 +5,10 @@ deleted export breaks them without breaking any library test. The
 README's commands are checked against the CLI parser, and the library
 calls it names against the package, for the same reason; the CLI is
 run as a process, through main(), as a shell runs it. The other way
-round, every function the library defines must be used by the library,
-the scripts or the benchmark, or be exported, or be allowlisted with
-its reason: code that only tests call is kept out of the package.
+round, every function, method and module-level name the library
+defines must be used by the library, the scripts or the benchmark, or
+be exported, or be allowlisted with its reason: code that only tests
+call, and a constant that nothing reads, is kept out of the package.
 """
 
 import ast
@@ -52,27 +53,34 @@ UNREFERENCED_ALLOWLIST = {
 }
 
 
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def library_definitions():
-    """(qualified name, name) of each module-level function and non-dunder method in src/playnet/."""
+    """(qualified name, name) of each module-level function and name and each method in src/playnet/, dunders aside."""
     for path in sorted((REPO_ROOT / "src" / "playnet").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield node.name, node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and not is_dunder(name.id):
+                            yield name.id, name.id
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(item.name):
                         yield f"{node.name}.{item.name}", item.name
 
 
 def names_used_outside_the_tests():
-    """Every name and attribute read or called in src/playnet/, scripts/ and perfbench/; imports do not count."""
+    """Every name read, and every attribute, in src/playnet/, scripts/ and perfbench/; imports do not count."""
     used = set()
     for root in ("src/playnet", "scripts", "perfbench"):
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)

@@ -234,7 +234,7 @@ def test_advance_state_rejects_an_outside_receiver():
     team[11] = (-3.0, 80.0)
     state = MatchState(Pitch(), team, tuple((60.0, 6.0 * k + 1.0) for k in range(11)), 8,
                        frozenset({11}))
-    with pytest.raises(ValueError, match="holder 11 cannot be flagged outside"):
+    with pytest.raises(ValueError, match="receiver=11 is flagged outside"):
         advance_state(state, 11, 2.0)
 
 

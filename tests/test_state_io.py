@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -57,7 +58,7 @@ def test_team_size_error():
 
 
 def test_holder_not_in_team_error():
-    with pytest.raises(ValueError, match="holder: no team player with id 12"):
+    with pytest.raises(ValueError, match="holder=12 outside 1..11"):
         parse_doc(state_doc(holder=12))
 
 
@@ -118,7 +119,7 @@ def test_holder_cannot_be_outside():
     doc = state_doc()
     doc["team"][7]["outside"] = True
     assert doc["team"][7]["id"] == 8
-    with pytest.raises(ValueError, match="holder: player 8 is flagged outside"):
+    with pytest.raises(ValueError, match="holder=8 is flagged outside"):
         parse_doc(doc)
 
 
@@ -127,10 +128,47 @@ def test_malformed_json():
         parse_match_state(b"{not json")
 
 
+# each numeric slot of a state document: its JSON path and where it sits in state_doc()
+_NUMERIC_SLOTS = [
+    ("pitch.length", lambda doc: doc["pitch"], "length"),
+    ("pitch.width", lambda doc: doc["pitch"], "width"),
+    ("team[3].id", lambda doc: doc["team"][3], "id"),
+    ("team[3].x", lambda doc: doc["team"][3], "x"),
+    ("team[3].y", lambda doc: doc["team"][3], "y"),
+    ("opponents[2].x", lambda doc: doc["opponents"][2], "x"),
+    ("opponents[2].y", lambda doc: doc["opponents"][2], "y"),
+    ("holder", lambda doc: doc, "holder"),
+]
+
+
 def test_non_finite_rejected():
-    text = '{"pitch": {"length": 105, "width": 68}, "team": [], "opponents": [], "holder": NaN}'
-    with pytest.raises(ValueError, match="non-finite"):
-        parse_match_state(text)
+    # json reads the NaN and Infinity literals as floats; the number checks reject them
+    for path, parent, key in _NUMERIC_SLOTS:
+        for value, literal in ((math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")):
+            doc = state_doc()
+            parent(doc)[key] = value
+            text = json.dumps(doc)
+            assert f": {literal}" in text
+            with pytest.raises(ValueError, match="^" + re.escape(path) + "[=:]"):
+                parse_match_state(text)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("team[3].id", 12, "team[3].id=12 outside 1..11"),
+    ("team[3].id", True, "team[3].id=True must be an integer in 1..11"),
+    ("team[3].x", "x", "team[3].x='x' must be a finite number"),
+    ("opponents[2].y", math.nan, "opponents[2].y=nan is not finite"),
+    ("pitch.length", "x", "pitch.length='x' must be a finite number"),
+    ("pitch.length", math.inf, "pitch.length=inf must be > 0 and finite"),
+    ("holder", 8.0, "holder=8.0 must be an integer in 1..11"),
+])
+def test_parse_names_the_json_path_of_a_bad_number(path, value, message):
+    doc = state_doc()
+    parent, key = {slot: (parent, key) for slot, parent, key in _NUMERIC_SLOTS}[path]
+    parent(doc)[key] = value
+    with pytest.raises(ValueError) as err:
+        parse_doc(doc)
+    assert str(err.value) == message
 
 
 def test_pitch_validation():
@@ -168,7 +206,7 @@ def test_outside_player_coordinates_must_be_finite():
     doc = state_doc()
     doc["team"][10].update({"x": -4.0, "outside": True})
     text = json.dumps(doc).replace("-4.0", "-1e400", 1)
-    with pytest.raises(ValueError, match=r"team\[10\]\.x: -inf is not finite"):
+    with pytest.raises(ValueError, match=r"team\[10\]\.x=-inf is not finite"):
         parse_match_state(text)
 
 
@@ -228,10 +266,49 @@ def test_match_state_rejects_an_integer_too_large_for_a_float():
     team = {j: (10.0, 10.0) for j in range(1, 12)}
     opponents = tuple((5.0, 5.0) for _ in range(11))
     for k in (2, 7):  # an outside player's coordinates are checked too
-        with pytest.raises(ValueError, match=f"team player {k} x: integer too large"):
+        with pytest.raises(ValueError, match=rf"team\[{k}\]\.x: integer too large"):
             MatchState(Pitch(), {**team, k: (int(HUGE_INT), 10.0)}, opponents, 1, frozenset({7}))
-    with pytest.raises(ValueError, match="opponent 3 y: integer too large"):
+    with pytest.raises(ValueError, match=r"opponents\[3\]\.y: integer too large"):
         MatchState(Pitch(), team, opponents[:3] + ((5.0, -int(HUGE_INT)),) + opponents[4:], 1)
+
+
+_TEAM = {j: (8.0 * j, 30.0) for j in range(1, 12)}
+_OPPONENTS = tuple((60.0, 6.0 * k) for k in range(11))
+
+
+def _opponent_2(xy):
+    return {"opponents": _OPPONENTS[:2] + (xy,) + _OPPONENTS[3:]}
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param({"pitch": (105.0, 68.0)}, "pitch must be a Pitch, not tuple", id="pitch-tuple"),
+    pytest.param({"pitch": None}, "pitch must be a Pitch, not NoneType", id="pitch-none"),
+    pytest.param({"team": {**_TEAM, 4: (1.0,)}}, r"team\[4\] must be an \(x, y\) pair, not \(1.0,\)",
+                 id="team-short-pair"),
+    pytest.param({"team": {**_TEAM, 4: None}}, r"team\[4\] must be an \(x, y\) pair, not None", id="team-none-pair"),
+    pytest.param({"team": {**_TEAM, 4: (200.0, 30.0)}}, r"team\[4\]\.x: 200.0 outside \[0, 105\]",
+                 id="team-off-pitch"),
+    pytest.param({"team": list(_TEAM.items())}, "team must cover", id="team-list"),
+    pytest.param(_opponent_2((1.0,)), r"opponents\[2\] must be an \(x, y\) pair", id="opponent-short-pair"),
+    pytest.param(_opponent_2(None), r"opponents\[2\] must be an \(x, y\) pair", id="opponent-none-pair"),
+    pytest.param(_opponent_2((60.0, 70.0)), r"opponents\[2\]\.y: 70.0 outside \[0, 68\]", id="opponent-off-pitch"),
+    pytest.param({"opponents": None}, "opponents must have exactly 11 entries", id="opponents-none"),
+    pytest.param({"outside": 2}, "outside must be a set of player ids, not int", id="outside-int"),
+    pytest.param({"outside": None}, "outside must be a set of player ids, not NoneType", id="outside-none"),
+    pytest.param({"outside": [2]}, "outside must be a set of player ids, not list", id="outside-list"),
+    pytest.param({"outside": {12}}, "outside id=12 outside 1..11", id="outside-bad-id"),
+    pytest.param({"holder": 2, "outside": frozenset({2})}, "holder=2 is flagged outside", id="holder-outside"),
+])
+def test_match_state_rejects_a_malformed_argument(change, message):
+    args = {"pitch": Pitch(), "team": _TEAM, "opponents": _OPPONENTS, "holder": 1, "outside": frozenset()}
+    with pytest.raises(ValueError, match=message):
+        MatchState(**{**args, **change})
+
+
+def test_match_state_stores_the_outside_set_as_parsed():
+    state = MatchState(Pitch(), {**_TEAM, 2: (-3.0, 80.0)}, list(_OPPONENTS), 1, {2})
+    assert type(state.outside) is frozenset and type(state.opponents) is tuple
+    assert state == parse_match_state(json.dumps(match_state_to_obj(state)))
 
 
 def test_match_state_requires_full_teams():
