@@ -1,7 +1,9 @@
 """Command-line surface: decide, simulate, analyze, compare, frontier.
 
 Exit codes are the only success/failure channel: 0 on success, 1 when an
-input fails validation, 2 on usage errors. Every subcommand takes --json
+input fails validation, 2 on usage errors. An error is one stderr line
+that names the input file it is about ("error: log l.json: sequence 1:
+step 0: ..."). Every subcommand takes --json
 for machine-readable output on stdout; file artifacts (logs, CSV
 reports, DOT dumps) are written atomically with a sibling
 <artifact>.manifest.json recording the resolved config, inputs, and the
@@ -42,6 +44,7 @@ from .jsonio import (
     manifest_path,
     number_text,
     parse_json,
+    read_input,
     sha256_of_file,
     write_artifact,
 )
@@ -210,7 +213,7 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
     return sequences
 
 
-def _read_log(data: bytes, where: str = "") -> list[PossessionSequence]:
+def _read_log(data: bytes) -> list[PossessionSequence]:
     """A log file holds one sequence (array of steps) or an array of sequences.
 
     A log that _log_sequences reads is read by its element texts; any
@@ -219,9 +222,9 @@ def _read_log(data: bytes, where: str = "") -> list[PossessionSequence]:
     """
     sequences = _log_sequences(data)
     if sequences is None:
-        items = parse_json(data, where)
+        items = parse_json(data)
         if not isinstance(items, list) or not items:
-            raise ValueError("sequence log: expected a nonempty array")
+            raise ValueError("expected a nonempty array")
         if isinstance(items[0], dict):
             return [sequence_from_obj(items)]
         sequences = []
@@ -234,8 +237,7 @@ def _read_log(data: bytes, where: str = "") -> list[PossessionSequence]:
 
 
 def _load_log(path: str) -> list[PossessionSequence]:
-    with open(path, "rb") as fh:
-        return _read_log(fh.read(), f"log {path}: ")
+    return read_input("log", path, _read_log)
 
 
 def _manifest_field(manifest: dict, dotted: str):
@@ -243,7 +245,7 @@ def _manifest_field(manifest: dict, dotted: str):
     value = manifest
     for key in dotted.split("."):
         if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"manifest: missing field {dotted}")
+            raise ValueError(f"manifest: {dotted}: missing")
         value = value[key]
     return value
 
@@ -462,12 +464,14 @@ def regenerate(manifest: dict) -> str:
     Reads the recorded input files, verifies their digests, and runs the
     recorded command's recipe with the recorded config and run record.
     """
-    if not isinstance(manifest, dict) or "command" not in manifest:
-        raise ValueError("manifest: expected an object with a command")
-    command = manifest["command"]
+    command = _manifest_field(manifest, "command")
     if not isinstance(command, str) or command not in _RECIPES:
         raise ValueError(f"manifest: cannot regenerate command {command!r}")
-    cfg = AppConfig.from_dict(_manifest_field(manifest, "config"))
+    config = _manifest_field(manifest, "config")
+    try:
+        cfg = AppConfig.from_dict(config)
+    except ValueError as err:  # as load_config names its file
+        raise ValueError(f"manifest config: {err}") from None
     path = _manifest_field(manifest, "inputs.state.path")
     recorded = _manifest_field(manifest, "inputs.state.sha256")
     for key, value in (("path", path), ("sha256", recorded)):

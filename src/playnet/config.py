@@ -2,9 +2,10 @@
 
 The config file is JSON with three sections (estimators, simulation,
 policy); any subset of keys may be given and the rest keep their
-built-in defaults. Unknown sections or keys are rejected so typos do not
-silently fall back to defaults. The file path comes from --config or the
-PLAYNET_CONFIG environment variable.
+built-in defaults. Unknown sections or keys are rejected (by
+jsonio.check_object, as in state and log files) so typos do not silently
+fall back to defaults. The file path comes from --config or the
+PLAYNET_CONFIG environment variable, and every error names it.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ from dataclasses import dataclass
 
 from .decision import DecisionPolicy
 from .estimators import EstimatorParams
-from .jsonio import parse_json
+from .jsonio import check_object, parse_json, read_input
 from .network import check_int, check_real, check_unit
 from .simulate import SimulationConfig
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
-# each section of a config file and the keys it may hold
+# each section of a config file and the keys it may hold, the field names and tie_break
 _SECTION_KEYS = {
     "estimators": frozenset(f.name for f in dataclasses.fields(EstimatorParams)),
-    "simulation": ("max_steps", "drift_m"),
-    "policy": ("threshold", "tie_break"),
+    "simulation": frozenset(("max_steps", "drift_m")),
+    "policy": frozenset(("threshold", "tie_break")),
 }
 
 
@@ -53,30 +54,15 @@ class AppConfig:
 
     @classmethod
     def from_dict(cls, obj: object) -> AppConfig:
-        if not isinstance(obj, dict):
-            raise ValueError("config: expected a JSON object")
-        for section in obj:
-            if section not in _SECTION_KEYS:
-                raise ValueError(f"config: unknown section {section!r}")
+        check_object(obj, _SECTION_KEYS.keys(), (), "root")
         for section, keys in _SECTION_KEYS.items():
-            sub = obj.get(section, {})
-            if not isinstance(sub, dict):
-                raise ValueError(f"config.{section}: expected an object")
-            for key in sub:
-                if key not in keys:
-                    raise ValueError(f"config.{section}: unknown key {key!r}")
-        est_obj, sim_obj, pol_obj = (obj.get(section, {}) for section in _SECTION_KEYS)
+            check_object(obj.get(section, {}), keys, (), section)
+        policy = dict(obj.get("policy", {}))
         # older configs and manifests name the one tie rule there is
-        tie_break = pol_obj.get("tie_break", "lowest_id")
+        tie_break = policy.pop("tie_break", "lowest_id")
         if tie_break != "lowest_id":
-            raise ValueError(f"config.policy: unknown tie_break {tie_break!r} (known: lowest_id)")
-        defaults = cls()
-        return cls(
-            estimators=EstimatorParams(**est_obj),
-            max_steps=sim_obj.get("max_steps", defaults.max_steps),
-            drift_m=sim_obj.get("drift_m", defaults.drift_m),
-            threshold=pol_obj.get("threshold", defaults.threshold),
-        )
+            raise ValueError(f"policy: unknown tie_break {tie_break!r} (known: lowest_id)")
+        return cls(EstimatorParams(**obj.get("estimators", {})), **obj.get("simulation", {}), **policy)
 
 
 def config_path(path: str | None = None) -> str | None:
@@ -92,6 +78,4 @@ def load_config(path: str | None = None) -> AppConfig:
     path = config_path(path)
     if path is None:
         return AppConfig()
-    with open(path, "rb") as fh:
-        obj = parse_json(fh.read(), f"config {path}: ")
-    return AppConfig.from_dict(obj)
+    return read_input("config", path, lambda data: AppConfig.from_dict(parse_json(data)))

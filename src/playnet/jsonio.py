@@ -18,9 +18,11 @@ canonical_dumps writes the layout of json.dumps(indent=2) in one walk
 over the value, without copying it first; it takes str dict keys only.
 
 Files are written to a temporary sibling and renamed into place, so a
-failed run never leaves a partial artifact behind. JSON read from
-outside (state, config and log files) goes through parse_json, so
-malformed or too deeply nested input is a ValueError, never a crash.
+failed run never leaves a partial artifact, nor one without its manifest.
+Each input file (state, config, log) is read by read_input, whose every
+ValueError names the file ("state x.json: team[3].x: ..."); its JSON
+goes through parse_json, so malformed or too deeply nested input is a
+ValueError, never a crash, and each of its objects through check_object.
 """
 
 from __future__ import annotations
@@ -32,20 +34,42 @@ import secrets
 from json.encoder import encode_basestring_ascii as _encode_str  # the C escaper behind ensure_ascii
 
 
-def parse_json(data: bytes | str, where: str = ""):
+def parse_json(data: bytes | str):
     """json.loads for input from outside: bad or too deeply nested JSON raises ValueError.
 
-    where prefixes the message (e.g. "log run.json: "). NaN, Infinity
-    and -Infinity parse to floats, as json.loads has them: the checks
-    each number goes through next (check_real, check_unit, check_int)
-    reject them.
+    NaN, Infinity and -Infinity parse to floats, as json.loads has them:
+    the checks each number goes through next (check_real, check_unit,
+    check_int) reject them.
     """
     try:
         return json.loads(data)
     except json.JSONDecodeError as err:
-        raise ValueError(f"{where}invalid JSON: {err}") from None
+        raise ValueError(f"invalid JSON: {err}") from None
     except RecursionError:
-        raise ValueError(f"{where}invalid JSON: nested too deeply") from None
+        raise ValueError("invalid JSON: nested too deeply") from None
+
+
+def check_object(obj: object, allowed, required: tuple, path: str) -> None:
+    """Raise unless obj is a JSON object with every required key and no key outside allowed (a set)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected an object")
+    if not obj.keys() <= allowed:
+        for key in obj:
+            if key not in allowed:
+                raise ValueError(f"{path}: unexpected key {key!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{path}: missing key {key!r}")
+
+
+def read_input(kind: str, path, parse):
+    """parse(the bytes of the file at path), each ValueError prefixed "{kind} {path}: "."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse(data)
+    except ValueError as err:
+        raise ValueError(f"{kind} {path}: {err}") from None
 
 
 def canonical_number(value: float):
@@ -168,6 +192,15 @@ def manifest_path(artifact_path) -> str:
 
 
 def write_artifact(path, text: str, manifest: dict) -> None:
-    """Write an artifact and its sibling manifest atomically."""
-    atomic_write_text(path, text)
-    atomic_write_text(manifest_path(path), json.dumps(manifest, indent=2) + "\n")
+    """Write an artifact and its sibling manifest, each atomically.
+
+    The manifest goes first and is removed if the artifact then fails,
+    so a call that raises leaves neither a new artifact nor a new manifest.
+    """
+    sibling = manifest_path(path)
+    atomic_write_text(sibling, json.dumps(manifest, indent=2) + "\n")
+    try:
+        atomic_write_text(path, text)
+    except BaseException:
+        os.unlink(sibling)
+        raise

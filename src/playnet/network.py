@@ -34,10 +34,15 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from .jsonio import check_object
+
 TEAM_SIZE = 11
 PLAYER_IDS = frozenset(range(1, TEAM_SIZE + 1))
 
 RISK_MAX = 10
+
+_NETWORK_KEYS = frozenset(("holder", "s", "tau", "edges"))
+_EDGE_KEYS = frozenset(("to", "p", "r"))
 
 _INF = math.inf
 _FLOAT_MAX = sys.float_info.max
@@ -127,6 +132,8 @@ class DecisionNetwork:
     tau: float  # holder's decision time, seconds, >= 0
     edges: dict[int, PassEdge]  # teammate id -> (p, r)
 
+    __hash__ = None  # edges is a dict; hash() names this class, not dict
+
     def __post_init__(self) -> None:
         check_player_id(self.holder, "holder")
         object.__setattr__(self, "s", check_unit(self.s, "s"))
@@ -192,18 +199,14 @@ class DecisionNetwork:
 
     @classmethod
     def from_json_dict(cls, obj: object) -> DecisionNetwork:
-        if not isinstance(obj, dict):
-            raise ValueError("network: expected a JSON object")
-        for key in ("holder", "s", "tau", "edges"):
-            if key not in obj:
-                raise ValueError(f"network: missing field {key!r}")
+        check_object(obj, _NETWORK_KEYS, ("holder", "s", "tau", "edges"), "network")
         entries = obj["edges"]
         if not isinstance(entries, list):
             raise ValueError("network.edges: expected an array")
         per_teammate: dict[int, tuple[float, int]] = {}
         for k, entry in enumerate(entries):
-            if not isinstance(entry, dict) or not {"to", "p", "r"} <= set(entry):
-                raise ValueError(f"network.edges[{k}]: expected an object with to, p, r")
+            if type(entry) is not dict or entry.keys() != _EDGE_KEYS:  # the common case skips the call
+                check_object(entry, _EDGE_KEYS, ("to", "p", "r"), f"network.edges[{k}]")
             to = entry["to"]
             check_player_id(to, f"network.edges[{k}].to")
             if to in per_teammate:

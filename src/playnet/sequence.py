@@ -23,8 +23,9 @@ single objective, so it is exposed as the Pareto frontier over the
 (efficiency, security) points such as per-style means (pareto_points).
 
 sequence_to_obj and sequence_from_obj write and read the log shape.
-sequence_from_obj reads each network and outcome label and leaves every
-other check to PossessionSequence.
+sequence_from_obj checks each object's keys (jsonio.check_object), reads
+each network and outcome label and leaves every other check to
+PossessionSequence.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import enum
 from dataclasses import dataclass
 
 from .decision import Decision
+from .jsonio import check_object
 from .network import DecisionNetwork, check_unit
 
 
@@ -55,6 +57,9 @@ class StepOutcome(enum.Enum):
 
 
 _SHOTS = (StepOutcome.SHOT_SCORED, StepOutcome.SHOT_MISSED)
+# the keys of a step and of its decision (whose target is optional) in the log shape
+_STEP_KEYS = frozenset(("network", "decision", "outcome"))
+_DECISION_KEYS = frozenset(("type", "target"))
 
 
 @dataclass(frozen=True)
@@ -221,21 +226,16 @@ def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
 def sequence_from_obj(obj: object) -> PossessionSequence:
     """Rebuild a sequence from its log shape; PossessionSequence checks every step again."""
     if not isinstance(obj, list) or not obj:
-        raise ValueError("sequence log: expected a nonempty array of steps")
+        raise ValueError("expected a nonempty array of steps")
     steps = []
     for k, item in enumerate(obj):
-        if not isinstance(item, dict):
-            raise ValueError(f"step {k}: expected an object")
-        for key in ("network", "decision", "outcome"):
-            if key not in item:
-                raise ValueError(f"step {k}: missing field {key!r}")
+        check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
         try:
             network = DecisionNetwork.from_json_dict(item["network"])
         except ValueError as err:
             raise ValueError(f"step {k}: {err}") from None
         dec_obj = item["decision"]
-        if not isinstance(dec_obj, dict) or "type" not in dec_obj:
-            raise ValueError(f"step {k}: decision must be an object with a type")
+        check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
         try:
             outcome = StepOutcome(item["outcome"])
         except ValueError:

@@ -15,7 +15,7 @@ receiver, is a player id that is not flagged outside (check_holder).
 MatchState(...) and Pitch(...), as library callers build them, run
 every rule in __post_init__, and errors name the argument path
 (team[4].x, opponents[2].y). parse_match_state checks only what JSON
-adds (object and array shapes, unknown and missing keys, the type and
+adds (object keys by jsonio.check_object, array shapes, the type and
 uniqueness of ids, the outside flag), passes the rest through the same
 rules under its JSON path (team[3].x: 120.0 outside [0, 105]), and
 builds the MatchState without running them again. advance_state checks
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .jsonio import parse_json
+from .jsonio import check_object, parse_json, read_input
 from .network import PLAYER_IDS, TEAM_SIZE, check_player_id, check_real
 
 XY = tuple[float, float]
@@ -72,6 +72,7 @@ class MatchState:
     # estimate_network's (params, network) for this snapshot, or None
     # (see the module docstring); a class attribute, not a field
     _estimate = None
+    __hash__ = None  # team is a dict; hash() names this class, not dict
 
     def __post_init__(self) -> None:
         pitch, outside = self.pitch, self.outside
@@ -149,19 +150,6 @@ _TEAM_PATHS = tuple(f"team[{k}]" for k in range(TEAM_SIZE))
 _OPPONENT_PATHS = tuple(f"opponents[{k}]" for k in range(TEAM_SIZE))
 
 
-def _check_object(obj: object, allowed: frozenset, required: tuple, path: str) -> None:
-    """Raise unless obj is a JSON object with every required key and no key outside allowed."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected an object")
-    if not obj.keys() <= allowed:
-        for key in obj:
-            if key not in allowed:
-                raise ValueError(f"{path}: unexpected key {key!r}")
-    for key in required:
-        if key not in obj:
-            raise ValueError(f"{path}.{key}: missing")
-
-
 def parse_match_state(data: bytes | str) -> MatchState:
     """Parse and fully validate the match-state JSON document.
 
@@ -171,15 +159,10 @@ def parse_match_state(data: bytes | str) -> MatchState:
     repeating them.
     """
     obj = parse_json(data)
-    if not isinstance(obj, dict):
-        raise ValueError("root: expected a JSON object")
-    for key in ("pitch", "team", "opponents", "holder"):
-        if key not in obj:
-            raise ValueError(f"{key}: missing")
-    _check_object(obj, _ROOT_KEYS, (), "root")
+    check_object(obj, _ROOT_KEYS, ("pitch", "team", "opponents", "holder"), "root")
 
     pitch_obj = obj["pitch"]
-    _check_object(pitch_obj, _PITCH_KEYS, ("length", "width"), "pitch")
+    check_object(pitch_obj, _PITCH_KEYS, ("length", "width"), "pitch")
     pitch = Pitch(pitch_obj["length"], pitch_obj["width"])
 
     team_arr = obj["team"]
@@ -190,7 +173,7 @@ def parse_match_state(data: bytes | str) -> MatchState:
     team: dict[int, XY] = {}
     outside: set[int] = set()
     for path, entry in zip(_TEAM_PATHS, team_arr):
-        _check_object(entry, _TEAM_KEYS, ("id", "x", "y"), path)
+        check_object(entry, _TEAM_KEYS, ("id", "x", "y"), path)
         pid = entry["id"]
         if type(pid) is not int or not 1 <= pid <= TEAM_SIZE:  # the fast path of check_player_id
             check_player_id(pid, path + ".id")
@@ -210,7 +193,7 @@ def parse_match_state(data: bytes | str) -> MatchState:
         raise ValueError(f"opponents: expected {TEAM_SIZE} entries, got {len(opp_arr)}")
     opponents: list[XY] = []
     for path, entry in zip(_OPPONENT_PATHS, opp_arr):
-        _check_object(entry, _OPPONENT_KEYS, ("x", "y"), path)
+        check_object(entry, _OPPONENT_KEYS, ("x", "y"), path)
         opponents.append(_position((entry["x"], entry["y"]), pitch, path))
 
     holder = check_holder(obj["holder"], outside)
@@ -236,5 +219,4 @@ def match_state_to_obj(state: MatchState) -> dict:
 
 
 def load_match_state(path) -> MatchState:
-    with open(path, "rb") as fh:
-        return parse_match_state(fh.read())
+    return read_input("state", path, parse_match_state)

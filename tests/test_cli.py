@@ -233,13 +233,13 @@ def test_analyze_names_the_sequence_and_step_of_a_bad_network(capsys, tmp_path):
     for data, where in ((log, "sequence 1: "), (log[1], "")):  # an array of sequences, and a lone one
         path.write_text(json.dumps(data, indent=2) + "\n")
         code, _, err = run(capsys, "analyze", "--log", str(path))
-        assert (code, err) == (1, f"error: {where}step 1: s=2.0 outside [0, 1]\n")
+        assert (code, err) == (1, f"error: log {path}: {where}step 1: s=2.0 outside [0, 1]\n")
     network["s"] = 0.5
     network["edges"][0]["r"] = 11
     path.write_text(json.dumps(log, indent=2) + "\n")
     code, _, err = run(capsys, "analyze", "--log", str(path))
     to = network["edges"][0]["to"]
-    assert (code, err) == (1, f"error: sequence 1: step 1: teammate {to}: r=11 outside 0..10\n")
+    assert (code, err) == (1, f"error: log {path}: sequence 1: step 1: teammate {to}: r=11 outside 0..10\n")
 
 
 def test_compare_csv_and_manifest(capsys, tmp_path):
@@ -380,7 +380,7 @@ def test_log_text_equals_reference_writer(state_seed, weights, threshold, max_st
     ],
 )
 def test_regenerate_names_a_missing_manifest_field(manifest, field):
-    with pytest.raises(ValueError, match=f"missing field {field}$"):
+    with pytest.raises(ValueError, match=f"^manifest: {field}: missing$"):
         regenerate(manifest)
 
 
@@ -390,7 +390,7 @@ def test_regenerate_names_a_missing_run_field(capsys, tmp_path):
     assert code == 0
     manifest = json.loads(Path(manifest_path(out_file)).read_text())
     del manifest["run"]
-    with pytest.raises(ValueError, match="missing field run.style"):
+    with pytest.raises(ValueError, match="^manifest: run.style: missing$"):
         regenerate(manifest)
 
 
@@ -600,6 +600,9 @@ def test_tie_break_in_older_configs_and_manifests(capsys, tmp_path, command):
     assert manifest["config"]["policy"] == {"threshold": 0.5}
     manifest["config"]["policy"]["tie_break"] = "lowest_id"
     assert regenerate(manifest) == plain.read_text()
+    manifest["config"]["policy"]["tie_break"] = "highest_id"
+    with pytest.raises(ValueError, match="^manifest config: policy: unknown tie_break 'highest_id'"):
+        regenerate(manifest)
     config.write_text('{"policy": {"tie_break": "highest_id"}}')
     code, out, err = run(capsys, "--config", str(config), *_ARTIFACT_ARGV[command], str(tmp_path / "other"))
     assert (code, out) == (1, "")
@@ -679,6 +682,19 @@ def test_an_artifact_never_overwrites_its_own_input(capsys, tmp_path, monkeypatc
     assert after == before  # nothing written, not even a manifest
 
 
+@pytest.mark.parametrize("directory", ["artifact", "manifest"])
+def test_a_failed_artifact_write_leaves_neither_file(capsys, tmp_path, directory):
+    out_file = tmp_path / "log.json"
+    blocked = out_file if directory == "artifact" else Path(manifest_path(out_file))
+    blocked.mkdir()
+    code, out, err = run(capsys, "simulate", "--state", MIDFIELD, "--style", "3:1", "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert [path.name for path in tmp_path.iterdir()] == [blocked.name]  # no artifact, manifest or temporary
+    assert not any(blocked.iterdir())
+
+
 # JSON texts spliced into a recorded sequence log in place of one value
 _LOG_RAW_VALUES = st.one_of(
     st.sampled_from([
@@ -727,7 +743,7 @@ def test_style_whose_score_overflows_is_validation_error(capsys, command, style)
 def _read_each(obj):
     """The log reader without its memo: every sequence checked on its own."""
     if not isinstance(obj, list) or not obj:
-        raise ValueError("sequence log: expected a nonempty array")
+        raise ValueError("expected a nonempty array")
     if isinstance(obj[0], dict):
         return [sequence_from_obj(obj)]
     sequences = []
@@ -739,9 +755,9 @@ def _read_each(obj):
     return sequences
 
 
-def _read_whole(data: bytes, where: str = ""):
+def _read_whole(data: bytes):
     """The log reader without its text path: one whole parse, then every sequence checked."""
-    return _read_each(parse_json(data, where))
+    return _read_each(parse_json(data))
 
 
 def _read_outcome(read, *args):
@@ -856,11 +872,13 @@ def _set(*path_and_value):
         ({}, _set("network", "s", [0.25]), True),
         ({}, _set("outcome", ["pass_intercepted"]), True),
         ({"shoot": True}, _set("decision", "target", 2), True),
+        ({"shoot": True}, _set("decision", "taget", 3), True),
+        ({}, _set("network", "edges", 0, "q", 0.5), True),
     ],
     ids=[
         "r-1.0", "r-true", "s-true", "holder-2.0", "holder-true", "target-2.0", "target-true",
         "shoot-target-null", "pass-target-missing", "pass-target-null", "p-negative-zero",
-        "s-unhashable", "outcome-unhashable", "shoot-with-target",
+        "s-unhashable", "outcome-unhashable", "shoot-with-target", "shoot-taget", "edge-q",
     ],
 )
 def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
@@ -881,7 +899,7 @@ def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkey
     path.write_text(_log_text_of("midfield"))
     real = playnet.cli.parse_json
     parsed = []
-    monkeypatch.setattr(playnet.cli, "parse_json", lambda data, *rest: parsed.append(data) or real(data, *rest))
+    monkeypatch.setattr(playnet.cli, "parse_json", lambda data: parsed.append(data) or real(data))
     sequences = _load_log(str(path))
     elements = [json.dumps(item) for item in json.loads(path.read_text())]
     assert len(parsed) == len(set(elements)) < len(elements)
@@ -926,8 +944,8 @@ def test_log_reader_equals_a_whole_parse_outside_the_written_layout(tmp_path, ca
     assert isinstance(got, list) == reads
     path = tmp_path / "log.json"
     path.write_bytes(data)
-    where = f"log {path}: "
-    assert _read_outcome(_load_log, str(path)) == _read_outcome(_read_whole, data, where)
+    named = got if reads else got.replace("ValueError: ", f"ValueError: log {path}: ", 1)
+    assert _read_outcome(_load_log, str(path)) == named
 
 
 # --- run_cli on generated argv ------------------------------------------------

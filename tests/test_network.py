@@ -211,3 +211,9 @@ def test_checkers_return_exact_types():
 def test_checker_messages(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_network_is_unhashable_by_name():
+    network = DecisionNetwork(1, 0.5, 1.0, {j: (0.5, 1) for j in range(2, 12)})
+    with pytest.raises(TypeError, match="unhashable type: 'DecisionNetwork'"):
+        hash(network)

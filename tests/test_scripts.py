@@ -221,6 +221,31 @@ def test_cli_process_invalid_input_exits_1_with_one_error_line(argv):
     assert "Traceback" not in proc.stderr
 
 
+# a failed check in each kind of input file, and the message after its file's name
+_FAILED_CHECKS = {
+    "state": ('{"pitch": {"length": 105, "width": 68}}', "root: missing key 'team'"),
+    "config": ('{"policy": {"threshold": 2}}', "threshold=2.0 outside [0, 1]"),
+    "log": ("[]", "expected a nonempty array"),
+}
+
+
+@pytest.mark.parametrize("failure", ["invalid-json", "failed-check"])
+@pytest.mark.parametrize("kind", ["state", "config", "log"])
+def test_cli_process_names_the_input_file_of_an_error(tmp_path, kind, failure):
+    path = tmp_path / f"{kind}.json"
+    text, message = _FAILED_CHECKS[kind] if failure == "failed-check" else ("{", "invalid JSON: ")
+    path.write_text(text)
+    argv = {
+        "state": ["decide", "--state", str(path), "--style", "3:1"],
+        "config": ["--config", str(path), "decide", "--state", "data/midfield_state.json", "--style", "3:1"],
+        "log": ["analyze", "--log", str(path)],
+    }[kind]
+    proc = run_playnet(*argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {kind} {path}: {message}")
+
+
 def test_console_script_resolves_to_main():
     # a regex, not tomllib, which Python 3.10 lacks
     text = (REPO_ROOT / "pyproject.toml").read_text()

@@ -275,7 +275,7 @@ def test_sequence_rejects_a_bad_step_and_names_it(decision, outcome, message):
     [
         (lambda net: net.update(s=2.0), "s=2.0 outside [0, 1]"),
         (lambda net: net["edges"][0].update(r=11), "teammate 1: r=11 outside 0..10"),
-        (lambda net: net.pop("tau"), "network: missing field 'tau'"),
+        (lambda net: net.pop("tau"), "network: missing key 'tau'"),
     ],
     ids=["bad-s", "bad-r", "missing-tau"],
 )
@@ -285,6 +285,23 @@ def test_sequence_from_obj_names_the_step_of_a_bad_network(edit, message):
     with pytest.raises(ValueError) as info:
         sequence_from_obj(obj)
     assert str(info.value) == f"step 1: {message}"
+
+
+@pytest.mark.parametrize(
+    "where, path",
+    [((), "step 1"), (("network",), "step 1: network"), (("network", "edges", 2), "step 1: network.edges[2]"),
+     (("decision",), "step 1: decision")],
+    ids=["step", "network", "edge", "decision"],
+)
+def test_sequence_from_obj_rejects_an_unknown_key_in_each_object(where, path):
+    obj = sequence_to_obj(PossessionSequence((pass_step(8, 2), shot_step(2, 0.3))))
+    target = obj[1]
+    for part in where:
+        target = target[part]
+    target["extra"] = 1
+    with pytest.raises(ValueError) as info:
+        sequence_from_obj(obj)
+    assert str(info.value) == f"{path}: unexpected key 'extra'"
 
 
 def test_outcome_labels_round_trip():

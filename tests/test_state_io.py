@@ -86,21 +86,27 @@ def test_duplicate_player_id():
 def test_missing_field_errors():
     doc = state_doc()
     del doc["pitch"]
-    with pytest.raises(ValueError, match="pitch: missing"):
+    with pytest.raises(ValueError, match="^root: missing key 'pitch'$"):
         parse_doc(doc)
     doc = state_doc()
     del doc["team"][0]["y"]
-    with pytest.raises(ValueError, match=r"team\[0\].y: missing"):
+    with pytest.raises(ValueError, match=r"^team\[0\]: missing key 'y'$"):
         parse_doc(doc)
 
 
 def test_unknown_keys_rejected():
     with pytest.raises(ValueError, match="unexpected key 'weather'"):
         parse_doc(state_doc(weather="wet"))
-    doc = state_doc()
-    doc["team"][0]["z"] = 1.0
-    with pytest.raises(ValueError, match=r"team\[0\]: unexpected key 'z'"):
-        parse_doc(doc)
+    # each object of a valid state, and the JSON path its error names
+    for where, path in [((), "root"), (("pitch",), "pitch"), (("team", 0), "team[0]"), (("opponents", 10), "opponents[10]")]:
+        doc = state_doc()
+        obj = doc
+        for part in where:
+            obj = obj[part]
+        obj["z"] = 1.0
+        with pytest.raises(ValueError) as info:
+            parse_doc(doc)
+        assert str(info.value) == f"{path}: unexpected key 'z'"
 
 
 def test_outside_flag_allows_off_pitch():
@@ -487,6 +493,11 @@ def test_config_file_overrides(tmp_path):
     assert cfg.threshold == 0.4
 
 
+def test_a_match_state_is_unhashable_by_name():
+    with pytest.raises(TypeError, match="unhashable type: 'MatchState'"):
+        hash(parse_doc(state_doc()))
+
+
 def test_config_env_var(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"policy": {"threshold": 0.9}}))
@@ -497,11 +508,15 @@ def test_config_env_var(tmp_path, monkeypatch):
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"estimators": {"score_decay": 25.0}}))
-    with pytest.raises(ValueError, match="unknown key 'score_decay'"):
+    with pytest.raises(ValueError, match="^config .*: estimators: unexpected key 'score_decay'$"):
         load_config(path)
     path.write_text(json.dumps({"extra": {}}))
-    with pytest.raises(ValueError, match="unknown section 'extra'"):
+    with pytest.raises(ValueError, match="^config .*: root: unexpected key 'extra'$"):
         load_config(path)
+    for section in ("simulation", "policy"):
+        with pytest.raises(ValueError) as info:
+            AppConfig.from_dict({section: {"extra": 1}})
+        assert str(info.value) == f"{section}: unexpected key 'extra'"
 
 
 def test_shipped_default_config_matches_builtins():
