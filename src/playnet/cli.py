@@ -19,10 +19,14 @@ does not read, so older manifests still regenerate.
 
 analyze and frontier read a log back with the same checks that built
 it. A log of many trials repeats a few possessions, so a log in the
-layout simulate writes is read by its element texts: each distinct text
-is parsed and checked once and its repeats share the frozen sequence.
-Any other log is parsed whole and each sequence checked. Either way the
-sequences and the first error are those of a whole parse.
+layout simulate writes is read by its element texts: one forward scan
+finds each element's end (the next "[" with ",\n  " right before it),
+each distinct text is parsed and checked once and its repeats share the
+frozen sequence. Any other log is parsed whole and each sequence
+checked. Either way the sequences and the first error are those of a
+whole parse. analyze and frontier then measure each distinct sequence
+object once (length, terminal outcome, efficiency, security); its
+repeats reuse the measures.
 """
 
 from __future__ import annotations
@@ -189,19 +193,31 @@ def _csv_text(reports) -> str:
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
     """The sequences of a log laid out as _log_text writes it, or None.
 
-    Split at the element boundaries of "[\n  " + ",\n  ".join(texts) +
-    "\n]\n"; every element starts with "[". Each distinct element text is
-    parsed and checked once, and its repeats share the frozen sequence.
-    If every element reads on its own, the whole text is exactly the
-    array of them; if any fails, or the layout differs, None sends the
-    caller to a whole parse, which raises what it raises. A slice of
-    UTF-8 decodes as the whole would, as the split points are ASCII.
+    The elements are those of splitting "[\n  " + ",\n  ".join(texts) +
+    "\n]\n" at ",\n  [" (every element starts with "["), found in one
+    forward scan: data.find jumps to the next "[", a memchr, and a "["
+    ends an element only if ",\n  " comes right before it. So the first
+    such "[" at or after an element's start is the split's next
+    separator, and each "[" of the log is looked at once. Each distinct
+    element text is parsed and checked once, and its repeats share the
+    frozen sequence. If every element reads on its own, the whole text
+    is exactly the array of them; if any fails, or the layout differs,
+    None sends the caller to a whole parse, which raises what it raises.
+    A slice of UTF-8 decodes as the whole would, as the split points are
+    ASCII.
     """
     if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
         return None
     read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
     sequences = []
-    for text in data[5:-3].split(b",\n  ["):
+    find = data.find
+    end = len(data) - 3
+    start = 5  # the current element's text, after its "["
+    while start >= 0:
+        stop = find(b"[", start, end)
+        while stop >= 0 and data[stop - 4 : stop] != b",\n  ":
+            stop = find(b"[", stop + 1, end)
+        text = data[start : stop - 4 if stop >= 0 else end]
         seq = read.get(text)
         if seq is None:
             try:
@@ -210,6 +226,7 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
             except ValueError:  # UnicodeDecodeError included
                 return None
         sequences.append(seq)
+        start = stop + 1 if stop >= 0 else -1
     return sequences
 
 
@@ -374,16 +391,18 @@ def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
 
 def _cmd_analyze(args: argparse.Namespace, cfg: AppConfig) -> int:
     sequences = _load_log(args.log)
-    rows = [
-        {
-            "index": i,
-            "steps": len(seq),
-            "terminal": seq.terminal_outcome.label(),
-            "efficiency": efficiency(seq),
-            "security": security(seq),
-        }
-        for i, seq in enumerate(sequences)
-    ]
+    measured: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's measures
+    rows = []
+    for i, seq in enumerate(sequences):
+        row = measured.get(id(seq))
+        if row is None:
+            row = measured[id(seq)] = {
+                "steps": len(seq),
+                "terminal": seq.terminal_outcome.label(),
+                "efficiency": efficiency(seq),
+                "security": security(seq),
+            }
+        rows.append({"index": i, **row})
     if args.json:
         sys.stdout.write(canonical_dumps({"sequences": rows}))
         return 0

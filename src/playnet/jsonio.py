@@ -16,6 +16,9 @@ printed numbers use it. Two texts are fixed-decimal instead: compare's
 text table (four decimals) and a DOT graph's edge labels (three).
 canonical_dumps writes the layout of json.dumps(indent=2) in one walk
 over the value, without copying it first; it takes str dict keys only.
+It is the one JSON writer: write_artifact writes each manifest with it,
+passing exact_number_text as its number rule, so a manifest's bytes are
+those of json.dumps(manifest, indent=2) plus a newline.
 
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact, nor one without its manifest.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import secrets
 from json.encoder import encode_basestring_ascii as _encode_str  # the C escaper behind ensure_ascii
@@ -87,30 +91,44 @@ def number_text(value) -> str:
     return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
 
 
-def canonical_dumps(obj) -> str:
+def exact_number_text(value) -> str:
+    """The manifest text of a number, as json.dumps writes it: the shortest that reads back exactly."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} has no JSON text")
+    return float.__repr__(value)
+
+
+def canonical_dumps(obj, number=number_text) -> str:
     """Deterministic JSON text for file artifacts (trailing newline included).
 
     The bytes are those of json.dumps(obj, indent=2) with every number
-    written as number_text writes it, produced in one walk. Accepts
+    written as number(value) writes it, produced in one walk: number_text
+    for artifacts and stdout, exact_number_text for manifests. Accepts
     dicts with str keys, lists, tuples, str, int, float, bool and None;
     a key that is not a str, or a value of any other type, raises
     TypeError.
     """
     parts: list[str] = []
     put = parts.append
-    floats: dict[float, str] = {}  # floats only: 10**16 == 1e16, but they are written apart
+    # a float -> its text; ints stay out (10**16 == 1e16, but they are written apart),
+    # and so do zeros (0.0 == -0.0, but exact_number_text writes them apart)
+    floats: dict[float, str] = {}
 
     def write(value, newline: str) -> None:
         kind = type(value)  # exact types first, the common case; subclasses fall through
         if kind is float:
             text = floats.get(value)
             if text is None:
-                text = floats[value] = number_text(value)
+                text = number(value)
+                if value:
+                    floats[value] = text
             put(text)
         elif kind is str:
             put(_encode_str(value))
         elif kind is int:
-            put(number_text(value))
+            put(number(value))
         elif isinstance(value, dict):
             if not value:
                 put("{}")
@@ -146,7 +164,7 @@ def canonical_dumps(obj) -> str:
         elif isinstance(value, str):
             put(_encode_str(value))
         elif isinstance(value, (int, float)):
-            put(number_text(value))
+            put(number(value))
         else:
             raise TypeError(f"cannot canonicalize {type(value).__name__}")
 
@@ -196,9 +214,10 @@ def write_artifact(path, text: str, manifest: dict) -> None:
 
     The manifest goes first and is removed if the artifact then fails,
     so a call that raises leaves neither a new artifact nor a new manifest.
+    Its numbers are exact (exact_number_text), as regenerate needs them.
     """
     sibling = manifest_path(path)
-    atomic_write_text(sibling, json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(sibling, canonical_dumps(manifest, exact_number_text))
     try:
         atomic_write_text(path, text)
     except BaseException:

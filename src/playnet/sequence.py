@@ -60,6 +60,7 @@ _SHOTS = (StepOutcome.SHOT_SCORED, StepOutcome.SHOT_MISSED)
 # the keys of a step and of its decision (whose target is optional) in the log shape
 _STEP_KEYS = frozenset(("network", "decision", "outcome"))
 _DECISION_KEYS = frozenset(("type", "target"))
+_SHOOT_KEYS = frozenset(("type",))
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,19 @@ def is_p_secure(seq: PossessionSequence, p: float) -> bool:
 
 
 def pareto_frontier(seqs) -> list[tuple[float, float, int]]:
-    """Non-dominated (efficiency, security, index) points of a collection of sequences."""
-    return pareto_points([(efficiency(q), security(q)) for q in seqs])
+    """Non-dominated (efficiency, security, index) points of a collection of sequences.
+
+    A sequence object that recurs (a log's repeats share one) is measured once.
+    """
+    seqs = list(seqs)  # keeps every sequence alive, so no id is reused while measured holds it
+    measured: dict[int, tuple[float, float]] = {}  # id of a sequence -> its point
+    points = []
+    for q in seqs:
+        point = measured.get(id(q))
+        if point is None:
+            point = measured[id(q)] = (efficiency(q), security(q))
+        points.append(point)
+    return pareto_points(points)
 
 
 def pareto_points(points) -> list[tuple[float, float, int]]:
@@ -229,13 +241,18 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
         raise ValueError("expected a nonempty array of steps")
     steps = []
     for k, item in enumerate(obj):
-        check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
+        # the common cases skip the calls, so a path is formatted only for a check that may fail
+        if type(item) is not dict or item.keys() != _STEP_KEYS:
+            check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
         try:
             network = DecisionNetwork.from_json_dict(item["network"])
         except ValueError as err:
             raise ValueError(f"step {k}: {err}") from None
         dec_obj = item["decision"]
-        check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
+        if type(dec_obj) is not dict or (
+            dec_obj.keys() != _DECISION_KEYS and dec_obj.keys() != _SHOOT_KEYS
+        ):
+            check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
         try:
             outcome = StepOutcome(item["outcome"])
         except ValueError:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import playnet.cli
+import playnet.sequence
 from playnet import (
     Decision,
     DecisionNetwork,
@@ -25,13 +26,13 @@ from playnet import (
 )
 from playnet.cli import _load_log, _log_sequences, _log_text, _read_log, regenerate, run_cli
 from playnet.estimators import DEFAULT_PARAMS
-from playnet.jsonio import manifest_path, parse_json
-from playnet.sequence import sequence_from_obj, sequence_to_obj
+from playnet.jsonio import canonical_dumps, manifest_path, parse_json
+from playnet.sequence import efficiency, pareto_points, security, sequence_from_obj, sequence_to_obj
 from playnet.state import load_match_state
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, json_paths, mutated_json_text,
-    random_match_state,
+    random_match_state, random_sequence,
 )
 from oracles import reference_log_text
 
@@ -905,6 +906,77 @@ def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkey
     assert len(parsed) == len(set(elements)) < len(elements)
     assert sorted(json.dumps(json.loads(text)) for text in parsed) == sorted(set(elements))
     assert sequences == _read_whole(path.read_bytes())
+
+
+@pytest.mark.parametrize("repeat_first", [False, True], ids=["no-repeats", "last-repeats-first"])
+def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, repeat_first):
+    rng = random.Random(21)
+    log = [sequence_to_obj(random_sequence(rng)) for _ in range(50)]
+    if repeat_first:
+        log.append(log[0])
+    data = (json.dumps(log, indent=2) + "\n").encode()  # the layout simulate writes, numbers exact
+    real = playnet.cli.parse_json
+    parsed = []
+    monkeypatch.setattr(playnet.cli, "parse_json", lambda text: parsed.append(text) or real(text))
+    sequences = _read_log(data)
+    assert len(parsed) == 50  # once per element, never the whole log
+    assert sequences == _read_whole(data)
+    assert len({id(seq) for seq in sequences}) == 50
+    assert (sequences[-1] is sequences[0]) == repeat_first
+
+
+# byte strings made of what separates and starts the elements of an indented log
+_LAYOUT_BYTES = st.lists(
+    st.sampled_from([b",", b"\n", b" ", b"  ", b"[", b"x", b",\n  [", b",\n  ", b"\n  ["]), max_size=40,
+).map(b"".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=_LAYOUT_BYTES)
+def test_log_reader_finds_the_elements_of_a_split(body):
+    data = b"[\n  [" + body + b"\n]\n"
+    elements = ["[" + text.decode() for text in body.split(b",\n  [")]
+    parsed = []
+    with pytest.MonkeyPatch.context() as patch:  # each element text reads as itself
+        patch.setattr(playnet.cli, "parse_json", lambda text: parsed.append(text) or text)
+        patch.setattr(playnet.cli, "sequence_from_obj", lambda obj: obj)
+        assert _log_sequences(data) == elements
+    assert parsed == list(dict.fromkeys(elements))  # each distinct text once, in order
+
+
+@pytest.mark.parametrize("layout, distinct", [("written", 6), ("compact", 100)])
+def test_analyze_and_frontier_measure_each_distinct_sequence_once(monkeypatch, capsys, tmp_path, layout, distinct):
+    text = _log_text_of("midfield")
+    path = tmp_path / "log.json"
+    path.write_text(text if layout == "written" else json.dumps(json.loads(text)))  # compact: parsed whole
+    sequences = _load_log(str(path))
+    assert len({id(seq) for seq in sequences}) == distinct  # a whole parse shares nothing
+    rows = [
+        {
+            "index": i,
+            "steps": len(seq),
+            "terminal": seq.terminal_outcome.label(),
+            "efficiency": efficiency(seq),
+            "security": security(seq),
+        }
+        for i, seq in enumerate(sequences)
+    ]
+    points = pareto_points([(row["efficiency"], row["security"]) for row in rows])
+    frontier = [{"index": idx, "efficiency": eff, "security": sec} for eff, sec, idx in points]
+    measured = []
+    for real in (efficiency, security):
+        def counted(seq, real=real):
+            measured.append(real.__name__)
+            return real(seq)
+        monkeypatch.setattr(playnet.cli, real.__name__, counted)
+        monkeypatch.setattr(playnet.sequence, real.__name__, counted)
+    for command, expected in (
+        ("analyze", {"sequences": rows}),
+        ("frontier", {"count": len(sequences), "frontier": frontier}),
+    ):
+        measured.clear()
+        assert run(capsys, command, "--log", str(path), "--json") == (0, canonical_dumps(expected), "")
+        assert measured.count("efficiency") == measured.count("security") == distinct
 
 
 @functools.cache

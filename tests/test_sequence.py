@@ -15,7 +15,7 @@ from playnet import (
     pareto_frontier,
     security,
 )
-from playnet.sequence import sequence_from_obj, sequence_to_obj
+from playnet.sequence import pareto_points, sequence_from_obj, sequence_to_obj
 
 from conftest import random_sequence
 
@@ -220,6 +220,14 @@ def test_pareto_output_covers_inputs():
     # and the frontier is sorted by efficiency descending
     effs = [fa for fa, _, _ in frontier]
     assert effs == sorted(effs, reverse=True)
+
+
+def test_pareto_of_sequences_made_on_the_fly_measures_each():
+    # a generator's sequence may be freed once measured and its id reused by the next
+    points = [((60 - k) / 60, k / 60) for k in range(61)]  # none dominates another: each is on the frontier
+    random.Random(11).shuffle(points)
+    made = (make_sequence_with_metrics(eff, sec) for eff, sec in points)
+    assert pareto_frontier(made) == pareto_points(points)
 
 
 def test_pareto_rejects_empty():

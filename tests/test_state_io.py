@@ -4,6 +4,7 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
-from playnet.jsonio import atomic_write_text, canonical_dumps, canonical_number, parse_json
+from playnet.jsonio import (
+    atomic_write_text, canonical_dumps, canonical_number, exact_number_text, manifest_path, parse_json,
+    write_artifact,
+)
 from playnet.state import match_state_to_obj
 
 from conftest import (
@@ -433,6 +437,57 @@ def test_canonical_dumps_raises_what_the_reference_raises(value):
 def test_canonical_dumps_rejects_keys_that_are_not_str():
     with pytest.raises(TypeError, match="keys must be str"):
         canonical_dumps({"a": {1: 2}})  # json would write the key as "1"; no caller passes one
+
+
+# the numbers a manifest holds: config values near float range and seeds beyond 64 bits
+_MANIFEST_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 29.99999949, 1e16]),
+    st.integers(0, 2**70),
+)
+_MANIFESTS = st.fixed_dictionaries({
+    "tool": st.just("playnet"),
+    "version": st.text(max_size=8),
+    "command": st.sampled_from(["decide", "simulate", "compare"]),
+    "config": st.dictionaries(st.text(max_size=8), st.dictionaries(st.text(max_size=8), _MANIFEST_NUMBERS)),
+    "run": st.fixed_dictionaries({
+        "styles": st.lists(st.text(max_size=5)), "trials": _MANIFEST_NUMBERS, "seed": st.integers(-(2**70), 2**70),
+    }),
+    "inputs": st.fixed_dictionaries({"state": st.fixed_dictionaries({
+        "path": st.one_of(st.sampled_from(["/data/état.json", "/data/状態.json", "/data/😀\u2028\udcff"]), st.text()),
+        "sha256": st.text("0123456789abcdef", min_size=64, max_size=64),
+    })}),
+    "timestamp": st.text(max_size=20),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(manifest=st.one_of(_MANIFESTS, _JSON_VALUES))
+@example(manifest=[0.0, -0.0, 0.0, -0.0, 1e16, 10**16, 10**16, 1e16, 0.1234567, 0.1234567])  # memo keys
+def test_manifest_bytes_are_those_of_json_dumps(tmp_path_factory, manifest):
+    path = tmp_path_factory.mktemp("artifact") / "log.json"
+    write_artifact(path, "artifact\n", manifest)
+    assert Path(manifest_path(path)).read_bytes() == (json.dumps(manifest, indent=2) + "\n").encode()
+    assert canonical_dumps(manifest, exact_number_text) == json.dumps(manifest, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_manifest_with_a_non_finite_number_is_not_written(tmp_path, value):
+    with pytest.raises(ValueError, match="has no JSON text"):
+        write_artifact(tmp_path / "log.json", "artifact\n", {"config": {"policy": {"threshold": value}}})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_artifact_leaves_no_reference_cycle(tmp_path):
+    manifest = {"config": {"policy": {"threshold": 0.5}}, "run": {"seed": 2**70, "styles": ["3:1"]}}
+    write_artifact(tmp_path / "warm.json", "artifact\n", manifest)  # first-call caches are not cycles of the call
+    gc.collect()
+    gc.disable()  # so that no automatic collection frees a cycle before the count below
+    try:
+        write_artifact(tmp_path / "log.json", "artifact\n", manifest)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_atomic_write(tmp_path):
