@@ -17,16 +17,19 @@ command and regenerate() both call it, so regenerate rebuilds the text
 the command wrote by construction; it ignores run fields the recipe
 does not read, so older manifests still regenerate.
 
-analyze and frontier read a log back with the same checks that built
-it. A log of many trials repeats a few possessions, so a log in the
-layout simulate writes is read by its element texts: one forward scan
-finds each element's end (the next "[" with ",\n  " right before it),
-each distinct text is parsed and checked once and its repeats share the
+A log of many trials repeats a few possessions, and every text path
+pays once per distinct one. simulate encodes each distinct step of its
+log once (possessions share their prefix steps) and lays each distinct
+sequence out once from its steps' texts. analyze and frontier read a
+log back with the same checks that built it: a log in the layout
+simulate writes is read by its element texts, one forward scan finding
+each element's end (the next "[" with ",\n  " right before it); each
+distinct text is parsed and checked once and its repeats share the
 frozen sequence. Any other log is parsed whole and each sequence
 checked. Either way the sequences and the first error are those of a
 whole parse. analyze and frontier then measure each distinct sequence
-object once (length, terminal outcome, efficiency, security); its
-repeats reuse the measures.
+object once (length, terminal outcome, efficiency, security) and encode
+its --json row once, each index put in front of that text.
 """
 
 from __future__ import annotations
@@ -44,8 +47,11 @@ from .decision import DecisionPolicy, decide, ranked_options
 from .dotexport import export_network_dot
 from .estimators import estimate_network
 from .jsonio import (
+    Nested,
     canonical_dumps,
     manifest_path,
+    nest,
+    nest_array,
     number_text,
     parse_json,
     read_input,
@@ -163,21 +169,29 @@ def _log_text(results) -> str:
     """The sequence log of a run: the lone sequence for one trial, else the array of all.
 
     The bytes are canonical_dumps of that value. Trials that ended the
-    same way share one sequence object (see run_trials), so each
-    distinct sequence is converted and encoded once, then indented one
-    level and joined as canonical_dumps would lay out the whole array.
+    same way share one sequence object, and the possessions of a path
+    share their prefix steps (see run_trials), so each distinct step is
+    encoded once and each distinct sequence laid out once from its
+    steps' texts; the log joins them.
     """
     if len(results) == 1:
         return canonical_dumps(sequence_to_obj(results[0].sequence))
-    encoded: dict[int, str] = {}  # id of a sequence that results keeps alive -> its text
-    parts = []
+    steps: dict[int, str] = {}  # id of a step that results keeps alive -> its text, two levels deep
+    laid: dict[int, str] = {}  # id of a sequence that results keeps alive -> its text, one level deep
+    texts = []
     for r in results:
-        text = encoded.get(id(r.sequence))
+        seq = r.sequence
+        text = laid.get(id(seq))
         if text is None:
-            text = canonical_dumps(sequence_to_obj(r.sequence))[:-1].replace("\n", "\n  ")
-            encoded[id(r.sequence)] = text
-        parts.append(text)
-    return "[\n  " + ",\n  ".join(parts) + "\n]\n"
+            items = []
+            for step, obj in zip(seq.steps, sequence_to_obj(seq)):
+                item = steps.get(id(step))
+                if item is None:
+                    item = steps[id(step)] = nest(canonical_dumps(obj), 2)
+                items.append(item)
+            text = laid[id(seq)] = nest_array(items, 1)
+        texts.append(text)
+    return nest_array(texts, 0) + "\n"
 
 
 def _csv_text(reports) -> str:
@@ -389,11 +403,32 @@ def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
     return 0
 
 
+def _indexed_rows(pairs) -> Nested:
+    """The array of {"index": i, **row} for the (i, row) pairs, as a member of the output object.
+
+    A row object that recurs (repeats of one sequence share it) is
+    encoded once, with index 0; each index then takes the place of that
+    0, the first value of the text. The caller keeps every row alive.
+    """
+    tails: dict[int, str] = {}  # id of a row -> its text after the index
+    head = ""
+    items = []
+    for i, row in pairs:
+        tail = tails.get(id(row))
+        if tail is None:
+            text = nest(canonical_dumps({"index": 0, **row}), 2)
+            cut = text.index(": ") + 2
+            head, tail = text[:cut], text[cut + 1 :]
+            tails[id(row)] = tail
+        items.append(head + number_text(i) + tail)
+    return Nested(nest_array(items, 1))
+
+
 def _cmd_analyze(args: argparse.Namespace, cfg: AppConfig) -> int:
     sequences = _load_log(args.log)
     measured: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's measures
     rows = []
-    for i, seq in enumerate(sequences):
+    for seq in sequences:
         row = measured.get(id(seq))
         if row is None:
             row = measured[id(seq)] = {
@@ -402,13 +437,13 @@ def _cmd_analyze(args: argparse.Namespace, cfg: AppConfig) -> int:
                 "efficiency": efficiency(seq),
                 "security": security(seq),
             }
-        rows.append({"index": i, **row})
+        rows.append(row)
     if args.json:
-        sys.stdout.write(canonical_dumps({"sequences": rows}))
+        sys.stdout.write(canonical_dumps({"sequences": _indexed_rows(enumerate(rows))}))
         return 0
-    for row in rows:
+    for i, row in enumerate(rows):
         print(
-            f"sequence {row['index']}: steps {row['steps']}, terminal {row['terminal']}, "
+            f"sequence {i}: steps {row['steps']}, terminal {row['terminal']}, "
             f"efficiency {_fmt(row['efficiency'])}, security {_fmt(row['security'])}"
         )
     return 0
@@ -435,12 +470,15 @@ def _cmd_frontier(args: argparse.Namespace, cfg: AppConfig) -> int:
     sequences = _load_log(args.log)
     frontier = pareto_frontier(sequences)
     if args.json:
-        out = {
-            "count": len(sequences),
-            "frontier": [
-                {"index": idx, "efficiency": eff, "security": sec} for eff, sec, idx in frontier
-            ],
-        }
+        points: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's point
+        rows = []
+        for eff, sec, idx in frontier:
+            key = id(sequences[idx])
+            point = points.get(key)
+            if point is None:
+                point = points[key] = {"efficiency": eff, "security": sec}
+            rows.append((idx, point))
+        out = {"count": len(sequences), "frontier": _indexed_rows(rows)}
         sys.stdout.write(canonical_dumps(out))
         return 0
     print(f"pareto frontier ({len(frontier)} of {len(sequences)} sequences):")

@@ -18,7 +18,12 @@ canonical_dumps writes the layout of json.dumps(indent=2) in one walk
 over the value, without copying it first; it takes str dict keys only.
 It is the one JSON writer: write_artifact writes each manifest with it,
 passing exact_number_text as its number rule, so a manifest's bytes are
-those of json.dumps(manifest, indent=2) plus a newline.
+those of json.dumps(manifest, indent=2) plus a newline. A text that
+repeats a few values many times (a log of many trials, a row per trial)
+encodes each distinct value once with canonical_dumps and lays those
+texts out with nest (a text nested depth levels deep) and nest_array
+(an array of such texts), which indent as canonical_dumps does; the
+result stands in a larger value as a Nested text.
 
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact, nor one without its manifest.
@@ -106,9 +111,9 @@ def canonical_dumps(obj, number=number_text) -> str:
     The bytes are those of json.dumps(obj, indent=2) with every number
     written as number(value) writes it, produced in one walk: number_text
     for artifacts and stdout, exact_number_text for manifests. Accepts
-    dicts with str keys, lists, tuples, str, int, float, bool and None;
-    a key that is not a str, or a value of any other type, raises
-    TypeError.
+    dicts with str keys, lists, tuples, str, int, float, bool and None,
+    and a Nested text, written as it is; a key that is not a str, or a
+    value of any other type, raises TypeError.
     """
     parts: list[str] = []
     put = parts.append
@@ -155,6 +160,8 @@ def canonical_dumps(obj, number=number_text) -> str:
                 write(item, inner)
                 sep = "," + inner
             put(newline + "]")
+        elif kind is Nested:
+            put(value)
         elif value is None:
             put("null")
         elif value is True:
@@ -174,6 +181,41 @@ def canonical_dumps(obj, number=number_text) -> str:
         del write  # write's closure holds write: a cycle keeping parts alive until a full collection
     put("\n")
     return "".join(parts)
+
+
+class Nested(str):
+    """A JSON text laid out for the place where canonical_dumps meets it; written as it is.
+
+    It stands for a value nested depth levels deep (nest_array(..., depth)
+    for an array, nest(canonical_dumps(value), depth) for any value), so
+    canonical_dumps({"rows": Nested(nest_array(items, 1))}) is the text
+    of {"rows": [the items' values]}.
+    """
+
+    __slots__ = ()
+
+
+def nest(text: str, depth: int) -> str:
+    """A canonical_dumps text as it stands depth levels deep in a larger one.
+
+    The trailing newline goes and each line after the first is indented
+    two spaces per level, as canonical_dumps lays out a nested value.
+    """
+    return text[:-1].replace("\n", "\n" + "  " * depth)
+
+
+def nest_array(items, depth: int) -> str:
+    """The text of an array that stands depth levels deep, from its items' texts.
+
+    Each item is a text nested depth + 1 levels deep (nest(..., depth + 1),
+    or nest_array(..., depth + 1)); an item that recurs is joined again,
+    not encoded again. At depth 0, nest_array(items, 0) + "\n" is the
+    canonical_dumps text of the array.
+    """
+    if not items:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(items)}{inner[:-2]}]"
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -303,3 +303,52 @@ def reference_log_text(results):
     """
     logs = [sequence_to_obj(r.sequence) for r in results]
     return reference_canonical_dumps(logs[0] if len(logs) == 1 else logs)
+
+
+def reference_analyze_text(sequences):
+    """analyze --json written the obvious way: one row per sequence, each measured by a scan."""
+    rows = [
+        {
+            "index": i,
+            "steps": len(seq.steps),
+            "terminal": seq.steps[-1].outcome.value,
+            "efficiency": scan_efficiency(seq),
+            "security": scan_security(seq),
+        }
+        for i, seq in enumerate(sequences)
+    ]
+    return reference_canonical_dumps({"sequences": rows})
+
+
+def reference_frontier_text(sequences):
+    """frontier --json written the obvious way: the pairwise non-dominated rows, best efficiency first.
+
+    Survivors of equal efficiency have equal security, so they are
+    ordered by index alone.
+    """
+    points = [(scan_efficiency(seq), scan_security(seq)) for seq in sequences]
+    keep = sorted(pareto_pairwise(points), key=lambda i: (-points[i][0], i))
+    rows = [{"index": i, "efficiency": points[i][0], "security": points[i][1]} for i in keep]
+    return reference_canonical_dumps({"count": len(sequences), "frontier": rows})
+
+
+def reference_simulate_text(results):
+    """simulate --json written the obvious way: the summary, then one row per trial."""
+    n = float(len(results))
+    summary = {
+        "trials": len(results),
+        "goal_rate": sum(1 for r in results if r.sequence.steps[-1].outcome.value == "shot_scored") / n,
+        "mean_efficiency": sum(scan_efficiency(r.sequence) for r in results) / n,
+        "mean_security": sum(scan_security(r.sequence) for r in results) / n,
+        "mean_length": sum(len(r.sequence.steps) for r in results) / n,
+    }
+    rows = [
+        {
+            "steps": len(r.sequence.steps),
+            "outcome": r.sequence.steps[-1].outcome.value,
+            "efficiency": scan_efficiency(r.sequence),
+            "security": scan_security(r.sequence),
+        }
+        for r in results
+    ]
+    return reference_canonical_dumps({"summary": summary, "sequences": rows})

@@ -28,13 +28,16 @@ from playnet.cli import _load_log, _log_sequences, _log_text, _read_log, regener
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.jsonio import canonical_dumps, manifest_path, parse_json
 from playnet.sequence import efficiency, pareto_points, security, sequence_from_obj, sequence_to_obj
-from playnet.state import load_match_state
+from playnet.config import load_config
+from playnet.state import load_match_state, match_state_to_obj
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, json_paths, mutated_json_text,
     random_match_state, random_sequence,
 )
-from oracles import reference_log_text
+from oracles import (
+    reference_analyze_text, reference_frontier_text, reference_log_text, reference_simulate_text,
+)
 
 MIDFIELD = str(DATA_DIR / "midfield_state.json")
 BOX = str(DATA_DIR / "box_state.json")
@@ -206,7 +209,13 @@ def test_regenerate_detects_changed_input(capsys, tmp_path):
 def test_analyze_matches_golden_expectations(capsys):
     code, out, _ = run(capsys, "analyze", "--log", str(GOLDEN_DIR / "simulate_seed42.json"), "--json")
     assert code == 0
-    assert json.loads(out) == json.loads((GOLDEN_DIR / "analyze_expected.json").read_text())
+    assert out == (GOLDEN_DIR / "analyze_expected.json").read_text()
+
+
+def test_frontier_matches_golden_expectations(capsys):
+    code, out, _ = run(capsys, "frontier", "--log", str(GOLDEN_DIR / "simulate_seed42.json"), "--json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / "frontier_expected.json").read_text()
 
 
 def test_analyze_human_output(capsys):
@@ -925,6 +934,63 @@ def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, re
     assert (sequences[-1] is sequences[0]) == repeat_first
 
 
+def _element_texts(count: int, seed: int) -> list[bytes]:
+    """count distinct element texts (after their "[") of valid one- or two-step sequences."""
+    rng = random.Random(seed)
+    return [json.dumps(sequence_to_obj(random_sequence(rng, max_len=2)), indent=2).encode()[1:]
+            .replace(b"\n", b"\n  ") for _ in range(count)]
+
+
+def _log_of(elements: list[bytes]) -> bytes:
+    return b"[\n  [" + b",\n  [".join(elements) + b"\n]\n"
+
+
+def _bad(text: bytes) -> bytes:
+    """An element text that reads as JSON but not as a sequence: its first outcome label unknown."""
+    return text.replace(b'"outcome": "', b'"outcome": "x', 1)
+
+
+# name -> (element texts, how many distinct texts the reader parses, or None for a log
+# that a whole parse reads otherwise)
+_READER_CASES = {
+    # a known text that is a prefix of a longer element, so not followed by the separator:
+    # with whitespace it is an element of its own, with "x" the log is invalid, and with
+    # ", [" and an element it holds two sequences, which only a whole parse reads
+    "known-text-then-space": lambda a: ([a[0], a[0] + b" ", a[0], a[0] + b"\n", a[0]], 3),
+    "known-text-then-garbage": lambda a: ([a[0], a[0] + b"x", a[0]], None),
+    "known-text-then-element": lambda a: ([a[0], a[0] + b", [" + a[1], a[0]], None),
+    "all-distinct": lambda a: (a[:12], 12),
+    "six-distinct-in-turn": lambda a: (a[:6] * 5, 6),
+    "repeats-reordered": lambda a: ([a[k] for k in (0, 1, 2, 3, 0, 4, 3, 2, 1, 0, 4, 4)], 5),
+}
+
+
+@pytest.mark.parametrize("case", list(_READER_CASES))
+@pytest.mark.parametrize("fault", ["valid", "bad-last", "bad-middle"])
+def test_log_reader_equals_a_whole_parse_on_written_logs(monkeypatch, case, fault):
+    elements, parses = _READER_CASES[case](_element_texts(12, seed=5))
+    if fault == "bad-last":
+        elements[-1] = _bad(elements[-1])
+    elif fault == "bad-middle":
+        elements[len(elements) // 2] = _bad(elements[len(elements) // 2])
+    data = _log_of(elements)
+    real = playnet.cli.parse_json
+    parsed = []
+    monkeypatch.setattr(playnet.cli, "parse_json", lambda text: parsed.append(text) or real(text))
+    expected = _read_outcome(_read_whole, data)
+    parsed.clear()
+    got = _read_outcome(_read_log, data)
+    assert got == expected
+    if fault != "valid":
+        assert isinstance(got, str)
+    elif parses is not None:
+        assert isinstance(got, list) and len(got) == len(elements)
+        assert len(parsed) == parses  # each distinct element text once, never the whole log
+        by_text = {}
+        for text, seq in zip(elements, got):  # repeats of a text share its sequence
+            assert by_text.setdefault(text, seq) is seq
+
+
 # byte strings made of what separates and starts the elements of an indented log
 _LAYOUT_BYTES = st.lists(
     st.sampled_from([b",", b"\n", b" ", b"  ", b"[", b"x", b",\n  [", b",\n  ", b"\n  ["]), max_size=40,
@@ -977,6 +1043,52 @@ def test_analyze_and_frontier_measure_each_distinct_sequence_once(monkeypatch, c
         measured.clear()
         assert run(capsys, command, "--log", str(path), "--json") == (0, canonical_dumps(expected), "")
         assert measured.count("efficiency") == measured.count("security") == distinct
+
+
+def _stdout_of(argv) -> str:
+    """run_cli(argv)'s stdout; it must exit 0 and print nothing to stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run_cli(argv)
+    assert (code, stderr.getvalue()) == (0, "")
+    return stdout.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pool=st.integers(1, 7),
+    picks=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+    layout=st.sampled_from(["written", "lone", "compact", "indent-1", "indent-4"]),
+)
+def test_analyze_and_frontier_equal_their_rows_written_one_by_one(tmp_path_factory, seed, pool, picks, layout):
+    rng = random.Random(seed)
+    distinct = [random_sequence(rng, max_len=4) for _ in range(pool)]
+    sequences = [distinct[k % pool] for k in picks]
+    if layout == "lone":
+        sequences = sequences[:1]
+    doc = sequence_to_obj(sequences[0]) if layout == "lone" else [sequence_to_obj(q) for q in sequences]
+    indent = {"written": 2, "lone": 2, "compact": None, "indent-1": 1, "indent-4": 4}[layout]
+    path = tmp_path_factory.mktemp("log") / "log.json"
+    path.write_text(json.dumps(doc, indent=indent) + "\n")  # numbers exact, so each sequence reads back equal
+    assert _stdout_of(["analyze", "--log", str(path), "--json"]) == reference_analyze_text(sequences)
+    assert _stdout_of(["frontier", "--log", str(path), "--json"]) == reference_frontier_text(sequences)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    style=st.sampled_from(["3:1", "2:2", "1:3", "1:0", "0:1"]),
+    seed=st.integers(0, 2**63),
+    trials=st.integers(1, 60),
+)
+def test_simulate_json_equals_its_rows_written_one_by_one(tmp_path_factory, state_seed, style, seed, trials):
+    path = tmp_path_factory.mktemp("state") / "state.json"
+    path.write_text(json.dumps(match_state_to_obj(random_match_state(random.Random(state_seed)))))
+    record = {"style": style, "trials": trials, "seed": seed}
+    results = playnet.cli._simulate_results(load_match_state(path), load_config(None), record)
+    argv = ["simulate", "--state", str(path), "--style", style, "--trials", str(trials), "--seed", str(seed)]
+    assert _stdout_of([*argv, "--json"]) == reference_simulate_text(results)
 
 
 @functools.cache

@@ -217,3 +217,23 @@ def test_a_network_is_unhashable_by_name():
     network = DecisionNetwork(1, 0.5, 1.0, {j: (0.5, 1) for j in range(2, 12)})
     with pytest.raises(TypeError, match="unhashable type: 'DecisionNetwork'"):
         hash(network)
+
+
+@pytest.mark.parametrize(
+    "to, message",
+    [
+        (12, "network.edges[3].to=12 outside 1..11"),
+        (0, "network.edges[3].to=0 outside 1..11"),
+        (True, "network.edges[3].to=True must be an integer in 1..11"),
+        (5.0, "network.edges[3].to=5.0 must be an integer in 1..11"),
+        ("5", "network.edges[3].to='5' must be an integer in 1..11"),
+        (None, "network.edges[3].to=None must be an integer in 1..11"),
+    ],
+    ids=["above", "zero", "bool", "float", "str", "null"],
+)
+def test_from_json_dict_names_the_edge_of_a_bad_teammate_id(to, message):
+    obj = DecisionNetwork(8, 0.5, 1.0, zero_per_teammate(8)).to_json_dict()
+    obj["edges"][3]["to"] = to
+    with pytest.raises(ValueError) as info:
+        DecisionNetwork.from_json_dict(obj)
+    assert str(info.value) == message

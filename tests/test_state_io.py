@@ -13,8 +13,8 @@ from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
 from playnet.jsonio import (
-    atomic_write_text, canonical_dumps, canonical_number, exact_number_text, manifest_path, parse_json,
-    write_artifact,
+    Nested, atomic_write_text, canonical_dumps, canonical_number, exact_number_text, manifest_path, nest,
+    nest_array, parse_json, write_artifact,
 )
 from playnet.state import match_state_to_obj
 
@@ -421,6 +421,25 @@ def test_canonical_dumps_equals_reference_writer(value):
     assert canonical_dumps(value) == reference_canonical_dumps(value)
 
 
+@settings(max_examples=200, deadline=None)
+@given(items=st.lists(_JSON_VALUES, max_size=5), depth=st.integers(0, 3))
+@example(items=[], depth=0)
+@example(items=[], depth=2)
+def test_nested_texts_lay_out_as_canonical_dumps_nests_values(items, depth):
+    array = nest_array([nest(canonical_dumps(v), depth + 1) for v in items], depth)
+    expected = reference_canonical_dumps(_nested_in_lists(items, depth))
+    assert canonical_dumps(_nested_in_lists(Nested(array), depth)) == expected
+    if depth == 0:
+        assert array + "\n" == expected
+
+
+def _nested_in_lists(value, depth: int):
+    """value, depth levels deep: the last item of a list, depth times."""
+    for _ in range(depth):
+        value = [None, value]
+    return value
+
+
 @pytest.mark.parametrize(
     "value",
     [{1, 2}, b"x", math.nan, math.inf, -math.inf, {"a": [1, {"b": math.nan}]}, [0.5, (math.inf,)], {"x": {1, 2}}],
@@ -626,3 +645,21 @@ def test_mutated_config_is_a_checked_config_or_one_value_error(picks, cut):
     numbers = [*dataclasses.asdict(cfg.estimators).values(), cfg.max_steps, cfg.drift_m, cfg.threshold]
     assert all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
     assert AppConfig.from_dict(cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(team={"id": 1}), "team: expected an array"),
+        (lambda doc: doc.update(opponents="x"), "opponents: expected an array"),
+        (lambda doc: doc["team"][4].update(outside=1), "team[4].outside: expected a boolean, got 1"),
+        (lambda doc: doc["team"][4].update(outside=None), "team[4].outside: expected a boolean, got None"),
+    ],
+    ids=["team-object", "opponents-string", "outside-one", "outside-null"],
+)
+def test_parse_names_a_mistyped_team_or_opponents_field(edit, message):
+    doc = state_doc()
+    edit(doc)
+    with pytest.raises(ValueError) as err:
+        parse_doc(doc)
+    assert str(err.value) == message
