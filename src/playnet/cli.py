@@ -3,13 +3,16 @@
 Exit codes are the only success/failure channel: 0 on success, 1 when an
 input fails validation, 2 on usage errors. An error is one stderr line
 that names the input file it is about ("error: log l.json: sequence 1:
-step 0: ..."). Every subcommand takes --json
-for machine-readable output on stdout; file artifacts (logs, CSV
-reports, DOT dumps) are written atomically with a sibling
-<artifact>.manifest.json recording the resolved config, inputs, and the
-command's own arguments (its run record). An artifact path that is the
-state or config file in use, or whose manifest would be, is refused
-before anything is written.
+step 0: ..."). Each command builds one report value, and _COMMANDS pairs
+its builder with its text renderer: --json writes canonical_dumps of
+that value, and text mode renders the same value. run_cli writes stdout
+in one place, inside the try that turns a ValueError or OSError into the
+error line, so a reader that goes away also exits 1 with one line.
+File artifacts (logs, CSV reports, DOT dumps) are written atomically
+with a sibling <artifact>.manifest.json recording the resolved config,
+inputs, and the command's own arguments (its run record). An artifact
+path that is the state or config file in use, or whose manifest would
+be, is refused before anything is written.
 
 Each artifact has one recipe in _RECIPES: its results from the state,
 config and run record, and the artifact text of those results. The
@@ -18,18 +21,19 @@ the command wrote by construction; it ignores run fields the recipe
 does not read, so older manifests still regenerate.
 
 A log of many trials repeats a few possessions, and every text path
-pays once per distinct one. simulate encodes each distinct step of its
-log once (possessions share their prefix steps) and lays each distinct
-sequence out once from its steps' texts. analyze and frontier read a
-log back with the same checks that built it: a log in the layout
-simulate writes is read by its element texts, one forward scan finding
-each element's end (the next "[" with ",\n  " right before it); each
-distinct text is parsed and checked once and its repeats share the
-frozen sequence. Any other log is parsed whole and each sequence
-checked. Either way the sequences and the first error are those of a
-whole parse. analyze and frontier then measure each distinct sequence
-object once (length, terminal outcome, efficiency, security) and encode
-its --json row once, each index put in front of that text.
+pays once per distinct one: a value shares one object per distinct
+possession, and canonical_dumps encodes each object once. simulate's log
+shares one object per distinct step (possessions share their prefix
+steps) and per distinct sequence, and its report one row per distinct
+result. analyze and frontier read a log back with the same checks that
+built it: a log in the layout simulate writes is read by its element
+texts, one forward scan finding each element's end (the next "[" with
+",\n  " right before it); each distinct text is parsed and checked once
+and its repeats share the frozen sequence. Any other log is parsed whole
+and each sequence checked. Either way the sequences and the first error
+are those of a whole parse. analyze and frontier then measure each
+distinct sequence object once (length, terminal outcome, efficiency,
+security) and share its row in an Indexed array.
 """
 
 from __future__ import annotations
@@ -47,11 +51,9 @@ from .decision import DecisionPolicy, decide, ranked_options
 from .dotexport import export_network_dot
 from .estimators import estimate_network
 from .jsonio import (
-    Nested,
+    Indexed,
     canonical_dumps,
     manifest_path,
-    nest,
-    nest_array,
     number_text,
     parse_json,
     read_input,
@@ -69,10 +71,6 @@ from .sequence import (
 from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
 from .state import load_match_state
 from .style import LinearStyle
-
-
-def _fmt(value: float) -> str:
-    return number_text(float(value))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,38 +168,29 @@ def _log_text(results) -> str:
 
     The bytes are canonical_dumps of that value. Trials that ended the
     same way share one sequence object, and the possessions of a path
-    share their prefix steps (see run_trials), so each distinct step is
-    encoded once and each distinct sequence laid out once from its
-    steps' texts; the log joins them.
+    share their prefix steps (see run_trials), so the value shares one
+    object per distinct sequence and per distinct step, and
+    canonical_dumps encodes each of them once.
     """
     if len(results) == 1:
         return canonical_dumps(sequence_to_obj(results[0].sequence))
-    steps: dict[int, str] = {}  # id of a step that results keeps alive -> its text, two levels deep
-    laid: dict[int, str] = {}  # id of a sequence that results keeps alive -> its text, one level deep
-    texts = []
+    steps: dict[int, dict] = {}  # id of a step that results keeps alive -> its object
+    laid: dict[int, list] = {}  # id of a sequence that results keeps alive -> its object
     for r in results:
         seq = r.sequence
-        text = laid.get(id(seq))
-        if text is None:
-            items = []
-            for step, obj in zip(seq.steps, sequence_to_obj(seq)):
-                item = steps.get(id(step))
-                if item is None:
-                    item = steps[id(step)] = nest(canonical_dumps(obj), 2)
-                items.append(item)
-            text = laid[id(seq)] = nest_array(items, 1)
-        texts.append(text)
-    return nest_array(texts, 0) + "\n"
+        if id(seq) not in laid:
+            laid[id(seq)] = [steps.setdefault(id(step), obj) for step, obj in zip(seq.steps, sequence_to_obj(seq))]
+    return canonical_dumps([laid[id(r.sequence)] for r in results])
 
 
 def _csv_text(reports) -> str:
     lines = ["style,trials,mean_efficiency,mean_security,goal_rate,mean_length"]
     for rep in reports:
         lines.append(
-            f"{rep.style},{rep.trials},{_fmt(rep.mean_efficiency)},"
-            f"{_fmt(rep.mean_security)},{_fmt(rep.goal_rate)},{_fmt(rep.mean_length)}"
+            f"{rep.style},{rep.trials},{number_text(rep.mean_efficiency)},"
+            f"{number_text(rep.mean_security)},{number_text(rep.goal_rate)},{number_text(rep.mean_length)}"
         )
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
@@ -333,166 +322,148 @@ def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict, path: str |
     return results
 
 
-def _cmd_decide(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _decide_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     style = LinearStyle.parse(args.style)
     network = _run_recipe(args, cfg, {"style": str(style)}, args.dot)
     policy = _policy(cfg, style)
     decision = decide(network, policy)
-    ranked = ranked_options(network, policy)
-    if args.json:
-        decision_obj: dict = {"type": decision.action}
-        if decision.is_pass:
-            decision_obj.update(
-                {"target": decision.target, "score": decision.score, "degenerate": decision.degenerate}
-            )
-        out = {
-            "decision": decision_obj,
-            "ranked": [{"id": j, "score": score} for j, score in ranked],
-            "network": network.to_json_dict(),
-        }
-        sys.stdout.write(canonical_dumps(out))
-        return 0
-    if decision.is_shoot:
-        print(f"decision: shoot (s={_fmt(network.s)} >= threshold {_fmt(policy.threshold)})")
+    decision_obj: dict = {"type": decision.action}
+    if decision.is_pass:
+        decision_obj.update({"target": decision.target, "score": decision.score, "degenerate": decision.degenerate})
+    return {
+        "decision": decision_obj,
+        "threshold": policy.threshold,
+        "ranked": [{"id": j, "score": score} for j, score in ranked_options(network, policy)],
+        "network": network.to_json_dict(),
+    }
+
+
+def _decide_text(value: dict) -> str:
+    decision = value["decision"]
+    if decision["type"] == "shoot":
+        s, threshold = number_text(value["network"]["s"]), number_text(value["threshold"])
+        lines = [f"decision: shoot (s={s} >= threshold {threshold})"]
     else:
-        extra = ", degenerate: every option scored zero" if decision.degenerate else ""
-        print(f"decision: pass -> t{decision.target} (score {_fmt(decision.score)}{extra})")
-    print("ranked options:")
-    for rank, (j, score) in enumerate(ranked, start=1):
-        print(f"  {rank:2d}. t{j:<2d} score {_fmt(score)}")
-    return 0
+        extra = ", degenerate: every option scored zero" if decision["degenerate"] else ""
+        lines = [f"decision: pass -> t{decision['target']} (score {number_text(decision['score'])}{extra})"]
+    lines.append("ranked options:")
+    for rank, option in enumerate(value["ranked"], start=1):
+        lines.append(f"  {rank:2d}. t{option['id']:<2d} score {number_text(option['score'])}")
+    return _lines(lines)
 
 
-def _cmd_simulate(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _simulate_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     style = LinearStyle.parse(args.style)
     run = {"style": str(style), "trials": args.trials, "seed": args.seed}
     results = _run_recipe(args, cfg, run, args.out)
     report = StyleReport.from_results(str(style), results)
-    summary = {
-        key: getattr(report, key)
-        for key in ("trials", "goal_rate", "mean_efficiency", "mean_security", "mean_length")
+    rows: dict[int, dict] = {}  # id of a result that results keeps alive -> its row
+    for r in results:
+        if id(r) not in rows:
+            rows[id(r)] = {
+                "steps": len(r.sequence),
+                "outcome": r.sequence.terminal_outcome.label(),
+                "efficiency": r.efficiency,
+                "security": r.security,
+            }
+    return {
+        "summary": {
+            key: getattr(report, key)
+            for key in ("trials", "goal_rate", "mean_efficiency", "mean_security", "mean_length")
+        },
+        "sequences": [rows[id(r)] for r in results],
     }
-    if args.json:
-        out = {
-            "summary": summary,
-            "sequences": [
-                {
-                    "steps": len(r.sequence),
-                    "outcome": r.sequence.terminal_outcome.label(),
-                    "efficiency": r.efficiency,
-                    "security": r.security,
-                }
-                for r in results
-            ],
-        }
-        sys.stdout.write(canonical_dumps(out))
-        return 0
-    for i, r in enumerate(results[:20]):
-        print(
-            f"trial {i}: {len(r.sequence)} steps, {r.sequence.terminal_outcome.label()}, "
-            f"efficiency {_fmt(r.efficiency)}, security {_fmt(r.security)}"
-        )
-    if len(results) > 20:
-        print(f"... ({len(results) - 20} more trials)")
-    print(
-        f"summary: goal rate {_fmt(summary['goal_rate'])}, "
-        f"mean efficiency {_fmt(summary['mean_efficiency'])}, "
-        f"mean security {_fmt(summary['mean_security'])}, "
-        f"mean length {_fmt(summary['mean_length'])}"
+
+
+def _simulate_text(value: dict) -> str:
+    rows, summary = value["sequences"], value["summary"]
+    lines = [
+        f"trial {i}: {row['steps']} steps, {row['outcome']}, "
+        f"efficiency {number_text(row['efficiency'])}, security {number_text(row['security'])}"
+        for i, row in enumerate(rows[:20])
+    ]
+    if len(rows) > 20:
+        lines.append(f"... ({len(rows) - 20} more trials)")
+    lines.append(
+        f"summary: goal rate {number_text(summary['goal_rate'])}, "
+        f"mean efficiency {number_text(summary['mean_efficiency'])}, "
+        f"mean security {number_text(summary['mean_security'])}, "
+        f"mean length {number_text(summary['mean_length'])}"
     )
-    return 0
+    return _lines(lines)
 
 
-def _indexed_rows(pairs) -> Nested:
-    """The array of {"index": i, **row} for the (i, row) pairs, as a member of the output object.
-
-    A row object that recurs (repeats of one sequence share it) is
-    encoded once, with index 0; each index then takes the place of that
-    0, the first value of the text. The caller keeps every row alive.
-    """
-    tails: dict[int, str] = {}  # id of a row -> its text after the index
-    head = ""
-    items = []
-    for i, row in pairs:
-        tail = tails.get(id(row))
-        if tail is None:
-            text = nest(canonical_dumps({"index": 0, **row}), 2)
-            cut = text.index(": ") + 2
-            head, tail = text[:cut], text[cut + 1 :]
-            tails[id(row)] = tail
-        items.append(head + number_text(i) + tail)
-    return Nested(nest_array(items, 1))
-
-
-def _cmd_analyze(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _analyze_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     sequences = _load_log(args.log)
-    measured: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's measures
-    rows = []
+    rows: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's measures
     for seq in sequences:
-        row = measured.get(id(seq))
-        if row is None:
-            row = measured[id(seq)] = {
+        if id(seq) not in rows:
+            rows[id(seq)] = {
                 "steps": len(seq),
                 "terminal": seq.terminal_outcome.label(),
                 "efficiency": efficiency(seq),
                 "security": security(seq),
             }
-        rows.append(row)
-    if args.json:
-        sys.stdout.write(canonical_dumps({"sequences": _indexed_rows(enumerate(rows))}))
-        return 0
-    for i, row in enumerate(rows):
-        print(
-            f"sequence {i}: steps {row['steps']}, terminal {row['terminal']}, "
-            f"efficiency {_fmt(row['efficiency'])}, security {_fmt(row['security'])}"
-        )
-    return 0
+    return {"sequences": Indexed((i, rows[id(seq)]) for i, seq in enumerate(sequences))}
 
 
-def _cmd_compare(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _analyze_text(value: dict) -> str:
+    return _lines(
+        f"sequence {i}: steps {row['steps']}, terminal {row['terminal']}, "
+        f"efficiency {number_text(row['efficiency'])}, security {number_text(row['security'])}"
+        for i, row in value["sequences"]
+    )
+
+
+def _compare_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     styles = [LinearStyle.parse(text) for text in args.styles.split(",")]
     run = {"styles": [str(s) for s in styles], "trials": args.trials, "seed": args.seed}
-    reports = _run_recipe(args, cfg, run, args.csv)
-    if args.json:
-        sys.stdout.write(canonical_dumps({"reports": [dataclasses.asdict(r) for r in reports]}))
-        return 0
-    header = f"{'style':<8}{'trials':>8}{'mean_eff':>12}{'mean_sec':>12}{'goal_rate':>12}{'mean_len':>12}"
-    print(header)
-    for rep in reports:
-        print(
-            f"{rep.style:<8}{rep.trials:>8}{rep.mean_efficiency:>12.4f}"
-            f"{rep.mean_security:>12.4f}{rep.goal_rate:>12.4f}{rep.mean_length:>12.4f}"
+    return {"reports": [dataclasses.asdict(r) for r in _run_recipe(args, cfg, run, args.csv)]}
+
+
+def _compare_text(value: dict) -> str:
+    lines = [f"{'style':<8}{'trials':>8}{'mean_eff':>12}{'mean_sec':>12}{'goal_rate':>12}{'mean_len':>12}"]
+    for rep in value["reports"]:
+        lines.append(
+            f"{rep['style']:<8}{rep['trials']:>8}{rep['mean_efficiency']:>12.4f}"
+            f"{rep['mean_security']:>12.4f}{rep['goal_rate']:>12.4f}{rep['mean_length']:>12.4f}"
         )
-    return 0
+    return _lines(lines)
 
 
-def _cmd_frontier(args: argparse.Namespace, cfg: AppConfig) -> int:
+def _frontier_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     sequences = _load_log(args.log)
-    frontier = pareto_frontier(sequences)
-    if args.json:
-        points: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's point
-        rows = []
-        for eff, sec, idx in frontier:
-            key = id(sequences[idx])
-            point = points.get(key)
-            if point is None:
-                point = points[key] = {"efficiency": eff, "security": sec}
-            rows.append((idx, point))
-        out = {"count": len(sequences), "frontier": _indexed_rows(rows)}
-        sys.stdout.write(canonical_dumps(out))
-        return 0
-    print(f"pareto frontier ({len(frontier)} of {len(sequences)} sequences):")
-    for eff, sec, idx in frontier:
-        print(f"  sequence {idx}: efficiency {_fmt(eff)}, security {_fmt(sec)}")
-    return 0
+    points: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's point
+    rows = []
+    for eff, sec, idx in pareto_frontier(sequences):
+        key = id(sequences[idx])
+        if key not in points:
+            points[key] = {"efficiency": eff, "security": sec}
+        rows.append((idx, points[key]))
+    return {"count": len(sequences), "frontier": Indexed(rows)}
 
 
+def _frontier_text(value: dict) -> str:
+    rows = value["frontier"]
+    lines = [f"pareto frontier ({len(rows)} of {value['count']} sequences):"]
+    lines += [
+        f"  sequence {i}: efficiency {number_text(point['efficiency'])}, security {number_text(point['security'])}"
+        for i, point in rows
+    ]
+    return _lines(lines)
+
+
+def _lines(lines) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
+# command -> (its report value, the value --json writes, of (args, config); the text of that value)
 _COMMANDS = {
-    "decide": _cmd_decide,
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
-    "frontier": _cmd_frontier,
+    "decide": (_decide_value, _decide_text),
+    "simulate": (_simulate_value, _simulate_text),
+    "analyze": (_analyze_value, _analyze_text),
+    "compare": (_compare_value, _compare_text),
+    "frontier": (_frontier_value, _frontier_text),
 }
 
 
@@ -508,8 +479,11 @@ def run_cli(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    value_of, text_of = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command](args, _resolve_config(args))
+        value = value_of(args, _resolve_config(args))
+        sys.stdout.write(canonical_dumps(value) if args.json else text_of(value))
+        return 0
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

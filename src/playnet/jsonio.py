@@ -18,12 +18,12 @@ canonical_dumps writes the layout of json.dumps(indent=2) in one walk
 over the value, without copying it first; it takes str dict keys only.
 It is the one JSON writer: write_artifact writes each manifest with it,
 passing exact_number_text as its number rule, so a manifest's bytes are
-those of json.dumps(manifest, indent=2) plus a newline. A text that
-repeats a few values many times (a log of many trials, a row per trial)
-encodes each distinct value once with canonical_dumps and lays those
-texts out with nest (a text nested depth levels deep) and nest_array
-(an array of such texts), which indent as canonical_dumps does; the
-result stands in a larger value as a Nested text.
+those of json.dumps(manifest, indent=2) plus a newline. A value that
+repeats a few objects many times (a log of many trials, a row per trial)
+is encoded once per distinct object: canonical_dumps writes a dict, list
+or tuple object that recurs at one depth once and repeats its text, and
+an Indexed array of (index, row) pairs as [{"index": i, **row}, ...],
+each distinct row encoded once.
 
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial artifact, nor one without its manifest.
@@ -112,14 +112,22 @@ def canonical_dumps(obj, number=number_text) -> str:
     written as number(value) writes it, produced in one walk: number_text
     for artifacts and stdout, exact_number_text for manifests. Accepts
     dicts with str keys, lists, tuples, str, int, float, bool and None,
-    and a Nested text, written as it is; a key that is not a str, or a
-    value of any other type, raises TypeError.
+    and an Indexed array; a key that is not a str, or a value of any
+    other type, raises TypeError.
+
+    A dict, list or tuple object that recurs at the depth where it was
+    first written is encoded once and its text repeated: a log of many
+    trials, or a row per trial, costs one encoding per distinct object.
+    Each object is kept referenced while the walk runs, so no id is
+    reused for another.
     """
     parts: list[str] = []
     put = parts.append
     # a float -> its text; ints stay out (10**16 == 1e16, but they are written apart),
     # and so do zeros (0.0 == -0.0, but exact_number_text writes them apart)
     floats: dict[float, str] = {}
+    spans: dict[int, tuple] = {}  # id of a container -> (it, its newline, first and end index in parts)
+    texts: dict[int, str] = {}  # id of a container met again at its depth -> its text
 
     def write(value, newline: str) -> None:
         kind = type(value)  # exact types first, the common case; subclasses fall through
@@ -134,34 +142,63 @@ def canonical_dumps(obj, number=number_text) -> str:
             put(_encode_str(value))
         elif kind is int:
             put(number(value))
-        elif isinstance(value, dict):
-            if not value:
-                put("{}")
-                return
-            inner = newline + "  "
-            sep = "{" + inner
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                put(sep)
-                put(_encode_str(key))
-                put(": ")
-                write(item, inner)
-                sep = "," + inner
-            put(newline + "}")
-        elif isinstance(value, (list, tuple)):
+        elif kind is Indexed:
             if not value:
                 put("[]")
                 return
             inner = newline + "  "
+            head = "{" + inner + '  "index": '
+            tails: dict[int, str] = {}  # id of a row -> its text after the index
             sep = "[" + inner
-            for item in value:
+            for index, row in value:
                 put(sep)
-                write(item, inner)
+                tail = tails.get(id(row))
+                if tail is None:
+                    start = len(parts)
+                    write({"index": index, **row}, inner)
+                    tails[id(row)] = "".join(parts[start + 4 :])  # after "{", key, ": " and the index
+                else:
+                    put(head)
+                    put(number(index))
+                    put(tail)
                 sep = "," + inner
             put(newline + "]")
-        elif kind is Nested:
-            put(value)
+        elif isinstance(value, (dict, list, tuple)):
+            span = spans.get(id(value))
+            if span is not None and span[1] == newline:
+                text = texts.get(id(value))
+                if text is None:
+                    text = texts[id(value)] = "".join(parts[span[2] : span[3]])
+                put(text)
+                return
+            start = len(parts)
+            inner = newline + "  "
+            if isinstance(value, dict):
+                if not value:
+                    put("{}")
+                    return
+                sep = "{" + inner
+                for key, item in value.items():
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
+                    put(sep)
+                    put(_encode_str(key))
+                    put(": ")
+                    write(item, inner)
+                    sep = "," + inner
+                put(newline + "}")
+            else:
+                if not value:
+                    put("[]")
+                    return
+                sep = "[" + inner
+                for item in value:
+                    put(sep)
+                    write(item, inner)
+                    sep = "," + inner
+                put(newline + "]")
+            if span is None:
+                spans[id(value)] = (value, newline, start, len(parts))
         elif value is None:
             put("null")
         elif value is True:
@@ -183,39 +220,14 @@ def canonical_dumps(obj, number=number_text) -> str:
     return "".join(parts)
 
 
-class Nested(str):
-    """A JSON text laid out for the place where canonical_dumps meets it; written as it is.
+class Indexed(tuple):
+    """(index, row) pairs that canonical_dumps writes as the array of {"index": i, **row}.
 
-    It stands for a value nested depth levels deep (nest_array(..., depth)
-    for an array, nest(canonical_dumps(value), depth) for any value), so
-    canonical_dumps({"rows": Nested(nest_array(items, 1))}) is the text
-    of {"rows": [the items' values]}.
+    Rows are dicts without an "index" key; a row object that recurs is
+    encoded once, and each of its indices put in front of that text.
     """
 
     __slots__ = ()
-
-
-def nest(text: str, depth: int) -> str:
-    """A canonical_dumps text as it stands depth levels deep in a larger one.
-
-    The trailing newline goes and each line after the first is indented
-    two spaces per level, as canonical_dumps lays out a nested value.
-    """
-    return text[:-1].replace("\n", "\n" + "  " * depth)
-
-
-def nest_array(items, depth: int) -> str:
-    """The text of an array that stands depth levels deep, from its items' texts.
-
-    Each item is a text nested depth + 1 levels deep (nest(..., depth + 1),
-    or nest_array(..., depth + 1)); an item that recurs is joined again,
-    not encoded again. At depth 0, nest_array(items, 0) + "\n" is the
-    canonical_dumps text of the array.
-    """
-    if not items:
-        return "[]"
-    inner = "\n" + "  " * (depth + 1)
-    return f"[{inner}{(',' + inner).join(items)}{inner[:-2]}]"
 
 
 def atomic_write_text(path, text: str) -> None:

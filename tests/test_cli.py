@@ -71,6 +71,77 @@ def test_decide_json_output(capsys):
     assert payload["decision"]["target"] == 6
     assert len(payload["ranked"]) == 10
     assert payload["network"]["holder"] == 8
+    assert payload["threshold"] == 0.5  # the one key the text printed before --json had it
+
+
+def test_decide_json_holds_the_threshold_in_use(capsys):
+    code, out, _ = run(capsys, "decide", "--state", BOX, "--style", "3:1", "--threshold", "0.25", "--json")
+    assert code == 0
+    assert list(json.loads(out)) == ["decision", "threshold", "ranked", "network"]
+    assert json.loads(out)["threshold"] == 0.25
+
+
+# the holder alone on the pitch: every teammate is outside, so every pass option scores zero
+_DEGENERATE_STATE = {
+    "pitch": {"length": 105, "width": 68},
+    "team": [
+        {"id": j, "x": 50, "y": 34} if j == 8 else {"id": j, "x": -5, "y": -5, "outside": True}
+        for j in range(1, 12)
+    ],
+    "opponents": [{"x": 80, "y": 6 * k + 2} for k in range(11)],
+    "holder": 8,
+}
+_LOG_OF_7 = ["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "7", "--seed", "3", "--out", "{log}"]
+_SEED42 = str(GOLDEN_DIR / "simulate_seed42.json")
+# golden file -> the command line whose stdout it holds; "{degenerate}" and "{log}" are files the test writes
+_STDOUT_GOLDENS = {
+    "decide_pass.txt": ["decide", "--state", MIDFIELD, "--style", "3:1"],
+    "decide_shoot.txt": ["decide", "--state", BOX, "--style", "3:1"],
+    "decide_degenerate.txt": ["decide", "--state", "{degenerate}", "--style", "3:1"],
+    "simulate_one_trial.txt": ["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "1", "--seed", "42"],
+    "simulate_30_trials.txt": ["simulate", "--state", MIDFIELD, "--style", "2:2", "--trials", "30", "--seed", "7"],
+    "simulate_midfield.json": ["simulate", "--state", MIDFIELD, "--style", "2:2", "--trials", "30", "--seed", "7", "--json"],
+    "simulate_box.json": ["simulate", "--state", BOX, "--style", "3:1", "--trials", "30", "--seed", "7", "--json"],
+    "analyze_seed42.txt": ["analyze", "--log", _SEED42],
+    "analyze_midfield_7.txt": ["analyze", "--log", "{log}"],
+    "compare_midfield.txt": ["compare", "--state", MIDFIELD, "--styles", "3:1,2:2,1:3", "--trials", "200", "--seed", "7"],
+    "frontier_seed42.txt": ["frontier", "--log", _SEED42],
+    "frontier_midfield_7.txt": ["frontier", "--log", "{log}"],
+}
+
+
+@pytest.mark.parametrize("name", list(_STDOUT_GOLDENS))
+def test_stdout_equals_its_frozen_golden(tmp_path, name):
+    files = {"{degenerate}": tmp_path / "degenerate_state.json", "{log}": tmp_path / "log.json"}
+    files["{degenerate}"].write_text(json.dumps(_DEGENERATE_STATE))
+    argv = _STDOUT_GOLDENS[name]
+    if "{log}" in argv:
+        argv_of_log = [str(files["{log}"]) if a == "{log}" else a for a in _LOG_OF_7]
+        assert run_cli(argv_of_log) == 0
+    argv = [str(files[a]) if a in files else a for a in argv]
+    assert _stdout_of(argv).encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+class _BrokenPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["decide", "--state", MIDFIELD, "--style", "3:1"],
+    ["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "3"],
+    ["analyze", "--log", _SEED42],
+    ["compare", "--state", BOX, "--styles", "3:1,1:3", "--trials", "3"],
+    ["frontier", "--log", _SEED42],
+], ids=lambda argv: argv[0])
+def test_a_failing_stdout_write_exits_1_with_one_error_line(argv, mode):
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(_BrokenPipe()), contextlib.redirect_stderr(stderr):
+        code = run_cli(argv + mode)
+    assert (code, stderr.getvalue()) == (1, "error: [Errno 32] Broken pipe\n")
 
 
 def test_missing_required_flag_is_usage_error(capsys):

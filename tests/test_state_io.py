@@ -13,8 +13,8 @@ from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
 from playnet.jsonio import (
-    Nested, atomic_write_text, canonical_dumps, canonical_number, exact_number_text, manifest_path, nest,
-    nest_array, parse_json, write_artifact,
+    Indexed, atomic_write_text, canonical_dumps, canonical_number, exact_number_text, manifest_path, number_text,
+    parse_json, write_artifact,
 )
 from playnet.state import match_state_to_obj
 
@@ -352,7 +352,18 @@ def test_canonical_dumps_rejects_unknown_types():
         canonical_dumps({"x": {1, 2}})
 
 
-@pytest.mark.parametrize("value", [{"a": [1.5, {"b": None}], "c": "x"}, {"x": {1, 2}}], ids=["written", "rejected"])
+_SHARED_ROW = {"b": [None]}
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {"a": [1.5, {"b": None}], "c": "x"},
+        {"x": {1, 2}},
+        {"a": [_SHARED_ROW, _SHARED_ROW], "c": Indexed([(0, _SHARED_ROW), (1, _SHARED_ROW)])},
+    ],
+    ids=["written", "rejected", "repeated"],
+)
 def test_canonical_dumps_leaves_no_reference_cycle(value):
     gc.collect()
     gc.disable()  # so that no automatic collection frees a cycle before the count below
@@ -421,23 +432,61 @@ def test_canonical_dumps_equals_reference_writer(value):
     assert canonical_dumps(value) == reference_canonical_dumps(value)
 
 
-@settings(max_examples=200, deadline=None)
-@given(items=st.lists(_JSON_VALUES, max_size=5), depth=st.integers(0, 3))
-@example(items=[], depth=0)
-@example(items=[], depth=2)
-def test_nested_texts_lay_out_as_canonical_dumps_nests_values(items, depth):
-    array = nest_array([nest(canonical_dumps(v), depth + 1) for v in items], depth)
-    expected = reference_canonical_dumps(_nested_in_lists(items, depth))
-    assert canonical_dumps(_nested_in_lists(Nested(array), depth)) == expected
-    if depth == 0:
-        assert array + "\n" == expected
+@st.composite
+def _shared_values(draw):
+    """A value whose containers recur by identity, at one depth and at others, with Indexed arrays.
+
+    Each object of the pool may hold earlier ones, and the tree places
+    them anywhere; rows of an Indexed array come from a pool of their own.
+    """
+    pool: list = []
+    for _ in range(draw(st.integers(1, 4))):
+        part = st.one_of(_SCALARS, st.sampled_from(pool)) if pool else _SCALARS
+        pool.append(draw(st.one_of(
+            st.lists(part, min_size=1, max_size=3),
+            st.lists(part, min_size=1, max_size=3).map(tuple),
+            st.dictionaries(_KEYS, part, min_size=1, max_size=3),
+        )))
+    rows = draw(st.lists(
+        st.dictionaries(_KEYS.filter(lambda key: key != "index"), st.one_of(_SCALARS, st.sampled_from(pool)), max_size=3),
+        min_size=1, max_size=4,
+    ))
+    indexed = st.lists(st.tuples(_INTS, st.sampled_from(rows)), max_size=6).map(Indexed)
+    leaf = st.one_of(st.sampled_from(pool), st.sampled_from(pool), indexed, _SCALARS)
+    return draw(st.recursive(
+        leaf,
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_KEYS, inner, max_size=4)),
+        max_leaves=12,
+    ))
 
 
-def _nested_in_lists(value, depth: int):
-    """value, depth levels deep: the last item of a list, depth times."""
-    for _ in range(depth):
-        value = [None, value]
+def _expanded(value):
+    """The plain value: each Indexed array written out as its {"index": i, **row} objects."""
+    if type(value) is Indexed:
+        return [{"index": i, **_expanded(row)} for i, row in value]
+    if isinstance(value, dict):
+        return {key: _expanded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_expanded(item) for item in value]
     return value
+
+
+_ROW = {"p": 0.25, "edges": [1, 2.5]}
+_SHARED = [_ROW, [_ROW, (_ROW,)], {"a": _ROW}, Indexed([(0, _ROW), (7, {}), (10**16, _ROW)]), [_ROW]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=_shared_values())
+@example(value=_SHARED)
+@example(value=Indexed([]))
+@example(value=[Indexed([(1, _ROW)]), Indexed([(2, _ROW)])])  # one row in two arrays at one depth
+@example(value=Indexed([(i, {"i": float(i)}) for i in range(50)]))  # each written row is let go by the caller
+@pytest.mark.parametrize("number, reference", [
+    (number_text, reference_canonical_dumps),
+    (exact_number_text, lambda value: json.dumps(value, indent=2) + "\n"),
+], ids=["number_text", "exact_number_text"])
+def test_recurring_objects_and_indexed_rows_encode_as_the_plain_value(number, reference, value):
+    assert canonical_dumps(value, number) == reference(_expanded(value))
 
 
 @pytest.mark.parametrize(
