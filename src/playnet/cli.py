@@ -22,18 +22,12 @@ does not read, so older manifests still regenerate.
 
 A log of many trials repeats a few possessions, and every text path
 pays once per distinct one: a value shares one object per distinct
-possession, and canonical_dumps encodes each object once. simulate's log
-shares one object per distinct step (possessions share their prefix
-steps) and per distinct sequence, and its report one row per distinct
-result. analyze and frontier read a log back with the same checks that
-built it: a log in the layout simulate writes is read by its element
-texts, one forward scan finding each element's end (the next "[" with
-",\n  " right before it); each distinct text is parsed and checked once
-and its repeats share the frozen sequence. Any other log is parsed whole
-and each sequence checked. Either way the sequences and the first error
-are those of a whole parse. analyze and frontier then measure each
-distinct sequence object once (length, terminal outcome, efficiency,
-security) and share its row in an Indexed array.
+possession, and canonical_dumps encodes each object once. simulate's
+log is sequence.log_text of its results, and its report shares one row
+per distinct result. analyze and frontier read a log with
+sequence.load_log, then measure each distinct sequence object once
+(length, terminal outcome, efficiency, security) and share its row in
+an Indexed array.
 """
 
 from __future__ import annotations
@@ -55,19 +49,10 @@ from .jsonio import (
     canonical_dumps,
     manifest_path,
     number_text,
-    parse_json,
-    read_input,
     sha256_of_file,
     write_artifact,
 )
-from .sequence import (
-    PossessionSequence,
-    efficiency,
-    pareto_frontier,
-    security,
-    sequence_from_obj,
-    sequence_to_obj,
-)
+from .sequence import efficiency, load_log, log_text, pareto_frontier, security
 from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
 from .state import load_match_state
 from .style import LinearStyle
@@ -163,26 +148,6 @@ def _check_artifact_path(path: str | None, args: argparse.Namespace) -> None:
                 raise ValueError(f"{target}: would overwrite the input file {source}")
 
 
-def _log_text(results) -> str:
-    """The sequence log of a run: the lone sequence for one trial, else the array of all.
-
-    The bytes are canonical_dumps of that value. Trials that ended the
-    same way share one sequence object, and the possessions of a path
-    share their prefix steps (see run_trials), so the value shares one
-    object per distinct sequence and per distinct step, and
-    canonical_dumps encodes each of them once.
-    """
-    if len(results) == 1:
-        return canonical_dumps(sequence_to_obj(results[0].sequence))
-    steps: dict[int, dict] = {}  # id of a step that results keeps alive -> its object
-    laid: dict[int, list] = {}  # id of a sequence that results keeps alive -> its object
-    for r in results:
-        seq = r.sequence
-        if id(seq) not in laid:
-            laid[id(seq)] = [steps.setdefault(id(step), obj) for step, obj in zip(seq.steps, sequence_to_obj(seq))]
-    return canonical_dumps([laid[id(r.sequence)] for r in results])
-
-
 def _csv_text(reports) -> str:
     lines = ["style,trials,mean_efficiency,mean_security,goal_rate,mean_length"]
     for rep in reports:
@@ -191,73 +156,6 @@ def _csv_text(reports) -> str:
             f"{number_text(rep.mean_security)},{number_text(rep.goal_rate)},{number_text(rep.mean_length)}"
         )
     return _lines(lines)
-
-
-def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
-    """The sequences of a log laid out as _log_text writes it, or None.
-
-    The elements are those of splitting "[\n  " + ",\n  ".join(texts) +
-    "\n]\n" at ",\n  [" (every element starts with "["), found in one
-    forward scan: data.find jumps to the next "[", a memchr, and a "["
-    ends an element only if ",\n  " comes right before it. So the first
-    such "[" at or after an element's start is the split's next
-    separator, and each "[" of the log is looked at once. Each distinct
-    element text is parsed and checked once, and its repeats share the
-    frozen sequence. If every element reads on its own, the whole text
-    is exactly the array of them; if any fails, or the layout differs,
-    None sends the caller to a whole parse, which raises what it raises.
-    A slice of UTF-8 decodes as the whole would, as the split points are
-    ASCII.
-    """
-    if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
-        return None
-    read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
-    sequences = []
-    find = data.find
-    end = len(data) - 3
-    start = 5  # the current element's text, after its "["
-    while start >= 0:
-        stop = find(b"[", start, end)
-        while stop >= 0 and data[stop - 4 : stop] != b",\n  ":
-            stop = find(b"[", stop + 1, end)
-        text = data[start : stop - 4 if stop >= 0 else end]
-        seq = read.get(text)
-        if seq is None:
-            try:
-                obj = parse_json("[" + text.decode("utf-8", "surrogatepass"))
-                seq = read[text] = sequence_from_obj(obj)
-            except ValueError:  # UnicodeDecodeError included
-                return None
-        sequences.append(seq)
-        start = stop + 1 if stop >= 0 else -1
-    return sequences
-
-
-def _read_log(data: bytes) -> list[PossessionSequence]:
-    """A log file holds one sequence (array of steps) or an array of sequences.
-
-    A log that _log_sequences reads is read by its element texts; any
-    other log is parsed whole and each sequence checked. Either way the
-    sequences and the first error are those of a whole parse.
-    """
-    sequences = _log_sequences(data)
-    if sequences is None:
-        items = parse_json(data)
-        if not isinstance(items, list) or not items:
-            raise ValueError("expected a nonempty array")
-        if isinstance(items[0], dict):
-            return [sequence_from_obj(items)]
-        sequences = []
-        for i, item in enumerate(items):
-            try:
-                sequences.append(sequence_from_obj(item))
-            except ValueError as err:
-                raise ValueError(f"sequence {i}: {err}") from None
-    return sequences
-
-
-def _load_log(path: str) -> list[PossessionSequence]:
-    return read_input("log", path, _read_log)
 
 
 def _manifest_field(manifest: dict, dotted: str):
@@ -297,7 +195,7 @@ def _compare_results(state, cfg: AppConfig, run):
 # the functions they call are looked up at call time, so a patched or traced one is used
 _RECIPES = {
     "decide": (_decide_results, lambda network: export_network_dot(network)),
-    "simulate": (_simulate_results, _log_text),
+    "simulate": (_simulate_results, lambda results: log_text([r.sequence for r in results])),
     "compare": (_compare_results, _csv_text),
 }
 
@@ -394,7 +292,7 @@ def _simulate_text(value: dict) -> str:
 
 
 def _analyze_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
-    sequences = _load_log(args.log)
+    sequences = load_log(args.log)
     rows: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's measures
     for seq in sequences:
         if id(seq) not in rows:
@@ -432,7 +330,7 @@ def _compare_text(value: dict) -> str:
 
 
 def _frontier_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
-    sequences = _load_log(args.log)
+    sequences = load_log(args.log)
     points: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's point
     rows = []
     for eff, sec, idx in pareto_frontier(sequences):

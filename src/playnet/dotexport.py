@@ -21,9 +21,8 @@ def export_network_dot(network: DecisionNetwork) -> str:
     for j in range(1, TEAM_SIZE + 1):
         if j != network.holder:
             lines.append(f"  t{j};")
-    for j in network.teammates():
-        e = network.edges[j]
-        label = f"({network.s:.3f}, {network.tau:.3f}, {e.p:.3f}, {e.r})"
+    for j, (p, r) in network.edges.items():
+        label = f"({network.s:.3f}, {network.tau:.3f}, {p:.3f}, {r})"
         lines.append(f'  t{network.holder} -- t{j} [label="{label}", fontsize=9];')
     lines.append("}")
     return "\n".join(lines) + "\n"

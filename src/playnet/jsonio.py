@@ -123,25 +123,15 @@ def canonical_dumps(obj, number=number_text) -> str:
     """
     parts: list[str] = []
     put = parts.append
-    # a float -> its text; ints stay out (10**16 == 1e16, but they are written apart),
-    # and so do zeros (0.0 == -0.0, but exact_number_text writes them apart)
-    floats: dict[float, str] = {}
     spans: dict[int, tuple] = {}  # id of a container -> (it, its newline, first and end index in parts)
     texts: dict[int, str] = {}  # id of a container met again at its depth -> its text
 
     def write(value, newline: str) -> None:
         kind = type(value)  # exact types first, the common case; subclasses fall through
-        if kind is float:
-            text = floats.get(value)
-            if text is None:
-                text = number(value)
-                if value:
-                    floats[value] = text
-            put(text)
+        if kind is float or kind is int:
+            put(number(value))
         elif kind is str:
             put(_encode_str(value))
-        elif kind is int:
-            put(number(value))
         elif kind is Indexed:
             if not value:
                 put("[]")

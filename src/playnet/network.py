@@ -122,9 +122,9 @@ class DecisionNetwork:
     """The holder's decision situation: (s, tau) plus one (p, r) per teammate.
 
     Invariants (enforced): exactly ten edges, one per teammate id other
-    than the holder; no self-edge; every value in range. Reduced teams
-    (red cards, players off the pitch) are represented by zeroed edges,
-    (p, r) = (0, 0), never by removing edges.
+    than the holder, kept in id order; no self-edge; every value in
+    range. Reduced teams (red cards, players off the pitch) are
+    represented by zeroed edges, (p, r) = (0, 0), never by removing edges.
     """
 
     holder: int
@@ -138,6 +138,8 @@ class DecisionNetwork:
         check_player_id(self.holder, "holder")
         object.__setattr__(self, "s", check_unit(self.s, "s"))
         object.__setattr__(self, "tau", check_real(self.tau, "tau", 0.0))
+        if not isinstance(self.edges, dict):
+            raise ValueError(f"edges must be a dict of teammate id -> (p, r), not {type(self.edges).__name__}")
         expected = PLAYER_IDS - {self.holder}
         got = set(self.edges)
         unexpected = got - expected
@@ -150,7 +152,12 @@ class DecisionNetwork:
             raise ValueError(f"incomplete edge set: missing teammate {missing[0]}")
         edges: dict[int, PassEdge] = {}
         for j in sorted(got):
-            p, r = self.edges[j]
+            if type(j) is not int:  # True == 1 and 3.0 == 3 pass the set checks above
+                check_player_id(j, "teammate id")
+            try:
+                p, r = self.edges[j]
+            except (TypeError, ValueError):
+                raise ValueError(f"teammate {j}: edge must be a (p, r) pair, not {self.edges[j]!r}") from None
             try:
                 edges[j] = PassEdge(check_unit(p, "p"), check_int(r, "r", 0, RISK_MAX))
             except ValueError as err:
@@ -171,9 +178,6 @@ class DecisionNetwork:
         object.__setattr__(net, "edges", edges)
         return net
 
-    def teammates(self) -> list[int]:
-        return sorted(self.edges)
-
     def check_teammate(self, j: object) -> int:
         """Validate j as one of the holder's teammates."""
         check_player_id(j, "teammate id")
@@ -191,10 +195,7 @@ class DecisionNetwork:
             "holder": self.holder,
             "s": self.s,
             "tau": self.tau,
-            "edges": [
-                {"to": j, "p": self.edges[j].p, "r": self.edges[j].r}
-                for j in self.teammates()
-            ],
+            "edges": [{"to": j, "p": p, "r": r} for j, (p, r) in self.edges.items()],
         }
 
     @classmethod

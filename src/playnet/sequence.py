@@ -22,10 +22,31 @@ single objective, so it is exposed as the Pareto frontier over the
 (efficiency, security) plane: of sequences (pareto_frontier), or of any
 (efficiency, security) points such as per-style means (pareto_points).
 
-sequence_to_obj and sequence_from_obj write and read the log shape.
+The sequence log is this module's file format: one sequence
+(sequence_to_obj's array of steps) or an array of sequences.
 sequence_from_obj checks each object's keys (jsonio.check_object), reads
 each network and outcome label and leaves every other check to
 PossessionSequence.
+
+log_text writes a log as canonical_dumps text: the lone sequence for one
+possession, else the array of all, laid out as "[\n  " + ",\n  ".join(
+element texts) + "\n]\n", where every element starts with "[". A log
+of many trials repeats a few possessions, and its value shares one
+object per distinct sequence and per distinct step (the possessions of
+a path share their prefix steps, see run_trials), so canonical_dumps
+encodes each of them once.
+
+load_log reads a log file through jsonio.read_input, as load_match_state
+and load_config read theirs, and read_log reads its bytes. A log in
+log_text's layout is read by its element texts: the elements of
+splitting at ",\n  [", found in one forward scan that jumps from "[" to
+"[" (a memchr) and ends an element at a "[" with ",\n  " right before
+it, so each "[" is looked at once. Each distinct element text is parsed
+and checked once, and its repeats share the frozen sequence. If every
+element reads on its own, the whole text is exactly the array of them;
+if any fails, or the layout differs (compact, truncated, a lone
+sequence), the log is parsed whole and each sequence checked. Either
+way the sequences and the first error are those of a whole parse.
 """
 
 from __future__ import annotations
@@ -34,7 +55,7 @@ import enum
 from dataclasses import dataclass
 
 from .decision import Decision
-from .jsonio import check_object
+from .jsonio import canonical_dumps, check_object, parse_json, read_input
 from .network import DecisionNetwork, check_unit
 
 
@@ -260,3 +281,68 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
         decision = Decision(action=dec_obj["type"], target=dec_obj.get("target"))
         steps.append(PossessionStep(network, decision, outcome))
     return PossessionSequence(tuple(steps))
+
+
+def log_text(sequences) -> str:
+    """The log of a run's sequences: the lone sequence for one, else the array of all."""
+    if len(sequences) == 1:
+        return canonical_dumps(sequence_to_obj(sequences[0]))
+    steps: dict[int, dict] = {}  # id of a step that sequences keeps alive -> its object
+    laid: dict[int, list] = {}  # id of a sequence in sequences -> its object
+    for seq in sequences:
+        if id(seq) not in laid:
+            laid[id(seq)] = [steps.setdefault(id(step), obj) for step, obj in zip(seq.steps, sequence_to_obj(seq))]
+    return canonical_dumps([laid[id(seq)] for seq in sequences])
+
+
+def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
+    """The sequences of a log in log_text's layout, read by its element texts, or None.
+
+    None sends read_log to a whole parse, which raises what it raises. A
+    slice of UTF-8 decodes as the whole would, as the split points are
+    ASCII.
+    """
+    if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
+        return None
+    read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
+    sequences = []
+    find = data.find
+    end = len(data) - 3
+    start = 5  # the current element's text, after its "["
+    while start >= 0:
+        stop = find(b"[", start, end)
+        while stop >= 0 and data[stop - 4 : stop] != b",\n  ":
+            stop = find(b"[", stop + 1, end)
+        text = data[start : stop - 4 if stop >= 0 else end]
+        seq = read.get(text)
+        if seq is None:
+            try:
+                obj = parse_json("[" + text.decode("utf-8", "surrogatepass"))
+                seq = read[text] = sequence_from_obj(obj)
+            except ValueError:  # UnicodeDecodeError included
+                return None
+        sequences.append(seq)
+        start = stop + 1 if stop >= 0 else -1
+    return sequences
+
+
+def read_log(data: bytes) -> list[PossessionSequence]:
+    """The sequences of a log's bytes, each checked; an error names its sequence and step."""
+    sequences = _log_sequences(data)
+    if sequences is None:
+        items = parse_json(data)
+        if not isinstance(items, list) or not items:
+            raise ValueError("expected a nonempty array")
+        if isinstance(items[0], dict):
+            return [sequence_from_obj(items)]
+        sequences = []
+        for i, item in enumerate(items):
+            try:
+                sequences.append(sequence_from_obj(item))
+            except ValueError as err:
+                raise ValueError(f"sequence {i}: {err}") from None
+    return sequences
+
+
+def load_log(path) -> list[PossessionSequence]:
+    return read_input("log", path, read_log)

@@ -84,6 +84,9 @@ class MatchState:
             check_player_id(j, "outside id")
         if not isinstance(self.team, dict) or self.team.keys() != PLAYER_IDS:
             raise ValueError(f"team must cover exactly the ids 1..{TEAM_SIZE}")
+        for j in self.team:
+            if type(j) is not int:  # True == 1 and 3.0 == 3 pass the check above
+                check_player_id(j, "team id")
         if not isinstance(self.opponents, (list, tuple)) or len(self.opponents) != TEAM_SIZE:
             raise ValueError(f"opponents must have exactly {TEAM_SIZE} entries")
         team = {j: _position(self.team[j], pitch, f"team[{j}]", j in outside) for j in sorted(PLAYER_IDS)}

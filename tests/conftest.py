@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -100,6 +101,13 @@ def random_match_state(rng: random.Random, allow_outside: bool = True) -> MatchS
     )
     holder = rng.choice([j for j in range(1, 12) if j not in outside])
     return MatchState(pitch, team, opponents, holder, frozenset(outside))
+
+
+def shuffled_opponents(state: MatchState, rng: random.Random) -> MatchState:
+    """state with its opponents in another order: the model gives them no identity."""
+    opponents = list(state.opponents)
+    rng.shuffle(opponents)
+    return dataclasses.replace(state, opponents=tuple(opponents))
 
 
 # --- mutated JSON documents, for the input-boundary properties -------------

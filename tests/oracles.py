@@ -294,14 +294,14 @@ def reference_canonical_dumps(obj) -> str:
     return json.dumps(canonicalize(obj), indent=2) + "\n"
 
 
-def reference_log_text(results):
-    """The sequence log written the obvious way: every trial's sequence, encoded as one value.
+def reference_log_text(sequences):
+    """The sequence log written the obvious way: every sequence converted, encoded as one value.
 
-    It shares sequence_to_obj with the library; what it checks is the
-    CLI's writer, which encodes each distinct sequence once with
-    canonical_dumps and joins the pieces itself.
+    It shares sequence_to_obj with the library; what it checks is
+    sequence.log_text, whose value shares one object per distinct
+    sequence and step for canonical_dumps to encode once.
     """
-    logs = [sequence_to_obj(r.sequence) for r in results]
+    logs = [sequence_to_obj(seq) for seq in sequences]
     return reference_canonical_dumps(logs[0] if len(logs) == 1 else logs)
 
 

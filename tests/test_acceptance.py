@@ -143,11 +143,11 @@ def test_criterion_5_offside_rule():
     trials = 0
     while trials < 1000:
         net = random_network(rng, s=0.2)
-        blocked = rng.choice(net.teammates())
+        blocked = rng.choice(list(net.edges))
         net = DecisionNetwork(net.holder, net.s, net.tau, {**net.edges, blocked: PassEdge(0.0, 0)})
         style = random_style(rng)
         if not any(
-            style.evaluate(net.edge(j).p, net.edge(j).r) > 0.0 for j in net.teammates() if j != blocked
+            style.evaluate(net.edge(j).p, net.edge(j).r) > 0.0 for j in net.edges if j != blocked
         ):
             continue
         trials += 1
@@ -172,7 +172,7 @@ def test_criterion_6_sequence_invariant_fuzz(possession_corpus):
             net = step.network
             if not (0.0 <= net.s <= 1.0 and net.tau >= 0.0):
                 violations += 1
-            for j in net.teammates():
+            for j in net.edges:
                 e = net.edge(j)
                 if not (0.0 <= e.p <= 1.0 and 0 <= e.r <= 10 and isinstance(e.r, int)):
                     violations += 1

@@ -24,10 +24,13 @@ from playnet import (
     StepOutcome,
     run_trials,
 )
-from playnet.cli import _load_log, _log_sequences, _log_text, _read_log, regenerate, run_cli
+from playnet.cli import regenerate, run_cli
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.jsonio import canonical_dumps, manifest_path, parse_json
-from playnet.sequence import efficiency, pareto_points, security, sequence_from_obj, sequence_to_obj
+from playnet.sequence import (
+    _log_sequences, efficiency, load_log, log_text, pareto_points, read_log, security, sequence_from_obj,
+    sequence_to_obj,
+)
 from playnet.config import load_config
 from playnet.state import load_match_state, match_state_to_obj
 
@@ -447,7 +450,8 @@ def test_log_text_equals_reference_writer(state_seed, weights, threshold, max_st
         estimators=DEFAULT_PARAMS, max_steps=max_steps, seed=seed,
     )
     results = run_trials(state, cfg, 0, trials)
-    assert _log_text(results) == reference_log_text(results)
+    sequences = [r.sequence for r in results]
+    assert log_text(sequences) == reference_log_text(sequences)
 
 
 @pytest.mark.parametrize(
@@ -791,7 +795,7 @@ _LOG_RAW_VALUES = st.one_of(
 def test_mutated_log_gives_sequences_or_one_value_error(picks, cut, indent):
     doc = json.loads((GOLDEN_DIR / "simulate_seed42.json").read_text())
     data = mutated_json_text(doc, picks, cut, indent).encode()  # indented: read by element texts
-    sequences = _read_outcome(_read_log, data)  # what analyze and frontier read
+    sequences = _read_outcome(read_log, data)  # what analyze and frontier read
     assert sequences == _read_outcome(_read_whole, data)
     if isinstance(sequences, str):
         return
@@ -857,15 +861,15 @@ def _log_text_of(name: str) -> str:
     cfg = SimulationConfig(
         policy=DecisionPolicy(style=LinearStyle(1, 3)), estimators=DEFAULT_PARAMS, seed=3,
     )
-    return _log_text(run_trials(load_match_state(MIDFIELD), cfg, 0, 100))
+    return log_text([r.sequence for r in run_trials(load_match_state(MIDFIELD), cfg, 0, 100)])
 
 
 def test_log_reader_checks_each_distinct_sequence_once(monkeypatch):
     obj = json.loads(_log_text_of("midfield"))
-    real = playnet.cli.sequence_from_obj
+    real = playnet.sequence.sequence_from_obj
     checked = []
-    monkeypatch.setattr(playnet.cli, "sequence_from_obj", lambda item: checked.append(item) or real(item))
-    sequences = _read_log(_log_text_of("midfield").encode())
+    monkeypatch.setattr(playnet.sequence, "sequence_from_obj", lambda item: checked.append(item) or real(item))
+    sequences = read_log(_log_text_of("midfield").encode())
     distinct = {json.dumps(item) for item in obj}
     assert len(checked) == len(distinct) < len(obj)
     assert len({id(seq) for seq in sequences}) == len(distinct)  # a repeat is the same frozen sequence
@@ -906,7 +910,7 @@ def test_memoised_log_read_equals_checking_each_sequence(name, picks, indent):
     if name == "golden":
         doc += json.loads(_log_text_of(name))  # each sequence twice; the midfield log repeats its own
     data = mutated_json_text(doc, picks, None, indent).encode()  # a pick changes one copy
-    assert _read_outcome(_read_log, data) == _read_outcome(_read_whole, data)
+    assert _read_outcome(read_log, data) == _read_outcome(_read_whole, data)
 
 
 def _one_step_sequence(holder=1, target=2, s=0.25, p=0.5, shoot=False) -> list:
@@ -970,7 +974,7 @@ def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
         for indent in (2, None):  # read by element texts, and parsed whole
             data = (json.dumps(log, indent=indent) + "\n").encode()
             assert (_log_sequences(data) is None) == (indent is None or rejected)
-            got = _read_outcome(_read_log, data)
+            got = _read_outcome(read_log, data)
             assert got == _read_outcome(_read_whole, data)
             assert isinstance(got, str) == rejected
 
@@ -978,10 +982,10 @@ def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
 def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkeypatch, tmp_path):
     path = tmp_path / "log.json"
     path.write_text(_log_text_of("midfield"))
-    real = playnet.cli.parse_json
+    real = playnet.sequence.parse_json
     parsed = []
-    monkeypatch.setattr(playnet.cli, "parse_json", lambda data: parsed.append(data) or real(data))
-    sequences = _load_log(str(path))
+    monkeypatch.setattr(playnet.sequence, "parse_json", lambda data: parsed.append(data) or real(data))
+    sequences = load_log(str(path))
     elements = [json.dumps(item) for item in json.loads(path.read_text())]
     assert len(parsed) == len(set(elements)) < len(elements)
     assert sorted(json.dumps(json.loads(text)) for text in parsed) == sorted(set(elements))
@@ -995,10 +999,10 @@ def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, re
     if repeat_first:
         log.append(log[0])
     data = (json.dumps(log, indent=2) + "\n").encode()  # the layout simulate writes, numbers exact
-    real = playnet.cli.parse_json
+    real = playnet.sequence.parse_json
     parsed = []
-    monkeypatch.setattr(playnet.cli, "parse_json", lambda text: parsed.append(text) or real(text))
-    sequences = _read_log(data)
+    monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
+    sequences = read_log(data)
     assert len(parsed) == 50  # once per element, never the whole log
     assert sequences == _read_whole(data)
     assert len({id(seq) for seq in sequences}) == 50
@@ -1045,12 +1049,12 @@ def test_log_reader_equals_a_whole_parse_on_written_logs(monkeypatch, case, faul
     elif fault == "bad-middle":
         elements[len(elements) // 2] = _bad(elements[len(elements) // 2])
     data = _log_of(elements)
-    real = playnet.cli.parse_json
+    real = playnet.sequence.parse_json
     parsed = []
-    monkeypatch.setattr(playnet.cli, "parse_json", lambda text: parsed.append(text) or real(text))
+    monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
     expected = _read_outcome(_read_whole, data)
     parsed.clear()
-    got = _read_outcome(_read_log, data)
+    got = _read_outcome(read_log, data)
     assert got == expected
     if fault != "valid":
         assert isinstance(got, str)
@@ -1075,8 +1079,8 @@ def test_log_reader_finds_the_elements_of_a_split(body):
     elements = ["[" + text.decode() for text in body.split(b",\n  [")]
     parsed = []
     with pytest.MonkeyPatch.context() as patch:  # each element text reads as itself
-        patch.setattr(playnet.cli, "parse_json", lambda text: parsed.append(text) or text)
-        patch.setattr(playnet.cli, "sequence_from_obj", lambda obj: obj)
+        patch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or text)
+        patch.setattr(playnet.sequence, "sequence_from_obj", lambda obj: obj)
         assert _log_sequences(data) == elements
     assert parsed == list(dict.fromkeys(elements))  # each distinct text once, in order
 
@@ -1086,7 +1090,7 @@ def test_analyze_and_frontier_measure_each_distinct_sequence_once(monkeypatch, c
     text = _log_text_of("midfield")
     path = tmp_path / "log.json"
     path.write_text(text if layout == "written" else json.dumps(json.loads(text)))  # compact: parsed whole
-    sequences = _load_log(str(path))
+    sequences = load_log(str(path))
     assert len({id(seq) for seq in sequences}) == distinct  # a whole parse shares nothing
     rows = [
         {
@@ -1166,8 +1170,9 @@ def test_simulate_json_equals_its_rows_written_one_by_one(tmp_path_factory, stat
 def _log_layout_cases() -> dict[str, tuple[bytes, bool]]:
     """Logs that _log_sequences must leave to a whole parse: name -> (bytes, whether they read)."""
     log = _log_text_of("midfield")
-    lone = _log_text(run_trials(load_match_state(BOX), SimulationConfig(
-        policy=DecisionPolicy(style=LinearStyle(3, 1)), estimators=DEFAULT_PARAMS), 0, 1))
+    [result] = run_trials(load_match_state(BOX), SimulationConfig(
+        policy=DecisionPolicy(style=LinearStyle(3, 1)), estimators=DEFAULT_PARAMS), 0, 1)
+    lone = log_text([result.sequence])
     first = json.dumps(json.loads(log)[0])
     return {
         "lone-sequence": (lone.encode(), True),
@@ -1194,13 +1199,13 @@ def _log_layout_cases() -> dict[str, tuple[bytes, bool]]:
 def test_log_reader_equals_a_whole_parse_outside_the_written_layout(tmp_path, case):
     data, reads = _log_layout_cases()[case]
     assert _log_sequences(data) is None
-    got = _read_outcome(_read_log, data)
+    got = _read_outcome(read_log, data)
     assert got == _read_outcome(_read_whole, data)
     assert isinstance(got, list) == reads
     path = tmp_path / "log.json"
     path.write_bytes(data)
     named = got if reads else got.replace("ValueError: ", f"ValueError: log {path}: ", 1)
-    assert _read_outcome(_load_log, str(path)) == named
+    assert _read_outcome(load_log, str(path)) == named
 
 
 # --- run_cli on generated argv ------------------------------------------------

@@ -116,10 +116,10 @@ def test_offside_exclusion():
     policy = DecisionPolicy(style=LinearStyle(2, 1), threshold=1.0)
     for _ in range(300):
         net = random_network(rng, s=0.3)
-        blocked = rng.choice(net.teammates())
+        blocked = rng.choice(list(net.edges))
         net = DecisionNetwork(net.holder, net.s, net.tau, {**net.edges, blocked: PassEdge(0.0, 0)})
         others_positive = any(
-            net.edge(j).p > 0 or net.edge(j).r > 0 for j in net.teammates() if j != blocked
+            net.edge(j).p > 0 or net.edge(j).r > 0 for j in net.edges if j != blocked
         )
         decision = decide(net, policy)
         if others_positive:

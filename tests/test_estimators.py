@@ -18,7 +18,7 @@ from playnet.network import RISK_MAX, PassEdge
 from playnet.simulate import advance_state
 from playnet.state import match_state_to_obj, parse_match_state
 
-from conftest import GOLDEN_DIR, random_match_state
+from conftest import GOLDEN_DIR, random_match_state, shuffled_opponents
 
 
 def spread_state(holder=8, holder_pos=(55.0, 30.0), opponents=None, overrides=None):
@@ -278,7 +278,7 @@ def test_default_outputs_stay_in_bounds():
         net = estimate_network(state)
         assert 0.0 <= net.s <= 1.0
         assert net.tau >= 0.0
-        for j in net.teammates():
+        for j in net.edges:
             e = net.edge(j)
             assert 0.0 <= e.p <= 1.0
             assert 0 <= e.r <= 10 and isinstance(e.r, int)
@@ -291,7 +291,7 @@ def test_estimated_network_equals_validated_construction():
         net = estimate_network(state)
         checked = DecisionNetwork(net.holder, net.s, net.tau, dict(net.edges))
         assert net == checked
-        assert list(net.edges) == list(checked.edges) == net.teammates()
+        assert list(net.edges) == list(checked.edges) == sorted(net.edges)
         assert type(net.s) is float and type(net.tau) is float
         for e in net.edges.values():
             assert type(e) is PassEdge and type(e.p) is float and type(e.r) is int
@@ -494,6 +494,14 @@ def network_bits(net: DecisionNetwork):
     """Every value of a network, to the bit and with its type, in id order."""
     edges = [(j, type(e.p), e.p.hex(), type(e.r), e.r) for j, e in net.edges.items()]
     return net.holder, type(net.s), net.s.hex(), type(net.tau), net.tau.hex(), edges
+
+
+def test_opponent_order_does_not_change_the_network():
+    rng = random.Random(455)
+    for _ in range(300):
+        state = random_match_state(rng)
+        shuffled = shuffled_opponents(state, rng)
+        assert network_bits(estimate_network(shuffled)) == network_bits(estimate_network(state))
 
 
 def assert_one_pass_equals_the_kernels(state, params):

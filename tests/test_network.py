@@ -36,7 +36,7 @@ def zero_per_teammate(holder):
 
 def test_build_zero_network():
     net = DecisionNetwork(8, 0.0, 0.0, zero_per_teammate(8))
-    for j in net.teammates():
+    for j in net.edges:
         assert net.edge(j) == (0.0, 0.0, 0.0, 0)
 
 
@@ -106,6 +106,34 @@ def test_edge_vector_bounds(kwargs, message):
         DecisionNetwork(8, values["s"], values["tau"], per)
 
 
+def _rekeyed(holder, old, new):
+    """Zero edges of holder whose key old is replaced by new, an equal key of another type."""
+    return {new if j == old else j: edge for j, edge in zero_per_teammate(holder).items()}
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        pytest.param(_rekeyed(5, 1, True), "teammate id=True must be an integer in 1..11", id="key-true"),
+        pytest.param(_rekeyed(5, 3, 3.0), "teammate id=3.0 must be an integer in 1..11", id="key-3.0"),
+        pytest.param({**zero_per_teammate(5), 9: 0.5}, r"teammate 9: edge must be a \(p, r\) pair, not 0.5",
+                     id="edge-float"),
+        pytest.param({**zero_per_teammate(5), 9: None}, r"teammate 9: edge must be a \(p, r\) pair, not None",
+                     id="edge-none"),
+        pytest.param({**zero_per_teammate(5), 9: (0.5,)},
+                     r"teammate 9: edge must be a \(p, r\) pair, not \(0.5,\)", id="edge-short"),
+        pytest.param({**zero_per_teammate(5), 9: (0.5, 1, 2)},
+                     r"teammate 9: edge must be a \(p, r\) pair, not \(0.5, 1, 2\)", id="edge-long"),
+        pytest.param(list(zero_per_teammate(5).items()), r"edges must be a dict of teammate id -> \(p, r\), not list",
+                     id="edges-list"),
+        pytest.param(None, r"edges must be a dict of teammate id -> \(p, r\), not NoneType", id="edges-none"),
+    ],
+)
+def test_build_rejects_a_malformed_edges_argument(edges, message):
+    with pytest.raises(ValueError, match=message):
+        DecisionNetwork(5, 0.5, 1.0, edges)
+
+
 def test_build_names_offending_teammate():
     per = zero_per_teammate(8)
     per[9] = (1.2, 0)
@@ -128,9 +156,9 @@ def test_network_shape_invariants(net):
 
 @given(networks())
 def test_build_edge_round_trip(net):
-    per = {j: (net.edge(j).p, net.edge(j).r) for j in net.teammates()}
+    per = {j: (net.edge(j).p, net.edge(j).r) for j in net.edges}
     rebuilt = DecisionNetwork(net.holder, net.s, net.tau, per)
-    for j in net.teammates():
+    for j in net.edges:
         assert rebuilt.edge(j) == net.edge(j)
 
 

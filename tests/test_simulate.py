@@ -31,7 +31,7 @@ from playnet.sequence import sequence_to_obj
 from playnet.simulate import StyleReport, advance_state
 from playnet.state import load_match_state
 
-from conftest import random_match_state
+from conftest import random_match_state, shuffled_opponents
 from oracles import exact_possession_moments, oracle_advance
 
 
@@ -340,6 +340,25 @@ def test_run_trials_equals_independent_rollouts_on_one_lazy_path(
     ]
     # one network per step of the deepest trial, shared by every shallower one
     assert len(calls) == max(len(r.sequence) for r in results)
+
+
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    order_seed=st.integers(0, 2**32 - 1),
+    weights=st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda w: w != (0, 0)),
+    base_seed=st.integers(0, 2**63),
+)
+def test_opponent_order_does_not_change_possessions(state_seed, order_seed, weights, base_seed):
+    state = random_match_state(random.Random(state_seed))
+    shuffled = shuffled_opponents(state, random.Random(order_seed))
+    cfg = base_config(style=LinearStyle(*weights), seed=base_seed)
+
+    def possessions(start):
+        return [
+            (r.efficiency.hex(), r.security.hex(), r.sequence.terminal_outcome, len(r.sequence))
+            for r in run_trials(start, cfg, 0, 20)
+        ]
+    assert possessions(shuffled) == possessions(state)
 
 
 @pytest.mark.parametrize("state_name", ["midfield_state", "box_state"])

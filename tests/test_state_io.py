@@ -299,6 +299,10 @@ def _opponent_2(xy):
     pytest.param({"team": {**_TEAM, 4: (200.0, 30.0)}}, r"team\[4\]\.x: 200.0 outside \[0, 105\]",
                  id="team-off-pitch"),
     pytest.param({"team": list(_TEAM.items())}, "team must cover", id="team-list"),
+    pytest.param({"team": {True if j == 1 else j: xy for j, xy in _TEAM.items()}},
+                 "team id=True must be an integer in 1..11", id="team-key-true"),
+    pytest.param({"team": {3.0 if j == 3 else j: xy for j, xy in _TEAM.items()}},
+                 "team id=3.0 must be an integer in 1..11", id="team-key-3.0"),
     pytest.param(_opponent_2((1.0,)), r"opponents\[2\] must be an \(x, y\) pair", id="opponent-short-pair"),
     pytest.param(_opponent_2(None), r"opponents\[2\] must be an \(x, y\) pair", id="opponent-none-pair"),
     pytest.param(_opponent_2((60.0, 70.0)), r"opponents\[2\]\.y: 70.0 outside \[0, 68\]", id="opponent-off-pitch"),
