@@ -20,14 +20,9 @@ command and regenerate() both call it, so regenerate rebuilds the text
 the command wrote by construction; it ignores run fields the recipe
 does not read, so older manifests still regenerate.
 
-A log of many trials repeats a few possessions, and every text path
-pays once per distinct one: a value shares one object per distinct
-possession, and canonical_dumps encodes each object once. simulate's
-log is sequence.log_text of its results, and its report shares one row
-per distinct result. analyze and frontier read a log with
-sequence.load_log, then measure each distinct sequence object once
-(length, terminal outcome, efficiency, security) and share its row in
-an Indexed array.
+simulate's log is sequence.log_text of its results. simulate's and
+analyze's rows are built per distinct possession (sequence.per_distinct),
+and frontier shares one row per equal (efficiency, security) point.
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from .jsonio import (
     sha256_of_file,
     write_artifact,
 )
-from .sequence import efficiency, load_log, log_text, pareto_frontier, security
+from .sequence import efficiency, load_log, log_text, pareto_frontier, per_distinct, security
 from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
 from .state import load_match_state
 from .style import LinearStyle
@@ -255,21 +250,16 @@ def _simulate_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     run = {"style": str(style), "trials": args.trials, "seed": args.seed}
     results = _run_recipe(args, cfg, run, args.out)
     report = StyleReport.from_results(str(style), results)
-    rows: dict[int, dict] = {}  # id of a result that results keeps alive -> its row
-    for r in results:
-        if id(r) not in rows:
-            rows[id(r)] = {
-                "steps": len(r.sequence),
-                "outcome": r.sequence.terminal_outcome.label(),
-                "efficiency": r.efficiency,
-                "security": r.security,
-            }
+    rows = per_distinct(lambda r: {
+        "steps": len(r.sequence), "outcome": r.sequence.terminal_outcome.label(),
+        "efficiency": r.efficiency, "security": r.security,
+    }, results)
     return {
         "summary": {
             key: getattr(report, key)
             for key in ("trials", "goal_rate", "mean_efficiency", "mean_security", "mean_length")
         },
-        "sequences": [rows[id(r)] for r in results],
+        "sequences": rows,
     }
 
 
@@ -292,17 +282,11 @@ def _simulate_text(value: dict) -> str:
 
 
 def _analyze_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
-    sequences = load_log(args.log)
-    rows: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's measures
-    for seq in sequences:
-        if id(seq) not in rows:
-            rows[id(seq)] = {
-                "steps": len(seq),
-                "terminal": seq.terminal_outcome.label(),
-                "efficiency": efficiency(seq),
-                "security": security(seq),
-            }
-    return {"sequences": Indexed((i, rows[id(seq)]) for i, seq in enumerate(sequences))}
+    rows = per_distinct(lambda seq: {
+        "steps": len(seq), "terminal": seq.terminal_outcome.label(),
+        "efficiency": efficiency(seq), "security": security(seq),
+    }, load_log(args.log))
+    return {"sequences": Indexed(enumerate(rows))}
 
 
 def _analyze_text(value: dict) -> str:
@@ -331,14 +315,12 @@ def _compare_text(value: dict) -> str:
 
 def _frontier_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     sequences = load_log(args.log)
-    points: dict[int, dict] = {}  # id of a sequence that sequences keeps alive -> its row's point
-    rows = []
-    for eff, sec, idx in pareto_frontier(sequences):
-        key = id(sequences[idx])
-        if key not in points:
-            points[key] = {"efficiency": eff, "security": sec}
-        rows.append((idx, points[key]))
-    return {"count": len(sequences), "frontier": Indexed(rows)}
+    rows: dict[tuple, dict] = {}  # an (efficiency, security) point -> its row
+    frontier = [
+        (idx, rows.setdefault((eff, sec), {"efficiency": eff, "security": sec}))
+        for eff, sec, idx in pareto_frontier(sequences)
+    ]
+    return {"count": len(sequences), "frontier": Indexed(frontier)}
 
 
 def _frontier_text(value: dict) -> str:

@@ -85,8 +85,8 @@ def score_prob_at(pitch, x: float, y: float, params: EstimatorParams = DEFAULT_P
     1 m off centre inside the mouth gets s = 5.8e-17. One nanometre in
     front of the line the mouth is straight ahead, so s jumps to about
     0.951 there, and at the exact goal centre d_goal = 0 gives s = 1.
-    Only behind the line is theta above 90 degrees and the cosine
-    clipped to zero.
+    Only behind the line is theta above 90 degrees: the cosine is
+    negative there, and so is the product, which s clips to +0.0.
     """
     length = pitch.length
     gy = pitch.width / 2.0
@@ -100,8 +100,6 @@ def score_prob_at(pitch, x: float, y: float, params: EstimatorParams = DEFAULT_P
         theta_low = abs(atan2(gy - half - y, length - x))
         theta_high = abs(atan2(gy + half - y, length - x))
         cos_theta = cos(theta_high if theta_high < theta_low else theta_low)
-        if cos_theta < 0.0:
-            cos_theta = 0.0
     s = exp(-d_goal / params.score_decay_m) * cos_theta
     s = s if s > 0.0 else 0.0
     return s if s < 1.0 else 1.0

@@ -40,20 +40,24 @@ import json
 import math
 import os
 import secrets
+import sys
 from json.encoder import encode_basestring_ascii as _encode_str  # the C escaper behind ensure_ascii
 
 
 def parse_json(data: bytes | str):
     """json.loads for input from outside: bad or too deeply nested JSON raises ValueError.
 
-    NaN, Infinity and -Infinity parse to floats, as json.loads has them:
-    the checks each number goes through next (check_real, check_unit,
-    check_int) reject them.
+    Bytes that do not decode and an integer literal longer than int()
+    reads are invalid JSON too. NaN, Infinity and -Infinity parse to
+    floats, as json.loads has them: the checks each number goes through
+    next (check_real, check_unit, check_int) reject them.
     """
     try:
         return json.loads(data)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ValueError(f"invalid JSON: {err}") from None
+    except ValueError:  # int() of a literal past the digit limit: json.loads's only other ValueError
+        raise ValueError(f"invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
         raise ValueError("invalid JSON: nested too deeply") from None
 

@@ -30,11 +30,10 @@ PossessionSequence.
 
 log_text writes a log as canonical_dumps text: the lone sequence for one
 possession, else the array of all, laid out as "[\n  " + ",\n  ".join(
-element texts) + "\n]\n", where every element starts with "[". A log
-of many trials repeats a few possessions, and its value shares one
-object per distinct sequence and per distinct step (the possessions of
-a path share their prefix steps, see run_trials), so canonical_dumps
-encodes each of them once.
+element texts) + "\n]\n", where every element starts with "[". Its
+value shares one object per distinct sequence (per_distinct) and per
+distinct step (a path's possessions share their prefix steps, see
+run_trials).
 
 load_log reads a log file through jsonio.read_input, as load_match_state
 and load_config read theirs, and read_log reads its bytes. A log in
@@ -165,6 +164,23 @@ class PossessionSequence:
         return self.steps[-1].outcome is StepOutcome.SHOT_SCORED
 
 
+def per_distinct(f, items) -> list:
+    """[f(x) for x in items], with f called once per distinct object: a repeat gets its first result.
+
+    Objects are told apart by identity. run_trials and read_log share one
+    object per distinct possession, so work per possession is paid once per
+    distinct one, and canonical_dumps encodes each shared result once. items
+    is held as a list while f runs, so no id is reused for another object,
+    even when items is a generator.
+    """
+    items = list(items)
+    results = {}  # id of an object that items keeps alive -> f of it
+    for x in items:
+        if id(x) not in results:
+            results[id(x)] = f(x)
+    return [results[id(x)] for x in items]
+
+
 def efficiency(seq: PossessionSequence) -> float:
     """Best scoring probability any network in the sequence offered."""
     return max(step.network.s for step in seq.steps)
@@ -195,15 +211,7 @@ def pareto_frontier(seqs) -> list[tuple[float, float, int]]:
 
     A sequence object that recurs (a log's repeats share one) is measured once.
     """
-    seqs = list(seqs)  # keeps every sequence alive, so no id is reused while measured holds it
-    measured: dict[int, tuple[float, float]] = {}  # id of a sequence -> its point
-    points = []
-    for q in seqs:
-        point = measured.get(id(q))
-        if point is None:
-            point = measured[id(q)] = (efficiency(q), security(q))
-        points.append(point)
-    return pareto_points(points)
+    return pareto_points(per_distinct(lambda q: (efficiency(q), security(q)), seqs))
 
 
 def pareto_points(points) -> list[tuple[float, float, int]]:
@@ -285,14 +293,13 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
 
 def log_text(sequences) -> str:
     """The log of a run's sequences: the lone sequence for one, else the array of all."""
-    if len(sequences) == 1:
-        return canonical_dumps(sequence_to_obj(sequences[0]))
     steps: dict[int, dict] = {}  # id of a step that sequences keeps alive -> its object
-    laid: dict[int, list] = {}  # id of a sequence in sequences -> its object
-    for seq in sequences:
-        if id(seq) not in laid:
-            laid[id(seq)] = [steps.setdefault(id(step), obj) for step, obj in zip(seq.steps, sequence_to_obj(seq))]
-    return canonical_dumps([laid[id(seq)] for seq in sequences])
+
+    def lay(seq: PossessionSequence) -> list[dict]:
+        return [steps.setdefault(id(step), obj) for step, obj in zip(seq.steps, sequence_to_obj(seq))]
+
+    laid = per_distinct(lay, sequences)
+    return canonical_dumps(laid[0] if len(laid) == 1 else laid)
 
 
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:

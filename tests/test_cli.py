@@ -5,7 +5,9 @@ import json
 import math
 import os
 import random
+import re
 import stat
+import sys
 from pathlib import Path
 
 import pytest
@@ -519,6 +521,49 @@ def test_deeply_nested_json_is_validation_error(capsys, tmp_path, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "invalid JSON" in err and err.count("\n") == 1
+
+
+_NUMBER = re.compile(rb"-?\d[\d.eE+-]*")  # a number token; the inputs below hold no digit in a string
+
+
+def _input_with_fault(kind: str, fault: bytes) -> tuple[bytes, int]:
+    """The bytes of a valid input of this kind with one number replaced by fault, and fault's offset.
+
+    The log in log_text's layout gets its fault in its last element, so
+    the element scan reads the first elements before it gives up.
+    """
+    if kind == "state":
+        data, start = Path(MIDFIELD).read_bytes(), 0
+    elif kind == "config":
+        data, start = b'{"policy": {"threshold": 0.5}}', 0
+    else:
+        data = (GOLDEN_DIR / "simulate_seed42.json").read_bytes()
+        if kind == "log-whole":
+            data = json.dumps(json.loads(data)).encode()
+        start = data.rindex(b",\n  [") if kind == "log-scan" else len(data) // 2
+    m = _NUMBER.search(data, start)
+    return data[: m.start()] + fault + data[m.end() :], m.start()
+
+
+@pytest.mark.parametrize("fault", ["byte-ff", "long-integer"])
+@pytest.mark.parametrize("kind", ["state", "config", "log-scan", "log-whole"])
+def test_undecodable_bytes_and_overlong_integers_are_invalid_json(capsys, tmp_path, kind, fault):
+    digits = sys.get_int_max_str_digits()
+    data, pos = _input_with_fault(kind, b"\xff" if fault == "byte-ff" else b"7" * (digits + 1))
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    argv = {
+        "state": ["decide", "--state", str(path), "--style", "3:1"],
+        "config": ["--config", str(path), "decide", "--state", MIDFIELD, "--style", "3:1"],
+    }.get(kind, ["analyze", "--log", str(path)])
+    if fault == "byte-ff":
+        message = f"'utf-8' codec can't decode byte 0xff in position {pos}: invalid start byte"
+    else:
+        message = f"an integer has more than {digits} digits"
+    label = kind.partition("-")[0]
+    assert run(capsys, *argv) == (1, "", f"error: {label} {path}: invalid JSON: {message}\n")
+    if kind == "log-scan":
+        assert data.startswith(b"[\n  [") and _log_sequences(data) is None  # the scan gave up on it
 
 
 def test_reused_parser_leaks_no_state(capsys, tmp_path, monkeypatch):

@@ -75,6 +75,15 @@ def test_score_prob_on_the_goal_line_inside_the_mouth():
     assert score_prob_at(pitch, 105.0, 34.0) == 1.0  # the exact goal centre
 
 
+def test_score_prob_behind_the_goal_line_is_positive_zero():
+    # behind the line theta is above 90 degrees: s is clipped to +0.0, never -0.0
+    pitch = Pitch()
+    for x in (105.0 + 1e-9, 105.5, 110.0, 140.0):
+        for y in (-20.0, 0.0, 30.0, 33.0, 34.0, 37.0, 68.0, 90.0):
+            s = score_prob_at(pitch, x, y)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0, (x, y, s)
+
+
 def test_score_prob_corridor_has_no_angle_penalty():
     pitch = Pitch()
     s = score_prob_at(pitch, 85.0, 34.0)

@@ -74,32 +74,55 @@ def library_definitions():
                         yield f"{node.name}.{item.name}", item.name
 
 
-def names_used_outside_the_tests():
-    """Every name read, and every attribute, in src/playnet/, scripts/ and perfbench/; imports do not count."""
-    used = set()
+def names_read(sources):
+    """(the names read bare, the attribute names read) in source texts; imports do not count."""
+    names, attributes = set(), set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def unused_definitions(definitions, sources):
+    """The qualified names of definitions that sources never read and playnet does not export.
+
+    A method counts as read only as an attribute (x.edge), so a local or
+    parameter of its name does not; a module-level function or name counts
+    read by name or as an attribute (estimators.score_prob_at).
+    """
+    names, attributes = names_read(sources)
+    return sorted(
+        qualified for qualified, name in definitions
+        if name not in attributes and ("." in qualified or name not in names) and qualified not in playnet.__all__
+    )
+
+
+def sources_outside_the_tests():
     for root in ("src/playnet", "scripts", "perfbench"):
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-    return used
+            yield path.read_text()
 
 
 def test_every_library_function_is_used_outside_the_tests():
-    used = names_used_outside_the_tests()
-    unused = sorted(
-        qualified for qualified, name in library_definitions()
-        if name not in used and qualified not in playnet.__all__
-    )
+    unused = unused_definitions(library_definitions(), sources_outside_the_tests())
     # an allowlisted method that comes into use leaves the allowlist too
     assert unused == sorted(UNREFERENCED_ALLOWLIST)
 
 
+def test_a_local_named_as_a_method_does_not_use_it():
+    definitions = [("DecisionNetwork.edge", "edge"), ("edge_text", "edge_text")]
+    local = "def f(network, edge):\n    edge = network.edges[edge]\n    return edge\n"
+    assert unused_definitions(definitions, [local]) == ["DecisionNetwork.edge", "edge_text"]
+    assert unused_definitions(definitions, [local, "network.edge(1)\ndotexport.edge_text(2)\n"]) == []
+    assert unused_definitions(definitions, [local, "edge_text(2)\n"]) == ["DecisionNetwork.edge"]
+
+
 def test_library_definitions_share_no_name_but_trusted():
-    # the scan above matches bare names, so a definition whose name another
-    # one shares passes when only the other is used; keep such names known
+    # the scan above matches names, not the objects they name, so a definition
+    # whose name another one shares passes when only the other is used; keep such names known
     counts = collections.Counter(name for _, name in library_definitions())
     assert {name for name, n in counts.items() if n > 1} == {"_trusted"}
 

@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from playnet import (
     Decision,
@@ -15,7 +16,7 @@ from playnet import (
     pareto_frontier,
     security,
 )
-from playnet.sequence import pareto_points, sequence_from_obj, sequence_to_obj
+from playnet.sequence import pareto_points, per_distinct, sequence_from_obj, sequence_to_obj
 
 from conftest import random_sequence
 
@@ -228,6 +229,32 @@ def test_pareto_of_sequences_made_on_the_fly_measures_each():
     random.Random(11).shuffle(points)
     made = (make_sequence_with_metrics(eff, sec) for eff, sec in points)
     assert pareto_frontier(made) == pareto_points(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.integers(0, 7), max_size=40))
+def test_per_distinct_calls_f_once_per_distinct_object(picks):
+    pool = [[k % 3] for k in range(8)]  # some objects are equal but not the same
+    items = [pool[k] for k in picks]
+    calls = []
+    out = per_distinct(lambda x: calls.append(x) or {"of": x}, items)
+    firsts = {}  # id of an item -> the index of its first occurrence
+    for i, x in enumerate(items):
+        firsts.setdefault(id(x), i)
+    assert [id(x) for x in calls] == [id(items[i]) for i in firsts.values()]
+    assert len(out) == len(items)
+    assert all(row["of"] is x and row is out[firsts[id(x)]] for row, x in zip(out, items))
+    assert len({id(row) for row in out}) == len(firsts)
+
+
+@settings(max_examples=200, deadline=None)
+@example(picks=[None] * 6)
+@given(picks=st.lists(st.one_of(st.none(), st.integers(0, 3)), min_size=1, max_size=40))
+def test_per_distinct_of_a_generator_gives_each_fresh_object_its_own_result(picks):
+    # None makes a fresh object that only per_distinct keeps alive, so its id could go to the next one
+    held = [[-1 - k] for k in range(4)]
+    made = ([n] if pick is None else held[pick] for n, pick in enumerate(picks))
+    assert per_distinct(lambda x: x[0], made) == [n if pick is None else -1 - pick for n, pick in enumerate(picks)]
 
 
 def test_pareto_rejects_empty():
