@@ -26,7 +26,10 @@ an Indexed array of (index, row) pairs as [{"index": i, **row}, ...],
 each distinct row encoded once.
 
 Files are written to a temporary sibling and renamed into place, so a
-failed run never leaves a partial artifact, nor one without its manifest.
+failed run never leaves a partial file. write_artifact writes both the
+artifact's and its manifest's temporary files before it renames either,
+so a failed write leaves the old pair as it was; its docstring says what
+a failed rename can still leave.
 Each input file (state, config, log) is read by read_input, whose every
 ValueError names the file ("state x.json: team[3].x: ..."); its JSON
 goes through parse_json, so malformed or too deeply nested input is a
@@ -224,25 +227,28 @@ class Indexed(tuple):
     __slots__ = ()
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write-to-temp then rename: no partial files on error.
+def _write_temp(path: str, text: str) -> str:
+    """Write text to a new temporary sibling of path and return its name; on error it is removed.
 
-    The temporary file is created with the mode open(path, "w") would
-    give a new file under the process umask; os.replace keeps it.
+    The file is created with the mode open(path, "w") would give a new
+    file under the process umask; os.replace keeps it.
     """
-    path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path) or ".", f".tmp-{secrets.token_hex(8)}.part")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        _remove(tmp)
         raise
+    return tmp
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 def sha256_of_file(path) -> str:
@@ -260,14 +266,28 @@ def manifest_path(artifact_path) -> str:
 def write_artifact(path, text: str, manifest: dict) -> None:
     """Write an artifact and its sibling manifest, each atomically.
 
-    The manifest goes first and is removed if the artifact then fails,
-    so a call that raises leaves neither a new artifact nor a new manifest.
-    Its numbers are exact (exact_number_text), as regenerate needs them.
+    Both are written to temporary siblings before either is renamed into
+    place, so a call that fails while writing (a full disk, text that does
+    not encode) leaves the old artifact and manifest as they were. Only a
+    failed rename can still part them: the manifest is renamed first, and
+    if the artifact's rename then fails the new manifest is removed, so
+    the old artifact is left without one, never beside a manifest that
+    does not describe it. The manifest's numbers are exact
+    (exact_number_text), as regenerate needs them.
     """
+    path = os.fspath(path)
     sibling = manifest_path(path)
-    atomic_write_text(sibling, canonical_dumps(manifest, exact_number_text))
+    temps = []  # once renamed into place, a temporary file's name is gone and removing it does nothing
     try:
-        atomic_write_text(path, text)
+        temps.append(_write_temp(sibling, canonical_dumps(manifest, exact_number_text)))
+        temps.append(_write_temp(path, text))
+        os.replace(temps[0], sibling)
+        try:
+            os.replace(temps[1], path)
+        except BaseException:
+            _remove(sibling)
+            raise
     except BaseException:
-        os.unlink(sibling)
+        for tmp in temps:
+            _remove(tmp)
         raise

@@ -31,21 +31,30 @@ PossessionSequence.
 log_text writes a log as canonical_dumps text: the lone sequence for one
 possession, else the array of all, laid out as "[\n  " + ",\n  ".join(
 element texts) + "\n]\n", where every element starts with "[". Its
-value shares one object per distinct sequence (per_distinct) and per
-distinct step (a path's possessions share their prefix steps, see
-run_trials).
+value shares one object per distinct sequence (per_distinct), per
+distinct step and per distinct network (sequence_to_obj's laid map): a
+path's possessions share their prefix steps, and a path step's
+completed and ending steps share its network (see run_trials), so
+canonical_dumps encodes each network once.
 
 load_log reads a log file through jsonio.read_input, as load_match_state
 and load_config read theirs, and read_log reads its bytes. A log in
 log_text's layout is read by its element texts: the elements of
 splitting at ",\n  [", found in one forward scan that jumps from "[" to
 "[" (a memchr) and ends an element at a "[" with ",\n  " right before
-it, so each "[" is looked at once. Each distinct element text is parsed
-and checked once, and its repeats share the frozen sequence. If every
-element reads on its own, the whole text is exactly the array of them;
-if any fails, or the layout differs (compact, truncated, a lone
-sequence), the log is parsed whole and each sequence checked. Either
-way the sequences and the first error are those of a whole parse.
+it, so each "[" is looked at once. Each distinct element text is read
+once, and its repeats share the frozen sequence. A step's text in an
+element is its head, the text of its network and decision, then its
+"outcome" line, one of five texts; each distinct head is parsed and
+checked once per read, and its later steps reuse its network and
+decision (hash-consing keyed by the exact text, so a valid "r": 3
+never vouches for "r": 3.0, nor 0.0 for -0.0). An element of new heads
+alone is parsed whole; in one with a known head only the steps of new
+heads are parsed. If every element reads on its own, the whole text is
+exactly the array of them; if any fails, or the layout differs
+(compact, truncated, a lone sequence, a step laid out otherwise), the
+log is parsed whole and each sequence checked. Either way the sequences
+and the first error are those of a whole parse.
 """
 
 from __future__ import annotations
@@ -77,6 +86,7 @@ class StepOutcome(enum.Enum):
 
 
 _SHOTS = (StepOutcome.SHOT_SCORED, StepOutcome.SHOT_MISSED)
+_OUTCOMES = {outcome.value: outcome for outcome in StepOutcome}  # by log label
 # the keys of a step and of its decision (whose target is optional) in the log shape
 _STEP_KEYS = frozenset(("network", "decision", "outcome"))
 _DECISION_KEYS = frozenset(("type", "target"))
@@ -246,30 +256,46 @@ def pareto_points(points) -> list[tuple[float, float, int]]:
     return frontier
 
 
-def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
-    """The sequence-log JSON shape: one object per step."""
+def sequence_to_obj(seq: PossessionSequence, laid: dict | None = None) -> list[dict]:
+    """The sequence-log JSON shape: one object per step.
+
+    laid, when given, maps the id of each step and network already laid
+    out to its object, and gains those laid out here: a step or network
+    object that recurs, in this sequence or in others laid with the same
+    map, gets one object, which canonical_dumps encodes once. The caller
+    keeps every sequence laid with the map alive while it uses it.
+    """
+    if laid is None:
+        laid = {}
     out = []
     for step in seq.steps:
-        if step.decision.is_shoot:
-            decision_obj: dict = {"type": "shoot"}
-        else:
-            decision_obj = {"type": "pass", "target": step.decision.target}
-        out.append(
-            {
-                "network": step.network.to_json_dict(),
-                "decision": decision_obj,
-                "outcome": step.outcome.label(),
-            }
-        )
+        obj = laid.get(id(step))
+        if obj is None:
+            network = laid.get(id(step.network))
+            if network is None:
+                network = laid[id(step.network)] = step.network.to_json_dict()
+            if step.decision.is_shoot:
+                decision_obj: dict = {"type": "shoot"}
+            else:
+                decision_obj = {"type": "pass", "target": step.decision.target}
+            obj = laid[id(step)] = {"network": network, "decision": decision_obj, "outcome": step.outcome.label()}
+        out.append(obj)
     return out
 
 
 def sequence_from_obj(obj: object) -> PossessionSequence:
-    """Rebuild a sequence from its log shape; PossessionSequence checks every step again."""
+    """Rebuild a sequence from its log shape; PossessionSequence checks every step again.
+
+    An item may also be a PossessionStep, which the log reader passes
+    for a step whose text it has read before; it is taken as it is.
+    """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty array of steps")
     steps = []
     for k, item in enumerate(obj):
+        if type(item) is PossessionStep:  # a step the log reader has read before
+            steps.append(item)
+            continue
         # the common cases skip the calls, so a path is formatted only for a check that may fail
         if type(item) is not dict or item.keys() != _STEP_KEYS:
             check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
@@ -282,24 +308,76 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
             dec_obj.keys() != _DECISION_KEYS and dec_obj.keys() != _SHOOT_KEYS
         ):
             check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
-        try:
-            outcome = StepOutcome(item["outcome"])
-        except ValueError:
-            raise ValueError(f"step {k}: unknown outcome label {item['outcome']!r}") from None
-        decision = Decision(action=dec_obj["type"], target=dec_obj.get("target"))
+        label = item["outcome"]
+        outcome = _OUTCOMES.get(label) if type(label) is str else None  # faster than StepOutcome(label)
+        if outcome is None:
+            raise ValueError(f"step {k}: unknown outcome label {label!r}")
+        decision = Decision(dec_obj["type"], dec_obj.get("target"))
         steps.append(PossessionStep(network, decision, outcome))
     return PossessionSequence(tuple(steps))
 
 
 def log_text(sequences) -> str:
     """The log of a run's sequences: the lone sequence for one, else the array of all."""
-    steps: dict[int, dict] = {}  # id of a step that sequences keeps alive -> its object
+    laid: dict[int, dict] = {}  # shared by the distinct sequences, kept alive by per_distinct
+    objs = per_distinct(lambda seq: sequence_to_obj(seq, laid), sequences)
+    return canonical_dumps(objs[0] if len(objs) == 1 else objs)
 
-    def lay(seq: PossessionSequence) -> list[dict]:
-        return [steps.setdefault(id(step), obj) for step, obj in zip(seq.steps, sequence_to_obj(seq))]
 
-    laid = per_distinct(lay, sequences)
-    return canonical_dumps(laid[0] if len(laid) == 1 else laid)
+# the end of a step's text in log_text's layout, from its "outcome" key, by outcome
+_STEP_TAILS = {f'"outcome": "{outcome.value}"\n    }}': outcome for outcome in StepOutcome}
+
+
+def _element_sequence(text: str, seen: dict) -> PossessionSequence | None:
+    """The sequence of an element text (after its "[") in log_text's layout, or None.
+
+    Each step's text is its head, up to its first "outcome", then one of
+    _STEP_TAILS, and ",\n    " separates steps. seen maps each head read
+    so far to a step read with it. An element of new heads alone is
+    parsed whole and every step checked; a checked step holds "outcome"
+    only as its own key, so each step text found is one or more whole
+    steps, and exactly one if there are as many as the parse found. In
+    an element with a known head, that head's step is neither parsed nor
+    checked again: its text read as one JSON value before, with another
+    tail at most, and a tail changes only the last key's label. A new
+    head's step text is parsed on its own, so it must be one JSON value.
+    None, or a ValueError, sends read_log to a whole parse.
+    """
+    if not (text.startswith("\n    ") and text.endswith("\n  ]")):
+        return None
+    end = len(text) - 4
+    spans = []  # (start, stop) of each step's text
+    heads = []
+    outcomes = []
+    start = 5
+    while True:
+        # no space or digit in "outcome", so the search skips far; without one, cut is -2, where no tail is
+        cut = text.find("outcome", start, end) - 1
+        stop = text.find("}", cut, end) + 1
+        outcome = _STEP_TAILS.get(text[cut:stop])
+        if outcome is None:
+            return None
+        spans.append((start, stop))
+        heads.append(text[start:cut])
+        outcomes.append(outcome)
+        if stop == end:
+            break
+        if not text.startswith(",\n    ", stop):
+            return None
+        start = stop + 6
+    known = list(map(seen.get, heads))
+    if any(known):
+        items = [
+            parse_json(text[start:stop]) if step is None else PossessionStep(step.network, step.decision, outcome)
+            for (start, stop), step, outcome in zip(spans, known, outcomes)
+        ]
+    else:
+        items = parse_json("[" + text)
+        if len(items) != len(heads):
+            return None
+    seq = sequence_from_obj(items)
+    seen.update(zip(heads, seq.steps))
+    return seq
 
 
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
@@ -312,6 +390,7 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
     if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
         return None
     read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
+    seen: dict[str, PossessionStep] = {}  # step head -> a step read with it, see _element_sequence
     sequences = []
     find = data.find
     end = len(data) - 3
@@ -324,9 +403,10 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
         seq = read.get(text)
         if seq is None:
             try:
-                obj = parse_json("[" + text.decode("utf-8", "surrogatepass"))
-                seq = read[text] = sequence_from_obj(obj)
+                seq = read[text] = _element_sequence(text.decode("utf-8", "surrogatepass"), seen)
             except ValueError:  # UnicodeDecodeError included
+                return None
+            if seq is None:
                 return None
         sequences.append(seq)
         start = stop + 1 if stop >= 0 else -1

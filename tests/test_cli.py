@@ -456,6 +456,26 @@ def test_log_text_equals_reference_writer(state_seed, weights, threshold, max_st
     assert log_text(sequences) == reference_log_text(sequences)
 
 
+@pytest.mark.parametrize("state", [MIDFIELD, BOX], ids=["midfield", "box"])
+def test_log_text_lays_each_distinct_network_once(monkeypatch, state):
+    cfg = SimulationConfig(policy=DecisionPolicy(style=LinearStyle(1, 3)), estimators=DEFAULT_PARAMS, seed=3)
+    sequences = [r.sequence for r in run_trials(load_match_state(state), cfg, 0, 100)]
+    steps = {id(step): step for seq in sequences for step in seq.steps}
+    networks = {id(step.network) for step in steps.values()}
+    assert len(networks) < len(steps)  # a path step's network is shared by its completed and its ending step
+    real_network, real_dumps = DecisionNetwork.to_json_dict, playnet.sequence.canonical_dumps
+    converted, dumped = [], []
+    monkeypatch.setattr(DecisionNetwork, "to_json_dict", lambda net: converted.append(net) or real_network(net))
+    monkeypatch.setattr(playnet.sequence, "canonical_dumps", lambda obj: dumped.append(obj) or real_dumps(obj))
+    text = log_text(sequences)
+    assert len(converted) == len({id(net) for net in converted}) == len(networks)
+    # one object per distinct step and per distinct network, which canonical_dumps encodes once
+    [doc] = dumped
+    assert len({id(step) for seq in doc for step in seq}) == len(steps)
+    assert len({id(step["network"]) for seq in doc for step in seq}) == len(networks)
+    assert text == reference_log_text(sequences)
+
+
 @pytest.mark.parametrize(
     "manifest, field",
     [
@@ -909,15 +929,33 @@ def _log_text_of(name: str) -> str:
     return log_text([r.sequence for r in run_trials(load_match_state(MIDFIELD), cfg, 0, 100)])
 
 
+def _network_reads(monkeypatch) -> list:
+    """The network objects DecisionNetwork.from_json_dict is given from here on."""
+    real = DecisionNetwork.from_json_dict
+    reads = []
+    monkeypatch.setattr(DecisionNetwork, "from_json_dict", classmethod(lambda cls, obj: reads.append(obj) or real(obj)))
+    return reads
+
+
+def _distinct_steps(doc) -> set:
+    """The distinct (network, decision) values of the steps of a parsed log of several sequences."""
+    return {json.dumps([step["network"], step["decision"]]) for seq in doc for step in seq}
+
+
 def test_log_reader_checks_each_distinct_sequence_once(monkeypatch):
     obj = json.loads(_log_text_of("midfield"))
     real = playnet.sequence.sequence_from_obj
     checked = []
     monkeypatch.setattr(playnet.sequence, "sequence_from_obj", lambda item: checked.append(item) or real(item))
+    networks = _network_reads(monkeypatch)
     sequences = read_log(_log_text_of("midfield").encode())
     distinct = {json.dumps(item) for item in obj}
     assert len(checked) == len(distinct) < len(obj)
     assert len({id(seq) for seq in sequences}) == len(distinct)  # a repeat is the same frozen sequence
+    # each distinct (network, decision) is checked once: a step read before reaches the check as a step
+    steps = sum(len(json.loads(item)) for item in distinct)
+    assert len(networks) == len(_distinct_steps(obj)) < steps
+    assert sum(type(step) is dict for items in checked for step in items) == len(networks)
     assert sequences == _read_each(obj)
 
 
@@ -1024,16 +1062,103 @@ def test_a_valid_copy_does_not_vouch_for_a_changed_one(valid, edit, rejected):
             assert isinstance(got, str) == rejected
 
 
+def _pass_chain() -> list:
+    """The log shape of a pass from 1 to 2, completed, then a pass from 2 to 3, intercepted."""
+    steps = []
+    for holder, target, outcome in ((1, 2, "pass_completed"), (2, 3, "pass_intercepted")):
+        network = DecisionNetwork(holder, 0.25, 1.0, {j: (0.5, 3) for j in range(1, 12) if j != holder})
+        steps.append(PossessionStep(network, Decision("pass", target), StepOutcome(outcome)))
+    return sequence_to_obj(PossessionSequence(tuple(steps)))
+
+
+@pytest.mark.parametrize("changed", [0, 1], ids=["first-step-changed", "second-step-changed"])
+@pytest.mark.parametrize(
+    "field, known, value, rejected",
+    [("r", 3, 3.0, True), ("r", 3, True, True), ("p", 0.0, -0.0, False), ("p", -0.0, 0.0, False)],
+    ids=["r-3.0", "r-true", "p-negative-zero", "p-positive-zero"],
+)
+def test_a_known_step_does_not_vouch_for_a_changed_one(field, known, value, rejected, changed):
+    # the copy changes one step's first edge, from a text that reads to a value equal to the
+    # new one, so the other step is known when the second element is read
+    first = _pass_chain()
+    for step in first:
+        step["network"]["edges"][0][field] = known
+    second = json.loads(json.dumps(first))
+    second[changed]["network"]["edges"][0][field] = value
+    for at, log in ((1, [first, second]), (0, [second, first])):
+        data = (json.dumps(log, indent=2) + "\n").encode()
+        assert (_log_sequences(data) is None) == rejected
+        got = _read_outcome(read_log, data)
+        whole = _read_outcome(_read_whole, data)
+        assert got == whole
+        assert isinstance(got, str) == rejected
+        if not rejected:  # -0.0 == 0.0, so compare the texts, which keep each zero's sign
+            assert [json.dumps(sequence_to_obj(q)) for q in got] == [json.dumps(sequence_to_obj(q)) for q in whole]
+            assert json.dumps(sequence_to_obj(got[at])) == json.dumps(second)
+
+
+def _step_text(step: dict, key: str = '"outcome"') -> str:
+    """A step's text as log_text lays it in an element; key is the text of its "outcome" key."""
+    return json.dumps(step, indent=2).replace("\n", "\n    ").replace('"outcome"', key)
+
+
+_ESCAPED = '"outc\\u006fme"'  # the key "outcome", written without the text outcome
+
+
+@pytest.mark.parametrize("case", ["separator-of-five", "step-ends-early", "outcome-key-escaped"])
+def test_a_step_text_outside_the_layout_vouches_for_nothing(case):
+    # the first element's steps become known; read as the layout has it, a text in the second
+    # would be a known step, or one step where the log holds more
+    s0, s1 = _pass_chain()
+    first, second = [_step_text(s0), _step_text(s1)], [_step_text(s0), _step_text(s1)]
+    separator = ",\n    "
+    if case == "separator-of-five":  # the first element's second step starts a byte early
+        separator = ",\n   "
+        second[1] = second[1][1:]  # a text without its "{", as the layout would have cut it
+    elif case == "step-ends-early":  # the first "outcome" is the key of an object after the step
+        second[1] = _step_text(s1, _ESCAPED) + ', {"x": 1,\n      "outcome": "pass_intercepted"\n    }'
+    else:  # the first "outcome" is the second step's, so one step text holds both steps
+        first[0] = second[0] = _step_text(s0, _ESCAPED)
+        second[1] = _step_text(dict(s1, outcome="forced_loss"))
+    data = "[\n  [\n    " + separator.join(first) + "\n  ],\n  [\n    " + ",\n    ".join(second) + "\n  ]\n]\n"
+    data = data.encode()
+    assert _log_sequences(data) is None
+    got = _read_outcome(read_log, data)
+    assert got == _read_outcome(_read_whole, data)
+    assert isinstance(got, list) == (case == "outcome-key-escaped")
+
+
+def _parsed_steps(texts, elements) -> int:
+    """How many steps the texts given to parse_json hold, each an element's or a step's text.
+
+    An element is parsed whole as "[" and its text (after its "["), a
+    step as its own text, a part of an element's.
+    """
+    count = 0
+    for text in texts:
+        if text[:1] == "[":
+            assert text[1:] in elements
+            count += len(json.loads(text))
+        else:
+            assert any(text in element for element in elements)
+            count += 1
+    return count
+
+
 def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkeypatch, tmp_path):
     path = tmp_path / "log.json"
     path.write_text(_log_text_of("midfield"))
     real = playnet.sequence.parse_json
     parsed = []
-    monkeypatch.setattr(playnet.sequence, "parse_json", lambda data: parsed.append(data) or real(data))
+    monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
+    networks = _network_reads(monkeypatch)
     sequences = load_log(str(path))
-    elements = [json.dumps(item) for item in json.loads(path.read_text())]
-    assert len(parsed) == len(set(elements)) < len(elements)
-    assert sorted(json.dumps(json.loads(text)) for text in parsed) == sorted(set(elements))
+    doc = json.loads(path.read_text())
+    elements = path.read_text()[5:-3].split(",\n  [")  # each element's text after its "["
+    assert len(elements) == len(doc) > len(set(elements))
+    # an element of new steps alone is parsed whole, and of the others only their new steps:
+    # each distinct (network, decision) text is parsed and checked once, never the whole log
+    assert _parsed_steps(parsed, set(elements)) == len(networks) == len(_distinct_steps(doc))
     assert sequences == _read_whole(path.read_bytes())
 
 
@@ -1047,8 +1172,10 @@ def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, re
     real = playnet.sequence.parse_json
     parsed = []
     monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
+    networks = _network_reads(monkeypatch)
     sequences = read_log(data)
-    assert len(parsed) == 50  # once per element, never the whole log
+    assert len(parsed) == 50  # once per element, whole, never the whole log
+    assert len(networks) == sum(len(seq) for seq in log[:50])  # no step recurs
     assert sequences == _read_whole(data)
     assert len({id(seq) for seq in sequences}) == 50
     assert (sequences[-1] is sequences[0]) == repeat_first
@@ -1061,6 +1188,27 @@ def _element_texts(count: int, seed: int) -> list[bytes]:
             .replace(b"\n", b"\n  ") for _ in range(count)]
 
 
+def _prefix_texts(seed: int) -> list[bytes]:
+    """Element texts, as _element_texts has them, of a random passing chain and of each of its prefixes.
+
+    A prefix ends with its last pass intercepted, so each step of the
+    chain but its last is completed in every longer element and
+    intercepted at the end of one.
+    """
+    rng = random.Random(seed)
+    seq = random_sequence(rng, max_len=6)
+    while len(seq) < 3:
+        seq = random_sequence(rng, max_len=6)
+    steps = seq.steps
+    prefixes = [
+        PossessionSequence(steps[: k - 1] + (PossessionStep(steps[k - 1].network, steps[k - 1].decision,
+                                                            StepOutcome.PASS_INTERCEPTED),))
+        for k in range(1, len(steps))
+    ]
+    return [json.dumps(sequence_to_obj(q), indent=2).encode()[1:].replace(b"\n", b"\n  ")
+            for q in [*prefixes, seq]]
+
+
 def _log_of(elements: list[bytes]) -> bytes:
     return b"[\n  [" + b",\n  [".join(elements) + b"\n]\n"
 
@@ -1070,25 +1218,28 @@ def _bad(text: bytes) -> bytes:
     return text.replace(b'"outcome": "', b'"outcome": "x', 1)
 
 
-# name -> (element texts, how many distinct texts the reader parses, or None for a log
-# that a whole parse reads otherwise)
+# name -> (element texts, whether the reader reads them by element texts rather than whole)
 _READER_CASES = {
     # a known text that is a prefix of a longer element, so not followed by the separator:
-    # with whitespace it is an element of its own, with "x" the log is invalid, and with
-    # ", [" and an element it holds two sequences, which only a whole parse reads
-    "known-text-then-space": lambda a: ([a[0], a[0] + b" ", a[0], a[0] + b"\n", a[0]], 3),
-    "known-text-then-garbage": lambda a: ([a[0], a[0] + b"x", a[0]], None),
-    "known-text-then-element": lambda a: ([a[0], a[0] + b", [" + a[1], a[0]], None),
-    "all-distinct": lambda a: (a[:12], 12),
-    "six-distinct-in-turn": lambda a: (a[:6] * 5, 6),
-    "repeats-reordered": lambda a: ([a[k] for k in (0, 1, 2, 3, 0, 4, 3, 2, 1, 0, 4, 4)], 5),
+    # with whitespace it is an element of its own, but outside log_text's layout, with "x"
+    # the log is invalid, and with ", [" and an element it holds two sequences; a whole
+    # parse reads all three
+    "known-text-then-space": lambda a: ([a[0], a[0] + b" ", a[0], a[0] + b"\n", a[0]], False),
+    "known-text-then-garbage": lambda a: ([a[0], a[0] + b"x", a[0]], False),
+    "known-text-then-element": lambda a: ([a[0], a[0] + b", [" + a[1], a[0]], False),
+    "all-distinct": lambda a: (a[:12], True),
+    "six-distinct-in-turn": lambda a: (a[:6] * 5, True),
+    "repeats-reordered": lambda a: ([a[k] for k in (0, 1, 2, 3, 0, 4, 3, 2, 1, 0, 4, 4)], True),
+    # elements that share steps: a known step is not parsed or checked again
+    "shared-steps-longest-first": lambda a: (_prefix_texts(5)[::-1] * 2, True),
+    "shared-steps-shortest-first": lambda a: ([*_prefix_texts(5), a[0], *_prefix_texts(6)], True),
 }
 
 
 @pytest.mark.parametrize("case", list(_READER_CASES))
 @pytest.mark.parametrize("fault", ["valid", "bad-last", "bad-middle"])
 def test_log_reader_equals_a_whole_parse_on_written_logs(monkeypatch, case, fault):
-    elements, parses = _READER_CASES[case](_element_texts(12, seed=5))
+    elements, by_elements = _READER_CASES[case](_element_texts(12, seed=5))
     if fault == "bad-last":
         elements[-1] = _bad(elements[-1])
     elif fault == "bad-middle":
@@ -1099,13 +1250,16 @@ def test_log_reader_equals_a_whole_parse_on_written_logs(monkeypatch, case, faul
     monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
     expected = _read_outcome(_read_whole, data)
     parsed.clear()
+    networks = _network_reads(monkeypatch)
     got = _read_outcome(read_log, data)
     assert got == expected
     if fault != "valid":
         assert isinstance(got, str)
-    elif parses is not None:
+    elif by_elements:
         assert isinstance(got, list) and len(got) == len(elements)
-        assert len(parsed) == parses  # each distinct element text once, never the whole log
+        # each distinct (network, decision) text parsed and checked once, never the whole log
+        distinct = _distinct_steps(json.loads(data))
+        assert _parsed_steps(parsed, {text.decode() for text in elements}) == len(networks) == len(distinct)
         by_text = {}
         for text, seq in zip(elements, got):  # repeats of a text share its sequence
             assert by_text.setdefault(text, seq) is seq
@@ -1121,13 +1275,12 @@ _LAYOUT_BYTES = st.lists(
 @given(body=_LAYOUT_BYTES)
 def test_log_reader_finds_the_elements_of_a_split(body):
     data = b"[\n  [" + body + b"\n]\n"
-    elements = ["[" + text.decode() for text in body.split(b",\n  [")]
-    parsed = []
+    elements = [text.decode() for text in body.split(b",\n  [")]
+    read = []
     with pytest.MonkeyPatch.context() as patch:  # each element text reads as itself
-        patch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or text)
-        patch.setattr(playnet.sequence, "sequence_from_obj", lambda obj: obj)
+        patch.setattr(playnet.sequence, "_element_sequence", lambda text, seen: read.append(text) or text)
         assert _log_sequences(data) == elements
-    assert parsed == list(dict.fromkeys(elements))  # each distinct text once, in order
+    assert read == list(dict.fromkeys(elements))  # each distinct text once, in order
 
 
 @pytest.mark.parametrize("layout, distinct", [("written", 6), ("compact", 100)])

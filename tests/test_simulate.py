@@ -374,6 +374,23 @@ def test_run_trials_draws_as_lone_rollouts_seeded_by_derive_seed(state_name, req
     assert len({(len(r.sequence), r.scored) for r in results}) > 1  # the draws cut the path apart
 
 
+def test_run_trials_seeds_no_generator_from_os_entropy(midfield_state, monkeypatch):
+    # random.Random() draws OS entropy; every trial reseeds the generator, so a seed is free
+    seeds = []
+
+    class Recording(random.Random):
+        def __init__(self, *args):
+            seeds.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    expected = [rollout(midfield_state, dataclasses.replace(base_config(seed=5), seed=derive_seed(5, 0, i)))
+                for i in range(20)]
+    seeds.clear()
+    assert run_trials(midfield_state, base_config(seed=5), 0, 20) == expected
+    assert seeds and () not in seeds and (None,) not in seeds
+
+
 def test_run_trials_builds_each_end_of_the_path_once(midfield_state, monkeypatch):
     built = []
     real = playnet.sequence.PossessionSequence.__post_init__

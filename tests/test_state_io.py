@@ -1,7 +1,9 @@
 import dataclasses
+import errno
 import gc
 import json
 import math
+import os
 import random
 import re
 from pathlib import Path
@@ -13,7 +15,7 @@ from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
 from playnet.jsonio import (
-    Indexed, atomic_write_text, canonical_dumps, canonical_number, exact_number_text, manifest_path, number_text,
+    Indexed, canonical_dumps, canonical_number, exact_number_text, manifest_path, number_text,
     parse_json, write_artifact,
 )
 from playnet.state import match_state_to_obj
@@ -562,12 +564,50 @@ def test_write_artifact_leaves_no_reference_cycle(tmp_path):
         gc.enable()
 
 
+@pytest.mark.parametrize("failure", ["unencodable-text", "disk-full"])
+def test_a_failed_artifact_write_keeps_the_old_pair(tmp_path, monkeypatch, failure):
+    path = tmp_path / "log.json"
+    write_artifact(path, "old\n", {"run": {"seed": 1}})
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    text = "new\n"
+    if failure == "unencodable-text":
+        text = "new \ud800\n"  # a lone surrogate, which UTF-8 cannot encode
+    else:
+        real_fdopen = os.fdopen
+        opened = []
+
+        class DiskFull:
+            """The artifact's temporary file, on a disk that fills up after two characters."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fdopen(fd, *args, **kwargs):
+            opened.append(fd)
+            fh = real_fdopen(fd, *args, **kwargs)
+            return DiskFull(fh) if len(opened) == 2 else fh  # the manifest is written first
+
+        monkeypatch.setattr(os, "fdopen", fdopen)
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        write_artifact(path, text, {"run": {"seed": 2}})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before  # no temporary left either
+
+
 def test_atomic_write(tmp_path):
     target = tmp_path / "artifact.json"
-    atomic_write_text(target, "payload\n")
+    write_artifact(target, "payload\n", {})
     assert target.read_text() == "payload\n"
-    leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
-    assert leftovers == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "artifact.json.manifest.json"]
 
 
 # --- DOT export -------------------------------------------------------------
