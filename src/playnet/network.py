@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 from .jsonio import check_object
@@ -118,9 +117,6 @@ class PassEdge(NamedTuple):
     r: int    # receiver risk, integer in 0..10
 
 
-_pass_edge = partial(tuple.__new__, PassEdge)  # PassEdge of a (p, r) pair, without PassEdge.__new__'s Python frame
-
-
 @dataclass(frozen=True)
 class DecisionNetwork:
     """The holder's decision situation: (s, tau) plus one (p, r) per teammate.
@@ -145,16 +141,17 @@ class DecisionNetwork:
         if not isinstance(self.edges, dict):
             raise ValueError(f"edges must be a dict of teammate id -> (p, r), not {type(self.edges).__name__}")
         expected = PLAYER_IDS - {self.holder}
-        if self.edges.keys() != expected:  # the common case skips naming the difference
-            got = set(self.edges)
-            unexpected = got - expected
-            if self.holder in unexpected:
-                raise ValueError(f"holder {self.holder} cannot have a self-edge")
-            if unexpected:  # keys of any type, which need not compare: name the least repr
-                raise ValueError(f"unexpected teammate id {min(unexpected, key=repr)!r}")
-            raise ValueError(f"incomplete edge set: missing teammate {min(expected - got)}")
+        got = set(self.edges)
+        unexpected = got - expected
+        if self.holder in unexpected:
+            raise ValueError(f"holder {self.holder} cannot have a self-edge")
+        if unexpected:  # keys of any type, which need not compare: name the least repr
+            raise ValueError(f"unexpected teammate id {min(unexpected, key=repr)!r}")
+        missing = sorted(expected - got)
+        if missing:
+            raise ValueError(f"incomplete edge set: missing teammate {missing[0]}")
         edges: dict[int, PassEdge] = {}
-        for j in sorted(self.edges):
+        for j in sorted(got):
             if type(j) is not int:  # True == 1 and 3.0 == 3 pass the set checks above
                 check_player_id(j, "teammate id")
             try:
@@ -162,7 +159,7 @@ class DecisionNetwork:
             except (TypeError, ValueError):
                 raise ValueError(f"teammate {j}: edge must be a (p, r) pair, not {self.edges[j]!r}") from None
             try:
-                edges[j] = _pass_edge((check_unit(p, "p"), check_int(r, "r", 0, RISK_MAX)))
+                edges[j] = PassEdge(check_unit(p, "p"), check_int(r, "r", 0, RISK_MAX))
             except ValueError as err:
                 raise ValueError(f"teammate {j}: {err}") from None
         object.__setattr__(self, "edges", edges)
@@ -203,8 +200,7 @@ class DecisionNetwork:
 
     @classmethod
     def from_json_dict(cls, obj: object) -> DecisionNetwork:
-        if type(obj) is not dict or obj.keys() != _NETWORK_KEYS:  # the common case skips the call
-            check_object(obj, _NETWORK_KEYS, ("holder", "s", "tau", "edges"), "network")
+        check_object(obj, _NETWORK_KEYS, ("holder", "s", "tau", "edges"), "network")
         entries = obj["edges"]
         if not isinstance(entries, list):
             raise ValueError("network.edges: expected an array")

@@ -31,8 +31,8 @@ PossessionSequence.
 log_text writes a log as canonical_dumps text: the lone sequence for one
 possession, else the array of all, laid out as "[\n  " + ",\n  ".join(
 element texts) + "\n]\n", where every element starts with "[". Its
-value shares one object per distinct sequence (per_distinct), per
-distinct step and per distinct network (sequence_to_obj's laid map): a
+value shares one object per distinct sequence, per distinct step and
+per distinct network, each told apart by identity (per_distinct): a
 path's possessions share their prefix steps, and a path step's
 completed and ending steps share its network (see run_trials), so
 canonical_dumps encodes each network once.
@@ -45,21 +45,25 @@ splitting at ",\n  [", found in one forward scan that jumps from "[" to
 it, so each "[" is looked at once. Each distinct element text is read
 once, and its repeats share the frozen sequence. A step's text in an
 element is its head, the text of its network and decision, then its
-"outcome" line, one of five texts; each distinct head is parsed and
-checked once per read, and its later steps reuse its network and
-decision (hash-consing keyed by the exact text, so a valid "r": 3
+"outcome" line, one of five texts, and "}"; each distinct head is
+parsed and checked once per read, and its later steps reuse its network
+and decision (hash-consing keyed by the exact text, so a valid "r": 3
 never vouches for "r": 3.0, nor 0.0 for -0.0). An element of new heads
-alone is parsed whole; in one with a known head only the steps of new
-heads are parsed. If every element reads on its own, the whole text is
-exactly the array of them; if any fails, or the layout differs
-(compact, truncated, a lone sequence, a step laid out otherwise), the
-log is parsed whole and each sequence checked. Either way the sequences
-and the first error are those of a whole parse.
+alone is parsed whole, and is read so only if it holds no backslash,
+which log_text never writes: then every "outcome" key is that text, and
+the heads found are the steps'. In an element with a known head only
+the steps of new heads are parsed. If every element reads on its own,
+the whole text is exactly the array of them; if any fails, or the
+layout differs (compact, truncated, a lone sequence, a step laid out
+otherwise, an escape in an element of new steps), the log is parsed
+whole and each sequence checked. Either way the sequences and the
+first error are those of a whole parse.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .decision import Decision
@@ -86,7 +90,6 @@ class StepOutcome(enum.Enum):
 
 
 _SHOTS = (StepOutcome.SHOT_SCORED, StepOutcome.SHOT_MISSED)
-_OUTCOMES = {outcome.value: outcome for outcome in StepOutcome}  # by log label
 # the keys of a step and of its decision (whose target is optional) in the log shape
 _STEP_KEYS = frozenset(("network", "decision", "outcome"))
 _DECISION_KEYS = frozenset(("type", "target"))
@@ -256,126 +259,116 @@ def pareto_points(points) -> list[tuple[float, float, int]]:
     return frontier
 
 
-def sequence_to_obj(seq: PossessionSequence, laid: dict | None = None) -> list[dict]:
-    """The sequence-log JSON shape: one object per step.
-
-    laid, when given, maps the id of each step and network already laid
-    out to its object, and gains those laid out here: a step or network
-    object that recurs, in this sequence or in others laid with the same
-    map, gets one object, which canonical_dumps encodes once. The caller
-    keeps every sequence laid with the map alive while it uses it.
-    """
-    if laid is None:
-        laid = {}
+def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
+    """The sequence-log JSON shape: one object per step."""
     out = []
     for step in seq.steps:
-        obj = laid.get(id(step))
-        if obj is None:
-            network = laid.get(id(step.network))
-            if network is None:
-                network = laid[id(step.network)] = step.network.to_json_dict()
-            if step.decision.is_shoot:
-                decision_obj: dict = {"type": "shoot"}
-            else:
-                decision_obj = {"type": "pass", "target": step.decision.target}
-            obj = laid[id(step)] = {"network": network, "decision": decision_obj, "outcome": step.outcome.label()}
-        out.append(obj)
+        if step.decision.is_shoot:
+            decision_obj: dict = {"type": "shoot"}
+        else:
+            decision_obj = {"type": "pass", "target": step.decision.target}
+        out.append(
+            {
+                "network": step.network.to_json_dict(),
+                "decision": decision_obj,
+                "outcome": step.outcome.label(),
+            }
+        )
     return out
 
 
-def sequence_from_obj(obj: object) -> PossessionSequence:
-    """Rebuild a sequence from its log shape; PossessionSequence checks every step again.
+def _step_from_obj(item: object, k: int) -> PossessionStep:
+    """Step k of a sequence from its log shape, its keys, network and outcome label read."""
+    # the common cases skip the calls, so a path is formatted only for a check that may fail
+    if type(item) is not dict or item.keys() != _STEP_KEYS:
+        check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
+    try:
+        network = DecisionNetwork.from_json_dict(item["network"])
+    except ValueError as err:
+        raise ValueError(f"step {k}: {err}") from None
+    dec_obj = item["decision"]
+    if type(dec_obj) is not dict or (
+        dec_obj.keys() != _DECISION_KEYS and dec_obj.keys() != _SHOOT_KEYS
+    ):
+        check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
+    try:
+        outcome = StepOutcome(item["outcome"])
+    except ValueError:
+        raise ValueError(f"step {k}: unknown outcome label {item['outcome']!r}") from None
+    return PossessionStep(network, Decision(action=dec_obj["type"], target=dec_obj.get("target")), outcome)
 
-    An item may also be a PossessionStep, which the log reader passes
-    for a step whose text it has read before; it is taken as it is.
-    """
+
+def sequence_from_obj(obj: object) -> PossessionSequence:
+    """Rebuild a sequence from its log shape; PossessionSequence checks every step again."""
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty array of steps")
-    steps = []
-    for k, item in enumerate(obj):
-        if type(item) is PossessionStep:  # a step the log reader has read before
-            steps.append(item)
-            continue
-        # the common cases skip the calls, so a path is formatted only for a check that may fail
-        if type(item) is not dict or item.keys() != _STEP_KEYS:
-            check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
-        try:
-            network = DecisionNetwork.from_json_dict(item["network"])
-        except ValueError as err:
-            raise ValueError(f"step {k}: {err}") from None
-        dec_obj = item["decision"]
-        if type(dec_obj) is not dict or (
-            dec_obj.keys() != _DECISION_KEYS and dec_obj.keys() != _SHOOT_KEYS
-        ):
-            check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
-        label = item["outcome"]
-        outcome = _OUTCOMES.get(label) if type(label) is str else None  # faster than StepOutcome(label)
-        if outcome is None:
-            raise ValueError(f"step {k}: unknown outcome label {label!r}")
-        decision = Decision(dec_obj["type"], dec_obj.get("target"))
-        steps.append(PossessionStep(network, decision, outcome))
-    return PossessionSequence(tuple(steps))
+    return PossessionSequence(tuple(_step_from_obj(item, k) for k, item in enumerate(obj)))
 
 
 def log_text(sequences) -> str:
-    """The log of a run's sequences: the lone sequence for one, else the array of all."""
-    laid: dict[int, dict] = {}  # shared by the distinct sequences, kept alive by per_distinct
-    objs = per_distinct(lambda seq: sequence_to_obj(seq, laid), sequences)
+    """The log of a run's sequences: the lone sequence for one, else the array of all.
+
+    Its value holds one object per distinct step and per distinct network,
+    told apart by identity as per_distinct tells sequences apart, so
+    canonical_dumps encodes each once.
+    """
+    laid: dict[int, dict] = {}  # id of a step or network of a sequence per_distinct keeps alive -> its object
+
+    def lay(seq: PossessionSequence) -> list[dict]:
+        out = []
+        for step, obj in zip(seq.steps, sequence_to_obj(seq)):
+            if id(step) not in laid:
+                obj["network"] = laid.setdefault(id(step.network), obj["network"])
+                laid[id(step)] = obj
+            out.append(laid[id(step)])
+        return out
+
+    objs = per_distinct(lay, sequences)
     return canonical_dumps(objs[0] if len(objs) == 1 else objs)
 
 
-# the end of a step's text in log_text's layout, from its "outcome" key, by outcome
-_STEP_TAILS = {f'"outcome": "{outcome.value}"\n    }}': outcome for outcome in StepOutcome}
+# the end of a step's text in log_text's layout, its "outcome" line and "}", and what follows:
+# ",\n    " and the next step, or the element's end
+_STEP_TAIL = re.compile(
+    '"outcome": "(' + "|".join(outcome.value for outcome in StepOutcome) + ')"\n    }(?:,\n    |\n  ]\\Z)'
+)
 
 
 def _element_sequence(text: str, seen: dict) -> PossessionSequence | None:
     """The sequence of an element text (after its "[") in log_text's layout, or None.
 
-    Each step's text is its head, up to its first "outcome", then one of
-    _STEP_TAILS, and ",\n    " separates steps. seen maps each head read
-    so far to a step read with it. An element of new heads alone is
-    parsed whole and every step checked; a checked step holds "outcome"
-    only as its own key, so each step text found is one or more whole
-    steps, and exactly one if there are as many as the parse found. In
-    an element with a known head, that head's step is neither parsed nor
-    checked again: its text read as one JSON value before, with another
-    tail at most, and a tail changes only the last key's label. A new
-    head's step text is parsed on its own, so it must be one JSON value.
-    None, or a ValueError, sends read_log to a whole parse.
+    The text is cut at each _STEP_TAIL, and only if every "outcome" in it
+    is in one, into step texts: a head, up to the "outcome" line, then a
+    tail. seen maps each head read so far to a step read with it. A known
+    head's step is neither parsed nor checked again: it read as one step
+    with a tail before, and another tail changes only its last key's
+    label. A new head's step text is parsed on its own, so it is one JSON
+    value, and checked. An element of new heads alone is parsed whole, and
+    read only if it holds no backslash: then each step's "outcome" key is
+    that text, so as many step texts as steps are the steps' own, and its
+    heads can be kept. None, or a ValueError, sends read_log to a whole
+    parse.
     """
     if not (text.startswith("\n    ") and text.endswith("\n  ]")):
         return None
-    end = len(text) - 4
-    spans = []  # (start, stop) of each step's text
-    heads = []
-    outcomes = []
-    start = 5
-    while True:
-        # no space or digit in "outcome", so the search skips far; without one, cut is -2, where no tail is
-        cut = text.find("outcome", start, end) - 1
-        stop = text.find("}", cut, end) + 1
-        outcome = _STEP_TAILS.get(text[cut:stop])
-        if outcome is None:
-            return None
-        spans.append((start, stop))
-        heads.append(text[start:cut])
-        outcomes.append(outcome)
-        if stop == end:
-            break
-        if not text.startswith(",\n    ", stop):
-            return None
-        start = stop + 6
+    parts = _STEP_TAIL.split(text)
+    if parts[-1] or len(parts) != 2 * text.count("outcome") + 1:
+        return None
+    heads, labels = parts[0:-1:2], parts[1::2]
+    heads[0] = heads[0][5:]
     known = list(map(seen.get, heads))
     if any(known):
-        items = [
-            parse_json(text[start:stop]) if step is None else PossessionStep(step.network, step.decision, outcome)
-            for (start, stop), step, outcome in zip(spans, known, outcomes)
-        ]
+        seq = PossessionSequence(tuple(
+            _step_from_obj(parse_json(f'{head}"outcome": "{label}"\n    }}'), k) if step is None
+            else PossessionStep(step.network, step.decision, StepOutcome(label))
+            for k, (head, label, step) in enumerate(zip(heads, labels, known))
+        ))
+    elif "\\" in text:
+        return None
     else:
-        items = parse_json("[" + text)
-        if len(items) != len(heads):
+        seq = sequence_from_obj(parse_json("[" + text))
+        if len(seq) != len(heads):
             return None
-    seq = sequence_from_obj(items)
     seen.update(zip(heads, seq.steps))
     return seq
 

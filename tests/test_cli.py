@@ -463,12 +463,10 @@ def test_log_text_lays_each_distinct_network_once(monkeypatch, state):
     steps = {id(step): step for seq in sequences for step in seq.steps}
     networks = {id(step.network) for step in steps.values()}
     assert len(networks) < len(steps)  # a path step's network is shared by its completed and its ending step
-    real_network, real_dumps = DecisionNetwork.to_json_dict, playnet.sequence.canonical_dumps
-    converted, dumped = [], []
-    monkeypatch.setattr(DecisionNetwork, "to_json_dict", lambda net: converted.append(net) or real_network(net))
+    real_dumps = playnet.sequence.canonical_dumps
+    dumped = []
     monkeypatch.setattr(playnet.sequence, "canonical_dumps", lambda obj: dumped.append(obj) or real_dumps(obj))
     text = log_text(sequences)
-    assert len(converted) == len({id(net) for net in converted}) == len(networks)
     # one object per distinct step and per distinct network, which canonical_dumps encodes once
     [doc] = dumped
     assert len({id(step) for seq in doc for step in seq}) == len(steps)
@@ -944,18 +942,17 @@ def _distinct_steps(doc) -> set:
 
 def test_log_reader_checks_each_distinct_sequence_once(monkeypatch):
     obj = json.loads(_log_text_of("midfield"))
-    real = playnet.sequence.sequence_from_obj
+    real = PossessionSequence.__post_init__
     checked = []
-    monkeypatch.setattr(playnet.sequence, "sequence_from_obj", lambda item: checked.append(item) or real(item))
+    monkeypatch.setattr(PossessionSequence, "__post_init__", lambda seq: checked.append(seq) or real(seq))
     networks = _network_reads(monkeypatch)
     sequences = read_log(_log_text_of("midfield").encode())
     distinct = {json.dumps(item) for item in obj}
     assert len(checked) == len(distinct) < len(obj)
     assert len({id(seq) for seq in sequences}) == len(distinct)  # a repeat is the same frozen sequence
-    # each distinct (network, decision) is checked once: a step read before reaches the check as a step
+    # each distinct (network, decision) is read once: the steps of a known one are not read again
     steps = sum(len(json.loads(item)) for item in distinct)
     assert len(networks) == len(_distinct_steps(obj)) < steps
-    assert sum(type(step) is dict for items in checked for step in items) == len(networks)
     assert sequences == _read_each(obj)
 
 
@@ -1105,7 +1102,13 @@ def _step_text(step: dict, key: str = '"outcome"') -> str:
 _ESCAPED = '"outc\\u006fme"'  # the key "outcome", written without the text outcome
 
 
-@pytest.mark.parametrize("case", ["separator-of-five", "step-ends-early", "outcome-key-escaped"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "separator-of-five", "step-ends-early", "outcome-key-escaped",
+        "escaped-key-and-duplicate-key", "unlaid-outcome-and-duplicate-key",
+    ],
+)
 def test_a_step_text_outside_the_layout_vouches_for_nothing(case):
     # the first element's steps become known; read as the layout has it, a text in the second
     # would be a known step, or one step where the log holds more
@@ -1117,6 +1120,15 @@ def test_a_step_text_outside_the_layout_vouches_for_nothing(case):
         second[1] = second[1][1:]  # a text without its "{", as the layout would have cut it
     elif case == "step-ends-early":  # the first "outcome" is the key of an object after the step
         second[1] = _step_text(s1, _ESCAPED) + ', {"x": 1,\n      "outcome": "pass_intercepted"\n    }'
+    elif case.endswith("-and-duplicate-key"):
+        # the first element holds as many "outcome" lines as steps, but not the first step's,
+        # escaped or on the line of its "}", and the second's network holds one in a duplicate
+        # "holder" that a parse drops: cut there, the second step's text is a fragment, which
+        # the second element holds alone
+        fake = '"holder": {"outcome": "shot_scored"\n    },\n    "holder": 2,'
+        lead = _step_text(s0, _ESCAPED) if case.startswith("escaped") else _step_text(s0).replace('"\n    }', '"}')
+        first = [lead, _step_text(s1).replace('"holder": 2,', fake, 1)]
+        second[1] = second[1][second[1].index('"holder": 2,'):]
     else:  # the first "outcome" is the second step's, so one step text holds both steps
         first[0] = second[0] = _step_text(s0, _ESCAPED)
         second[1] = _step_text(dict(s1, outcome="forced_loss"))
@@ -1227,6 +1239,8 @@ _READER_CASES = {
     "known-text-then-space": lambda a: ([a[0], a[0] + b" ", a[0], a[0] + b"\n", a[0]], False),
     "known-text-then-garbage": lambda a: ([a[0], a[0] + b"x", a[0]], False),
     "known-text-then-element": lambda a: ([a[0], a[0] + b", [" + a[1], a[0]], False),
+    # known steps followed by the separator of steps, and no step
+    "known-steps-then-separator": lambda a: ([a[0], a[0][:-4] + b",\n    ", a[0]], False),
     "all-distinct": lambda a: (a[:12], True),
     "six-distinct-in-turn": lambda a: (a[:6] * 5, True),
     "repeats-reordered": lambda a: ([a[k] for k in (0, 1, 2, 3, 0, 4, 3, 2, 1, 0, 4, 4)], True),
