@@ -45,19 +45,17 @@ splitting at ",\n  [", found in one forward scan that jumps from "[" to
 it, so each "[" is looked at once. Each distinct element text is read
 once, and its repeats share the frozen sequence. A step's text in an
 element is its head, the text of its network and decision, then its
-"outcome" line, one of five texts, and "}"; each distinct head is
-parsed and checked once per read, and its later steps reuse its network
-and decision (hash-consing keyed by the exact text, so a valid "r": 3
-never vouches for "r": 3.0, nor 0.0 for -0.0). An element of new heads
-alone is parsed whole, and is read so only if it holds no backslash,
-which log_text never writes: then every "outcome" key is that text, and
-the heads found are the steps'. In an element with a known head only
-the steps of new heads are parsed. If every element reads on its own,
-the whole text is exactly the array of them; if any fails, or the
+"outcome" line, one of five texts, and "}". Each distinct head's step
+text is parsed on its own and checked once per read, and its later
+steps reuse its network and decision (hash-consing keyed by the exact
+text, so a valid "r": 3 never vouches for "r": 3.0, nor 0.0 for -0.0).
+Complete JSON values joined by "," and whitespace inside "[" and "]" are
+exactly the array of those values (RFC 8259), so if every step text
+reads on its own, its element is the array of them, and if every
+element reads, the log is the array of those. If any fails, or the
 layout differs (compact, truncated, a lone sequence, a step laid out
-otherwise, an escape in an element of new steps), the log is parsed
-whole and each sequence checked. Either way the sequences and the
-first error are those of a whole parse.
+otherwise), the log is parsed whole and each sequence checked. Either
+way the sequences and the first error are those of a whole parse.
 """
 
 from __future__ import annotations
@@ -337,40 +335,30 @@ _STEP_TAIL = re.compile(
 def _element_sequence(text: str, seen: dict) -> PossessionSequence | None:
     """The sequence of an element text (after its "[") in log_text's layout, or None.
 
-    The text is cut at each _STEP_TAIL, and only if every "outcome" in it
-    is in one, into step texts: a head, up to the "outcome" line, then a
-    tail. seen maps each head read so far to a step read with it. A known
-    head's step is neither parsed nor checked again: it read as one step
-    with a tail before, and another tail changes only its last key's
-    label. A new head's step text is parsed on its own, so it is one JSON
-    value, and checked. An element of new heads alone is parsed whole, and
-    read only if it holds no backslash: then each step's "outcome" key is
-    that text, so as many step texts as steps are the steps' own, and its
-    heads can be kept. None, or a ValueError, sends read_log to a whole
-    parse.
+    The text is cut at each _STEP_TAIL into step texts: a head, up to the
+    "outcome" line, then a tail. seen maps each head read so far to a step
+    read with it. A new head's step text is parsed on its own and checked,
+    so it is one JSON value, and the element is the array of those values.
+    A known head's step is neither parsed nor checked again: it read as
+    one object ending in its tail, and another tail changes only the label
+    of that object's last key. None, or a ValueError, sends read_log to a
+    whole parse.
     """
     if not (text.startswith("\n    ") and text.endswith("\n  ]")):
         return None
     parts = _STEP_TAIL.split(text)
-    if parts[-1] or len(parts) != 2 * text.count("outcome") + 1:
+    if parts[-1]:
         return None
-    heads, labels = parts[0:-1:2], parts[1::2]
-    heads[0] = heads[0][5:]
-    known = list(map(seen.get, heads))
-    if any(known):
-        seq = PossessionSequence(tuple(
-            _step_from_obj(parse_json(f'{head}"outcome": "{label}"\n    }}'), k) if step is None
-            else PossessionStep(step.network, step.decision, StepOutcome(label))
-            for k, (head, label, step) in enumerate(zip(heads, labels, known))
-        ))
-    elif "\\" in text:
-        return None
-    else:
-        seq = sequence_from_obj(parse_json("[" + text))
-        if len(seq) != len(heads):
-            return None
-    seen.update(zip(heads, seq.steps))
-    return seq
+    parts[0] = parts[0][5:]
+    steps = []
+    for k, (head, label) in enumerate(zip(parts[0:-1:2], parts[1::2])):
+        step = seen.get(head)
+        if step is None:
+            step = seen[head] = _step_from_obj(parse_json(f'{head}"outcome": "{label}"\n    }}'), k)
+        elif step.outcome.value != label:
+            step = PossessionStep(step.network, step.decision, StepOutcome(label))
+        steps.append(step)
+    return PossessionSequence(tuple(steps))
 
 
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:

@@ -110,6 +110,23 @@ def shuffled_opponents(state: MatchState, rng: random.Random) -> MatchState:
     return dataclasses.replace(state, opponents=tuple(opponents))
 
 
+def random_relabelling(rng: random.Random) -> dict[int, int]:
+    """A random permutation of the shirt numbers 1..11, as a map from old to new."""
+    new = list(range(1, 12))
+    rng.shuffle(new)
+    return dict(zip(range(1, 12), new))
+
+
+def relabelled(state: MatchState, sigma: dict[int, int]) -> MatchState:
+    """state with teammate j renumbered sigma[j], the holder and the outside set with it."""
+    return dataclasses.replace(
+        state,
+        team=dict(sorted((sigma[j], pos) for j, pos in state.team.items())),
+        holder=sigma[state.holder],
+        outside=frozenset(sigma[j] for j in state.outside),
+    )
+
+
 # --- mutated JSON documents, for the input-boundary properties -------------
 
 _MARK = "\0mutated\0"  # stands for a raw value until the text is spliced

@@ -1141,20 +1141,11 @@ def test_a_step_text_outside_the_layout_vouches_for_nothing(case):
 
 
 def _parsed_steps(texts, elements) -> int:
-    """How many steps the texts given to parse_json hold, each an element's or a step's text.
-
-    An element is parsed whole as "[" and its text (after its "["), a
-    step as its own text, a part of an element's.
-    """
-    count = 0
+    """How many steps the texts given to parse_json hold: each is one step's text, a part of an element's."""
     for text in texts:
-        if text[:1] == "[":
-            assert text[1:] in elements
-            count += len(json.loads(text))
-        else:
-            assert any(text in element for element in elements)
-            count += 1
-    return count
+        assert type(json.loads(text)) is dict
+        assert any(text in element for element in elements)
+    return len(texts)
 
 
 def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkeypatch, tmp_path):
@@ -1168,8 +1159,8 @@ def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkey
     doc = json.loads(path.read_text())
     elements = path.read_text()[5:-3].split(",\n  [")  # each element's text after its "["
     assert len(elements) == len(doc) > len(set(elements))
-    # an element of new steps alone is parsed whole, and of the others only their new steps:
-    # each distinct (network, decision) text is parsed and checked once, never the whole log
+    # only the new steps of each element are parsed, each on its own: each distinct
+    # (network, decision) text is parsed and checked once, never an element or the whole log
     assert _parsed_steps(parsed, set(elements)) == len(networks) == len(_distinct_steps(doc))
     assert sequences == _read_whole(path.read_bytes())
 
@@ -1186,8 +1177,9 @@ def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, re
     monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
     networks = _network_reads(monkeypatch)
     sequences = read_log(data)
-    assert len(parsed) == 50  # once per element, whole, never the whole log
-    assert len(networks) == sum(len(seq) for seq in log[:50])  # no step recurs
+    # no step recurs, so each step's text is parsed on its own, in turn, never an element or the log
+    assert [json.loads(text) for text in parsed] == [step for seq in log[:50] for step in seq]
+    assert len(networks) == len(parsed)
     assert sequences == _read_whole(data)
     assert len({id(seq) for seq in sequences}) == 50
     assert (sequences[-1] is sequences[0]) == repeat_first

@@ -18,7 +18,7 @@ from playnet.network import RISK_MAX, PassEdge
 from playnet.simulate import advance_state
 from playnet.state import match_state_to_obj, parse_match_state
 
-from conftest import GOLDEN_DIR, random_match_state, shuffled_opponents
+from conftest import GOLDEN_DIR, random_match_state, random_relabelling, relabelled, shuffled_opponents
 
 
 def spread_state(holder=8, holder_pos=(55.0, 30.0), opponents=None, overrides=None):
@@ -511,6 +511,17 @@ def test_opponent_order_does_not_change_the_network():
         state = random_match_state(rng)
         shuffled = shuffled_opponents(state, rng)
         assert network_bits(estimate_network(shuffled)) == network_bits(estimate_network(state))
+
+
+def test_shirt_numbers_do_not_change_the_network():
+    # renumbering the team, the holder and the outside set with it, renumbers the network
+    rng = random.Random(456)
+    for _ in range(1000):
+        state = random_match_state(rng)
+        sigma = random_relabelling(rng)
+        holder, *values, edges = network_bits(estimate_network(state))
+        renumbered = sorted((sigma[j], *rest) for j, *rest in edges)
+        assert network_bits(estimate_network(relabelled(state, sigma))) == (sigma[holder], *values, renumbered)
 
 
 def assert_one_pass_equals_the_kernels(state, params):

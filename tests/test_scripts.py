@@ -138,6 +138,19 @@ def test_compare_styles_script():
     assert any(row.endswith("*") for row in rows)  # some style is always undominated
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["--styles", "3:x"], ["--trials", "0"], ["--threshold", "2"], ["--state", str(DATA_DIR / "missing.json")]],
+    ids=["bad-style", "no-trials", "threshold-above-1", "missing-state"],
+)
+def test_compare_styles_script_reports_a_bad_input_in_one_line(argv):
+    proc = run_script("compare_styles.py", "--trials", "20", *argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
 def readme_playnet_commands():
     """The argv of each playnet command line in the README's bash blocks, continuations joined."""
     commands = []

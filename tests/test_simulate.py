@@ -31,7 +31,7 @@ from playnet.sequence import sequence_to_obj
 from playnet.simulate import StyleReport, advance_state
 from playnet.state import load_match_state
 
-from conftest import random_match_state, shuffled_opponents
+from conftest import random_match_state, random_relabelling, relabelled, shuffled_opponents
 from oracles import exact_possession_moments, oracle_advance
 
 
@@ -359,6 +359,73 @@ def test_opponent_order_does_not_change_possessions(state_seed, order_seed, weig
             for r in run_trials(start, cfg, 0, 20)
         ]
     assert possessions(shuffled) == possessions(state)
+
+
+_SAME_NUMBERS = {j: j for j in range(1, 12)}
+
+
+def _network_text(net, sigma) -> str:
+    """Every value of a network, to the bit, teammate j renumbered sigma[j]."""
+    return json.dumps([sigma[net.holder], net.s, net.tau, sorted((sigma[j], e.p, e.r) for j, e in net.edges.items())])
+
+
+def _renumbered_steps(seq, sigma) -> list:
+    """Each step's network text, action and outcome, teammate j renumbered sigma[j].
+
+    A completed pass's target is the next step's holder, so this is the
+    possession but the target of a last step's pass.
+    """
+    return [(_network_text(step.network, sigma), step.decision.action, step.outcome) for step in seq.steps]
+
+
+@given(
+    state_seed=st.integers(0, 2**32 - 1),
+    sigma_seed=st.integers(0, 2**32 - 1),
+    weights=st.tuples(st.integers(1, 5), st.integers(0, 5)),
+    base_seed=st.integers(0, 2**63),
+)
+def test_shirt_numbers_do_not_change_possessions(state_seed, sigma_seed, weights, base_seed):
+    # with x >= 1 two receivers tie only where their p ties, in practice at 0 (an opponent on
+    # the holder makes tau and every p 0); such a pass never completes, so the shirt numbers
+    # can pick another receiver only for the pass that ends the possession
+    state = random_match_state(random.Random(state_seed))
+    sigma = random_relabelling(random.Random(sigma_seed))
+    cfg = base_config(style=LinearStyle(*weights), seed=base_seed)
+
+    def possessions(start, numbers):
+        return [
+            (r.efficiency.hex(), r.security.hex(), _renumbered_steps(r.sequence, numbers))
+            for r in run_trials(start, cfg, 0, 20)
+        ]
+    assert possessions(relabelled(state, sigma), _SAME_NUMBERS) == possessions(state, sigma)
+
+
+def test_with_x_0_shirt_numbers_pick_the_receiver_among_tied_ones():
+    # with x = 0 a score is y * r, an integer, so receivers often tie; the pass goes to the
+    # lowest id among them, so renumbering the team can change the receiver and the possession
+    rng = random.Random(457)
+    parted = 0
+    for _ in range(200):
+        state = random_match_state(rng)
+        sigma = random_relabelling(rng)
+        cfg = base_config(style=LinearStyle(0, rng.randint(1, 5)), seed=rng.getrandbits(64))
+        for ours, theirs in zip(run_trials(state, cfg, 0, 20), run_trials(relabelled(state, sigma), cfg, 0, 20)):
+            for a, b in zip(ours.sequence.steps, theirs.sequence.steps):
+                # the same snapshot so far, renumbered, so the same network
+                assert _network_text(b.network, _SAME_NUMBERS) == _network_text(a.network, sigma)
+                assert b.decision.action == a.decision.action
+                if a.decision.is_pass:
+                    best = max(e.r for e in a.network.edges.values())
+                    tied = [j for j, e in a.network.edges.items() if e.r == best]
+                    assert a.decision.target == min(tied)
+                    assert b.decision.target == min(sigma[j] for j in tied)
+                    if b.decision.target != sigma[a.decision.target]:
+                        parted += 1
+                        break
+                assert b.outcome == a.outcome
+            else:
+                assert len(theirs.sequence) == len(ours.sequence)
+    assert parted > 0  # the shirt numbers do pick the receiver somewhere
 
 
 @pytest.mark.parametrize("state_name", ["midfield_state", "box_state"])
