@@ -30,8 +30,8 @@ from playnet.cli import regenerate, run_cli
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.jsonio import canonical_dumps, manifest_path, parse_json
 from playnet.sequence import (
-    _log_sequences, efficiency, load_log, log_text, pareto_points, read_log, security, sequence_from_obj,
-    sequence_to_obj,
+    _RECENT, _log_sequences, efficiency, load_log, log_text, pareto_points, read_log, security,
+    sequence_from_obj, sequence_to_obj,
 )
 from playnet.config import load_config
 from playnet.state import load_match_state, match_state_to_obj
@@ -1233,8 +1233,16 @@ _READER_CASES = {
     "known-text-then-element": lambda a: ([a[0], a[0] + b", [" + a[1], a[0]], False),
     # known steps followed by the separator of steps, and no step
     "known-steps-then-separator": lambda a: ([a[0], a[0][:-4] + b",\n    ", a[0]], False),
+    # a known text followed by what separates elements but no "[": one element
+    "known-text-then-separator-without-bracket": lambda a: ([a[0], a[0] + b",\n  ", a[0]], False),
+    # a known text, five bytes that are not the separator, and an element: invalid JSON
+    "known-text-then-five-bytes-and-element": lambda a: ([a[0], a[0] + b"x\n  [" + a[1], a[0]], False),
     "all-distinct": lambda a: (a[:12], True),
     "six-distinct-in-turn": lambda a: (a[:6] * 5, True),
+    # more distinct texts than the reader matches in place, so each recurs after it was
+    # dropped from the recent ones, or, reversed, some recur while still recent
+    "twelve-distinct-in-turn": lambda a: (a[:12] * 3, True),
+    "twelve-distinct-then-reversed": lambda a: (a[:12] + a[11::-1], True),
     "repeats-reordered": lambda a: ([a[k] for k in (0, 1, 2, 3, 0, 4, 3, 2, 1, 0, 4, 4)], True),
     # elements that share steps: a known step is not parsed or checked again
     "shared-steps-longest-first": lambda a: (_prefix_texts(5)[::-1] * 2, True),
@@ -1277,9 +1285,7 @@ _LAYOUT_BYTES = st.lists(
 ).map(b"".join)
 
 
-@settings(max_examples=500, deadline=None)
-@given(body=_LAYOUT_BYTES)
-def test_log_reader_finds_the_elements_of_a_split(body):
+def _check_split(body: bytes) -> None:
     data = b"[\n  [" + body + b"\n]\n"
     elements = [text.decode() for text in body.split(b",\n  [")]
     read = []
@@ -1287,6 +1293,28 @@ def test_log_reader_finds_the_elements_of_a_split(body):
         patch.setattr(playnet.sequence, "_element_sequence", lambda text, seen: read.append(text) or text)
         assert _log_sequences(data) == elements
     assert read == list(dict.fromkeys(elements))  # each distinct text once, in order
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=_LAYOUT_BYTES)
+def test_log_reader_finds_the_elements_of_a_split(body):
+    _check_split(body)
+
+
+# more distinct element texts than _log_sequences matches in place, none holding the
+# separator, some a prefix of another, each at least once among up to 30 repeats
+_MANY_TEXTS = st.lists(
+    st.lists(st.sampled_from([b",", b"\n", b" ", b"[", b"x", b",\n  ", b"\n  ["]), max_size=6)
+    .map(b"".join).filter(lambda text: b",\n  [" not in text),
+    min_size=_RECENT + 1, max_size=_RECENT + 4, unique=True,
+).flatmap(lambda texts: st.lists(st.sampled_from(texts), max_size=30).flatmap(
+    lambda repeats: st.permutations([*texts, *repeats])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements=_MANY_TEXTS)
+def test_log_reader_finds_the_elements_of_a_split_of_many_texts(elements):
+    _check_split(b",\n  [".join(elements))
 
 
 @pytest.mark.parametrize("layout, distinct", [("written", 6), ("compact", 100)])

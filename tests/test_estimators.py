@@ -468,16 +468,20 @@ def reference_pass_prob(state, target, tau, params=DEFAULT_PARAMS):
     return p if p < 1.0 else 1.0
 
 
-def reference_risk(state, target, params=DEFAULT_PARAMS):
-    """The target's scoring chance and openness, blended and rounded half-up to 0..10."""
+def reference_risk_score(state, target, params=DEFAULT_PARAMS):
+    """The target's scoring chance and openness, blended and clamped into [0, 1]."""
     tx, ty = state.team[target]
     s_target = score_prob_at(state.pitch, tx, ty, params)
     openness = reference_nearest_opponent(state, tx, ty) / params.openness_radius_m
     openness = openness if openness < 1.0 else 1.0
     raw = params.risk_score_weight * s_target + params.risk_openness_weight * openness
     raw = raw if raw > 0.0 else 0.0
-    raw = raw if raw < 1.0 else 1.0
-    r = math.floor(raw * RISK_MAX + 0.5)
+    return raw if raw < 1.0 else 1.0
+
+
+def reference_risk(state, target, params=DEFAULT_PARAMS):
+    """reference_risk_score rounded half-up to 0..10."""
+    r = math.floor(reference_risk_score(state, target, params) * RISK_MAX + 0.5)
     return r if r < RISK_MAX else RISK_MAX
 
 
@@ -522,6 +526,33 @@ def test_shirt_numbers_do_not_change_the_network():
         holder, *values, edges = network_bits(estimate_network(state))
         renumbered = sorted((sigma[j], *rest) for j, *rest in edges)
         assert network_bits(estimate_network(relabelled(state, sigma))) == (sigma[holder], *values, renumbered)
+
+
+def mirrored(state: MatchState) -> MatchState:
+    """state reflected across the pitch's long axis: every y to width - y."""
+    width = state.pitch.width
+    return dataclasses.replace(
+        state,
+        team={j: (x, width - y) for j, (x, y) in state.team.items()},
+        opponents=tuple((x, width - y) for x, y in state.opponents),
+    )
+
+
+def test_mirroring_the_pitch_does_not_change_the_network():
+    # width - y is itself rounded, so the relation holds within 1e-12, not to the
+    # bit; an r may move by 1 only where its raw score is that close to a boundary
+    rng = random.Random(457)
+    for _ in range(3000):
+        state = random_match_state(rng)
+        net, mirror = estimate_network(state), estimate_network(mirrored(state))
+        assert mirror.holder == net.holder and list(mirror.edges) == list(net.edges)
+        assert abs(mirror.s - net.s) <= 1e-12 and abs(mirror.tau - net.tau) <= 1e-12
+        for j, edge in net.edges.items():
+            assert abs(mirror.edges[j].p - edge.p) <= 1e-12
+            if mirror.edges[j].r != edge.r:
+                low = min(mirror.edges[j].r, edge.r)
+                assert abs(mirror.edges[j].r - edge.r) == 1
+                assert abs(reference_risk_score(state, j) - (low + 0.5) / RISK_MAX) <= 1e-12
 
 
 def assert_one_pass_equals_the_kernels(state, params):
