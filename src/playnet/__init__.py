@@ -22,7 +22,7 @@ from .simulate import (
     rollout,
     run_trials,
 )
-from .state import MatchState, Pitch, match_state_to_obj, parse_match_state
+from .state import MatchState, Pitch, parse_match_state
 from .style import LinearStyle, StyleClass
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "estimate_network",
     "is_p_secure",
     "is_s_efficient",
-    "match_state_to_obj",
     "monte_carlo_compare",
     "pareto_frontier",
     "parse_match_state",

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from .decision import DecisionPolicy
 from .estimators import EstimatorParams
 from .jsonio import check_object, parse_json, read_input
-from .network import check_int, check_real, check_unit
-from .simulate import SimulationConfig
+from .network import check_real, check_unit
+from .simulate import MAX_STEPS_LIMIT, SimulationConfig, check_count
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
 # each section of a config file and the keys it may hold, the field names and tie_break
@@ -41,7 +41,7 @@ class AppConfig:
         # bad file or flag fails at load whichever subcommand runs.
         if not isinstance(self.estimators, EstimatorParams):
             raise ValueError(f"estimators must be an EstimatorParams, not {type(self.estimators).__name__}")
-        check_int(self.max_steps, "max_steps", 1)
+        check_count(self.max_steps, "max_steps", MAX_STEPS_LIMIT)
         check_real(self.drift_m, "drift_m", 0.0)
         check_unit(self.threshold, "threshold")
 

@@ -11,7 +11,7 @@ from .network import DecisionNetwork, TEAM_SIZE
 
 
 def export_network_dot(network: DecisionNetwork) -> str:
-    """Graphviz source with every edge labeled (s, tau, p, r), 3 decimals."""
+    """Graphviz source with every edge labeled by its 4-vector (s, tau, p, r), 3 decimals."""
     lines = [
         "graph decision_network {",
         "  layout=circo;",
@@ -21,8 +21,9 @@ def export_network_dot(network: DecisionNetwork) -> str:
     for j in range(1, TEAM_SIZE + 1):
         if j != network.holder:
             lines.append(f"  t{j};")
-    for j, (p, r) in network.edges.items():
-        label = f"({network.s:.3f}, {network.tau:.3f}, {p:.3f}, {r})"
+    for j in network.edges:
+        s, tau, p, r = network.edge(j)
+        label = f"({s:.3f}, {tau:.3f}, {p:.3f}, {r})"
         lines.append(f'  t{network.holder} -- t{j} [label="{label}", fontsize=9];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -227,9 +227,14 @@ class Indexed(tuple):
     __slots__ = ()
 
 
+_WRITE_SLICE = 1 << 20  # characters encoded per write, so a long text's bytes are never held whole beside it
+
+
 def _write_temp(path: str, text: str) -> str:
     """Write text to a new temporary sibling of path and return its name; on error it is removed.
 
+    The text is encoded and written one slice at a time; a text no longer
+    than a slice is written whole, as its one slice is the text itself.
     The file is created with the mode open(path, "w") would give a new
     file under the process umask; os.replace keeps it.
     """
@@ -237,7 +242,8 @@ def _write_temp(path: str, text: str) -> str:
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
     except BaseException:
         _remove(tmp)
         raise

@@ -80,8 +80,8 @@ def check_real(value: object, name: str, lo: float = -_INF, *, strict: bool = Fa
 
 def check_int(value: object, name: str, lo: int | None, hi: int | None = None) -> int:
     """value as an int >= lo and, when hi is given, <= hi; lo=None (with no hi) accepts any int."""
-    if type(value) is int and hi is not None and lo <= value <= hi:
-        return value
+    if type(value) is int and (-_FLOAT_MAX if lo is None else lo) <= value <= (_FLOAT_MAX if hi is None else hi):
+        return value  # the common case; a bound left out stops at the float range
     bound = f" in {lo}..{hi}" if hi is not None else "" if lo is None else f" >= {lo}"
     _reject_non_number(value, name, int, f"an integer{bound}")
     if hi is not None and not lo <= value <= hi:

@@ -57,6 +57,19 @@ from .sequence import PossessionSequence, PossessionStep, StepOutcome, efficienc
 from .state import MatchState, check_holder
 
 
+# the largest trial count and step cap accepted: beyond them a run's time and memory are absurd
+TRIALS_LIMIT = 1_000_000
+MAX_STEPS_LIMIT = 1_000
+
+
+def check_count(value: object, name: str, limit: int) -> int:
+    """value as an int in 1..limit; a value below 1 gets check_int's message, one above the limit names it."""
+    check_int(value, name, 1)
+    if value > limit:
+        raise ValueError(f"{name}={value} above the limit of {limit}")
+    return value
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything a rollout needs besides the match state."""
@@ -72,7 +85,7 @@ class SimulationConfig:
             raise ValueError(f"policy must be a DecisionPolicy, not {type(self.policy).__name__}")
         if not isinstance(self.estimators, EstimatorParams):
             raise ValueError(f"estimators must be an EstimatorParams, not {type(self.estimators).__name__}")
-        check_int(self.max_steps, "max_steps", 1)
+        check_count(self.max_steps, "max_steps", MAX_STEPS_LIMIT)
         check_int(self.seed, "seed", None)
         check_real(self.drift_m, "drift_m", 0.0)
 
@@ -259,12 +272,13 @@ def run_trials(
     Each end of the path (a shot scored or missed, an interception or a
     forced loss at step k) is built once, the first time a trial reaches
     it, so trials that end the same way share one frozen RolloutResult.
-    Trials run in this thread. style_index is an int >= 0, checked once,
-    as derive_seed checks it. _snapshots is monte_carlo_compare's map of
-    the snapshots a chain of receivers leads to, shared by its styles.
+    Trials run in this thread. trials is an int in 1..TRIALS_LIMIT, and
+    style_index an int >= 0, checked once, as derive_seed checks it.
+    _snapshots is monte_carlo_compare's map of the snapshots a chain of
+    receivers leads to, shared by its styles.
     """
     check_int(style_index, "style_index", 0)
-    check_int(trials, "trials", 1)
+    check_count(trials, "trials", TRIALS_LIMIT)
     path = _PossessionPath(state, cfg, _snapshots)
     prefix = _seed_hash(cfg.seed, style_index)
     rng = random.Random(0)  # reseeded before every trial; a seed given here spares drawing OS entropy

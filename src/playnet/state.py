@@ -204,22 +204,5 @@ def parse_match_state(data: bytes | str) -> MatchState:
     return MatchState._trusted(pitch, team, tuple(opponents), holder, frozenset(outside))
 
 
-def match_state_to_obj(state: MatchState) -> dict:
-    """Canonical JSON shape: fixed field order, team sorted by id."""
-    team = []
-    for j in sorted(state.team):
-        x, y = state.team[j]
-        entry: dict = {"id": j, "x": x, "y": y}
-        if j in state.outside:
-            entry["outside"] = True
-        team.append(entry)
-    return {
-        "pitch": {"length": state.pitch.length, "width": state.pitch.width},
-        "team": team,
-        "opponents": [{"x": x, "y": y} for x, y in state.opponents],
-        "holder": state.holder,
-    }
-
-
 def load_match_state(path) -> MatchState:
     return read_input("state", path, parse_match_state)

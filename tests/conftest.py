@@ -103,6 +103,23 @@ def random_match_state(rng: random.Random, allow_outside: bool = True) -> MatchS
     return MatchState(pitch, team, opponents, holder, frozenset(outside))
 
 
+def state_to_obj(state: MatchState) -> dict:
+    """The JSON document of a snapshot, as a state file holds it: team sorted by id, outside flags set."""
+    team = []
+    for j in sorted(state.team):
+        x, y = state.team[j]
+        entry: dict = {"id": j, "x": x, "y": y}
+        if j in state.outside:
+            entry["outside"] = True
+        team.append(entry)
+    return {
+        "pitch": {"length": state.pitch.length, "width": state.pitch.width},
+        "team": team,
+        "opponents": [{"x": x, "y": y} for x, y in state.opponents],
+        "holder": state.holder,
+    }
+
+
 def shuffled_opponents(state: MatchState, rng: random.Random) -> MatchState:
     """state with its opponents in another order: the model gives them no identity."""
     opponents = list(state.opponents)

@@ -34,11 +34,11 @@ from playnet.sequence import (
     sequence_from_obj, sequence_to_obj,
 )
 from playnet.config import load_config
-from playnet.state import load_match_state, match_state_to_obj
+from playnet.state import load_match_state
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, json_paths, mutated_json_text,
-    random_match_state, random_sequence,
+    random_match_state, random_sequence, state_to_obj,
 )
 from oracles import (
     reference_analyze_text, reference_frontier_text, reference_log_text, reference_simulate_text,
@@ -436,6 +436,38 @@ def test_out_of_range_flags_are_validation_errors(capsys):
     assert code == 1 and err.startswith("error:")
 
 
+# each count just above its limit, so that a check that fails runs no long simulation
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--state", MIDFIELD, "--style", "3:1", "--trials", "1000001"],
+         "trials=1000001 above the limit of 1000000"),
+        (["compare", "--state", MIDFIELD, "--styles", "3:1,1:3", "--trials", "1000001"],
+         "trials=1000001 above the limit of 1000000"),
+        (["simulate", "--state", MIDFIELD, "--style", "3:1", "--max-steps", "1001"],
+         "max_steps=1001 above the limit of 1000"),
+        (["--config", "{config}", "analyze", "--log", str(GOLDEN_DIR / "simulate_seed42.json")],
+         "config {config}: max_steps=1001 above the limit of 1000"),
+    ],
+    ids=["simulate-trials", "compare-trials", "max-steps-flag", "max-steps-config"],
+)
+def test_a_count_above_its_limit_exits_1_at_load(capsys, tmp_path, argv, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"simulation": {"max_steps": 1001}}))
+    code, out, err = run(capsys, *(a.replace("{config}", str(config)) for a in argv))
+    assert (code, out, err) == (1, "", f"error: {message.replace('{config}', str(config))}\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_regenerate_rejects_trials_above_the_limit(capsys, tmp_path, command):
+    out_file = tmp_path / "artifact"
+    assert run(capsys, *_ARTIFACT_ARGV[command], str(out_file))[0] == 0
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
+    manifest["run"]["trials"] = 1_000_001
+    with pytest.raises(ValueError, match="^trials=1000001 above the limit of 1000000$"):
+        regenerate(manifest)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     state_seed=st.integers(0, 2**32 - 1),
@@ -681,7 +713,7 @@ _UNREAD_BY_REGENERATE = {("tool",), ("version",), ("timestamp",)}
 
 @pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
 def test_regenerate_on_a_mutated_manifest_gives_the_text_or_value_error(capsys, tmp_path, command):
-    # run.trials stays small: a valid but huge trial count (10**300) runs until stopped
+    # run.trials stays small: a valid trial count runs up to a million trials
     out_file = tmp_path / "artifact"
     assert run(capsys, *_ARTIFACT_ARGV[command], str(out_file))[0] == 0
     manifest = json.loads(Path(manifest_path(out_file)).read_text())
@@ -1391,7 +1423,7 @@ def test_analyze_and_frontier_equal_their_rows_written_one_by_one(tmp_path_facto
 )
 def test_simulate_json_equals_its_rows_written_one_by_one(tmp_path_factory, state_seed, style, seed, trials):
     path = tmp_path_factory.mktemp("state") / "state.json"
-    path.write_text(json.dumps(match_state_to_obj(random_match_state(random.Random(state_seed)))))
+    path.write_text(json.dumps(state_to_obj(random_match_state(random.Random(state_seed)))))
     record = {"style": style, "trials": trials, "seed": seed}
     results = playnet.cli._simulate_results(load_match_state(path), load_config(None), record)
     argv = ["simulate", "--state", str(path), "--style", style, "--trials", str(trials), "--seed", str(seed)]

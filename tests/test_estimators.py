@@ -16,9 +16,11 @@ from playnet import (
 from playnet.estimators import DEFAULT_PARAMS, score_prob_at, unavailable_teammates
 from playnet.network import RISK_MAX, PassEdge
 from playnet.simulate import advance_state
-from playnet.state import match_state_to_obj, parse_match_state
+from playnet.state import parse_match_state
 
-from conftest import GOLDEN_DIR, random_match_state, random_relabelling, relabelled, shuffled_opponents
+from conftest import (
+    GOLDEN_DIR, random_match_state, random_relabelling, relabelled, shuffled_opponents, state_to_obj,
+)
 
 
 def spread_state(holder=8, holder_pos=(55.0, 30.0), opponents=None, overrides=None):
@@ -371,7 +373,7 @@ def test_suite_calls_the_module_estimators_at_call_time(monkeypatch):
 
 def reparsed(state):
     """An equal snapshot, parsed afresh, that no estimate has touched."""
-    return parse_match_state(json.dumps(match_state_to_obj(state)))
+    return parse_match_state(json.dumps(state_to_obj(state)))
 
 
 def test_a_repeat_estimate_returns_the_same_network():

@@ -6,15 +6,17 @@ README's commands are checked against the CLI parser, and the library
 calls it names against the package, for the same reason; the CLI is
 run as a process, through main(), as a shell runs it. The other way
 round, every function, method and module-level name the library
-defines must be used by the library, the scripts or the benchmark, or
-be exported, or be allowlisted with its reason: code that only tests
-call, and a constant that nothing reads, is kept out of the package.
+defines, classes and exports included, must be read by the library,
+the scripts, the benchmark or a call the README names, or be
+allowlisted with its reason: code that only tests call, and a constant
+that nothing reads, is kept out of the package.
 """
 
 import ast
 import collections
 import functools
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -45,9 +47,10 @@ def test_every_export_resolves():
     assert missing == []
 
 
-# methods no code outside the tests calls, kept on purpose
+# definitions no code outside the tests reads, kept on purpose
 UNREFERENCED_ALLOWLIST = {
-    "DecisionNetwork.edge": "the paper's (s, tau, p, r) 4-vector of one edge",
+    "is_s_efficient": "the paper's s-efficiency predicate, which compare --exact is to read",
+    "is_p_secure": "the paper's p-security predicate, which compare --exact is to read",
     "LinearStyle.importance": "the importance split of a style, which acceptance criterion 2 checks",
     "LinearStyle.evaluate": "the checked scorer of one pass option, which the tests' oracles take",
 }
@@ -57,21 +60,26 @@ def is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def definitions_in(text):
+    """(qualified name, name) of each module-level class, function and name and each method in text, dunders aside."""
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not is_dunder(name.id):
+                        yield name.id, name.id
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(item.name):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def library_definitions():
-    """(qualified name, name) of each module-level function and name and each method in src/playnet/, dunders aside."""
+    """The definitions_in each module of src/playnet/."""
     for path in sorted((REPO_ROOT / "src" / "playnet").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node.name, node.name
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name) and not is_dunder(name.id):
-                            yield name.id, name.id
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not is_dunder(item.name):
-                        yield f"{node.name}.{item.name}", item.name
+        yield from definitions_in(path.read_text())
 
 
 def names_read(sources):
@@ -87,23 +95,25 @@ def names_read(sources):
 
 
 def unused_definitions(definitions, sources):
-    """The qualified names of definitions that sources never read and playnet does not export.
+    """The qualified names of definitions that sources never read; an export is read like any other name.
 
     A method counts as read only as an attribute (x.edge), so a local or
-    parameter of its name does not; a module-level function or name counts
-    read by name or as an attribute (estimators.score_prob_at).
+    parameter of its name does not; a module-level class, function or
+    name counts read by name or as an attribute (estimators.score_prob_at).
     """
     names, attributes = names_read(sources)
     return sorted(
         qualified for qualified, name in definitions
-        if name not in attributes and ("." in qualified or name not in names) and qualified not in playnet.__all__
+        if name not in attributes and ("." in qualified or name not in names)
     )
 
 
 def sources_outside_the_tests():
+    """The library, scripts and benchmark sources, and each call the README names as an expression."""
     for root in ("src/playnet", "scripts", "perfbench"):
         for path in sorted((REPO_ROOT / root).rglob("*.py")):
             yield path.read_text()
+    yield from readme_calls()
 
 
 def test_every_library_function_is_used_outside_the_tests():
@@ -118,6 +128,21 @@ def test_a_local_named_as_a_method_does_not_use_it():
     assert unused_definitions(definitions, [local]) == ["DecisionNetwork.edge", "edge_text"]
     assert unused_definitions(definitions, [local, "network.edge(1)\ndotexport.edge_text(2)\n"]) == []
     assert unused_definitions(definitions, [local, "edge_text(2)\n"]) == ["DecisionNetwork.edge"]
+
+
+def test_an_export_only_tests_read_is_reported():
+    definitions = [("state_to_obj", "state_to_obj"), ("derive_seed", "derive_seed")]
+    package = '__all__ = ["derive_seed", "state_to_obj"]\nfrom .state import derive_seed, state_to_obj\n'
+    # a test's call is no source of the scan; a call the README names is
+    assert unused_definitions(definitions, [package]) == ["derive_seed", "state_to_obj"]
+    assert unused_definitions(definitions, [package, *readme_calls()]) == ["state_to_obj"]
+
+
+def test_a_class_nothing_reads_is_reported():
+    source = "class Unread:\n    def method(self):\n        pass\n\nclass Read:\n    pass\n\nRead().method()\n"
+    definitions = list(definitions_in(source))
+    assert definitions == [("Unread", "Unread"), ("Unread.method", "method"), ("Read", "Read")]
+    assert unused_definitions(definitions, [source]) == ["Unread"]
 
 
 def test_library_definitions_share_no_name_but_trusted():
@@ -149,6 +174,28 @@ def test_compare_styles_script_reports_a_bad_input_in_one_line(argv):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+
+
+def test_behaviour_diff_records_this_checkout(tmp_path):
+    proc = run_script("behaviour_diff.py", "--record", str(tmp_path / "record.json"), "--src", str(REPO_ROOT / "src"))
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    runs = json.loads((tmp_path / "record.json").read_text())["runs"]
+    assert len(runs) > 150 and all(re.fullmatch("[0-9a-f]{64}", digest) for digest in runs.values())
+    assert {name.partition(" ")[0] for name in runs} == {
+        "", "--config", "--help", "bogus", "decide", "simulate", "analyze", "compare", "frontier", "regenerate",
+    }
+
+
+def test_behaviour_diff_compare_reports_a_run_that_differs(tmp_path):
+    runs = {"decide --state <tmp>/box_state.json --style 3:1": "a" * 64, "analyze --log <tmp>/log.json": "b" * 64}
+    records = {"a": {"python": "3.11.7", "runs": runs}, "b": {"python": "3.12.1", "runs": runs}}
+    records["c"] = {"python": "3.11.7", "runs": {**runs, "analyze --log <tmp>/log.json": "c" * 64}}
+    for name, record in records.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(record))
+    same = run_script("behaviour_diff.py", "--compare", str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    assert (same.returncode, same.stdout) == (0, "0 of 2 runs differ\n")
+    differ = run_script("behaviour_diff.py", "--compare", str(tmp_path / "a.json"), str(tmp_path / "c.json"))
+    assert (differ.returncode, differ.stdout) == (1, "differs: analyze --log <tmp>/log.json\n1 of 2 runs differ\n")
 
 
 def readme_playnet_commands():

@@ -28,7 +28,7 @@ from playnet.config import AppConfig
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.network import check_player_id
 from playnet.sequence import sequence_to_obj
-from playnet.simulate import StyleReport, advance_state
+from playnet.simulate import TRIALS_LIMIT, StyleReport, advance_state, check_count
 from playnet.state import load_match_state
 
 from conftest import random_match_state, random_relabelling, relabelled, shuffled_opponents
@@ -281,6 +281,18 @@ def test_config_validation():
         base_config(max_steps=0)
     with pytest.raises(ValueError, match="trials"):
         run_trials(corner_kick_state((50.0, 34.0)), base_config(), 0, 0)
+
+
+def test_counts_are_checked_against_their_limits():
+    # just above each limit, never a run at it
+    assert check_count(1_000_000, "trials", TRIALS_LIMIT) == 1_000_000
+    assert base_config(max_steps=1000).max_steps == 1000
+    with pytest.raises(ValueError, match="^max_steps=1001 above the limit of 1000$"):
+        base_config(max_steps=1001)
+    with pytest.raises(ValueError, match="^trials=1000001 above the limit of 1000000$"):
+        run_trials(corner_kick_state((50.0, 34.0)), base_config(), 0, 1_000_001)
+    with pytest.raises(ValueError, match="^trials=0 must be >= 1$"):
+        check_count(0, "trials", TRIALS_LIMIT)
 
 
 @pytest.mark.parametrize(

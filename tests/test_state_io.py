@@ -18,10 +18,10 @@ from playnet.jsonio import (
     Indexed, canonical_dumps, canonical_number, exact_number_text, manifest_path, number_text,
     parse_json, write_artifact,
 )
-from playnet.state import match_state_to_obj
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
+    state_to_obj,
 )
 from oracles import canonicalize, reference_canonical_dumps
 
@@ -45,15 +45,15 @@ def test_shipped_states_round_trip_exactly():
     for name in ("midfield_state.json", "box_state.json"):
         raw = (DATA_DIR / name).read_text()
         state = parse_match_state(raw)
-        assert canonical_dumps(match_state_to_obj(state)) == raw
+        assert canonical_dumps(state_to_obj(state)) == raw
 
 
 def test_parse_serialize_parse_is_identity():
     state = parse_doc(state_doc())
-    text = canonical_dumps(match_state_to_obj(state))
+    text = canonical_dumps(state_to_obj(state))
     again = parse_match_state(text)
     assert again == state
-    assert canonical_dumps(match_state_to_obj(again)) == text
+    assert canonical_dumps(state_to_obj(again)) == text
 
 
 def test_team_size_error():
@@ -237,7 +237,7 @@ def test_parsed_state_equals_validated_construction():
     with_outside = 0
     for _ in range(300):
         state = random_match_state(rng)
-        doc = match_state_to_obj(state)
+        doc = state_to_obj(state)
         rng.shuffle(doc["team"])  # the parser orders the team by id
         if rng.random() < 0.5:  # integer coordinates parse to floats
             doc["team"][0]["x"] = int(doc["team"][0]["x"])
@@ -265,7 +265,7 @@ _RAW_VALUES = st.one_of(
     cut=JSON_CUTS,
 )
 def test_mutated_snapshot_is_a_checked_state_or_one_value_error(state_seed, picks, cut):
-    doc = match_state_to_obj(random_match_state(random.Random(state_seed)))
+    doc = state_to_obj(random_match_state(random.Random(state_seed)))
     text = mutated_json_text(doc, picks, cut)
     try:
         state = parse_match_state(text)
@@ -324,7 +324,7 @@ def test_match_state_rejects_a_malformed_argument(change, message):
 def test_match_state_stores_the_outside_set_as_parsed():
     state = MatchState(Pitch(), {**_TEAM, 2: (-3.0, 80.0)}, list(_OPPONENTS), 1, {2})
     assert type(state.outside) is frozenset and type(state.opponents) is tuple
-    assert state == parse_match_state(json.dumps(match_state_to_obj(state)))
+    assert state == parse_match_state(json.dumps(state_to_obj(state)))
 
 
 def test_match_state_requires_full_teams():
@@ -564,7 +564,14 @@ def test_write_artifact_leaves_no_reference_cycle(tmp_path):
         gc.enable()
 
 
-@pytest.mark.parametrize("failure", ["unencodable-text", "disk-full"])
+def test_a_text_longer_than_a_write_slice_is_written_byte_for_byte(tmp_path):
+    path = tmp_path / "log.json"
+    text = ("[0.5, \"é\", \"😀\"],\n" * (1 << 18))[: 5 << 19]  # 2.5 Mi characters, some of them multibyte
+    write_artifact(path, text, {})
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("failure", ["unencodable-text", "disk-full", "unencodable-after-the-first-slice"])
 def test_a_failed_artifact_write_keeps_the_old_pair(tmp_path, monkeypatch, failure):
     path = tmp_path / "log.json"
     write_artifact(path, "old\n", {"run": {"seed": 1}})
@@ -572,6 +579,8 @@ def test_a_failed_artifact_write_keeps_the_old_pair(tmp_path, monkeypatch, failu
     text = "new\n"
     if failure == "unencodable-text":
         text = "new \ud800\n"  # a lone surrogate, which UTF-8 cannot encode
+    elif failure == "unencodable-after-the-first-slice":
+        text = "n" * (3 << 19) + "\ud800\n"  # the first MiB is written before the surrogate fails
     else:
         real_fdopen = os.fdopen
         opened = []
@@ -709,6 +718,7 @@ def test_shipped_default_config_matches_builtins():
         ({"simulation": {"max_steps": 10**400}}, "max_steps"),
         ({"simulation": {"drift_m": 10**400}}, "drift_m"),
         ({"policy": {"tie_break": "highest_id"}}, "tie_break"),
+        ({"simulation": {"max_steps": 1001}}, "max_steps=1001 above the limit of 1000"),
     ],
 )
 def test_config_rejects_out_of_range_values_at_load(obj, field):
