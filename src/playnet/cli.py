@@ -44,12 +44,13 @@ from .jsonio import (
     canonical_dumps,
     manifest_path,
     number_text,
+    read_input,
     sha256_of_file,
     write_artifact,
 )
 from .sequence import efficiency, load_log, log_text, pareto_frontier, per_distinct, security
 from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
-from .state import load_match_state
+from .state import match_state_of
 from .style import LinearStyle
 
 
@@ -122,9 +123,13 @@ def _sim_config(cfg: AppConfig, style: LinearStyle, seed: int) -> SimulationConf
     )
 
 
-def _state_inputs(path: str) -> dict:
-    """The input record of a manifest; the path is absolute so regenerate works from any cwd."""
-    return {"state": {"path": os.path.abspath(path), "sha256": sha256_of_file(path)}}
+def _load_state(path: str) -> tuple:
+    """(the state file's MatchState, the SHA-256 of the very bytes it was parsed from).
+
+    The file is read once, so a manifest records the digest of the input
+    that ran even if the file is rewritten during the run.
+    """
+    return read_input("state", path, lambda data: (match_state_of(data), sha256_of_file(data)))
 
 
 def _check_artifact_path(path: str | None, args: argparse.Namespace) -> None:
@@ -197,7 +202,7 @@ _RECIPES = {
 
 def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict, path: str | None):
     """The command's results; with a path, also its artifact and manifest written there."""
-    state = load_match_state(args.state)
+    state, digest = _load_state(args.state)
     _check_artifact_path(path, args)
     results_of, text_of = _RECIPES[args.command]
     results = results_of(state, cfg, run)
@@ -208,7 +213,8 @@ def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict, path: str |
             "command": args.command,
             "config": cfg.to_dict(),
             "run": run,
-            "inputs": _state_inputs(args.state),
+            # the path is absolute so regenerate works from any cwd
+            "inputs": {"state": {"path": os.path.abspath(args.state), "sha256": digest}},
             "timestamp": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         }
         write_artifact(path, text_of(results), manifest)
@@ -372,8 +378,9 @@ def run_cli(argv) -> int:
 def regenerate(manifest: dict) -> str:
     """Rebuild an artifact's exact text from its manifest.
 
-    Reads the recorded input files, verifies their digests, and runs the
-    recorded command's recipe with the recorded config and run record.
+    Reads the recorded input file once, verifies the digest of the
+    bytes it parses, and runs the recorded command's recipe on them
+    with the recorded config and run record.
     """
     command = _manifest_field(manifest, "command")
     if not isinstance(command, str) or command not in _RECIPES:
@@ -388,11 +395,11 @@ def regenerate(manifest: dict) -> str:
     for key, value in (("path", path), ("sha256", recorded)):
         if not isinstance(value, str):  # open() would take an integer as a file descriptor
             raise ValueError(f"manifest: inputs.state.{key}={value!r} must be a string")
-    digest = sha256_of_file(path)
+    state, digest = _load_state(path)
     if digest != recorded:
         raise ValueError(f"input {path}: digest {digest} does not match the manifest ({recorded})")
     results_of, text_of = _RECIPES[command]
-    return text_of(results_of(load_match_state(path), cfg, manifest.get("run")))
+    return text_of(results_of(state, cfg, manifest.get("run")))
 
 
 def main(argv=None) -> int:

@@ -257,12 +257,9 @@ def _remove(path: str) -> None:
         pass
 
 
-def sha256_of_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def sha256_of_file(data: bytes) -> str:
+    """The hex SHA-256 of a file's bytes, as a manifest records an input file; pass the bytes that were read."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def manifest_path(artifact_path) -> str:

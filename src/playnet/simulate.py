@@ -21,14 +21,15 @@ forced loss (degenerate pass or step cap). Each end's RolloutResult is
 built the first time a trial stops there, its PossessionSequence
 checking every step as any sequence does; trials that stop at the same
 end share that one frozen result, and a walk only makes the draws.
-monte_carlo_compare also shares the snapshots between its styles, since
-a style changes the decisions but not the snapshot a receiver chain
-leads to. Each snapshot keeps its network: estimate_network memoizes it
-on the MatchState (see state.py), once per EstimatorParams, so a
-snapshot shared by styles, or estimated by the caller under
-cfg.estimators, is estimated once. This is sound because
-estimate_network is a pure function of the snapshot and the estimator
-constants. Neither MatchState.team nor a network's edges may be mutated.
+Each snapshot keeps its network and its successors (see state.py):
+estimate_network memoizes the network once per EstimatorParams, and
+advance_state each successor once per (receiver, drift_m). So the
+styles of monte_carlo_compare, later runs on the same MatchState, and a
+state file loaded again (load_match_state keeps its MatchState) share
+every snapshot a receiver chain leads to and estimate it once, since a
+style changes the decisions but not the snapshots. This is sound
+because both are pure functions of the snapshot and the constants.
+Neither MatchState.team nor a network's edges may be mutated.
 estimate_network, decide and advance_state are looked up in this
 module at call time.
 
@@ -154,10 +155,20 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     a checked one, its moved players are on the pitch, and its holder
     passes check_holder (a completed pass has p > 0, so its receiver is
     never outside), so it is built without MatchState's other checks.
+    It is kept on state (its _next slot, see state.py), so the same
+    receiver and drift_m return the same object.
     """
     team = state.team
     outside = state.outside
-    check_holder(receiver, outside, "receiver")
+    check_holder(receiver, outside, "receiver")  # before the lookup: True and 1.0 would find receiver 1
+    successors = state._next
+    if successors is None:
+        successors = {}
+        object.__setattr__(state, "_next", successors)
+    key = (receiver, drift_m)
+    successor = successors.get(key)
+    if successor is not None:
+        return successor
     bx, by = team[receiver]
     pitch = state.pitch
     length = pitch.length
@@ -167,17 +178,18 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
     moved = dict(team)  # in id order; the receiver and outside players stay put
     moved.update(zip(movers, _drift([team[j] for j in movers], gx, gy, drift_m, length, width)))
     opponents = _drift(state.opponents, bx, by, drift_m, length, width)
-    return MatchState._trusted(pitch, moved, tuple(opponents), receiver, outside)
+    successor = successors[key] = MatchState._trusted(pitch, moved, tuple(opponents), receiver, outside)
+    return successor
 
 
 class _PathStep:
-    """Step k of a compiled path: the network seen, the decision, and the possessions ending here."""
+    """Step k of a compiled path: the snapshot and network seen, the decision, and the possessions ending here."""
 
-    __slots__ = ("chain", "prefix", "network", "decision", "p", "final", "_ends")
+    __slots__ = ("snapshot", "prefix", "network", "decision", "p", "final", "_ends")
 
-    def __init__(self, chain, prefix, network, decision, max_steps) -> None:
-        self.chain = chain  # receivers of the completed passes before this step
-        self.prefix = prefix  # those passes as PossessionSteps
+    def __init__(self, snapshot, prefix, network, decision, max_steps) -> None:
+        self.snapshot = snapshot
+        self.prefix = prefix  # the completed passes before this step, as PossessionSteps
         self.network = network
         self.decision = decision
         if decision.is_shoot:
@@ -185,7 +197,7 @@ class _PathStep:
             self.final = True
         else:
             self.p = network.edges[decision.target].p
-            self.final = decision.degenerate or len(chain) == max_steps - 1
+            self.final = decision.degenerate or len(prefix) == max_steps - 1
         self._ends: list[RolloutResult | None] = [None, None]  # by scored
 
     def end(self, scored: bool) -> RolloutResult:
@@ -209,36 +221,29 @@ class _PossessionPath:
 
     Built lazily: step k is estimated and decided only when some trial
     first reaches it, so a path costs as many estimate_network calls as
-    its deepest trial has steps. snapshots maps a chain of receivers to
-    the snapshot it leads to, the start snapshot at (); it depends only
-    on the start snapshot and drift_m, so paths that differ only in
-    their policy may share one. Each snapshot keeps its network (see
-    state.py), so a shared snapshot is estimated once.
+    its deepest trial has steps. Step k's snapshot is advance_state of
+    step k - 1's, which each snapshot keeps with its network (see
+    state.py), so paths that differ only in their policy share every
+    snapshot they both reach, and it is estimated once.
     """
 
-    def __init__(self, state: MatchState, cfg: SimulationConfig, snapshots: dict | None = None) -> None:
+    def __init__(self, state: MatchState, cfg: SimulationConfig) -> None:
+        self._state = state
         self._cfg = cfg
-        self._snapshots = {} if snapshots is None else snapshots
-        self._snapshots.setdefault((), state)
         self._steps: list[_PathStep] = []
 
     def step(self, k: int) -> _PathStep:
         cfg = self._cfg
-        snapshots = self._snapshots
         steps = self._steps
         while len(steps) <= k:
-            prev = steps[-1] if steps else None
-            if prev is None:
-                chain, prefix = (), ()
+            if steps:  # only a completed pass leads on, and only to its target
+                prev = steps[-1]
+                snapshot = advance_state(prev.snapshot, prev.decision.target, cfg.drift_m)
+                prefix = prev.prefix + (PossessionStep(prev.network, prev.decision, StepOutcome.PASS_COMPLETED),)
             else:
-                chain = prev.chain + (prev.decision.target,)
-                completed = PossessionStep(prev.network, prev.decision, StepOutcome.PASS_COMPLETED)
-                prefix = prev.prefix + (completed,)
-            snapshot = snapshots.get(chain)
-            if snapshot is None:  # only a completed pass leads on, and only to its target
-                snapshot = snapshots[chain] = advance_state(snapshots[chain[:-1]], chain[-1], cfg.drift_m)
+                snapshot, prefix = self._state, ()
             network = estimate_network(snapshot, cfg.estimators)
-            steps.append(_PathStep(chain, prefix, network, decide(network, cfg.policy), cfg.max_steps))
+            steps.append(_PathStep(snapshot, prefix, network, decide(network, cfg.policy), cfg.max_steps))
         return steps[k]
 
 
@@ -259,14 +264,7 @@ def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
     return _walk(_PossessionPath(state, cfg), random.Random(cfg.seed))
 
 
-def run_trials(
-    state: MatchState,
-    cfg: SimulationConfig,
-    style_index: int,
-    trials: int,
-    *,
-    _snapshots: dict | None = None,
-) -> list[RolloutResult]:
+def run_trials(state: MatchState, cfg: SimulationConfig, style_index: int, trials: int) -> list[RolloutResult]:
     """Independent seeded rollouts, in trial order, sharing one possession path.
 
     Each end of the path (a shot scored or missed, an interception or a
@@ -274,12 +272,10 @@ def run_trials(
     it, so trials that end the same way share one frozen RolloutResult.
     Trials run in this thread. trials is an int in 1..TRIALS_LIMIT, and
     style_index an int >= 0, checked once, as derive_seed checks it.
-    _snapshots is monte_carlo_compare's map of the snapshots a chain of
-    receivers leads to, shared by its styles.
     """
     check_int(style_index, "style_index", 0)
     check_count(trials, "trials", TRIALS_LIMIT)
-    path = _PossessionPath(state, cfg, _snapshots)
+    path = _PossessionPath(state, cfg)
     prefix = _seed_hash(cfg.seed, style_index)
     rng = random.Random(0)  # reseeded before every trial; a seed given here spares drawing OS entropy
     results = []
@@ -324,15 +320,15 @@ def monte_carlo_compare(
 
     Seeds depend on the style's position in the list, never on its
     value, so the report for styles[0] is identical no matter what
-    follows it.
+    follows it. A style changes only the policy, so the styles share
+    every snapshot they reach (see the module docstring).
     """
     styles = list(styles)
     if not styles:
         raise ValueError("monte_carlo_compare requires at least one style")
     reports = []
-    snapshots: dict = {}  # a style changes only the policy, so every style may share the snapshots
     for style_index, style in enumerate(styles):
         style_cfg = replace(cfg, policy=replace(cfg.policy, style=style))
-        results = run_trials(state, style_cfg, style_index, trials, _snapshots=snapshots)
+        results = run_trials(state, style_cfg, style_index, trials)
         reports.append(StyleReport.from_results(str(style), results))
     return reports

@@ -25,16 +25,31 @@ one is valid by construction and built unchecked.
 A snapshot is estimated once per EstimatorParams: estimate_network
 keeps its last (params, network) on the MatchState, in the private
 _estimate slot, and returns that network again when asked with equal
-params. The slot is not a dataclass field, so it is not compared, not
-printed and set by no constructor; a snapshot from advance_state or
-dataclasses.replace starts without it. The memo is sound because the
-network is a pure function of the snapshot and the constants, and
-because neither changes: a MatchState is frozen, and its team dict and
-a returned network's edges must not be mutated.
+params. Beside it, the private _next slot maps each (receiver, drift_m)
+that advance_state was asked for to the snapshot it derived, so a
+snapshot is advanced once per receiver and drift, and the successor
+keeps its own network and successors. Neither slot is a dataclass
+field, so they are not compared, not printed and set by no
+constructor; a snapshot from advance_state, parse_match_state or
+dataclasses.replace starts without them. The memos are sound because a
+network and a successor are pure functions of the snapshot and the
+constants, and because neither changes: a MatchState is frozen, and
+its team dict and a returned network's edges must not be mutated.
+
+A state file's text is parsed once while it is among the last
+LOADED_LIMIT texts loaded: load_match_state keeps the MatchState of
+each, keyed by the file's exact bytes, so loading those bytes again
+returns that same object, with every network and successor it has
+gained. A text that fails to parse is not kept, and parse_match_state
+still builds a new MatchState on every call. So the rule that team
+must not be mutated holds across loads: a state from load_match_state
+is shared by every later load of the same bytes. A lock guards the
+kept texts, so threads may load at once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .jsonio import check_object, parse_json, read_input
@@ -69,9 +84,11 @@ class MatchState:
     holder: int
     outside: frozenset[int] = frozenset()
 
-    # estimate_network's (params, network) for this snapshot, or None
-    # (see the module docstring); a class attribute, not a field
+    # estimate_network's (params, network) for this snapshot, or None, and
+    # advance_state's {(receiver, drift_m): successor}, or None (see the
+    # module docstring); class attributes, not fields
     _estimate = None
+    _next = None
     __hash__ = None  # team is a dict; hash() names this class, not dict
 
     def __post_init__(self) -> None:
@@ -204,5 +221,24 @@ def parse_match_state(data: bytes | str) -> MatchState:
     return MatchState._trusted(pitch, team, tuple(opponents), holder, frozenset(outside))
 
 
+# the number of state-file texts whose MatchState load_match_state keeps
+LOADED_LIMIT = 8
+_loaded: dict[bytes, MatchState] = {}  # a state file's bytes -> its MatchState, least recently loaded first
+_loaded_lock = threading.Lock()  # a lookup, its move to the end and an eviction are one step for other threads
+
+
+def match_state_of(data: bytes) -> MatchState:
+    """parse_match_state(data), kept for these exact bytes while they are among the last LOADED_LIMIT loaded."""
+    with _loaded_lock:
+        state = _loaded.pop(data, None)
+        if state is None:
+            state = parse_match_state(data)  # a failed parse raises here and keeps nothing
+            if len(_loaded) >= LOADED_LIMIT:
+                del _loaded[next(iter(_loaded))]
+        _loaded[data] = state
+    return state
+
+
 def load_match_state(path) -> MatchState:
-    return read_input("state", path, parse_match_state)
+    """The MatchState of the state file at path; the same object while its bytes are kept (match_state_of)."""
+    return read_input("state", path, match_state_of)

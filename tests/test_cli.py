@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import playnet.cli
+import playnet.estimators
 import playnet.sequence
+import playnet.state
 from playnet import (
     Decision,
     DecisionNetwork,
@@ -280,6 +283,77 @@ def test_regenerate_detects_changed_input(capsys, tmp_path):
     state_copy.write_text((DATA_DIR / "box_state.json").read_text())
     with pytest.raises(ValueError, match="digest"):
         regenerate(manifest)
+
+
+def test_a_state_file_rewritten_mid_run_is_recorded_as_the_bytes_that_ran(capsys, tmp_path, monkeypatch):
+    state_file = tmp_path / "state.json"
+    ran, other = (DATA_DIR / "midfield_state.json").read_bytes(), (DATA_DIR / "box_state.json").read_bytes()
+    state_file.write_bytes(ran)
+    real_run_trials, real_sha256 = playnet.cli.run_trials, playnet.cli.sha256_of_file
+
+    def rewriting_run_trials(*args, **kwargs):
+        state_file.write_bytes(other)  # after the state was read, before its trials run
+        return real_run_trials(*args, **kwargs)
+
+    monkeypatch.setattr(playnet.cli, "run_trials", rewriting_run_trials)
+    out_file = tmp_path / "log.json"
+    code, _, err = run(
+        capsys, "simulate", "--state", str(state_file), "--style", "3:1",
+        "--trials", "3", "--seed", "4", "--out", str(out_file),
+    )
+    assert (code, err) == (0, "")
+    manifest = json.loads(Path(manifest_path(out_file)).read_text())
+    assert manifest["inputs"]["state"]["sha256"] == hashlib.sha256(ran).hexdigest()
+    with pytest.raises(ValueError, match="does not match the manifest"):
+        regenerate(manifest)  # the file now holds another input
+
+    def rewriting_sha256(*args):
+        digest = real_sha256(*args)
+        state_file.write_bytes(other)  # between the digest and anything read after it
+        return digest
+
+    monkeypatch.setattr(playnet.cli, "sha256_of_file", rewriting_sha256)
+    state_file.write_bytes(ran)
+    assert regenerate(manifest) == out_file.read_text()
+    assert state_file.read_bytes() == other
+
+
+def _without_timestamp(manifest_text: str) -> dict:
+    manifest = json.loads(manifest_text)
+    del manifest["timestamp"]
+    return manifest
+
+
+@pytest.mark.parametrize("state", [MIDFIELD, BOX], ids=["midfield", "box"])
+@pytest.mark.parametrize("argv, artifact", [
+    (["decide", "--style", "3:1", "--dot"], "network.dot"),
+    (["decide", "--style", "1:3", "--json"], None),
+    (["simulate", "--style", "1:3", "--trials", "100", "--seed", "3", "--out"], "log.json"),
+    (["compare", "--styles", "3:1,2:2,1:3", "--trials", "200", "--seed", "5", "--json"], None),
+    (["compare", "--styles", "3:1,2:2,1:3", "--trials", "200", "--seed", "5", "--csv"], "report.csv"),
+], ids=["decide-dot", "decide-json", "simulate-out", "compare-json", "compare-csv"])
+def test_a_second_run_in_one_process_writes_the_same_bytes(capsys, tmp_path, monkeypatch, state, argv, artifact):
+    loaded = {}
+    monkeypatch.setattr(playnet.state, "_loaded", loaded)  # the first run parses the file afresh
+    estimated = []
+    real = playnet.estimators.unavailable_teammates  # called once per network estimated, not per memo hit
+    monkeypatch.setattr(playnet.estimators, "unavailable_teammates", lambda st: estimated.append(st) or real(st))
+    argv = [argv[0], "--state", state, *argv[1:]] + ([str(tmp_path / artifact)] if artifact else [])
+    runs = []
+    for _ in range(2):
+        del estimated[:]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        files = {}
+        if artifact:
+            text = (tmp_path / artifact).read_text()
+            manifest_text = Path(manifest_path(tmp_path / artifact)).read_text()
+            assert regenerate(json.loads(manifest_text)) == text
+            files = {"artifact": text, "manifest": _without_timestamp(manifest_text)}
+        runs.append((out, files, len(estimated)))
+    assert runs[1][:2] == runs[0][:2]
+    assert runs[0][2] > 0 and runs[1][2] == 0  # the second run and regenerate reuse every network
+    assert list(loaded) == [Path(state).read_bytes()]
 
 
 def test_analyze_matches_golden_expectations(capsys):

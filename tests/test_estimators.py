@@ -410,11 +410,15 @@ def test_the_memo_is_not_part_of_the_snapshot():
     assert state._estimate is not None and twin._estimate is None
     assert state == twin and twin == state
     assert repr(state) == before == repr(twin)
-    assert "_estimate" not in {f.name for f in dataclasses.fields(MatchState)}
-    copy = dataclasses.replace(state)
-    assert copy == state and copy._estimate is None
     receiver = next(j for j in state.team if j != state.holder and j not in state.outside)
-    assert advance_state(state, receiver, 2.0)._estimate is None
+    successor = advance_state(state, receiver, 2.0)
+    assert successor._estimate is None and successor._next is None
+    assert state._next == {(receiver, 2.0): successor} and twin._next is None
+    assert state == twin and twin == state
+    assert repr(state) == before == repr(twin)
+    assert {"_estimate", "_next"}.isdisjoint(f.name for f in dataclasses.fields(MatchState))
+    copy = dataclasses.replace(state)
+    assert copy == state and copy._estimate is None and copy._next is None
 
 
 # --- the reference: each parameter on its own -----------------------------

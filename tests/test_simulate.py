@@ -29,7 +29,7 @@ from playnet.estimators import DEFAULT_PARAMS
 from playnet.network import check_player_id
 from playnet.sequence import sequence_to_obj
 from playnet.simulate import TRIALS_LIMIT, StyleReport, advance_state, check_count
-from playnet.state import load_match_state
+from playnet.state import parse_match_state
 
 from conftest import random_match_state, random_relabelling, relabelled, shuffled_opponents
 from oracles import exact_possession_moments, oracle_advance
@@ -276,6 +276,37 @@ def test_advance_state_rejects_a_receiver_that_is_no_teammate(receiver):
     assert str(got.value) == str(expected.value)
 
 
+@pytest.mark.parametrize("receiver", [[1], True, 1.0])
+def test_advance_state_checks_the_receiver_before_its_memo(receiver):
+    state = random_match_state(random.Random(3), allow_outside=False)
+    kept = advance_state(state, 1, 2.0)
+    assert advance_state(state, 1, 2.0) is kept  # the memo holds receiver 1
+    # unhashable, or equal to 1 and hashed alike: each must be rejected, not looked up
+    with pytest.raises(ValueError, match=r"^receiver=.* must be an integer in 1\.\.11$") as got:
+        advance_state(state, receiver, 2.0)
+    assert str(got.value) == f"receiver={receiver!r} must be an integer in 1..11"
+
+
+def test_a_kept_successor_equals_its_checked_construction():
+    rng = random.Random(707)
+    kept = 0
+    for _ in range(40):
+        state = random_match_state(rng)
+        for drift in (0.0, 2.0, 7.0):
+            for receiver in state.team:
+                if receiver in state.outside:
+                    continue
+                first = advance_state(state, receiver, drift)
+                again = advance_state(state, receiver, drift)
+                assert again is first
+                checked = MatchState(again.pitch, dict(again.team), again.opponents, again.holder, again.outside)
+                assert again == checked
+                assert _bits(again) == _bits(oracle_advance(state, receiver, drift))
+                kept += 1
+        assert len(state._next) == 3 * (11 - len(state.outside))  # one successor per (receiver, drift)
+    assert kept > 1000
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="max_steps"):
         base_config(max_steps=0)
@@ -512,7 +543,8 @@ def test_rollout_reuses_the_network_its_caller_estimated(monkeypatch):
 
 
 def test_compare_estimates_a_shared_network_once(box_state_path, monkeypatch):
-    state = load_match_state(box_state_path)  # not the session's box_state, which keeps its network
+    # a new parse, not a loaded state: a load of the same bytes returns the kept state, which keeps its network
+    state = parse_match_state(box_state_path.read_bytes())
     calls = count_estimates(monkeypatch)
     styles = [LinearStyle(3, 1), LinearStyle(2, 2), LinearStyle(1, 3)]
     reports = monte_carlo_compare(state, styles, 200, base_config(seed=5))
@@ -521,7 +553,7 @@ def test_compare_estimates_a_shared_network_once(box_state_path, monkeypatch):
 
 
 def test_compare_estimates_each_receiver_chain_once(midfield_state_path, monkeypatch):
-    state = load_match_state(midfield_state_path)
+    state = parse_match_state(midfield_state_path.read_bytes())  # never estimated, unlike a loaded state
     styles = [LinearStyle(x, y) for x in range(11) for y in range(11 - x) if x + y]
     real_run_trials = playnet.simulate.run_trials
     walked = []  # each style's results

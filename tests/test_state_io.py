@@ -6,11 +6,14 @@ import math
 import os
 import random
 import re
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import playnet.state
 from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
@@ -18,6 +21,7 @@ from playnet.jsonio import (
     Indexed, canonical_dumps, canonical_number, exact_number_text, manifest_path, number_text,
     parse_json, write_artifact,
 )
+from playnet.state import load_match_state
 
 from conftest import (
     DATA_DIR, GOLDEN_DIR, HUGE_INT, JSON_CUTS, json_mutations, mutated_json_text, random_match_state,
@@ -332,6 +336,99 @@ def test_match_state_requires_full_teams():
     team = {j: (10.0, 10.0) for j in range(1, 11)}
     with pytest.raises(ValueError, match="team must cover"):
         MatchState(pitch, team, tuple((5.0, 5.0) for _ in range(11)), 1)
+
+
+# --- the loaded states load_match_state keeps --------------------------------
+
+@pytest.fixture
+def no_loaded_states(monkeypatch):
+    """An empty memo of loaded states for one test; match_state_of looks it up at call time."""
+    loaded = {}
+    monkeypatch.setattr(playnet.state, "_loaded", loaded)
+    return loaded
+
+
+def test_a_loaded_text_gives_the_same_state_and_changed_bytes_a_new_one(tmp_path, no_loaded_states):
+    text = (DATA_DIR / "midfield_state.json").read_bytes()
+    path, twin = tmp_path / "a.json", tmp_path / "b.json"
+    path.write_bytes(text)
+    twin.write_bytes(text)
+    state = load_match_state(path)
+    assert load_match_state(path) is state
+    assert load_match_state(str(twin)) is state  # keyed by the bytes, not the path
+    assert parse_match_state(text) is not state  # a parse is always new
+    path.write_bytes(text + b" ")  # the same snapshot, other bytes
+    spaced = load_match_state(path)
+    assert spaced is not state and spaced == state
+    path.write_bytes(text)
+    assert load_match_state(path) is state
+    assert list(no_loaded_states) == [text + b" ", text]
+
+
+def test_a_bad_state_file_fails_alike_on_every_load_and_is_not_kept(tmp_path, no_loaded_states):
+    path = tmp_path / "bad.json"
+    doc = state_doc()
+    doc["team"][3]["x"] = 120.0
+    path.write_text(json.dumps(doc))
+    messages = []
+    for _ in range(3):
+        with pytest.raises(ValueError) as err:
+            load_match_state(path)
+        messages.append(str(err.value))
+    assert messages == [f"state {path}: team[3].x: 120.0 outside [0, 105]"] * 3
+    assert no_loaded_states == {}
+
+
+def test_the_least_recently_loaded_text_is_dropped_at_the_bound(tmp_path, no_loaded_states):
+    limit = playnet.state.LOADED_LIMIT
+    text = (DATA_DIR / "box_state.json").read_bytes()
+    paths = []
+    for k in range(limit + 1):
+        paths.append(tmp_path / f"{k}.json")
+        paths[k].write_bytes(text + b"\n" * k)
+    first = [load_match_state(path) for path in paths[:limit]]
+    assert load_match_state(paths[0]) is first[0]  # now the most recently loaded
+    load_match_state(paths[limit])  # past the bound: drops paths[1]'s text, the least recent
+    assert len(no_loaded_states) == limit
+    kept = zip(paths[2:limit], first[2:])
+    assert all(load_match_state(path) is state for path, state in kept)
+    assert load_match_state(paths[0]) is first[0]
+    again = load_match_state(paths[1])
+    assert again is not first[1] and again == first[1]
+
+
+def test_loads_from_several_threads_keep_the_memo_whole(tmp_path, no_loaded_states):
+    limit = playnet.state.LOADED_LIMIT
+    text = (DATA_DIR / "midfield_state.json").read_bytes()
+    paths = []
+    for k in range(limit + 4):  # more texts than are kept, so loads evict one another's
+        paths.append(tmp_path / f"{k}.json")
+        paths[k].write_bytes(text + b" " * k)
+    expected = parse_match_state(text)
+    errors = []
+
+    def load_each():
+        try:
+            for _ in range(60):
+                for path in paths:
+                    if load_match_state(path) != expected:
+                        raise AssertionError(f"{path} loaded another state")
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_each) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(no_loaded_states) == limit
 
 
 # --- canonical number formatting -------------------------------------------
