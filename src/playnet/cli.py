@@ -133,16 +133,19 @@ def _load_state(path: str) -> tuple:
 
 
 def _check_artifact_path(path: str | None, args: argparse.Namespace) -> None:
-    """Reject an artifact path whose file or manifest is the state or config file in use.
+    """Reject an artifact path whose file or manifest is a directory, or the state or config file in use.
 
-    Called before anything is written: writing there would replace an
-    input that the manifest records by digest, so the artifact could
-    never be regenerated. No path means no artifact.
+    Called before anything is written: a directory would fail the rename
+    after the manifest's, and an input would be replaced while its
+    manifest records it by digest, so the artifact could never be
+    regenerated. No path means no artifact.
     """
     if not path:
         return
     inputs = [p for p in (args.state, config_path(args.config)) if p]
     for target in (path, manifest_path(path)):
+        if os.path.isdir(target):
+            raise ValueError(f"{target}: is a directory")
         for source in inputs:
             if os.path.exists(target) and os.path.samefile(target, source):
                 raise ValueError(f"{target}: would overwrite the input file {source}")

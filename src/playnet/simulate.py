@@ -183,22 +183,44 @@ def advance_state(state: MatchState, receiver: int, drift_m: float) -> MatchStat
 
 
 class _PathStep:
-    """Step k of a compiled path: the snapshot and network seen, the decision, and the possessions ending here."""
+    """Step k of every possession from one snapshot under one config.
 
-    __slots__ = ("snapshot", "prefix", "network", "decision", "p", "final", "_ends")
+    A step is estimated and decided when it is built. Only a completed
+    pass leads on, and only to its target, so a step has at most one
+    next step: next() builds it the first time a trial completes this
+    step's pass, and keeps it. A path thus costs as many estimate_network
+    calls as its deepest trial has steps. The next step's snapshot is
+    advance_state of this one's, which each snapshot keeps with its
+    network (see state.py), so paths that differ only in their policy
+    share every snapshot they both reach, and it is estimated once.
+    """
 
-    def __init__(self, snapshot, prefix, network, decision, max_steps) -> None:
+    __slots__ = ("snapshot", "prefix", "cfg", "network", "decision", "p", "final", "_ends", "_next")
+
+    def __init__(self, snapshot: MatchState, prefix: tuple, cfg: SimulationConfig) -> None:
         self.snapshot = snapshot
         self.prefix = prefix  # the completed passes before this step, as PossessionSteps
-        self.network = network
-        self.decision = decision
+        self.cfg = cfg
+        self.network = network = estimate_network(snapshot, cfg.estimators)
+        self.decision = decision = decide(network, cfg.policy)
         if decision.is_shoot:
             self.p = None
             self.final = True
         else:
             self.p = network.edges[decision.target].p
-            self.final = decision.degenerate or len(prefix) == max_steps - 1
+            self.final = decision.degenerate or len(prefix) == cfg.max_steps - 1
         self._ends: list[RolloutResult | None] = [None, None]  # by scored
+        self._next = None
+
+    def next(self) -> _PathStep:
+        """The step after this one's pass completes; built the first time a trial gets there."""
+        step = self._next
+        if step is None:
+            cfg = self.cfg
+            completed = PossessionStep(self.network, self.decision, StepOutcome.PASS_COMPLETED)
+            snapshot = advance_state(self.snapshot, self.decision.target, cfg.drift_m)
+            step = self._next = _PathStep(snapshot, self.prefix + (completed,), cfg)
+        return step
 
     def end(self, scored: bool) -> RolloutResult:
         """The possession that stops here; built the first time a trial stops here."""
@@ -216,52 +238,19 @@ class _PathStep:
         return result
 
 
-class _PossessionPath:
-    """The steps of every possession from one snapshot under one config.
-
-    Built lazily: step k is estimated and decided only when some trial
-    first reaches it, so a path costs as many estimate_network calls as
-    its deepest trial has steps. Step k's snapshot is advance_state of
-    step k - 1's, which each snapshot keeps with its network (see
-    state.py), so paths that differ only in their policy share every
-    snapshot they both reach, and it is estimated once.
-    """
-
-    def __init__(self, state: MatchState, cfg: SimulationConfig) -> None:
-        self._state = state
-        self._cfg = cfg
-        self._steps: list[_PathStep] = []
-
-    def step(self, k: int) -> _PathStep:
-        cfg = self._cfg
-        steps = self._steps
-        while len(steps) <= k:
-            if steps:  # only a completed pass leads on, and only to its target
-                prev = steps[-1]
-                snapshot = advance_state(prev.snapshot, prev.decision.target, cfg.drift_m)
-                prefix = prev.prefix + (PossessionStep(prev.network, prev.decision, StepOutcome.PASS_COMPLETED),)
-            else:
-                snapshot, prefix = self._state, ()
-            network = estimate_network(snapshot, cfg.estimators)
-            steps.append(_PathStep(snapshot, prefix, network, decide(network, cfg.policy), cfg.max_steps))
-        return steps[k]
-
-
-def _walk(path: _PossessionPath, rng: random.Random) -> RolloutResult:
-    """One trial along the path: its draws decide where the possession stops."""
-    k = 0
+def _walk(step: _PathStep, rng: random.Random) -> RolloutResult:
+    """One trial along the path from step: its draws decide where the possession stops."""
     while True:
-        step = path.step(k)
         if step.p is None:  # a shot
             return step.end(rng.random() < step.network.s)
         if step.final or rng.random() >= step.p:
             return step.end(False)
-        k += 1
+        step = step.next()
 
 
 def rollout(state: MatchState, cfg: SimulationConfig) -> RolloutResult:
     """Play out one possession; deterministic given (state, cfg)."""
-    return _walk(_PossessionPath(state, cfg), random.Random(cfg.seed))
+    return _walk(_PathStep(state, (), cfg), random.Random(cfg.seed))
 
 
 def run_trials(state: MatchState, cfg: SimulationConfig, style_index: int, trials: int) -> list[RolloutResult]:
@@ -275,13 +264,13 @@ def run_trials(state: MatchState, cfg: SimulationConfig, style_index: int, trial
     """
     check_int(style_index, "style_index", 0)
     check_count(trials, "trials", TRIALS_LIMIT)
-    path = _PossessionPath(state, cfg)
+    first = _PathStep(state, (), cfg)
     prefix = _seed_hash(cfg.seed, style_index)
     rng = random.Random(0)  # reseeded before every trial; a seed given here spares drawing OS entropy
     results = []
     for i in range(trials):
         rng.seed(_trial_seed(prefix, i))  # the state random.Random(derive_seed(...)) starts in
-        results.append(_walk(path, rng))
+        results.append(_walk(first, rng))
     return results
 
 

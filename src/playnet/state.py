@@ -43,13 +43,15 @@ returns that same object, with every network and successor it has
 gained. A text that fails to parse is not kept, and parse_match_state
 still builds a new MatchState on every call. So the rule that team
 must not be mutated holds across loads: a state from load_match_state
-is shared by every later load of the same bytes. A lock guards the
-kept texts, so threads may load at once.
+is shared by every later load of the same bytes. The kept texts are
+a functools.lru_cache, so threads may load at once, but two threads
+that miss on the same bytes at the same moment may each parse them and
+get equal but distinct states.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from .jsonio import check_object, parse_json, read_input
@@ -223,20 +225,12 @@ def parse_match_state(data: bytes | str) -> MatchState:
 
 # the number of state-file texts whose MatchState load_match_state keeps
 LOADED_LIMIT = 8
-_loaded: dict[bytes, MatchState] = {}  # a state file's bytes -> its MatchState, least recently loaded first
-_loaded_lock = threading.Lock()  # a lookup, its move to the end and an eviction are one step for other threads
 
 
+@functools.lru_cache(maxsize=LOADED_LIMIT)
 def match_state_of(data: bytes) -> MatchState:
     """parse_match_state(data), kept for these exact bytes while they are among the last LOADED_LIMIT loaded."""
-    with _loaded_lock:
-        state = _loaded.pop(data, None)
-        if state is None:
-            state = parse_match_state(data)  # a failed parse raises here and keeps nothing
-            if len(_loaded) >= LOADED_LIMIT:
-                del _loaded[next(iter(_loaded))]
-        _loaded[data] = state
-    return state
+    return parse_match_state(data)  # looked up by name: a wrapped or patched parse sees every miss
 
 
 def load_match_state(path) -> MatchState:

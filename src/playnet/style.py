@@ -74,7 +74,8 @@ class LinearStyle:
 
         Each weight is written in the ASCII digits 0-9 alone: no sign,
         underscore, space or other script's digit, all of which int()
-        would accept.
+        would accept. A weight past int()'s digit limit is far past the
+        float range, and gets the message of any weight too large.
         """
         if not isinstance(text, str):
             raise ValueError(f"style {text!r} must be a string like '3:1'")
@@ -83,7 +84,11 @@ class LinearStyle:
             raise ValueError(f"style {text!r} must look like 'x:y', e.g. '3:1'")
         if not all(part.isascii() and part.isdigit() for part in parts):
             raise ValueError(f"style {text!r} must use integer weights written in the digits 0-9")
-        return cls(int(parts[0]), int(parts[1]))
+        try:
+            x, y = (int(part.lstrip("0") or "0") for part in parts)
+        except ValueError:  # past the digit limit, which leading zeros would count toward
+            raise ValueError("style weights x and y give a score too large for a float") from None
+        return cls(x, y)
 
     def __str__(self) -> str:
         return f"{self.x}:{self.y}"

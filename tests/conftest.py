@@ -15,7 +15,7 @@ from playnet import (
     PossessionStep,
     StepOutcome,
 )
-from playnet.state import load_match_state
+from playnet.state import load_match_state, match_state_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = REPO_ROOT / "data"
@@ -42,6 +42,14 @@ def midfield_state(midfield_state_path) -> MatchState:
 @pytest.fixture(scope="session")
 def box_state(box_state_path) -> MatchState:
     return load_match_state(box_state_path)
+
+
+@pytest.fixture
+def no_loaded_states():
+    """An empty memo of loaded states for one test, emptied again after it; yields its size."""
+    match_state_of.cache_clear()
+    yield lambda: match_state_of.cache_info().currsize
+    match_state_of.cache_clear()
 
 
 def random_network(rng: random.Random, s: float | None = None, tau: float | None = None) -> DecisionNetwork:

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 import playnet.cli
 import playnet.estimators
 import playnet.sequence
-import playnet.state
 from playnet import (
     Decision,
     DecisionNetwork,
@@ -332,9 +331,10 @@ def _without_timestamp(manifest_text: str) -> dict:
     (["compare", "--styles", "3:1,2:2,1:3", "--trials", "200", "--seed", "5", "--json"], None),
     (["compare", "--styles", "3:1,2:2,1:3", "--trials", "200", "--seed", "5", "--csv"], "report.csv"),
 ], ids=["decide-dot", "decide-json", "simulate-out", "compare-json", "compare-csv"])
-def test_a_second_run_in_one_process_writes_the_same_bytes(capsys, tmp_path, monkeypatch, state, argv, artifact):
-    loaded = {}
-    monkeypatch.setattr(playnet.state, "_loaded", loaded)  # the first run parses the file afresh
+def test_a_second_run_in_one_process_writes_the_same_bytes(
+    capsys, tmp_path, monkeypatch, no_loaded_states, state, argv, artifact
+):
+    """The first run parses the file afresh (no_loaded_states); the second reuses it."""
     estimated = []
     real = playnet.estimators.unavailable_teammates  # called once per network estimated, not per memo hit
     monkeypatch.setattr(playnet.estimators, "unavailable_teammates", lambda st: estimated.append(st) or real(st))
@@ -353,7 +353,7 @@ def test_a_second_run_in_one_process_writes_the_same_bytes(capsys, tmp_path, mon
         runs.append((out, files, len(estimated)))
     assert runs[1][:2] == runs[0][:2]
     assert runs[0][2] > 0 and runs[1][2] == 0  # the second run and regenerate reuse every network
-    assert list(loaded) == [Path(state).read_bytes()]
+    assert no_loaded_states() == 1  # the state file's one text
 
 
 def test_analyze_matches_golden_expectations(capsys):
@@ -605,6 +605,9 @@ def test_regenerate_names_a_missing_run_field(capsys, tmp_path):
         regenerate(manifest)
 
 
+_TOO_LARGE = "style weights x and y give a score too large for a float"
+
+
 @pytest.mark.parametrize(
     "command, field, value, message",
     [
@@ -612,8 +615,13 @@ def test_regenerate_names_a_missing_run_field(capsys, tmp_path):
         ("compare", "styles", 5, "run.styles=5 must be a nonempty array"),
         ("compare", "styles", [3], "style 3 must be a string"),
         ("simulate", "style", 3, "style 3 must be a string"),
+        ("compare", "styles", ["9" * 5000 + ":1"], f"^{_TOO_LARGE}$"),
+        ("simulate", "style", "1:" + "9" * 5000, f"^{_TOO_LARGE}$"),
     ],
-    ids=["styles-empty", "styles-number", "styles-of-numbers", "style-number"],
+    ids=[
+        "styles-empty", "styles-number", "styles-of-numbers", "style-number",
+        "styles-digit-limit", "style-digit-limit",
+    ],
 )
 def test_regenerate_rejects_a_mistyped_run_value(capsys, tmp_path, command, field, value, message):
     out_file = tmp_path / "artifact"
@@ -976,10 +984,15 @@ def test_mutated_log_gives_sequences_or_one_value_error(picks, cut, indent):
             assert all(type(v) is float and math.isfinite(v) for v in values)
 
 
-@pytest.mark.parametrize("style", ["1" + "0" * 308 + ":1", "1:1" + "0" * 308], ids=["x-1e308", "y-1e308"])
+@pytest.mark.parametrize(
+    "style",
+    ["1" + "0" * 308 + ":1", "1:1" + "0" * 308, "9" * 5000 + ":1"],
+    ids=["x-1e308", "y-1e308", "x-past-digit-limit"],
+)
 @pytest.mark.parametrize("command", ["decide", "simulate", "compare"])
 def test_style_whose_score_overflows_is_validation_error(capsys, command, style):
-    # 10**308 is inside float range, but x * 10.0 is inf and y * 10 is no float
+    # 10**308 is inside float range, but x * 10.0 is inf and y * 10 is no float;
+    # 5000 digits are past int()'s limit, whose own message names no style
     argv = {
         "decide": ["decide", "--style", style],
         "simulate": ["simulate", "--style", style, "--trials", "3"],
@@ -989,6 +1002,30 @@ def test_style_whose_score_overflows_is_validation_error(capsys, command, style)
     assert code == 1
     assert out == ""
     assert err == "error: style weights x and y give a score too large for a float\n"
+
+
+@pytest.mark.parametrize(
+    "command, blocked",
+    [("decide", "artifact"), ("simulate", "artifact"), ("compare", "artifact"), ("simulate", "manifest")],
+    ids=["decide-dot", "simulate-out", "compare-csv", "simulate-manifest"],
+)
+def test_an_artifact_path_that_is_a_directory_is_refused_before_writing(capsys, tmp_path, command, blocked):
+    target = tmp_path / "out"
+    sibling = Path(manifest_path(target))
+    directory, kept = (target, sibling) if blocked == "artifact" else (sibling, target)
+    directory.mkdir()
+    kept.write_bytes(b'{"kept": true}\n')
+    argv = {
+        "decide": ["decide", "--style", "3:1", "--dot"],
+        "simulate": ["simulate", "--style", "3:1", "--trials", "3", "--out"],
+        "compare": ["compare", "--styles", "3:1,1:3", "--trials", "3", "--csv"],
+    }[command]
+    code, out, err = run(capsys, *argv, str(target), "--state", MIDFIELD)
+    assert (code, out) == (1, "")
+    assert err == f"error: {directory}: is a directory\n"  # not the name of a temporary file
+    assert kept.read_bytes() == b'{"kept": true}\n'
+    assert sorted(path.name for path in tmp_path.iterdir()) == [target.name, sibling.name]  # no .part file
+    assert not any(directory.iterdir())
 
 
 # --- the log reader parses and checks each distinct sequence once -----------

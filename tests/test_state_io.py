@@ -340,14 +340,6 @@ def test_match_state_requires_full_teams():
 
 # --- the loaded states load_match_state keeps --------------------------------
 
-@pytest.fixture
-def no_loaded_states(monkeypatch):
-    """An empty memo of loaded states for one test; match_state_of looks it up at call time."""
-    loaded = {}
-    monkeypatch.setattr(playnet.state, "_loaded", loaded)
-    return loaded
-
-
 def test_a_loaded_text_gives_the_same_state_and_changed_bytes_a_new_one(tmp_path, no_loaded_states):
     text = (DATA_DIR / "midfield_state.json").read_bytes()
     path, twin = tmp_path / "a.json", tmp_path / "b.json"
@@ -362,7 +354,7 @@ def test_a_loaded_text_gives_the_same_state_and_changed_bytes_a_new_one(tmp_path
     assert spaced is not state and spaced == state
     path.write_bytes(text)
     assert load_match_state(path) is state
-    assert list(no_loaded_states) == [text + b" ", text]
+    assert no_loaded_states() == 2  # text + b" " and text
 
 
 def test_a_bad_state_file_fails_alike_on_every_load_and_is_not_kept(tmp_path, no_loaded_states):
@@ -376,7 +368,7 @@ def test_a_bad_state_file_fails_alike_on_every_load_and_is_not_kept(tmp_path, no
             load_match_state(path)
         messages.append(str(err.value))
     assert messages == [f"state {path}: team[3].x: 120.0 outside [0, 105]"] * 3
-    assert no_loaded_states == {}
+    assert no_loaded_states() == 0
 
 
 def test_the_least_recently_loaded_text_is_dropped_at_the_bound(tmp_path, no_loaded_states):
@@ -389,7 +381,7 @@ def test_the_least_recently_loaded_text_is_dropped_at_the_bound(tmp_path, no_loa
     first = [load_match_state(path) for path in paths[:limit]]
     assert load_match_state(paths[0]) is first[0]  # now the most recently loaded
     load_match_state(paths[limit])  # past the bound: drops paths[1]'s text, the least recent
-    assert len(no_loaded_states) == limit
+    assert no_loaded_states() == limit
     kept = zip(paths[2:limit], first[2:])
     assert all(load_match_state(path) is state for path, state in kept)
     assert load_match_state(paths[0]) is first[0]
@@ -428,7 +420,7 @@ def test_loads_from_several_threads_keep_the_memo_whole(tmp_path, no_loaded_stat
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(no_loaded_states) == limit
+    assert no_loaded_states() == limit
 
 
 # --- canonical number formatting -------------------------------------------

@@ -133,6 +133,18 @@ def test_weights_whose_top_score_overflows_are_rejected(x, y):
         LinearStyle(x, y)
 
 
+@pytest.mark.parametrize("text", ["9" * 5000 + ":1", "1:" + "9" * 5000], ids=["x", "y"])
+def test_a_weight_past_the_digit_limit_is_too_large_for_a_float(text):
+    # int() would raise its own message, which names no style and differs between interpreters
+    with pytest.raises(ValueError) as err:
+        LinearStyle.parse(text)
+    assert str(err.value) == "style weights x and y give a score too large for a float"
+
+
+def test_leading_zeros_do_not_count_toward_the_digit_limit():
+    assert LinearStyle.parse("0" * 5000 + "3:" + "0" * 5000) == LinearStyle(3, 0)
+
+
 _NEAR_FLOAT_MAX = st.one_of(
     st.integers(0, 10),
     st.integers(10**306, 10**308),
