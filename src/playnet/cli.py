@@ -11,14 +11,14 @@ error line, so a reader that goes away also exits 1 with one line.
 File artifacts (logs, CSV reports, DOT dumps) are written atomically
 with a sibling <artifact>.manifest.json recording the resolved config,
 inputs, and the command's own arguments (its run record). An artifact
-path that is the state or config file in use, or whose manifest would
-be, is refused before anything is written.
+path that is empty, or that is (or whose manifest would be) a directory
+or the state or config file in use, is refused before anything is written.
 
-Each artifact has one recipe in _RECIPES: its results from the state,
-config and run record, and the artifact text of those results. The
-command and regenerate() both call it, so regenerate rebuilds the text
-the command wrote by construction; it ignores run fields the recipe
-does not read, so older manifests still regenerate.
+Each artifact has one recipe in _RECIPES: its flag, its results from
+the state, config and run record, and the artifact text of those
+results. The command and regenerate() both call it, so regenerate
+rebuilds the text the command wrote by construction; it ignores run
+fields the recipe does not read, so older manifests still regenerate.
 
 simulate's log is sequence.log_text of its results. simulate's and
 analyze's rows are built per distinct possession (sequence.per_distinct),
@@ -36,7 +36,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .config import AppConfig, config_path, load_config
-from .decision import DecisionPolicy, decide, ranked_options
+from .decision import decide, ranked_options
 from .dotexport import export_network_dot
 from .estimators import estimate_network
 from .jsonio import (
@@ -49,7 +49,7 @@ from .jsonio import (
     write_artifact,
 )
 from .sequence import efficiency, load_log, log_text, pareto_frontier, per_distinct, security
-from .simulate import SimulationConfig, StyleReport, monte_carlo_compare, run_trials
+from .simulate import StyleReport, monte_carlo_compare, run_trials
 from .state import match_state_of
 from .style import LinearStyle
 
@@ -109,20 +109,6 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _policy(cfg: AppConfig, style: LinearStyle) -> DecisionPolicy:
-    return DecisionPolicy(style=style, threshold=cfg.threshold)
-
-
-def _sim_config(cfg: AppConfig, style: LinearStyle, seed: int) -> SimulationConfig:
-    return SimulationConfig(
-        policy=_policy(cfg, style),
-        estimators=cfg.estimators,
-        max_steps=cfg.max_steps,
-        seed=seed,
-        drift_m=cfg.drift_m,
-    )
-
-
 def _load_state(path: str) -> tuple:
     """(the state file's MatchState, the SHA-256 of the very bytes it was parsed from).
 
@@ -132,16 +118,21 @@ def _load_state(path: str) -> tuple:
     return read_input("state", path, lambda data: (match_state_of(data), sha256_of_file(data)))
 
 
-def _check_artifact_path(path: str | None, args: argparse.Namespace) -> None:
-    """Reject an artifact path whose file or manifest is a directory, or the state or config file in use.
+def _check_artifact_path(args: argparse.Namespace) -> str | None:
+    """The command's artifact path, or None when its flag is not given: no path means no artifact.
 
-    Called before anything is written: a directory would fail the rename
-    after the manifest's, and an input would be replaced while its
-    manifest records it by digest, so the artifact could never be
-    regenerated. No path means no artifact.
+    Called before anything is written. Rejects an empty path (a script's
+    unset variable would otherwise succeed and write nothing), and a path
+    whose file or manifest is a directory (its rename would fail after the
+    manifest's) or the state or config file in use (an input replaced while
+    its manifest records it by digest could never be regenerated).
     """
+    flag = _RECIPES[args.command][0]
+    path = getattr(args, flag[2:])
+    if path is None:
+        return None
     if not path:
-        return
+        raise ValueError(f"{flag}: the path is empty")
     inputs = [p for p in (args.state, config_path(args.config)) if p]
     for target in (path, manifest_path(path)):
         if os.path.isdir(target):
@@ -149,6 +140,7 @@ def _check_artifact_path(path: str | None, args: argparse.Namespace) -> None:
         for source in inputs:
             if os.path.exists(target) and os.path.samefile(target, source):
                 raise ValueError(f"{target}: would overwrite the input file {source}")
+    return path
 
 
 def _csv_text(reports) -> str:
@@ -181,7 +173,7 @@ def _decide_results(state, cfg: AppConfig, run):
 
 
 def _simulate_results(state, cfg: AppConfig, run):
-    sim = _sim_config(cfg, LinearStyle.parse(_run_field(run, "style")), _run_field(run, "seed"))
+    sim = cfg.simulation(LinearStyle.parse(_run_field(run, "style")), _run_field(run, "seed"))
     return run_trials(state, sim, 0, _run_field(run, "trials"))
 
 
@@ -190,26 +182,26 @@ def _compare_results(state, cfg: AppConfig, run):
     if not isinstance(styles, list) or not styles:
         raise ValueError(f"manifest: run.styles={styles!r} must be a nonempty array")
     styles = [LinearStyle.parse(text) for text in styles]
-    sim = _sim_config(cfg, styles[0], _run_field(run, "seed"))
+    sim = cfg.simulation(styles[0], _run_field(run, "seed"))
     return monte_carlo_compare(state, styles, _run_field(run, "trials"), sim)
 
 
-# command -> (results of (state, config, run record), artifact text of those results);
+# command -> (its artifact's flag, results of (state, config, run record), artifact text of those results);
 # the functions they call are looked up at call time, so a patched or traced one is used
 _RECIPES = {
-    "decide": (_decide_results, lambda network: export_network_dot(network)),
-    "simulate": (_simulate_results, lambda results: log_text([r.sequence for r in results])),
-    "compare": (_compare_results, _csv_text),
+    "decide": ("--dot", _decide_results, lambda network: export_network_dot(network)),
+    "simulate": ("--out", _simulate_results, lambda results: log_text([r.sequence for r in results])),
+    "compare": ("--csv", _compare_results, _csv_text),
 }
 
 
-def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict, path: str | None):
-    """The command's results; with a path, also its artifact and manifest written there."""
+def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict):
+    """The command's results; with its artifact flag given, also its artifact and manifest written there."""
     state, digest = _load_state(args.state)
-    _check_artifact_path(path, args)
-    results_of, text_of = _RECIPES[args.command]
+    path = _check_artifact_path(args)
+    _, results_of, text_of = _RECIPES[args.command]
     results = results_of(state, cfg, run)
-    if path:
+    if path is not None:
         manifest = {
             "tool": "playnet",
             "version": __version__,
@@ -226,8 +218,8 @@ def _run_recipe(args: argparse.Namespace, cfg: AppConfig, run: dict, path: str |
 
 def _decide_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     style = LinearStyle.parse(args.style)
-    network = _run_recipe(args, cfg, {"style": str(style)}, args.dot)
-    policy = _policy(cfg, style)
+    network = _run_recipe(args, cfg, {"style": str(style)})
+    policy = cfg.simulation(style).policy
     decision = decide(network, policy)
     decision_obj: dict = {"type": decision.action}
     if decision.is_pass:
@@ -257,7 +249,7 @@ def _decide_text(value: dict) -> str:
 def _simulate_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     style = LinearStyle.parse(args.style)
     run = {"style": str(style), "trials": args.trials, "seed": args.seed}
-    results = _run_recipe(args, cfg, run, args.out)
+    results = _run_recipe(args, cfg, run)
     report = StyleReport.from_results(str(style), results)
     rows = per_distinct(lambda r: {
         "steps": len(r.sequence), "outcome": r.sequence.terminal_outcome.label(),
@@ -309,7 +301,7 @@ def _analyze_text(value: dict) -> str:
 def _compare_value(args: argparse.Namespace, cfg: AppConfig) -> dict:
     styles = [LinearStyle.parse(text) for text in args.styles.split(",")]
     run = {"styles": [str(s) for s in styles], "trials": args.trials, "seed": args.seed}
-    return {"reports": [dataclasses.asdict(r) for r in _run_recipe(args, cfg, run, args.csv)]}
+    return {"reports": [dataclasses.asdict(r) for r in _run_recipe(args, cfg, run)]}
 
 
 def _compare_text(value: dict) -> str:
@@ -401,7 +393,7 @@ def regenerate(manifest: dict) -> str:
     state, digest = _load_state(path)
     if digest != recorded:
         raise ValueError(f"input {path}: digest {digest} does not match the manifest ({recorded})")
-    results_of, text_of = _RECIPES[command]
+    _, results_of, text_of = _RECIPES[command]
     return text_of(results_of(state, cfg, manifest.get("run")))
 
 

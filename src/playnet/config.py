@@ -6,6 +6,8 @@ built-in defaults. Unknown sections or keys are rejected (by
 jsonio.check_object, as in state and log files) so typos do not silently
 fall back to defaults. The file path comes from --config or the
 PLAYNET_CONFIG environment variable, and every error names it.
+AppConfig checks its values by building SimulationConfig and
+DecisionPolicy from them, and AppConfig.simulation builds a run's.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 from .decision import DecisionPolicy
 from .estimators import EstimatorParams
 from .jsonio import check_object, parse_json, read_input
-from .network import check_real, check_unit
-from .simulate import MAX_STEPS_LIMIT, SimulationConfig, check_count
+from .simulate import SimulationConfig
+from .style import LinearStyle
 
 CONFIG_ENV_VAR = "PLAYNET_CONFIG"
 # each section of a config file and the keys it may hold, the field names and tie_break
@@ -27,6 +29,7 @@ _SECTION_KEYS = {
     "simulation": frozenset(("max_steps", "drift_m")),
     "policy": frozenset(("threshold", "tie_break")),
 }
+_ANY_POLICY = DecisionPolicy(LinearStyle(1, 1))  # a valid policy, so checking a SimulationConfig checks the rest
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,15 @@ class AppConfig:
 
     def __post_init__(self) -> None:
         # Checked here, not where a subcommand first uses the value, so a
-        # bad file or flag fails at load whichever subcommand runs.
-        if not isinstance(self.estimators, EstimatorParams):
-            raise ValueError(f"estimators must be an EstimatorParams, not {type(self.estimators).__name__}")
-        check_count(self.max_steps, "max_steps", MAX_STEPS_LIMIT)
-        check_real(self.drift_m, "drift_m", 0.0)
-        check_unit(self.threshold, "threshold")
+        # bad file or flag fails at load whichever subcommand runs; the
+        # threshold last, which simulation() would check first.
+        SimulationConfig(_ANY_POLICY, self.estimators, self.max_steps, 0, self.drift_m)
+        DecisionPolicy(_ANY_POLICY.style, self.threshold)
+
+    def simulation(self, style: LinearStyle, seed: int = 0) -> SimulationConfig:
+        """A run's SimulationConfig: this config's values, the policy of style and the threshold, and seed."""
+        policy = DecisionPolicy(style, self.threshold)
+        return SimulationConfig(policy, self.estimators, self.max_steps, seed, self.drift_m)
 
     def to_dict(self) -> dict:
         return {

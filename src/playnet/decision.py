@@ -2,8 +2,8 @@
 
 Shoot when the holder's scoring probability reaches the policy
 threshold; otherwise pass to the teammate whose (p, r) edge maximizes
-the policy's style function. Ties at the argmax go to the lowest
-teammate id, so runs reproduce exactly across platforms.
+the policy's style function, the head of ranked_options: ties go to
+the lowest teammate id, so runs reproduce exactly across platforms.
 
 The holder's decision time tau is carried by the network but plays no
 role here; its influence is upstream, where pass probabilities are
@@ -11,8 +11,8 @@ estimated as a function of the time available.
 
 A policy's style is a LinearStyle, checked when the policy is built.
 No check runs here on a network's values: every network holds a float
-p in [0, 1] and an int r in 0..10, in range when it was built. So decide
-and ranked_options score a style inline, with the operations of
+p in [0, 1] and an int r in 0..10, in range when it was built. So
+ranked_options scores a style inline, with the operations of
 LinearStyle.evaluate but without its checks of p and r, which stay for
 library callers. A Decision is a plain record that checks nothing;
 a PossessionSequence checks every decision it holds.
@@ -66,29 +66,21 @@ class Decision:
 _SHOOT = Decision(action="shoot")  # frozen, so every shoot decision can share it
 
 
-def _scored(network: DecisionNetwork, style: LinearStyle) -> list[tuple[int, float]]:
-    """(teammate, style score) for each edge, in the network's id order, unchecked."""
-    x = style.x
-    y = style.y
-    return [(j, x * (10.0 * p) + y * r) for j, (p, r) in network.edges.items()]
-
-
 def ranked_options(network: DecisionNetwork, policy: DecisionPolicy) -> list[tuple[int, float]]:
-    """All ten pass options, best first.
+    """All ten pass options as (teammate, style score), best first.
 
-    Sorted by style score descending, ties by lowest teammate id. The
-    head of this list is exactly the pass target decide() would pick.
+    The one tie rule: a stable sort by score descending over the network's
+    id order, so equal scores go lowest id first. decide passes to the head.
     """
-    scored = _scored(network, policy.style)
-    scored.sort(key=itemgetter(1), reverse=True)  # stable, so equal scores stay in id order
+    x, y = policy.style.x, policy.style.y
+    scored = [(j, x * (10.0 * p) + y * r) for j, (p, r) in network.edges.items()]
+    scored.sort(key=itemgetter(1), reverse=True)
     return scored
 
 
 def decide(network: DecisionNetwork, policy: DecisionPolicy) -> Decision:
-    """Shoot if the holder's s reaches the threshold, else pass to the argmax teammate."""
+    """Shoot if the holder's s reaches the threshold, else pass to the head of ranked_options."""
     if network.s >= policy.threshold:
         return _SHOOT
-    # the head of ranked_options: edges are in id order and max keeps the
-    # first of equal scores, so ties go to the lowest id
-    target, score = max(_scored(network, policy.style), key=itemgetter(1))
+    target, score = ranked_options(network, policy)[0]
     return Decision("pass", target, score, score == 0.0)

@@ -66,7 +66,12 @@ def parse_json(data: bytes | str):
 
 
 def check_object(obj: object, allowed, required: tuple, path: str) -> None:
-    """Raise unless obj is a JSON object with every required key and no key outside allowed (a set)."""
+    """Raise unless obj is a JSON object with every required key and no key outside allowed (a set).
+
+    The common case, a dict with exactly the allowed keys, passes at once.
+    """
+    if type(obj) is dict and obj.keys() == allowed:  # required is a subset of allowed
+        return
     if not isinstance(obj, dict):
         raise ValueError(f"{path}: expected an object")
     if not obj.keys() <= allowed:
@@ -276,7 +281,8 @@ def write_artifact(path, text: str, manifest: dict) -> None:
     if the artifact's rename then fails the new manifest is removed, so
     the old artifact is left without one, never beside a manifest that
     does not describe it. The manifest's numbers are exact
-    (exact_number_text), as regenerate needs them.
+    (exact_number_text), as regenerate needs them. An OSError names path,
+    the artifact the caller asked for, never a temporary file's name.
     """
     path = os.fspath(path)
     sibling = manifest_path(path)
@@ -290,7 +296,9 @@ def write_artifact(path, text: str, manifest: dict) -> None:
         except BaseException:
             _remove(sibling)
             raise
-    except BaseException:
+    except BaseException as err:
         for tmp in temps:
             _remove(tmp)
+        if isinstance(err, OSError):
+            raise OSError(err.errno, err.strerror, path) from None
         raise

@@ -206,11 +206,8 @@ class DecisionNetwork:
             raise ValueError("network.edges: expected an array")
         per_teammate: dict[int, tuple[float, int]] = {}
         for k, entry in enumerate(entries):
-            if type(entry) is not dict or entry.keys() != _EDGE_KEYS:  # the common case skips the call
-                check_object(entry, _EDGE_KEYS, ("to", "p", "r"), f"network.edges[{k}]")
-            to = entry["to"]
-            if type(to) is not int or not 1 <= to <= TEAM_SIZE:  # the fast path of check_player_id
-                check_player_id(to, f"network.edges[{k}].to")
+            check_object(entry, _EDGE_KEYS, ("to", "p", "r"), f"network.edges[{k}]")
+            to = check_player_id(entry["to"], f"network.edges[{k}].to")
             if to in per_teammate:
                 raise ValueError(f"network.edges[{k}].to: duplicate teammate id {to}")
             per_teammate[to] = (entry["p"], entry["r"])

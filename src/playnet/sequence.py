@@ -96,7 +96,6 @@ _SHOTS = (StepOutcome.SHOT_SCORED, StepOutcome.SHOT_MISSED)
 # the keys of a step and of its decision (whose target is optional) in the log shape
 _STEP_KEYS = frozenset(("network", "decision", "outcome"))
 _DECISION_KEYS = frozenset(("type", "target"))
-_SHOOT_KEYS = frozenset(("type",))
 
 
 @dataclass(frozen=True)
@@ -282,18 +281,13 @@ def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
 
 def _step_from_obj(item: object, k: int) -> PossessionStep:
     """Step k of a sequence from its log shape, its keys, network and outcome label read."""
-    # the common cases skip the calls, so a path is formatted only for a check that may fail
-    if type(item) is not dict or item.keys() != _STEP_KEYS:
-        check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
+    check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
     try:
         network = DecisionNetwork.from_json_dict(item["network"])
     except ValueError as err:
         raise ValueError(f"step {k}: {err}") from None
     dec_obj = item["decision"]
-    if type(dec_obj) is not dict or (
-        dec_obj.keys() != _DECISION_KEYS and dec_obj.keys() != _SHOOT_KEYS
-    ):
-        check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
+    check_object(dec_obj, _DECISION_KEYS, ("type",), f"step {k}: decision")
     try:
         outcome = StepOutcome(item["outcome"])
     except ValueError:

@@ -196,9 +196,7 @@ def parse_match_state(data: bytes | str) -> MatchState:
     outside: set[int] = set()
     for path, entry in zip(_TEAM_PATHS, team_arr):
         check_object(entry, _TEAM_KEYS, ("id", "x", "y"), path)
-        pid = entry["id"]
-        if type(pid) is not int or not 1 <= pid <= TEAM_SIZE:  # the fast path of check_player_id
-            check_player_id(pid, path + ".id")
+        pid = check_player_id(entry["id"], path + ".id")
         if pid in team:
             raise ValueError(f"{path}.id: duplicate player id {pid}")
         is_outside = entry.get("outside", False)

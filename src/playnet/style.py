@@ -51,8 +51,8 @@ class LinearStyle:
     def evaluate(self, p: float, r: int) -> float:
         """Score one pass option: x * 10p + y * r, after checking p and r.
 
-        decide and ranked_options compute the same expression inline,
-        unchecked, on a network's values, which are in range.
+        ranked_options computes the same expression inline, unchecked,
+        on a network's values, which are in range.
         """
         return self.x * (10.0 * check_unit(p, "p")) + self.y * check_int(r, "r", 0, RISK_MAX)
 

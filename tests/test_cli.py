@@ -1645,3 +1645,22 @@ def test_run_cli_exits_0_1_or_2_on_any_argv(tmp_path_factory, argv):
         assert err == ""
     if code == 1:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_an_artifact_into_a_missing_directory_names_the_artifact(capsys, tmp_path, command):
+    target = tmp_path / "no" / "dir.json"
+    code, out, err = run(capsys, *_ARTIFACT_ARGV[command], str(target))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"  # not a temporary file's name
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
+def test_an_empty_artifact_path_is_refused_naming_its_flag(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    argv = _ARTIFACT_ARGV[command]
+    code, out, err = run(capsys, *argv, "")
+    assert (code, out) == (1, "")
+    assert err == f"error: {argv[-1]}: the path is empty\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import gc
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,8 @@ from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
 from playnet.jsonio import (
-    Indexed, canonical_dumps, canonical_number, exact_number_text, manifest_path, number_text,
-    parse_json, write_artifact,
+    Indexed, canonical_dumps, canonical_number, check_object, exact_number_text, manifest_path,
+    number_text, parse_json, write_artifact,
 )
 from playnet.state import load_match_state
 
@@ -782,6 +783,51 @@ def test_config_rejects_unknown_keys(tmp_path):
         with pytest.raises(ValueError) as info:
             AppConfig.from_dict({section: {"extra": 1}})
         assert str(info.value) == f"{section}: unexpected key 'extra'"
+
+
+# one fault per field, in the order AppConfig checks them, and the message each gets
+_CONFIG_FAULTS = {
+    "estimators": ({"score_decay_m": 1.0}, "estimators must be an EstimatorParams, not dict"),
+    "max_steps": (0, "max_steps=0 must be >= 1"),
+    "drift_m": (-1, "drift_m=-1.0 must be >= 0 and finite"),
+    "threshold": (2, "threshold=2.0 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("first, second", itertools.combinations(_CONFIG_FAULTS, 2), ids="-".join)
+def test_a_config_with_two_faults_reports_the_first_field_checked(first, second):
+    faults = {field: _CONFIG_FAULTS[field][0] for field in (first, second)}
+    with pytest.raises(ValueError) as got:
+        AppConfig(**faults)
+    assert str(got.value) == _CONFIG_FAULTS[first][1]
+    if first != "estimators":  # the same from a config file's sections
+        sections = {"simulation": {k: v for k, v in faults.items() if k != "threshold"}}
+        if "threshold" in faults:
+            sections["policy"] = {"threshold": faults["threshold"]}
+        with pytest.raises(ValueError) as got:
+            AppConfig.from_dict(sections)
+        assert str(got.value) == _CONFIG_FAULTS[first][1]
+
+
+def test_check_object_rejects_a_missing_or_unknown_key_off_the_exact_keys_path():
+    allowed = frozenset(("type", "target"))
+    check_object({"type": "pass", "target": 3}, allowed, ("type",), "d")  # the exact keys
+    check_object({"type": "shoot"}, allowed, ("type",), "d")  # an optional key left out
+    check_object({}, allowed, (), "d")
+    cases = [
+        ({"target": 3}, "d: missing key 'type'"),
+        ({"type": "pass", "goal": 3}, "d: unexpected key 'goal'"),  # as many keys as allowed, one unknown
+        ({"type": "pass", "target": 3, "goal": 1}, "d: unexpected key 'goal'"),
+        ([("type", "pass")], "d: expected an object"),
+        (None, "d: expected an object"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(ValueError) as got:
+            check_object(obj, allowed, ("type",), "d")
+        assert str(got.value) == message
+    with pytest.raises(ValueError) as got:
+        check_object({"type": "pass"}, allowed, ("type", "target"), "d")
+    assert str(got.value) == "d: missing key 'target'"
 
 
 def test_shipped_default_config_matches_builtins():
