@@ -122,7 +122,9 @@ def _check_artifact_path(args: argparse.Namespace) -> str | None:
     """The command's artifact path, or None when its flag is not given: no path means no artifact.
 
     Called before anything is written. Rejects an empty path (a script's
-    unset variable would otherwise succeed and write nothing), and a path
+    unset variable would otherwise succeed and write nothing), a path whose
+    directory is missing or not a directory (with the OSError the write
+    would raise after the whole run), and a path
     whose file or manifest is a directory (its rename would fail after the
     manifest's) or the state or config file in use (an input replaced while
     its manifest records it by digest could never be regenerated).
@@ -133,6 +135,10 @@ def _check_artifact_path(args: argparse.Namespace) -> str | None:
         return None
     if not path:
         raise ValueError(f"{flag}: the path is empty")
+    try:  # with a trailing separator, stat fails as the write would: ENOENT, or ENOTDIR for a file
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
     inputs = [p for p in (args.state, config_path(args.config)) if p]
     for target in (path, manifest_path(path)):
         if os.path.isdir(target):

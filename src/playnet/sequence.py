@@ -41,19 +41,24 @@ load_log reads a log file through jsonio.read_input, as load_match_state
 and load_config read theirs, and read_log reads its bytes. A log in
 log_text's layout is read by its element texts: the elements of
 splitting at ",\n  [". A repeat is found in place: each element is first
-compared with the texts of the few distinct elements met most recently.
-Each of those was cut at the first separator after its start, so it
-holds none, and none can straddle its end, whose next byte is ",". So a
-text that starts there and is followed by ",\n  [" or the log's end is
-exactly that element. Any other element is found by one forward scan
+compared with the texts of the few distinct elements met most recently,
+in this read or in the last successful read before it. Each of those
+was cut at the first separator after its start, so it holds none, and
+none can straddle its end, whose next byte is ",". So a text that starts
+there and is followed by ",\n  [" or the log's end is exactly that
+element, in any log. Any other element is found by one forward scan
 that jumps from "[" to "[" (a memchr) and ends it at a "[" with ",\n  "
-right before it. Each distinct element text is read once, and its
-repeats share the frozen sequence. A step's text in an
+right before it. Each distinct element text is read once per read, and
+its repeats share the frozen sequence, as do its repeats in later reads
+while it is still among the recent texts. A step's text in an
 element is its head, the text of its network and decision, then its
 "outcome" line, one of five texts, and "}". Each distinct head's step
-text is parsed on its own and checked once per read, and its later
-steps reuse its network and decision (hash-consing keyed by the exact
-text, so a valid "r": 3 never vouches for "r": 3.0, nor 0.0 for -0.0).
+text is parsed on its own and checked once, and its later steps, in
+this read or a later one, reuse its network and decision (hash-consing
+keyed by the exact text, so a valid "r": 3 never vouches for "r": 3.0,
+nor 0.0 for -0.0). A step text that read on its own reads so in any
+log, so keeping heads between reads is exact; a read that finds more
+than _MAX_HEADS heads kept starts without them.
 Complete JSON values joined by "," and whitespace inside "[" and "]" are
 exactly the array of those values (RFC 8259), so if every step text
 reads on its own, its element is the array of them, and if every
@@ -335,9 +340,10 @@ def _element_sequence(text: str, seen: dict) -> PossessionSequence | None:
     """The sequence of an element text (after its "[") in log_text's layout, or None.
 
     The text is cut at each _STEP_TAIL into step texts: a head, up to the
-    "outcome" line, then a tail. seen maps each head read so far to a step
-    read with it. A new head's step text is parsed on its own and checked,
-    so it is one JSON value, and the element is the array of those values.
+    "outcome" line, then a tail. seen maps each head read so far, in this
+    read or an earlier one, to a step read with it. A new head's step text
+    is parsed on its own and checked, so it is one JSON value, and the
+    element is the array of those values.
     A known head's step is neither parsed nor checked again: it read as
     one object ending in its tail, and another tail changes only the label
     of that object's last key. None, or a ValueError, sends read_log to a
@@ -362,6 +368,13 @@ def _element_sequence(text: str, seen: dict) -> PossessionSequence | None:
 
 # how many distinct element texts _log_sequences matches in place before it scans
 _RECENT = 8
+# the last successful read's (text, sequence) list of recent elements, most recent first;
+# each read starts from a copy and publishes its own, so no read sees another change its list
+_KEPT: list[tuple[bytes, PossessionSequence]] = []
+# step head -> a step read with it (see _element_sequence), kept across reads and shared
+# by threads: two reads at once can only both read a head, or drop what the other kept
+_HEADS: dict[str, PossessionStep] = {}
+_MAX_HEADS = 1024
 
 
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
@@ -374,13 +387,17 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
     ",\n  [" or the end is that element, which is then not searched for its
     end, sliced, hashed or read. This is exact: each kept text was cut at
     the first separator after its start, so it holds no ",\n  [", and none
-    can straddle its end, whose next byte is ",". The cap bounds the cost
-    of an element that matches none, as in a log without repeats, at
-    _RECENT comparisons, where comparing with every text read so far would
-    be quadratic. A possession path has at most two ends per step, so a
-    log of one style holds few distinct elements: over seeds 0 to 29, a
-    100-trial log of a shipped state holds 2 (box) or 4.4 to 5.0 on
-    average and at most 7 (midfield), and the list finds every repeat.
+    can straddle its end, whose next byte is ",". The list starts as a copy
+    of _KEPT, the list of the last read that succeeded, and a read that
+    succeeds publishes its own in its place, so the few distinct elements
+    of one (state, style) pair are read once per process, not once per
+    read, and no read sees a list that another thread changes. The cap
+    bounds the cost of an element that matches none, as in a log without
+    repeats, at _RECENT comparisons, where comparing with every text read
+    so far would be quadratic. A possession path has at most two ends per
+    step, so a log of one style holds few distinct elements: over seeds 0
+    to 29, a 100-trial log of a shipped state holds 2 (box) or 4.4 to 5.0
+    on average and at most 7 (midfield), and the list finds every repeat.
 
     Any other element is found by one forward scan that jumps from "[" to
     "[" (a memchr) and stops at a "[" with ",\n  " right before it, so each
@@ -392,9 +409,10 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
     """
     if not (data.startswith(b"[\n  [") and data.endswith(b"\n]\n")):
         return None
-    recent: list[tuple[bytes, PossessionSequence]] = []  # (text, its sequence), most recent first
+    recent = list(_KEPT)  # (text, its sequence), most recent first
     read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
-    seen: dict[str, PossessionStep] = {}  # step head -> a step read with it, see _element_sequence
+    if len(_HEADS) > _MAX_HEADS:
+        _HEADS.clear()
     sequences = []
     find = data.find
     startswith = data.startswith
@@ -417,7 +435,7 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
             seq = read.get(text)
             if seq is None:
                 try:
-                    seq = read[text] = _element_sequence(text.decode("utf-8", "surrogatepass"), seen)
+                    seq = read[text] = _element_sequence(text.decode("utf-8", "surrogatepass"), _HEADS)
                 except ValueError:  # UnicodeDecodeError included
                     return None
                 if seq is None:
@@ -426,6 +444,7 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
             del recent[_RECENT:]
         sequences.append(seq)
         start = stop + 5 if stop != end else -1  # stop ends the text; skip ",\n  ["
+    _KEPT[:] = recent
     return sequences
 
 

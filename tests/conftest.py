@@ -15,6 +15,7 @@ from playnet import (
     PossessionStep,
     StepOutcome,
 )
+from playnet import sequence
 from playnet.state import load_match_state, match_state_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -50,6 +51,16 @@ def no_loaded_states():
     match_state_of.cache_clear()
     yield lambda: match_state_of.cache_info().currsize
     match_state_of.cache_clear()
+
+
+@pytest.fixture
+def no_kept_reads():
+    """The log reader's kept element texts and step heads emptied for one test, and again after it."""
+    sequence._KEPT.clear()
+    sequence._HEADS.clear()
+    yield
+    sequence._KEPT.clear()
+    sequence._HEADS.clear()
 
 
 def random_network(rng: random.Random, s: float | None = None, tau: float | None = None) -> DecisionNetwork:

@@ -9,6 +9,7 @@ import random
 import re
 import stat
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -1083,7 +1084,7 @@ def _distinct_steps(doc) -> set:
     return {json.dumps([step["network"], step["decision"]]) for seq in doc for step in seq}
 
 
-def test_log_reader_checks_each_distinct_sequence_once(monkeypatch):
+def test_log_reader_checks_each_distinct_sequence_once(monkeypatch, no_kept_reads):
     obj = json.loads(_log_text_of("midfield"))
     real = PossessionSequence.__post_init__
     checked = []
@@ -1291,7 +1292,7 @@ def _parsed_steps(texts, elements) -> int:
     return len(texts)
 
 
-def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkeypatch, tmp_path):
+def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkeypatch, tmp_path, no_kept_reads):
     path = tmp_path / "log.json"
     path.write_text(_log_text_of("midfield"))
     real = playnet.sequence.parse_json
@@ -1309,7 +1310,7 @@ def test_log_reader_parses_each_distinct_element_once_and_never_the_whole(monkey
 
 
 @pytest.mark.parametrize("repeat_first", [False, True], ids=["no-repeats", "last-repeats-first"])
-def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, repeat_first):
+def test_log_reader_parses_each_element_of_a_log_without_repeats(monkeypatch, repeat_first, no_kept_reads):
     rng = random.Random(21)
     log = [sequence_to_obj(random_sequence(rng)) for _ in range(50)]
     if repeat_first:
@@ -1395,7 +1396,7 @@ _READER_CASES = {
 
 @pytest.mark.parametrize("case", list(_READER_CASES))
 @pytest.mark.parametrize("fault", ["valid", "bad-last", "bad-middle"])
-def test_log_reader_equals_a_whole_parse_on_written_logs(monkeypatch, case, fault):
+def test_log_reader_equals_a_whole_parse_on_written_logs(monkeypatch, case, fault, no_kept_reads):
     elements, by_elements = _READER_CASES[case](_element_texts(12, seed=5))
     if fault == "bad-last":
         elements[-1] = _bad(elements[-1])
@@ -1432,8 +1433,9 @@ def _check_split(body: bytes) -> None:
     data = b"[\n  [" + body + b"\n]\n"
     elements = [text.decode() for text in body.split(b",\n  [")]
     read = []
-    with pytest.MonkeyPatch.context() as patch:  # each element text reads as itself
+    with pytest.MonkeyPatch.context() as patch:  # each element text reads as itself, with nothing kept
         patch.setattr(playnet.sequence, "_element_sequence", lambda text, seen: read.append(text) or text)
+        patch.setattr(playnet.sequence, "_KEPT", [])
         assert _log_sequences(data) == elements
     assert read == list(dict.fromkeys(elements))  # each distinct text once, in order
 
@@ -1458,6 +1460,85 @@ _MANY_TEXTS = st.lists(
 @given(elements=_MANY_TEXTS)
 def test_log_reader_finds_the_elements_of_a_split_of_many_texts(elements):
     _check_split(b",\n  [".join(elements))
+
+
+def test_a_second_read_of_a_log_parses_nothing_and_shares_its_sequences(monkeypatch, no_kept_reads):
+    data = _log_text_of("midfield").encode()
+    first = read_log(data)
+    real = playnet.sequence.parse_json
+    parsed = []
+    monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
+    networks = _network_reads(monkeypatch)
+    second = read_log(data)
+    # its 6 distinct element texts are still recent, so each element is matched in place
+    assert parsed == [] and networks == []
+    assert len(second) == len(first) and all(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("case", [case for case in _READER_CASES if case.startswith("known-text-then-")])
+def test_a_text_kept_from_another_log_is_only_that_element(case, no_kept_reads):
+    # the builders' logs split in two: the known text is read in the first log, and met in
+    # the second followed by what is not the separator of elements or the log's end
+    elements, _ = _READER_CASES[case](_element_texts(12, seed=5))
+    first, second = _log_of(elements[:1]), _log_of(elements[1:])
+    assert _read_outcome(read_log, first) == _read_whole(first)
+    assert playnet.sequence._KEPT[0][0] == elements[0]
+    assert _read_outcome(read_log, second) == _read_outcome(_read_whole, second)
+
+
+def test_reads_from_several_threads_each_equal_a_whole_parse(monkeypatch, no_kept_reads):
+    # the logs share element texts and steps, one fails, and the bound on kept heads is low,
+    # so the threads publish, match and drop one another's kept texts and heads
+    monkeypatch.setattr(playnet.sequence, "_MAX_HEADS", 8)
+    pool = _element_texts(12, seed=5)
+    logs = [
+        _log_of(pool[0:6] * 3),
+        _log_of(pool[3:9] * 2 + pool[8:2:-1]),
+        _log_of([*_prefix_texts(5), pool[6], *_prefix_texts(5)[::-1], *pool[6:12]]),
+        _log_of(pool[0:4] + [_bad(pool[9])] + pool[0:4]),
+    ]
+    expected = [_read_outcome(_read_whole, data) for data in logs]
+    assert isinstance(expected[3], str)
+    errors = []
+
+    def read_each(data, whole):
+        try:
+            for _ in range(60):
+                if _read_outcome(read_log, data) != whole:
+                    raise AssertionError("a read differs from a whole parse")
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read_each, args=pair) for pair in zip(logs, expected)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_a_read_after_one_of_more_heads_than_the_bound_starts_without_them(monkeypatch, no_kept_reads):
+    rng = random.Random(8)
+    wide = []
+    while sum(len(q) for q in wide) <= playnet.sequence._MAX_HEADS:  # random steps are all distinct
+        wide.append(random_sequence(rng))
+    read_log((json.dumps([sequence_to_obj(q) for q in wide], indent=2) + "\n").encode())
+    assert len(playnet.sequence._HEADS) > playnet.sequence._MAX_HEADS
+    # one step of the wide log, its pass now intercepted: its head was read there
+    step = next(q for q in wide if len(q) > 1).steps[0]
+    cut = PossessionSequence((PossessionStep(step.network, step.decision, StepOutcome.PASS_INTERCEPTED),))
+    data = (json.dumps([sequence_to_obj(cut)] * 2, indent=2) + "\n").encode()
+    real = playnet.sequence.parse_json
+    parsed = []
+    monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
+    assert read_log(data) == _read_whole(data)
+    assert len(parsed) == len(playnet.sequence._HEADS) == 1
 
 
 @pytest.mark.parametrize("layout, distinct", [("written", 6), ("compact", 100)])
@@ -1648,12 +1729,22 @@ def test_run_cli_exits_0_1_or_2_on_any_argv(tmp_path_factory, argv):
 
 
 @pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
-def test_an_artifact_into_a_missing_directory_names_the_artifact(capsys, tmp_path, command):
-    target = tmp_path / "no" / "dir.json"
-    code, out, err = run(capsys, *_ARTIFACT_ARGV[command], str(target))
-    assert (code, out) == (1, "")
-    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"  # not a temporary file's name
-    assert list(tmp_path.iterdir()) == []
+def test_an_artifact_into_a_missing_directory_names_the_artifact(capsys, tmp_path, monkeypatch, command):
+    def refused(*args, **kwargs):  # the path is refused before the command's work, not after it
+        raise AssertionError("the command ran before its artifact path was refused")
+    for name in ("estimate_network", "run_trials", "monte_carlo_compare"):
+        monkeypatch.setattr(playnet.cli, name, refused)
+    (tmp_path / "file").write_text("kept")
+    for parent, error in (
+        (("no",), "[Errno 2] No such file or directory"),
+        (("file",), "[Errno 20] Not a directory"),
+        (("file", "sub"), "[Errno 20] Not a directory"),
+    ):
+        target = tmp_path.joinpath(*parent, "dir.json")
+        code, out, err = run(capsys, *_ARTIFACT_ARGV[command], str(target))
+        assert (code, out) == (1, "")
+        assert err == f"error: {error}: '{target}'\n"  # as the write would give it, not a temporary file's name
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 @pytest.mark.parametrize("command", sorted(_ARTIFACT_ARGV))
