@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Record what every playnet command does on a fixed matrix, and compare two records.
 
-    python3 scripts/behaviour_diff.py --record OUT.json --src DIR
+    python3 scripts/behaviour_diff.py --record OUT.json --src DIR [--shuffle SEED]
     python3 scripts/behaviour_diff.py --compare A.json B.json
 
 --record imports playnet from DIR (a checkout's src/) into this
@@ -13,6 +13,15 @@ timestamp are masked first, and so is the random name of a temporary
 file, so two records of the same behaviour are equal. The states and
 the golden log come from DIR's checkout (DIR/../data,
 DIR/../tests/golden), copied into the temporary directory.
+
+--shuffle SEED runs the writing runs, and then the reading and
+regenerate runs, each in an order drawn from SEED, and runs every read
+a second time, warm, in the reverse order once all have run. A warm run
+whose digest differs from its first is recorded as both digests, so it
+differs from every record of the fixed order. The process keeps what
+its reads and writes memoise (loaded states, their networks, log
+texts), so comparing a shuffled record with a fixed-order one shows
+whether any output depends on what ran before it.
 
 --compare lists the runs whose digests differ, or that only one record
 holds, and exits 1 if there are any. Record the parent and the change
@@ -28,6 +37,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import sys
@@ -183,8 +193,21 @@ def run(run_cli, argv: list, tmp: Path) -> tuple[str, str, list]:
     return masked(" ".join(argv), tmp), digest({**outputs, "files": files}), written
 
 
-def record(src: Path) -> dict:
-    """{"python": version, "runs": {name: digest}} of the matrix run against the playnet under src."""
+def regenerate_run(regenerate, path: Path, tmp: Path) -> tuple[str, str]:
+    """(name, digest) of regenerate() of the manifest at path: its text, or its error masked."""
+    try:
+        result = {"text": regenerate(json.loads(path.read_text()))}
+    except (ValueError, OSError) as err:
+        result = {"error": masked(f"{type(err).__name__}: {err}", tmp)}
+    return masked(f"regenerate {path}", tmp), digest(result)
+
+
+def record(src: Path, shuffle: int | None = None) -> dict:
+    """{"python": version, "runs": {name: digest}} of the matrix run against the playnet under src.
+
+    With shuffle, the runs go in an order drawn from that seed and every
+    read runs again, warm (see the module docstring).
+    """
     sys.path.insert(0, str(src))
     import playnet.cli
 
@@ -193,22 +216,27 @@ def record(src: Path) -> dict:
     os.environ.pop("PLAYNET_CONFIG", None)
     os.environ["COLUMNS"] = "80"  # argparse wraps its usage text to the terminal's width
     checkout = src.resolve().parent
+    order = random.Random(shuffle).shuffle if shuffle is not None else lambda runs: None
     digests, manifests = {}, []
     with tempfile.TemporaryDirectory() as name:
         tmp = Path(name).resolve()
         prepare(tmp, checkout)
-        for argv in writing_runs(tmp):
+        writes = writing_runs(tmp)
+        order(writes)
+        for argv in writes:
             run_name, digests[run_name], written = run(playnet.cli.run_cli, argv, tmp)
             manifests += [path for path in written if path.name.endswith(".manifest.json")]
         prepare_logs(tmp, checkout)
-        for argv in reading_runs(tmp):
-            run_name, digests[run_name], _ = run(playnet.cli.run_cli, argv, tmp)
-        for path in manifests:
-            try:
-                result = {"text": playnet.cli.regenerate(json.loads(path.read_text()))}
-            except (ValueError, OSError) as err:
-                result = {"error": masked(f"{type(err).__name__}: {err}", tmp)}
-            digests[masked(f"regenerate {path}", tmp)] = digest(result)
+        reads = [lambda argv=argv: run(playnet.cli.run_cli, argv, tmp)[:2] for argv in reading_runs(tmp)]
+        reads += [lambda path=path: regenerate_run(playnet.cli.regenerate, path, tmp) for path in manifests]
+        order(reads)
+        for read in reads:
+            run_name, digests[run_name] = read()
+        if shuffle is not None:
+            for read in reversed(reads):
+                run_name, warm = read()
+                if warm != digests[run_name]:
+                    digests[run_name] += f" warm {warm}"
     return {"python": sys.version.split()[0], "runs": digests}
 
 
@@ -224,11 +252,15 @@ def main(argv=None) -> int:
     mode.add_argument("--record", metavar="OUT", help="write the record of the matrix to this file")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the runs two records differ in")
     parser.add_argument("--src", help="the src/ directory whose playnet --record runs")
+    parser.add_argument("--shuffle", type=int, metavar="SEED",
+                        help="--record the runs in an order drawn from SEED, each read run again warm")
     args = parser.parse_args(argv)
+    if args.shuffle is not None and not args.record:
+        parser.error("--shuffle needs --record")
     if args.record:
         if not args.src:
             parser.error("--record needs --src")
-        result = record(Path(args.src))
+        result = record(Path(args.src), args.shuffle)
         Path(args.record).write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(f"{len(result['runs'])} runs recorded under Python {result['python']}")
         return 0

@@ -23,7 +23,9 @@ repeats a few objects many times (a log of many trials, a row per trial)
 is encoded once per distinct object: canonical_dumps writes a dict, list
 or tuple object that recurs at one depth once and repeats its text, and
 an Indexed array of (index, row) pairs as [{"index": i, **row}, ...],
-each distinct row encoded once.
+each distinct row encoded once. An Encoded str, the kept text of a
+value written at the top level, is written re-indented in its place (a
+log keeps each network's text so, see sequence.py).
 
 Files are written to a temporary sibling and renamed into place, so a
 failed run never leaves a partial file. write_artifact writes both the
@@ -124,8 +126,8 @@ def canonical_dumps(obj, number=number_text) -> str:
     written as number(value) writes it, produced in one walk: number_text
     for artifacts and stdout, exact_number_text for manifests. Accepts
     dicts with str keys, lists, tuples, str, int, float, bool and None,
-    and an Indexed array; a key that is not a str, or a value of any
-    other type, raises TypeError.
+    an Indexed array and an Encoded text; a key that is not a str, or a
+    value of any other type, raises TypeError.
 
     A dict, list or tuple object that recurs at the depth where it was
     first written is encoded once and its text repeated: a log of many
@@ -165,6 +167,8 @@ def canonical_dumps(obj, number=number_text) -> str:
                     put(tail)
                 sep = "," + inner
             put(newline + "]")
+        elif kind is Encoded:
+            put(value.replace("\n", newline))
         elif isinstance(value, (dict, list, tuple)):
             span = spans.get(id(value))
             if span is not None and span[1] == newline:
@@ -220,6 +224,16 @@ def canonical_dumps(obj, number=number_text) -> str:
         del write  # write's closure holds write: a cycle keeping parts alive until a full collection
     put("\n")
     return "".join(parts)
+
+
+class Encoded(str):
+    """canonical_dumps text of a value at the top level, its final newline cut; written as that value.
+
+    Deeper down each of its newlines takes that depth's indent, which is
+    exact: a str value's newlines are escaped, so every newline is layout.
+    """
+
+    __slots__ = ()
 
 
 class Indexed(tuple):

@@ -16,6 +16,11 @@ instead of being clamped. estimate_network builds its network
 unchecked, from values that are in range by construction (see
 estimators.py).
 
+sequence.log_text keeps a network's log text in its private _text slot,
+a class attribute that no constructor sets and no comparison reads. As
+for MatchState._estimate, the memo is sound because a network is frozen
+and its edges must not be mutated.
+
 Every number the package accepts is checked by one of three functions
 defined here: check_unit (a float in [0, 1]), check_real (a finite
 float above a bound) and check_int (an int in a range). They share one
@@ -132,6 +137,7 @@ class DecisionNetwork:
     tau: float  # holder's decision time, seconds, >= 0
     edges: dict[int, PassEdge]  # teammate id -> (p, r)
 
+    _text = None  # the network's log text once sequence.log_text wrote it; not a field
     __hash__ = None  # edges is a dict; hash() names this class, not dict
 
     def __post_init__(self) -> None:

@@ -22,8 +22,8 @@ single objective, so it is exposed as the Pareto frontier over the
 (efficiency, security) plane: of sequences (pareto_frontier), or of any
 (efficiency, security) points such as per-style means (pareto_points).
 
-The sequence log is this module's file format: one sequence
-(sequence_to_obj's array of steps) or an array of sequences.
+The sequence log is this module's file format: one sequence (an array
+of {"network", "decision", "outcome"} steps) or an array of sequences.
 sequence_from_obj checks each object's keys (jsonio.check_object), reads
 each network and outcome label and leaves every other check to
 PossessionSequence.
@@ -31,11 +31,15 @@ PossessionSequence.
 log_text writes a log as canonical_dumps text: the lone sequence for one
 possession, else the array of all, laid out as "[\n  " + ",\n  ".join(
 element texts) + "\n]\n", where every element starts with "[". Its
-value shares one object per distinct sequence, per distinct step and
-per distinct network, each told apart by identity (per_distinct): a
-path's possessions share their prefix steps, and a path step's
-completed and ending steps share its network (see run_trials), so
-canonical_dumps encodes each network once.
+value shares one object per distinct sequence and per distinct step,
+each told apart by identity (per_distinct): a path's possessions share
+their prefix steps (see run_trials), so canonical_dumps encodes each
+step once. A network's text is encoded once per process: the first log
+that holds it keeps the text on the network (its _text slot, sound as
+MatchState._estimate is), and each later step or log holding the same
+object writes that jsonio.Encoded text again. A path step's completed
+and ending steps share its network, and a loaded state keeps its
+networks, so a repeated simulate encodes no network again.
 
 load_log reads a log file through jsonio.read_input, as load_match_state
 and load_config read theirs, and read_log reads its bytes. A log in
@@ -57,8 +61,9 @@ text is parsed on its own and checked once, and its later steps, in
 this read or a later one, reuse its network and decision (hash-consing
 keyed by the exact text, so a valid "r": 3 never vouches for "r": 3.0,
 nor 0.0 for -0.0). A step text that read on its own reads so in any
-log, so keeping heads between reads is exact; a read that finds more
-than _MAX_HEADS heads kept starts without them.
+log, so keeping heads between reads is exact. A read that ends or
+starts (after another thread's read) with more than _MAX_HEADS heads
+kept empties them.
 Complete JSON values joined by "," and whitespace inside "[" and "]" are
 exactly the array of those values (RFC 8259), so if every step text
 reads on its own, its element is the array of them, and if every
@@ -75,7 +80,7 @@ import re
 from dataclasses import dataclass
 
 from .decision import Decision
-from .jsonio import canonical_dumps, check_object, parse_json, read_input
+from .jsonio import Encoded, canonical_dumps, check_object, parse_json, read_input
 from .network import DecisionNetwork, check_unit
 
 
@@ -266,24 +271,6 @@ def pareto_points(points) -> list[tuple[float, float, int]]:
     return frontier
 
 
-def sequence_to_obj(seq: PossessionSequence) -> list[dict]:
-    """The sequence-log JSON shape: one object per step."""
-    out = []
-    for step in seq.steps:
-        if step.decision.is_shoot:
-            decision_obj: dict = {"type": "shoot"}
-        else:
-            decision_obj = {"type": "pass", "target": step.decision.target}
-        out.append(
-            {
-                "network": step.network.to_json_dict(),
-                "decision": decision_obj,
-                "outcome": step.outcome.label(),
-            }
-        )
-    return out
-
-
 def _step_from_obj(item: object, k: int) -> PossessionStep:
     """Step k of a sequence from its log shape, its keys, network and outcome label read."""
     check_object(item, _STEP_KEYS, ("network", "decision", "outcome"), f"step {k}")
@@ -307,22 +294,36 @@ def sequence_from_obj(obj: object) -> PossessionSequence:
     return PossessionSequence(tuple(_step_from_obj(item, k) for k, item in enumerate(obj)))
 
 
+def _network_text(network: DecisionNetwork) -> Encoded:
+    """The network's text in a log, encoded once and kept on the network (its _text slot)."""
+    text = network._text
+    if text is None:
+        text = Encoded(canonical_dumps(network.to_json_dict())[:-1])
+        object.__setattr__(network, "_text", text)
+    return text
+
+
 def log_text(sequences) -> str:
     """The log of a run's sequences: the lone sequence for one, else the array of all.
 
-    Its value holds one object per distinct step and per distinct network,
-    told apart by identity as per_distinct tells sequences apart, so
-    canonical_dumps encodes each once.
+    Its value holds one object per distinct step, told apart by identity
+    as per_distinct tells sequences apart, so canonical_dumps encodes each
+    once; a step holds its network's kept text.
     """
-    laid: dict[int, dict] = {}  # id of a step or network of a sequence per_distinct keeps alive -> its object
+    laid: dict[int, dict] = {}  # id of a step of a sequence per_distinct keeps alive -> its object
 
     def lay(seq: PossessionSequence) -> list[dict]:
         out = []
-        for step, obj in zip(seq.steps, sequence_to_obj(seq)):
-            if id(step) not in laid:
-                obj["network"] = laid.setdefault(id(step.network), obj["network"])
-                laid[id(step)] = obj
-            out.append(laid[id(step)])
+        for step in seq.steps:
+            obj = laid.get(id(step))
+            if obj is None:
+                decision = step.decision
+                obj = laid[id(step)] = {
+                    "network": _network_text(step.network),
+                    "decision": {"type": "shoot"} if decision.is_shoot else {"type": "pass", "target": decision.target},
+                    "outcome": step.outcome.label(),
+                }
+            out.append(obj)
         return out
 
     objs = per_distinct(lay, sequences)
@@ -377,6 +378,12 @@ _HEADS: dict[str, PossessionStep] = {}
 _MAX_HEADS = 1024
 
 
+def _bound_heads() -> None:
+    """Empty _HEADS if it holds more than _MAX_HEADS heads."""
+    if len(_HEADS) > _MAX_HEADS:
+        _HEADS.clear()
+
+
 def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
     """The sequences of a log in log_text's layout, read by its element texts, or None.
 
@@ -411,8 +418,7 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
         return None
     recent = list(_KEPT)  # (text, its sequence), most recent first
     read: dict[bytes, PossessionSequence] = {}  # element text after its "[" -> its sequence
-    if len(_HEADS) > _MAX_HEADS:
-        _HEADS.clear()
+    _bound_heads()
     sequences = []
     find = data.find
     startswith = data.startswith
@@ -450,7 +456,10 @@ def _log_sequences(data: bytes) -> list[PossessionSequence] | None:
 
 def read_log(data: bytes) -> list[PossessionSequence]:
     """The sequences of a log's bytes, each checked; an error names its sequence and step."""
-    sequences = _log_sequences(data)
+    try:
+        sequences = _log_sequences(data)
+    finally:
+        _bound_heads()
     if sequences is None:
         items = parse_json(data)
         if not isinstance(items, list) or not items:

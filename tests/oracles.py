@@ -12,7 +12,6 @@ import math
 
 from playnet.estimators import EstimatorParams
 from playnet.jsonio import canonical_number
-from playnet.sequence import sequence_to_obj
 from playnet.state import MatchState
 
 
@@ -294,12 +293,30 @@ def reference_canonical_dumps(obj) -> str:
     return json.dumps(canonicalize(obj), indent=2) + "\n"
 
 
+def sequence_to_obj(seq):
+    """The sequence-log JSON shape of a sequence: one object per step, each network converted anew."""
+    out = []
+    for step in seq.steps:
+        if step.decision.is_shoot:
+            decision_obj = {"type": "shoot"}
+        else:
+            decision_obj = {"type": "pass", "target": step.decision.target}
+        out.append(
+            {
+                "network": step.network.to_json_dict(),
+                "decision": decision_obj,
+                "outcome": step.outcome.label(),
+            }
+        )
+    return out
+
+
 def reference_log_text(sequences):
     """The sequence log written the obvious way: every sequence converted, encoded as one value.
 
-    It shares sequence_to_obj with the library; what it checks is
-    sequence.log_text, whose value shares one object per distinct
-    sequence and step for canonical_dumps to encode once.
+    What it checks is sequence.log_text, whose value shares one object
+    per distinct sequence and step for canonical_dumps to encode once,
+    and writes each network's kept text.
     """
     logs = [sequence_to_obj(seq) for seq in sequences]
     return reference_canonical_dumps(logs[0] if len(logs) == 1 else logs)

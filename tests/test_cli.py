@@ -27,6 +27,7 @@ from playnet import (
     PossessionStep,
     SimulationConfig,
     StepOutcome,
+    parse_match_state,
     run_trials,
 )
 from playnet.cli import regenerate, run_cli
@@ -34,7 +35,7 @@ from playnet.estimators import DEFAULT_PARAMS
 from playnet.jsonio import canonical_dumps, manifest_path, parse_json
 from playnet.sequence import (
     _RECENT, _log_sequences, efficiency, load_log, log_text, pareto_points, read_log, security,
-    sequence_from_obj, sequence_to_obj,
+    sequence_from_obj,
 )
 from playnet.config import load_config
 from playnet.state import load_match_state
@@ -44,7 +45,7 @@ from conftest import (
     random_match_state, random_sequence, state_to_obj,
 )
 from oracles import (
-    reference_analyze_text, reference_frontier_text, reference_log_text, reference_simulate_text,
+    reference_analyze_text, reference_frontier_text, reference_log_text, reference_simulate_text, sequence_to_obj,
 )
 
 MIDFIELD = str(DATA_DIR / "midfield_state.json")
@@ -564,21 +565,34 @@ def test_log_text_equals_reference_writer(state_seed, weights, threshold, max_st
 
 
 @pytest.mark.parametrize("state", [MIDFIELD, BOX], ids=["midfield", "box"])
-def test_log_text_lays_each_distinct_network_once(monkeypatch, state):
+def test_a_second_log_text_encodes_no_network_again(monkeypatch, state):
     cfg = SimulationConfig(policy=DecisionPolicy(style=LinearStyle(1, 3)), estimators=DEFAULT_PARAMS, seed=3)
-    sequences = [r.sequence for r in run_trials(load_match_state(state), cfg, 0, 100)]
+    real = DecisionNetwork.to_json_dict
+    converted = []
+    monkeypatch.setattr(DecisionNetwork, "to_json_dict", lambda net: converted.append(net) or real(net))
+    # a state parsed anew: its networks have never been written
+    sequences = [r.sequence for r in run_trials(parse_match_state(Path(state).read_bytes()), cfg, 0, 100)]
     steps = {id(step): step for seq in sequences for step in seq.steps}
     networks = {id(step.network) for step in steps.values()}
     assert len(networks) < len(steps)  # a path step's network is shared by its completed and its ending step
-    real_dumps = playnet.sequence.canonical_dumps
-    dumped = []
-    monkeypatch.setattr(playnet.sequence, "canonical_dumps", lambda obj: dumped.append(obj) or real_dumps(obj))
     text = log_text(sequences)
-    # one object per distinct step and per distinct network, which canonical_dumps encodes once
-    [doc] = dumped
-    assert len({id(step) for seq in doc for step in seq}) == len(steps)
-    assert len({id(step["network"]) for seq in doc for step in seq}) == len(networks)
+    assert sorted(map(id, converted)) == sorted(networks)  # each distinct network converted once
     assert text == reference_log_text(sequences)
+    # the same loaded state twice: the second log's networks are the first's, and keep their text
+    first = log_text([r.sequence for r in run_trials(load_match_state(state), cfg, 0, 100)])
+    converted.clear()
+    assert log_text([r.sequence for r in run_trials(load_match_state(state), cfg, 0, 100)]) == first == text
+    assert converted == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(state_seed=st.integers(0, 2**32 - 1), seed=st.integers(0, 2**63), trials=st.integers(2, 30))
+def test_the_kept_network_texts_do_not_depend_on_the_order_of_logs(state_seed, seed, trials):
+    cfg = SimulationConfig(policy=DecisionPolicy(style=LinearStyle(1, 1)), estimators=DEFAULT_PARAMS, seed=seed)
+    for lone_first in (True, False):  # each order from a state built anew, whose networks no log has written
+        sequences = [r.sequence for r in run_trials(random_match_state(random.Random(state_seed)), cfg, 0, trials)]
+        for logged in ([sequences[-1:], sequences] if lone_first else [sequences, sequences[-1:]]):
+            assert log_text(logged) == reference_log_text(logged)
 
 
 @pytest.mark.parametrize(
@@ -1529,7 +1543,9 @@ def test_a_read_after_one_of_more_heads_than_the_bound_starts_without_them(monke
     while sum(len(q) for q in wide) <= playnet.sequence._MAX_HEADS:  # random steps are all distinct
         wide.append(random_sequence(rng))
     read_log((json.dumps([sequence_to_obj(q) for q in wide], indent=2) + "\n").encode())
-    assert len(playnet.sequence._HEADS) > playnet.sequence._MAX_HEADS
+    assert playnet.sequence._HEADS == {}  # it ended past the bound, so it kept none
+    # heads past the bound, as a read in another thread could leave them when this one starts
+    playnet.sequence._HEADS.update((str(k), None) for k in range(playnet.sequence._MAX_HEADS + 1))
     # one step of the wide log, its pass now intercepted: its head was read there
     step = next(q for q in wide if len(q) > 1).steps[0]
     cut = PossessionSequence((PossessionStep(step.network, step.decision, StepOutcome.PASS_INTERCEPTED),))
@@ -1539,6 +1555,15 @@ def test_a_read_after_one_of_more_heads_than_the_bound_starts_without_them(monke
     monkeypatch.setattr(playnet.sequence, "parse_json", lambda text: parsed.append(text) or real(text))
     assert read_log(data) == _read_whole(data)
     assert len(parsed) == len(playnet.sequence._HEADS) == 1
+
+
+def test_a_process_keeps_at_most_the_bound_of_heads_after_reading_a_log_without_repeats(no_kept_reads):
+    rng = random.Random(7)
+    sequences = [random_sequence(rng) for _ in range(200)]
+    assert sum(map(len, sequences)) > playnet.sequence._MAX_HEADS  # random steps are all distinct
+    data = log_text(sequences).encode()
+    assert read_log(data) == _read_whole(data)
+    assert len(playnet.sequence._HEADS) <= playnet.sequence._MAX_HEADS
 
 
 @pytest.mark.parametrize("layout, distinct", [("written", 6), ("compact", 100)])

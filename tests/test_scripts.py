@@ -186,6 +186,18 @@ def test_behaviour_diff_records_this_checkout(tmp_path):
     }
 
 
+def test_behaviour_diff_records_the_same_digests_in_a_shuffled_order(tmp_path):
+    records = {}
+    for name, extra in (("fixed", ()), ("shuffled", ("--shuffle", "5"))):
+        records[name] = tmp_path / f"{name}.json"
+        proc = run_script("behaviour_diff.py", "--record", str(records[name]), "--src", str(REPO_ROOT / "src"), *extra)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    proc = run_script("behaviour_diff.py", "--compare", str(records["fixed"]), str(records["shuffled"]))
+    assert proc.returncode == 0 and re.fullmatch(r"0 of \d+ runs differ", proc.stdout.splitlines()[-1]), proc.stdout
+    usage = run_script("behaviour_diff.py", "--compare", str(records["fixed"]), str(records["fixed"]), "--shuffle", "1")
+    assert usage.returncode == 2 and "--shuffle needs --record" in usage.stderr
+
+
 def test_behaviour_diff_compare_reports_a_run_that_differs(tmp_path):
     runs = {"decide --state <tmp>/box_state.json --style 3:1": "a" * 64, "analyze --log <tmp>/log.json": "b" * 64}
     records = {"a": {"python": "3.11.7", "runs": runs}, "b": {"python": "3.12.1", "runs": runs}}

@@ -16,9 +16,10 @@ from playnet import (
     pareto_frontier,
     security,
 )
-from playnet.sequence import pareto_points, per_distinct, sequence_from_obj, sequence_to_obj
+from playnet.sequence import pareto_points, per_distinct, sequence_from_obj
 
 from conftest import random_sequence
+from oracles import sequence_to_obj
 
 
 def uniform_network(holder, s, p=0.5, r=3, tau=1.0):

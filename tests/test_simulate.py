@@ -27,12 +27,11 @@ from playnet import (
 from playnet.config import AppConfig
 from playnet.estimators import DEFAULT_PARAMS
 from playnet.network import check_player_id
-from playnet.sequence import sequence_to_obj
 from playnet.simulate import TRIALS_LIMIT, StyleReport, advance_state, check_count
 from playnet.state import parse_match_state
 
 from conftest import random_match_state, random_relabelling, relabelled, shuffled_opponents
-from oracles import exact_possession_moments, oracle_advance
+from oracles import exact_possession_moments, oracle_advance, sequence_to_obj
 
 
 def base_config(style=LinearStyle(3, 1), threshold=0.5, seed=0, **kwargs):

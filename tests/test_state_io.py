@@ -19,7 +19,7 @@ from playnet import DecisionNetwork, MatchState, Pitch, parse_match_state
 from playnet.config import AppConfig, load_config
 from playnet.dotexport import export_network_dot
 from playnet.jsonio import (
-    Indexed, canonical_dumps, canonical_number, check_object, exact_number_text, manifest_path,
+    Encoded, Indexed, canonical_dumps, canonical_number, check_object, exact_number_text, manifest_path,
     number_text, parse_json, write_artifact,
 )
 from playnet.state import load_match_state
@@ -583,6 +583,41 @@ _SHARED = [_ROW, [_ROW, (_ROW,)], {"a": _ROW}, Indexed([(0, _ROW), (7, {}), (10*
 ], ids=["number_text", "exact_number_text"])
 def test_recurring_objects_and_indexed_rows_encode_as_the_plain_value(number, reference, value):
     assert canonical_dumps(value, number) == reference(_expanded(value))
+
+
+@st.composite
+def _places(draw):
+    """The frames around a value's place in a larger value, outermost first: a list, a dict or an Indexed row."""
+    frames = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["list", "dict", "indexed"]))
+        before = draw(st.lists(_SCALARS, max_size=2))
+        after = draw(st.lists(_SCALARS, max_size=2))
+        key = draw(_KEYS.filter(lambda key: key != "index"))
+        frames.append((kind, before, after, key, draw(_INTS)))
+    return frames
+
+
+def _placed(frames, value):
+    """value at the place the frames describe."""
+    for kind, before, after, key, index in reversed(frames):
+        if kind == "list":
+            value = [*before, value, *after]
+        else:
+            row = {f"{key}<{k}": item for k, item in enumerate(before)}
+            row[key] = value
+            row.update((f"{key}>{k}", item) for k, item in enumerate(after))
+            value = row if kind == "dict" else Indexed([(index, row)])
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES, frames=_places())
+@example(value=_DEEP, frames=[("indexed", [], [], "a", 3), ("list", [1.5], [None], "", 0)])
+@example(value=["a\nb", {"\n": "\n"}], frames=[("dict", [], [], "x", 0)])  # newlines inside strings
+def test_encoded_text_is_written_as_its_value_at_any_depth(value, frames):
+    encoded = Encoded(canonical_dumps(value)[:-1])
+    assert canonical_dumps(_placed(frames, encoded)) == canonical_dumps(_placed(frames, value))
 
 
 @pytest.mark.parametrize(
